@@ -3,19 +3,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from rovermotion import deflection, metrics, terrain
+from rovermotion import metrics, terrain
 from rovermotion.config import ConfigError, RoverConfig, load_config
-from rovermotion.deflection import GeometryError, PoseFitError
+from rovermotion.errors import GeometryError, PoseFitError
 from rovermotion.kinematics import KinematicsError
 from rovermotion.metrics import MetricsError
 from rovermotion.telemetry import (
+    Telemetry,
     TelemetryFormatError,
     read_telemetry_csv,
     write_telemetry_csv,
@@ -57,6 +57,49 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
+_COT_HEADER = ["table2_mode", "table2_slope_deg", "table2_velocity_m_s",
+              "table2_power_w", "table2_cot"]
+
+
+def _cot_row(report: metrics.CotReport) -> list[str]:
+    return [report.mode, _fmt(report.slope_deg), _fmt(report.mean_velocity),
+            _fmt(report.mean_power), _fmt(report.cost_of_transport)]
+
+
+def _write_yaw_energy(
+    path: Path, telemetry: Telemetry, mode: str
+) -> metrics.YawEnergyCurve:
+    curve = metrics.energy_vs_yaw(telemetry, mode=mode)
+    _write_csv(
+        path,
+        ["fig3_yaw_deg", "fig3_energy_j"],
+        [[_fmt(a), _fmt(e)] for a, e in curve.points],
+    )
+    return curve
+
+
+def _write_efficiency(
+    path: Path, telemetry: Telemetry, window_s: float
+) -> list[float]:
+    """Write the angular-speed efficiency series; returns its defined ratios."""
+    series = metrics.angular_speed_efficiency(
+        telemetry.column("t"),
+        telemetry.column("heading"),
+        telemetry.column("odo_wz"),
+        smoothing_window_s=window_s,
+    )
+    _write_csv(
+        path,
+        ["fig4_t_s", "fig4_ratio", "fig4_ratio_clamped"],
+        [
+            [_fmt(t), "", ""] if ratio is None
+            else [_fmt(t), _fmt(ratio), _fmt(metrics.clamp_ratio(ratio))]
+            for t, ratio in series
+        ],
+    )
+    return [ratio for _, ratio in series if ratio is not None]
+
+
 def preset_path(name: str) -> Path:
     base = resources.files("rovermotion").joinpath("data", "presets")
     path = Path(str(base.joinpath(f"{name}.scn")))
@@ -73,26 +116,23 @@ def _load_telemetry_arg(path: str):
 
 def cmd_simulate(args) -> int:
     scenario = terrain.load_scenario(args.scenario)
-    records = terrain.simulate_traverse(scenario)
+    telemetry = terrain.simulate_traverse(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_telemetry_csv(out / "telemetry.csv", records)
-    duration = records[-1].t if records else 0.0
-    energy = 0.0
-    for a, b in zip(records, records[1:]):
-        energy += (b.t - a.t) * (a.total_power + b.total_power) / 2.0
-    final = records[-1].pose if records else (0.0, 0.0, 0.0)
+    write_telemetry_csv(out / "telemetry.csv", telemetry)
+    duration = telemetry[-1].t if telemetry else 0.0
+    final = telemetry[-1].pose if telemetry else (0.0, 0.0, 0.0)
     summary = out / "summary.txt"
     summary.write_text(
         "\n".join(
             [
                 f"scenario = {scenario.name}",
-                f"records = {len(records)}",
+                f"records = {len(telemetry)}",
                 f"duration_s = {_fmt(duration)}",
                 f"final_x_m = {_fmt(final[0])}",
                 f"final_y_m = {_fmt(final[1])}",
                 f"final_heading_rad = {_fmt(final[2])}",
-                f"energy_j = {_fmt(energy)}",
+                f"energy_j = {_fmt(telemetry.cumulative_energy()[-1])}",
             ]
         )
         + "\n"
@@ -107,68 +147,36 @@ def _config_from_args(args) -> RoverConfig:
 
 
 def cmd_analyze(args) -> int:
-    records = _load_telemetry_arg(args.telemetry)
+    telemetry = _load_telemetry_arg(args.telemetry)
     config = _config_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.metric == "cot":
-        report = metrics.mean_cot(records, config, mode=args.label, slope_deg=args.slope)
-        _write_csv(
-            out / "cot.csv",
-            ["table2_mode", "table2_slope_deg", "table2_velocity_m_s",
-             "table2_power_w", "table2_cot"],
-            [[report.mode, _fmt(report.slope_deg), _fmt(report.mean_velocity),
-              _fmt(report.mean_power), _fmt(report.cost_of_transport)]],
+        report = metrics.mean_cot(
+            telemetry, config, mode=args.label, slope_deg=args.slope
         )
+        _write_csv(out / "cot.csv", _COT_HEADER, [_cot_row(report)])
         print(f"cot={report.cost_of_transport:.3f}")
         return EXIT_OK
 
     if args.metric == "yaw-energy":
-        curve = metrics.energy_vs_yaw(records, mode=args.label)
-        _write_csv(
-            out / "yaw_energy.csv",
-            ["fig3_yaw_deg", "fig3_energy_j"],
-            [[_fmt(a), _fmt(e)] for a, e in curve.points],
-        )
+        curve = _write_yaw_energy(out / "yaw_energy.csv", telemetry, args.label)
         total = curve.points[-1] if curve.points else (0.0, 0.0)
         print(f"yaw_deg={total[0]:.3f} energy_j={total[1]:.3f}")
         return EXIT_OK
 
     if args.metric == "efficiency":
-        times = np.array([r.t for r in records])
-        heading = np.array([r.pose[2] for r in records])
-        odo_wz = np.array([r.odo_twist.wz for r in records])
-        series = metrics.angular_speed_efficiency(
-            times, heading, odo_wz, smoothing_window_s=args.window
-        )
-        rows = []
-        valid = []
-        for t, ratio in series:
-            if ratio is None:
-                rows.append([_fmt(t), "", ""])
-            else:
-                rows.append(
-                    [_fmt(t), _fmt(ratio), _fmt(metrics.clamp_ratio(ratio))]
-                )
-                valid.append(ratio)
-        _write_csv(
-            out / "efficiency.csv",
-            ["fig4_t_s", "fig4_ratio", "fig4_ratio_clamped"],
-            rows,
-        )
+        valid = _write_efficiency(out / "efficiency.csv", telemetry, args.window)
         mean = sum(valid) / len(valid) if valid else float("nan")
         print(f"mean_ratio={mean:.3f}")
         return EXIT_OK
 
     if args.metric == "slip":
-        times = np.array([r.t for r in records])
-        encoder = np.array(
-            [math.hypot(r.odo_twist.vx, r.odo_twist.vy) for r in records]
-        )
-        xy = np.array([[r.pose[0], r.pose[1]] for r in records])
+        times = telemetry.column("t")
+        xy = np.column_stack((telemetry.column("x"), telemetry.column("y")))
         gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
-        slip = metrics.longitudinal_slip(encoder, gt_speed)
+        slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
         rows = [
             [_fmt(t), "" if s is None else _fmt(s)] for t, s in zip(times, slip)
         ]
@@ -182,6 +190,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_deflect(args) -> int:
+    from rovermotion import deflection  # imports scipy
+
     model = deflection.load_wheel_model(args.model)
     cam = deflection.load_camera(args.camera)
     frames = deflection.read_annotations_csv(args.annotations)
@@ -247,54 +257,31 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from rovermotion import deflection  # imports scipy
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     table_rows = []
     for name in PRESET_NAMES:
         scenario = terrain.load_scenario(preset_path(name))
-        records = terrain.simulate_traverse(scenario)
-        write_telemetry_csv(out / f"telemetry_{name}.csv", records)
+        telemetry = terrain.simulate_traverse(scenario)
+        write_telemetry_csv(out / f"telemetry_{name}.csv", telemetry)
         report = metrics.mean_cot(
-            records,
+            telemetry,
             scenario.config,
             mode=name.split("_")[0],
             slope_deg=scenario.terrain.slope_deg,
         )
-        table_rows.append(
-            [report.mode, _fmt(report.slope_deg), _fmt(report.mean_velocity),
-             _fmt(report.mean_power), _fmt(report.cost_of_transport)]
-        )
-    _write_csv(
-        out / "table2.csv",
-        ["table2_mode", "table2_slope_deg", "table2_velocity_m_s",
-         "table2_power_w", "table2_cot"],
-        table_rows,
-    )
+        table_rows.append(_cot_row(report))
+    _write_csv(out / "table2.csv", _COT_HEADER, table_rows)
 
     for name in ROTATION_PRESETS:
         scenario = terrain.load_scenario(preset_path(name))
-        records = terrain.simulate_traverse(scenario)
-        write_telemetry_csv(out / f"telemetry_{name}.csv", records)
-        curve = metrics.energy_vs_yaw(records, mode=name)
-        _write_csv(
-            out / f"fig3_{name}.csv",
-            ["fig3_yaw_deg", "fig3_energy_j"],
-            [[_fmt(a), _fmt(e)] for a, e in curve.points],
-        )
-        times = np.array([r.t for r in records])
-        heading = np.array([r.pose[2] for r in records])
-        odo_wz = np.array([r.odo_twist.wz for r in records])
-        series = metrics.angular_speed_efficiency(times, heading, odo_wz)
-        _write_csv(
-            out / f"fig4_{name}.csv",
-            ["fig4_t_s", "fig4_ratio", "fig4_ratio_clamped"],
-            [
-                [_fmt(t), "", ""] if ratio is None
-                else [_fmt(t), _fmt(ratio), _fmt(metrics.clamp_ratio(ratio))]
-                for t, ratio in series
-            ],
-        )
+        telemetry = terrain.simulate_traverse(scenario)
+        write_telemetry_csv(out / f"telemetry_{name}.csv", telemetry)
+        _write_yaw_energy(out / f"fig3_{name}.csv", telemetry, name)
+        _write_efficiency(out / f"fig4_{name}.csv", telemetry, 0.5)
 
     fixture = resources.files("rovermotion").joinpath("data", "deflection")
     model = deflection.load_wheel_model(str(fixture.joinpath("model.txt")))

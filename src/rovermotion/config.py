@@ -121,8 +121,13 @@ def wheel_positions(config: RoverConfig) -> dict[WheelId, tuple[float, float]]:
 
 def parse_key_value_file(path: str | Path) -> dict[str, str]:
     """Parse a plain `key = value` file, one pair per line, '#' comments."""
+    return parse_key_value_lines(Path(path).read_text().splitlines(), path)
+
+
+def parse_key_value_lines(lines: list[str], path: str | Path) -> dict[str, str]:
+    """Parse `key = value` lines; errors name `path` and the 1-based line."""
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -11,37 +11,7 @@ from scipy.optimize import brentq, least_squares
 from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.transform import Rotation
 
-
-class GeometryError(ValueError):
-    """Raised for geometrically invalid deflection inputs."""
-
-
-class PoseFitError(RuntimeError):
-    """Pose optimization did not converge.
-
-    Carries the best pose found, its RMS reprojection distance in pixels,
-    the number of residual evaluations, the solver's termination message
-    and, when raised by process_annotations, the frame number.
-    """
-
-    def __init__(
-        self,
-        pose: "WheelPose",
-        rms: float,
-        nfev: int,
-        reason: str,
-        frame: int | None = None,
-    ):
-        where = "" if frame is None else f"frame {frame}: "
-        super().__init__(
-            f"{where}pose fit did not converge: rms {rms:.3g} px after "
-            f"{nfev} evaluations ({reason})"
-        )
-        self.pose = pose
-        self.rms = rms
-        self.nfev = nfev
-        self.reason = reason
-        self.frame = frame
+from rovermotion.errors import GeometryError, PoseFitError
 
 
 @dataclass(frozen=True)

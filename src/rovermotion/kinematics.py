@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from rovermotion.config import (
     LocomotionMode,
     RoverConfig,
     WheelCommand,
-    WheelId,
     wheel_positions,
 )
 from rovermotion.kernels import integrate_track
@@ -183,26 +183,55 @@ class ProfileSegment:
     mode: LocomotionMode
 
 
+PROFILE_HEADER = ["duration_s", "vx", "vy", "wz", "mode"]
+
+
+def parse_profile(
+    lines: Iterable[str], path: str | Path, first_lineno: int = 1
+) -> list[ProfileSegment]:
+    """Parse a twist profile CSV: the header duration_s,vx,vy,wz,mode, then rows.
+
+    `lines` starts at the header, which is line `first_lineno` of `path`.
+    Blank rows are skipped; any other malformed row raises ConfigError
+    naming `path:line`.
+    """
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != PROFILE_HEADER:
+        raise ConfigError(
+            f"{path}: profile header must be {','.join(PROFILE_HEADER)}, got {header}"
+        )
+    segments = []
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}:{first_lineno - 1 + reader.line_num}"
+        if len(row) != len(PROFILE_HEADER):
+            raise ConfigError(
+                f"{where}: expected {len(PROFILE_HEADER)} columns, got {len(row)}"
+            )
+        try:
+            duration, vx, vy, wz = (float(cell) for cell in row[:4])
+            mode = LocomotionMode.parse(row[4])
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        segments.append(ProfileSegment(duration, BodyTwist(vx, vy, wz), mode))
+    return segments
+
+
 def load_twist_profile(path: str | Path) -> list[ProfileSegment]:
     """Load a twist profile CSV with header duration_s,vx,vy,wz,mode."""
-    segments = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        expected = ["duration_s", "vx", "vy", "wz", "mode"]
-        if reader.fieldnames != expected:
-            raise ConfigError(
-                f"{path}: expected header {','.join(expected)}, "
-                f"got {reader.fieldnames}"
-            )
-        for row in reader:
-            segments.append(
-                ProfileSegment(
-                    float(row["duration_s"]),
-                    BodyTwist(float(row["vx"]), float(row["vy"]), float(row["wz"])),
-                    LocomotionMode.parse(row["mode"]),
-                )
-            )
-    return segments
+        return parse_profile(handle, path)
+
+
+def marker_positions(
+    x: np.ndarray, y: np.ndarray, heading: np.ndarray, offset: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """World position of a marker rigidly attached at `offset` in the body frame."""
+    mx, my = offset
+    cos_t, sin_t = np.cos(heading), np.sin(heading)
+    return x + cos_t * mx - sin_t * my, y + sin_t * mx + cos_t * my
 
 
 def simulate_pose_track(
@@ -236,11 +265,10 @@ def simulate_pose_track(
     x, y, theta = integrate_track(
         np.array(vx_steps), np.array(vy_steps), np.array(wz_steps), step
     )
-    mx, my = marker_offset
-    track = []
-    for i in range(len(x)):
-        cos_t = math.cos(theta[i])
-        sin_t = math.sin(theta[i])
-        marker = (x[i] + cos_t * mx - sin_t * my, y[i] + sin_t * mx + cos_t * my)
-        track.append((i * step, marker, float(theta[i])))
-    return track
+    marker_x, marker_y = marker_positions(x, y, theta, marker_offset)
+    return [
+        (i * step, (mx, my), th)
+        for i, (mx, my, th) in enumerate(
+            zip(marker_x.tolist(), marker_y.tolist(), theta.tolist())
+        )
+    ]

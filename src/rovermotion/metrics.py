@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rovermotion.config import RoverConfig
-from rovermotion.telemetry import TelemetryRecord
+from rovermotion.telemetry import Telemetry
 
 
 class MetricsError(ValueError):
@@ -41,8 +41,21 @@ def cost_of_transport(power_w: float, mass: float, gravity: float, v: float) -> 
     return power_w / (mass * gravity * v)
 
 
+def encoder_speed(telemetry: Telemetry) -> np.ndarray:
+    """Encoder-derived linear speed |(odo_vx, odo_vy)| of each sample."""
+    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
+    return np.array(
+        [
+            math.hypot(vx, vy)
+            for vx, vy in zip(
+                telemetry.column("odo_vx").tolist(), telemetry.column("odo_vy").tolist()
+            )
+        ]
+    )
+
+
 def mean_cot(
-    telemetry: list[TelemetryRecord],
+    telemetry: Telemetry,
     config: RoverConfig,
     mode: str = "",
     slope_deg: float = 0.0,
@@ -55,9 +68,9 @@ def mean_cot(
     """
     if len(telemetry) < 2:
         raise MetricsError("insufficient samples")
-    t = np.array([r.t for r in telemetry])
-    p = np.array([r.total_power for r in telemetry])
-    v = np.array([math.hypot(r.odo_twist.vx, r.odo_twist.vy) for r in telemetry])
+    t = telemetry.column("t")
+    p = telemetry.total_power
+    v = encoder_speed(telemetry)
     span = t[-1] - t[0]
     mean_power = float(np.trapezoid(p, t) / span)
     mean_velocity = float(np.trapezoid(v, t) / span)
@@ -74,7 +87,7 @@ def mean_cot(
     )
 
 
-def energy_vs_yaw(telemetry: list[TelemetryRecord], mode: str = "") -> YawEnergyCurve:
+def energy_vs_yaw(telemetry: Telemetry, mode: str = "") -> YawEnergyCurve:
     """Cumulative electrical energy against cumulative ground-truth |yaw|.
 
     Steering reposition energy spent before the body rotates accumulates at
@@ -82,13 +95,9 @@ def energy_vs_yaw(telemetry: list[TelemetryRecord], mode: str = "") -> YawEnergy
     """
     if not telemetry:
         return YawEnergyCurve(mode, [])
-    t = np.array([r.t for r in telemetry])
-    p = np.array([r.total_power for r in telemetry])
-    heading = np.unwrap(np.array([r.pose[2] for r in telemetry]))
+    heading = np.unwrap(telemetry.column("heading"))
     yaw = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(heading)))))
-    energy = np.concatenate(
-        ([0.0], np.cumsum(np.diff(t) * (p[1:] + p[:-1]) / 2.0))
-    )
+    energy = telemetry.cumulative_energy()
     return YawEnergyCurve(
         mode, [(math.degrees(a), float(e)) for a, e in zip(yaw, energy)]
     )

@@ -1,15 +1,19 @@
-"""Telemetry records, CSV serialization, and series alignment."""
+"""Telemetry series and records, CSV serialization, and series alignment."""
 from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from rovermotion.config import BodyTwist
 
 BUS_VOLTAGE = 24.0
-FLOAT_FORMAT = "{:.6f}"
+FLOAT_FORMAT = "%.6f"
 
 _WHEEL_TAGS = ("fl", "fr", "rl", "rr")
 
@@ -53,37 +57,153 @@ TELEMETRY_HEADER = (
 )
 
 
-def _row_of(record: TelemetryRecord) -> list[str]:
-    values = [
-        record.t,
-        *record.pose,
-        *record.marker,
-        record.odo_twist.vx,
-        record.odo_twist.vy,
-        record.odo_twist.wz,
-        record.commanded_twist.vx,
-        record.commanded_twist.vy,
-        record.commanded_twist.wz,
-        *record.drive_voltage,
-        *record.drive_current,
-        *record.steer_voltage,
-        *record.steer_current,
-        *record.drive_speeds,
-        *record.steering_angles,
-    ]
-    return [FLOAT_FORMAT.format(v) for v in values]
+_HEADER_LINE = ",".join(TELEMETRY_HEADER)
+_COLUMN = {name: j for j, name in enumerate(TELEMETRY_HEADER)}
+
+# TelemetryRecord field -> its columns in TELEMETRY_HEADER
+FIELD_COLUMNS = {
+    "pose": slice(1, 4),
+    "marker": slice(4, 6),
+    "odo_twist": slice(6, 9),
+    "commanded_twist": slice(9, 12),
+    "drive_voltage": slice(12, 16),
+    "drive_current": slice(16, 20),
+    "steer_voltage": slice(20, 24),
+    "steer_current": slice(24, 28),
+    "drive_speeds": slice(28, 32),
+    "steering_angles": slice(32, 36),
+}
 
 
-def write_telemetry_csv(path: str | Path, records: list[TelemetryRecord]) -> None:
+class Telemetry:
+    """A telemetry series as one float64 column per TELEMETRY_HEADER field.
+
+    `values` has shape (samples, len(TELEMETRY_HEADER)). `telemetry[i]`
+    builds sample i as a TelemetryRecord on demand; whole-series code reads
+    columns with `column(name)` instead.
+    """
+
+    def __init__(self, values: np.ndarray):
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != len(TELEMETRY_HEADER):
+            raise ValueError(
+                f"telemetry needs {len(TELEMETRY_HEADER)} columns, got shape "
+                f"{values.shape}"
+            )
+        self.values = values
+
+    @classmethod
+    def empty(cls) -> "Telemetry":
+        return cls(np.empty((0, len(TELEMETRY_HEADER))))
+
+    @classmethod
+    def from_records(cls, records: Iterable[TelemetryRecord]) -> "Telemetry":
+        rows = [
+            [
+                r.t, *r.pose, *r.marker,
+                r.odo_twist.vx, r.odo_twist.vy, r.odo_twist.wz,
+                r.commanded_twist.vx, r.commanded_twist.vy, r.commanded_twist.wz,
+                *r.drive_voltage, *r.drive_current, *r.steer_voltage,
+                *r.steer_current, *r.drive_speeds, *r.steering_angles,
+            ]
+            for r in records
+        ]
+        return cls(np.array(rows).reshape(-1, len(TELEMETRY_HEADER)))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index: int) -> TelemetryRecord:
+        v = self.values[operator.index(index)].tolist()
+        return TelemetryRecord(
+            t=v[0],
+            pose=(v[1], v[2], v[3]),
+            marker=(v[4], v[5]),
+            odo_twist=BodyTwist(v[6], v[7], v[8]),
+            commanded_twist=BodyTwist(v[9], v[10], v[11]),
+            drive_voltage=tuple(v[12:16]),
+            drive_current=tuple(v[16:20]),
+            steer_voltage=tuple(v[20:24]),
+            steer_current=tuple(v[24:28]),
+            drive_speeds=tuple(v[28:32]),
+            steering_angles=tuple(v[32:36]),
+        )
+
+    def __iter__(self) -> Iterator[TelemetryRecord]:
+        return (self[i] for i in range(len(self)))
+
+    def column(self, name: str) -> np.ndarray:
+        """The column named `name` in TELEMETRY_HEADER (a view, not a copy)."""
+        return self.values[:, _COLUMN[name]]
+
+    @property
+    def total_power(self) -> np.ndarray:
+        """Per-sample TelemetryRecord.total_power, summed in the same order."""
+        return _sum_left(
+            self.values[:, FIELD_COLUMNS["drive_voltage"]]
+            * self.values[:, FIELD_COLUMNS["drive_current"]]
+        ) + _sum_left(
+            self.values[:, FIELD_COLUMNS["steer_voltage"]]
+            * self.values[:, FIELD_COLUMNS["steer_current"]]
+        )
+
+    def cumulative_energy(self) -> np.ndarray:
+        """Trapezoidal energy (J) from the first sample to each sample.
+
+        The intervals are accumulated one after another, so the last entry
+        equals a sequential sum over the series.
+        """
+        t, p = self.column("t"), self.total_power
+        return np.concatenate(
+            ([0.0], np.cumsum(np.diff(t) * (p[1:] + p[:-1]) / 2.0))
+        )
+
+
+def _sum_left(products: np.ndarray) -> np.ndarray:
+    # sum() over each row, left to right from 0, as TelemetryRecord.total_power
+    total = np.zeros(len(products))
+    for j in range(products.shape[1]):
+        total = total + products[:, j]
+    return total
+
+
+def write_telemetry_csv(path: str | Path, telemetry: Telemetry) -> None:
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TELEMETRY_HEADER)
-        for record in records:
-            writer.writerow(_row_of(record))
+        np.savetxt(
+            handle, telemetry.values, fmt=FLOAT_FORMAT, delimiter=",",
+            header=_HEADER_LINE, comments="",
+        )
 
 
-def read_telemetry_csv(path: str | Path) -> list[TelemetryRecord]:
-    records: list[TelemetryRecord] = []
+def read_telemetry_csv(path: str | Path) -> Telemetry:
+    """Read a telemetry CSV written by write_telemetry_csv.
+
+    The rows are parsed with one np.loadtxt call. A file that call rejects
+    is read again row by row, so that the error names the offending line.
+    """
+    with open(path, newline="") as handle:
+        lines = handle.read().splitlines()
+    if len(lines) > 1 and lines[0] == _HEADER_LINE:
+        try:
+            values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        # loadtxt skips blank lines, which the row-by-row reader rejects
+        if values is not None and values.shape == (
+            len(lines) - 1, len(TELEMETRY_HEADER)
+        ):
+            t = values[:, 0]
+            late = np.flatnonzero(t[1:] <= t[:-1])
+            if late.size:
+                raise TelemetryFormatError(
+                    f"{path}:{late[0] + 3}: non-increasing timestamp"
+                )
+            return Telemetry(values)
+    return _read_rows(path)
+
+
+def _read_rows(path: str | Path) -> Telemetry:
+    rows: list[list[float]] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -102,22 +222,8 @@ def read_telemetry_csv(path: str | Path) -> list[TelemetryRecord]:
                     f"{path}:{lineno}: non-increasing timestamp"
                 )
             previous_t = v[0]
-            records.append(
-                TelemetryRecord(
-                    t=v[0],
-                    pose=(v[1], v[2], v[3]),
-                    marker=(v[4], v[5]),
-                    odo_twist=BodyTwist(v[6], v[7], v[8]),
-                    commanded_twist=BodyTwist(v[9], v[10], v[11]),
-                    drive_voltage=tuple(v[12:16]),
-                    drive_current=tuple(v[16:20]),
-                    steer_voltage=tuple(v[20:24]),
-                    steer_current=tuple(v[24:28]),
-                    drive_speeds=tuple(v[28:32]),
-                    steering_angles=tuple(v[32:36]),
-                )
-            )
-    return records
+            rows.append(v)
+    return Telemetry(np.array(rows).reshape(-1, len(TELEMETRY_HEADER)))
 
 
 @dataclass(frozen=True)

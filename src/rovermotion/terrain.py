@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import nnls
 
 from rovermotion.config import (
     WHEEL_ORDER,
@@ -15,12 +14,24 @@ from rovermotion.config import (
     LocomotionMode,
     RoverConfig,
     WheelCommand,
+    parse_key_value_lines,
     validate_config,
     wheel_positions,
 )
 from rovermotion.kernels import integrate_track
-from rovermotion.kinematics import ProfileSegment, inverse_kinematics, load_twist_profile
-from rovermotion.telemetry import BUS_VOLTAGE, TelemetryRecord
+from rovermotion.kinematics import (
+    ProfileSegment,
+    forward_odometry,
+    inverse_kinematics,
+    marker_positions,
+    parse_profile,
+)
+from rovermotion.telemetry import (
+    BUS_VOLTAGE,
+    FIELD_COLUMNS,
+    TELEMETRY_HEADER,
+    Telemetry,
+)
 
 _ANGLE_TOL = 1e-9
 
@@ -110,15 +121,6 @@ def apply_slip(
     return BodyTwist(vx, vy, wz)
 
 
-def _twist_from_commands(
-    commands: list[WheelCommand], config: RoverConfig
-) -> BodyTwist:
-    # same rolling-projection least squares as forward_odometry
-    from rovermotion.kinematics import forward_odometry
-
-    return forward_odometry(commands, LocomotionMode.SKID_STEER, config)
-
-
 def drive_power(
     commands: list[WheelCommand],
     terrain: TerrainParams,
@@ -141,7 +143,7 @@ def drive_power(
         power.rolling_resistance_coeff * math.cos(theta) + math.sin(theta)
     ) * weight_per_wheel
     normal_per_wheel = weight_per_wheel * math.cos(theta)
-    twist = _twist_from_commands(commands, config)
+    twist = forward_odometry(commands, LocomotionMode.SKID_STEER, config)
     positions = wheel_positions(config)
 
     breakdown: dict[str, float] = {}
@@ -225,49 +227,30 @@ class Scenario:
     name: str = "scenario"
 
 
-def _record(
-    t: float,
-    pose: tuple[float, float, float],
-    marker_offset: tuple[float, float],
-    odo: BodyTwist,
-    cmd: BodyTwist,
-    breakdown: dict[str, float],
-    speeds: tuple[float, ...],
-    angles: tuple[float, ...],
-) -> TelemetryRecord:
-    x, y, heading = pose
-    mx, my = marker_offset
-    cos_t, sin_t = math.cos(heading), math.sin(heading)
-    marker = (x + cos_t * mx - sin_t * my, y + sin_t * mx + cos_t * my)
-    tags = [w.value.lower() for w in WHEEL_ORDER]
-    drive_p = [breakdown[f"drive_{tag}"] for tag in tags]
-    steer_p = [breakdown[f"steer_{tag}"] for tag in tags]
-    return TelemetryRecord(
-        t=t,
-        pose=pose,
-        marker=marker,
-        odo_twist=odo,
-        commanded_twist=cmd,
-        drive_voltage=(BUS_VOLTAGE,) * 4,
-        drive_current=tuple(p / BUS_VOLTAGE for p in drive_p),
-        steer_voltage=(BUS_VOLTAGE,) * 4,
-        steer_current=tuple(p / BUS_VOLTAGE for p in steer_p),
-        drive_speeds=tuple(speeds),
-        steering_angles=tuple(angles),
-    )
+def _phase_block(
+    n: int, twist, drive_current, steer_current, speeds, angles
+) -> np.ndarray:
+    """Telemetry rows of one phase's n samples; time, pose and marker stay 0.
+
+    Each argument broadcasts over the samples: a motion phase passes
+    constants, a reposition phase one row per sample where its state varies.
+    """
+    block = np.zeros((n, len(TELEMETRY_HEADER)))
+    for name, value in (
+        ("odo_twist", twist),
+        ("commanded_twist", twist),
+        ("drive_voltage", BUS_VOLTAGE),
+        ("drive_current", drive_current),
+        ("steer_voltage", BUS_VOLTAGE),
+        ("steer_current", steer_current),
+        ("drive_speeds", speeds),
+        ("steering_angles", angles),
+    ):
+        block[:, FIELD_COLUMNS[name]] = value
+    return block
 
 
-@dataclass(frozen=True)
-class _Phase:
-    n_steps: int
-    # sample(tau) -> (angles, breakdown, odo_twist, commanded_twist, speeds)
-    start_angles: tuple[float, ...]
-    deltas: tuple[float, ...]
-    move_times: tuple[float, ...]
-    motion: tuple | None  # (odo, cmd, breakdown, speeds, angles) or None
-
-
-def simulate_traverse(scenario: Scenario) -> list[TelemetryRecord]:
+def simulate_traverse(scenario: Scenario) -> Telemetry:
     """Simulate a scenario into synthetic telemetry.
 
     Before any segment whose steering pose differs from the current one, a
@@ -283,107 +266,75 @@ def simulate_traverse(scenario: Scenario) -> list[TelemetryRecord]:
     if scenario.step <= 0:
         raise ConfigError("non-positive integration step")
     if not scenario.profile:
-        return []
+        return Telemetry.empty()
     rng = np.random.default_rng(terrain.rng_seed)
     step = scenario.step
+    tags = [w.value.lower() for w in WHEEL_ORDER]
 
-    phases: list[_Phase] = []
-    current_angles = (0.0, 0.0, 0.0, 0.0)
-    vx_steps: list[float] = []
-    vy_steps: list[float] = []
-    wz_steps: list[float] = []
+    blocks: list[np.ndarray] = []  # telemetry rows of each phase
+    twists: list[np.ndarray] = []  # achieved (vx, vy, wz) per step of each phase
+    current_angles = np.zeros(4)
     for segment in scenario.profile:
         if segment.duration <= 0:
             raise ConfigError("non-positive segment duration")
         commands = inverse_kinematics(segment.twist, segment.mode, config)
-        targets = tuple(cmd.steering_angle for cmd in commands)
-        deltas = tuple(b - a for a, b in zip(current_angles, targets))
-        move_times = tuple(abs(d) / config.steering_rate for d in deltas)
-        if max(move_times) > _ANGLE_TOL:
-            n = math.ceil(max(move_times) / step - 1e-9)
-            phases.append(_Phase(n, current_angles, deltas, move_times, None))
-            vx_steps.extend([0.0] * n)
-            vy_steps.extend([0.0] * n)
-            wz_steps.extend([0.0] * n)
+        targets = np.array([cmd.steering_angle for cmd in commands])
+        deltas = targets - current_angles
+        move_times = np.abs(deltas) / config.steering_rate
+        if move_times.max() > _ANGLE_TOL:
+            n = math.ceil(move_times.max() / step - 1e-9)
+            tau = (np.arange(n) * step)[:, None]
+            angles = current_angles + np.copysign(
+                np.minimum(tau * config.steering_rate, np.abs(deltas)), deltas
+            )
+            steer_power = np.where(
+                tau < move_times - 1e-12,
+                power.steering_move_power,
+                power.steering_hold_power,
+            )
+            blocks.append(
+                _phase_block(
+                    n, 0.0, power.idle_power_per_drive / BUS_VOLTAGE,
+                    steer_power / BUS_VOLTAGE, 0.0, angles,
+                )
+            )
+            twists.append(np.zeros((n, 3)))
             current_angles = targets
         n = max(1, round(segment.duration / step))
-        _, breakdown = drive_power(commands, terrain, config, power, False)
-        speeds = tuple(cmd.drive_speed for cmd in commands)
-        phases.append(
-            _Phase(
+        _, breakdown = drive_power(commands, terrain, config, power)
+        blocks.append(
+            _phase_block(
                 n,
+                (segment.twist.vx, segment.twist.vy, segment.twist.wz),
+                [breakdown[f"drive_{tag}"] / BUS_VOLTAGE for tag in tags],
+                [breakdown[f"steer_{tag}"] / BUS_VOLTAGE for tag in tags],
+                [cmd.drive_speed for cmd in commands],
                 targets,
-                (0.0,) * 4,
-                (0.0,) * 4,
-                (segment.twist, segment.twist, breakdown, speeds, targets),
             )
         )
+        slip = apply_slip(segment.twist, segment.mode, terrain)
+        achieved = np.tile((slip.vx, slip.vy, slip.wz), (n, 1))
         if terrain.noise_std > 0.0:
-            twists = [
-                apply_slip(segment.twist, segment.mode, terrain, rng)
-                for _ in range(n)
-            ]
-        else:
-            twists = [apply_slip(segment.twist, segment.mode, terrain)] * n
-        vx_steps.extend(tw.vx for tw in twists)
-        vy_steps.extend(tw.vy for tw in twists)
-        wz_steps.extend(tw.wz for tw in twists)
+            # row-major, so the draws land in apply_slip's per-step order
+            achieved *= 1.0 + rng.normal(0.0, terrain.noise_std, size=(n, 3))
+        twists.append(achieved)
 
-    xs, ys, ths = integrate_track(
-        np.array(vx_steps), np.array(vy_steps), np.array(wz_steps), step
-    )
-
-    zero = BodyTwist()
-    idle = {f"drive_{w.value.lower()}": power.idle_power_per_drive for w in WHEEL_ORDER}
-
-    def reposition_sample(phase: _Phase, tau: float):
-        angles = tuple(
-            a + math.copysign(min(tau * config.steering_rate, abs(d)), d)
-            for a, d in zip(phase.start_angles, phase.deltas)
-        )
-        breakdown = dict(idle)
-        for wheel, mt in zip(WHEEL_ORDER, phase.move_times):
-            breakdown[f"steer_{wheel.value.lower()}"] = (
-                power.steering_move_power
-                if tau < mt - 1e-12
-                else power.steering_hold_power
-            )
-        return zero, zero, breakdown, (0.0,) * 4, angles
-
-    records: list[TelemetryRecord] = []
-    k = 0  # global sample index
-    for phase in phases:
-        for j in range(phase.n_steps):
-            if phase.motion is None:
-                odo, cmd, breakdown, speeds, angles = reposition_sample(
-                    phase, j * step
-                )
-            else:
-                odo, cmd, breakdown, speeds, angles = phase.motion
-            pose = (float(xs[k]), float(ys[k]), float(ths[k]))
-            records.append(
-                _record(
-                    k * step, pose, scenario.marker_offset, odo, cmd,
-                    breakdown, speeds, angles,
-                )
-            )
-            k += 1
-    # final sample carries the last motion phase's end state
-    last = phases[-1]
-    if last.motion is None:
-        odo, cmd, breakdown, speeds, angles = reposition_sample(
-            last, last.n_steps * step
-        )
-    else:
-        odo, cmd, breakdown, speeds, angles = last.motion
-    pose = (float(xs[k]), float(ys[k]), float(ths[k]))
-    records.append(
-        _record(
-            k * step, pose, scenario.marker_offset, odo, cmd,
-            breakdown, speeds, angles,
+    vx, vy, wz = np.concatenate(twists).T
+    xs, ys, ths = integrate_track(vx, vy, wz, step)
+    # the final sample carries the end state of the last phase, which is a
+    # motion phase and so constant
+    values = np.concatenate(blocks + [blocks[-1][-1:]])
+    # the leading columns: t, x, y, heading, marker_x, marker_y
+    values[:, :6] = np.column_stack(
+        (
+            np.arange(len(values)) * step,
+            xs,
+            ys,
+            ths,
+            *marker_positions(xs, ys, ths, scenario.marker_offset),
         )
     )
-    return records
+    return Telemetry(values)
 
 
 def model_cot(
@@ -422,6 +373,8 @@ def calibrate_power(
         theta = math.radians(slope_deg)
         design[i] = (4.0 / (mg * v), math.cos(theta), 4.0 * v / mg)
         target[i] = cot - math.sin(theta)
+    from scipy.optimize import nnls  # scipy stays off the CLI's start-up path
+
     solution, _ = nnls(design, target)
     idle, rolling, quad = (float(c) for c in solution)
     params = replace(
@@ -439,36 +392,27 @@ def calibrate_power(
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario file: `key = value` lines, then a [profile] CSV block."""
-    text = Path(path).read_text().splitlines()
+    lines = Path(path).read_text().splitlines()
     try:
-        split = text.index("[profile]")
+        split = lines.index("[profile]")
     except ValueError:
         raise ConfigError(f"{path}: missing [profile] section") from None
-    import csv as _csv
-    import io
+    pairs = parse_key_value_lines(lines[:split], path)
 
-    pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text[:split], start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key in pairs:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        pairs[key] = value
+    def number(key: str, default: str) -> float:
+        text = pairs.pop(key, default)
+        try:
+            return float(text)
+        except ValueError:
+            raise ConfigError(f"{path}: non-numeric {key} {text!r}") from None
 
     config_kw: dict[str, float] = {}
     terrain_kw: dict[str, float] = {}
     power_kw: dict[str, float] = {}
     name = pairs.pop("name", Path(path).stem)
-    step = float(pairs.pop("step", "0.01"))
-    marker = (
-        float(pairs.pop("marker_offset_x", "0")),
-        float(pairs.pop("marker_offset_y", "0")),
-    )
-    for key, value in pairs.items():
+    step = number("step", "0.01")
+    marker = (number("marker_offset_x", "0"), number("marker_offset_y", "0"))
+    for key in list(pairs):
         if key.startswith("config."):
             bucket, field_name = config_kw, key[len("config.") :]
             known = RoverConfig.__dataclass_fields__
@@ -482,25 +426,12 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(f"{path}: unknown scenario key {key!r}")
         if field_name not in known:
             raise ConfigError(f"{path}: unknown scenario key {key!r}")
-        bucket[field_name] = float(value)
+        bucket[field_name] = number(key, "")
     if "rng_seed" in terrain_kw:
         terrain_kw["rng_seed"] = int(terrain_kw["rng_seed"])
 
-    profile_csv = "\n".join(text[split + 1 :])
-    reader = _csv.DictReader(io.StringIO(profile_csv))
-    expected = ["duration_s", "vx", "vy", "wz", "mode"]
-    if reader.fieldnames != expected:
-        raise ConfigError(f"{path}: profile header must be {','.join(expected)}")
-    profile = [
-        ProfileSegment(
-            float(row["duration_s"]),
-            BodyTwist(float(row["vx"]), float(row["vy"]), float(row["wz"])),
-            LocomotionMode.parse(row["mode"]),
-        )
-        for row in reader
-    ]
     return Scenario(
-        profile=profile,
+        profile=parse_profile(lines[split + 1 :], path, first_lineno=split + 2),
         terrain=validate_terrain(TerrainParams(**terrain_kw)),
         config=validate_config(replace(RoverConfig(), **config_kw)),
         power=validate_power(PowerModelParams(**power_kw)),

@@ -1,5 +1,8 @@
 import csv
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +66,25 @@ class TestSimulate:
             out_b / "telemetry.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1.0,abc,0,0,skid_steer", "could not convert string to float: 'abc'"),
+            ("1.0,0.05,0", "expected 5 columns, got 3"),
+            ("1.0,0.05,0,0,hover", "unknown locomotion mode 'hover'"),
+        ],
+        ids=["non_numeric", "short_row", "unknown_mode"],
+    )
+    def test_malformed_profile_row_is_data_error(self, tmp_path, capsys, row, message):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(
+            "name = bad\n[profile]\nduration_s,vx,vy,wz,mode\n"
+            f"2,0.06,0,0,skid_steer\n{row}\n"
+        )
+        code = run(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {scn}:5: {message}\n"
+
 
 class TestAnalyze:
     @pytest.fixture
@@ -111,6 +133,33 @@ class TestAnalyze:
              "--out", str(tmp_path)]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+             "3: wrong column count"),
+            (lambda lines: lines[:3] + ["abc" + lines[3][lines[3].index(","):]]
+             + lines[4:], "4: could not convert string to float: 'abc'"),
+            (lambda lines: lines[:4] + [""] + lines[4:], "5: wrong column count"),
+            (lambda lines: lines + [lines[1]], "3003: non-increasing timestamp"),
+        ],
+        ids=["short_row", "non_numeric", "blank_line", "non_increasing_time"],
+    )
+    def test_malformed_telemetry_names_line(self, telemetry, tmp_path, capsys,
+                                            damage, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(damage(telemetry.read_text().splitlines())) + "\n")
+        code = run(["analyze", "cot", "--telemetry", str(bad), "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}:{message}\n"
+
+    def test_header_only_telemetry_is_data_error(self, telemetry, tmp_path, capsys):
+        bad = tmp_path / "header.csv"
+        bad.write_text(telemetry.read_text().splitlines()[0] + "\n")
+        code = run(["analyze", "cot", "--telemetry", str(bad), "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: insufficient samples\n"
 
     def test_bad_metric_is_usage_error(self, telemetry, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -195,6 +244,51 @@ class TestCalibrate:
         table.write_text("mode,slope_deg,velocity,cot\nnominal,0,0.06,1.1\n")
         code = run(["calibrate", "--table", str(table), "--out", str(tmp_path)])
         assert code == EXIT_DATA
+
+
+SCIPY_GUARD = """
+import sys
+from pathlib import Path
+
+from rovermotion.cli import main, preset_path
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+out, fixture, table = (Path(arg) for arg in sys.argv[1:])
+assert not scipy_loaded(), "import rovermotion.cli"
+sim = out / "sim"
+assert main(["simulate", "--scenario", str(preset_path("nominal_0_6cm")),
+             "--out", str(sim)]) == 0
+for metric in ("cot", "yaw-energy", "efficiency", "slip"):
+    assert main(["analyze", metric, "--telemetry", str(sim / "telemetry.csv"),
+                 "--out", str(out / metric)]) == 0
+assert not scipy_loaded(), "simulate and analyze"
+assert main(["calibrate", "--table", str(table), "--out", str(out / "cal")]) == 0
+annotations = out / "annotations.csv"
+lines = (fixture / "annotations.csv").read_text().splitlines()
+annotations.write_text("\\n".join(lines[:3]) + "\\n")
+assert main(["deflect", "--annotations", str(annotations),
+             "--model", str(fixture / "model.txt"),
+             "--camera", str(fixture / "camera.txt"), "--out", str(out / "defl")]) == 0
+assert scipy_loaded()
+print("ok")
+"""
+
+
+def test_scipy_loads_only_for_deflect_and_calibrate(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, str(tmp_path), str(FIXTURE_DIR),
+         str(src / "rovermotion" / "data" / "cot_measurements.csv")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rovermotion.config import (
     WHEEL_ORDER,
     BodyTwist,
+    ConfigError,
     LocomotionMode,
     RoverConfig,
     WheelCommand,
@@ -252,3 +253,12 @@ def test_load_twist_profile(tmp_path):
     assert len(profile) == 2
     assert profile[0].twist == BodyTwist(0.06, 0, 0)
     assert profile[1].mode is LocomotionMode.POINT_TURN
+
+
+def test_load_twist_profile_names_bad_row(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text(
+        "duration_s,vx,vy,wz,mode\n10,0.06,0,0,skid_steer\n\n5,0,x,0.1,point_turn\n"
+    )
+    with pytest.raises(ConfigError, match=f"^{path}:4: could not convert"):
+        load_twist_profile(path)

@@ -17,7 +17,7 @@ from rovermotion.metrics import (
     longitudinal_slip,
     mean_cot,
 )
-from rovermotion.telemetry import TelemetryRecord
+from rovermotion.telemetry import Telemetry, TelemetryRecord
 from rovermotion.terrain import Scenario, TerrainParams, simulate_traverse
 
 CFG = RoverConfig()
@@ -65,7 +65,7 @@ class TestCostOfTransport:
 class TestMeanCot:
     def test_constant_series(self):
         records = [make_record(0.1 * k, 54.4, 0.06) for k in range(100)]
-        report = mean_cot(records, CFG, mode="nominal")
+        report = mean_cot(Telemetry.from_records(records), CFG, mode="nominal")
         assert report.cost_of_transport == pytest.approx(1.100, abs=1e-9 + 0.001)
         assert report.mean_power == pytest.approx(54.4)
         assert report.mean_velocity == pytest.approx(0.06)
@@ -79,29 +79,29 @@ class TestMeanCot:
             make_record(9.0 + 1e-9, 100.0, 0.05),
             make_record(10.0, 100.0, 0.05),
         ]
-        report = mean_cot(records, CFG)
+        report = mean_cot(Telemetry.from_records(records), CFG)
         assert report.mean_power == pytest.approx(19.0, abs=1e-3)
 
     def test_insufficient_samples(self):
         with pytest.raises(MetricsError, match="insufficient samples"):
-            mean_cot([make_record(0.0, 10.0, 0.05)], CFG)
+            mean_cot(Telemetry.from_records([make_record(0.0, 10.0, 0.05)]), CFG)
 
     def test_stationary_series_undefined(self):
         records = [make_record(0.1 * k, 5.0, 0.0) for k in range(10)]
         with pytest.raises(MetricsError, match="zero velocity"):
-            mean_cot(records, CFG)
+            mean_cot(Telemetry.from_records(records), CFG)
 
 
 class TestEnergyVsYaw:
     def test_empty(self):
-        assert energy_vs_yaw([]).points == []
+        assert energy_vs_yaw(Telemetry.empty()).points == []
 
     def test_constant_rotation(self):
         # 10 W while yawing 0.1 rad/s: energy should be linear in yaw
         records = [
             make_record(0.1 * k, 10.0, 0.0, heading=0.01 * k) for k in range(101)
         ]
-        curve = energy_vs_yaw(records, mode="point_turn")
+        curve = energy_vs_yaw(Telemetry.from_records(records), mode="point_turn")
         yaw_deg, energy = curve.points[-1]
         assert yaw_deg == pytest.approx(math.degrees(1.0))
         assert energy == pytest.approx(100.0)
@@ -125,7 +125,7 @@ class TestEnergyVsYaw:
             make_record(float(k), 10.0, 0.0, heading=h)
             for k, h in enumerate(headings)
         ]
-        curve = energy_vs_yaw(records)
+        curve = energy_vs_yaw(Telemetry.from_records(records))
         assert curve.points[-1][0] == pytest.approx(math.degrees(0.4))
 
 

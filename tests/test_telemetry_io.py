@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rovermotion.config import BodyTwist, LocomotionMode
@@ -9,7 +10,10 @@ from rovermotion.telemetry import (
     MOCAP_HEADER,
     ActuatorRecord,
     MocapRecord,
+    TELEMETRY_HEADER,
+    Telemetry,
     TelemetryFormatError,
+    TelemetryRecord,
     align_series,
     parse_actuator_csv,
     parse_mocap_csv,
@@ -76,6 +80,67 @@ class TestTelemetryCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TelemetryFormatError, match="non-increasing timestamp"):
             read_telemetry_csv(path)
+
+
+    def test_header_only_reads_as_empty(self, tmp_path):
+        path = tmp_path / "telemetry.csv"
+        write_telemetry_csv(path, Telemetry.empty())
+        assert path.read_text() == ",".join(TELEMETRY_HEADER) + "\n"
+        assert len(read_telemetry_csv(path)) == 0
+
+    def test_rows_the_fast_parser_rejects_still_read(self, tmp_path):
+        # CRLF line ends and quoted cells go through the row-by-row reader
+        scenario = Scenario(
+            profile=[
+                ProfileSegment(0.1, BodyTwist(0.06, 0, 0.02), LocomotionMode.SKID_STEER)
+            ]
+        )
+        path = tmp_path / "telemetry.csv"
+        write_telemetry_csv(path, simulate_traverse(scenario))
+        plain = read_telemetry_csv(path).values
+        lines = path.read_text().splitlines()
+        lines[2] = '"' + lines[2].replace(",", '","') + '"'
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert np.array_equal(read_telemetry_csv(path).values, plain)
+
+
+class TestTelemetrySeries:
+    @pytest.fixture
+    def telemetry(self):
+        return simulate_traverse(
+            Scenario(
+                profile=[
+                    ProfileSegment(
+                        1.0, BodyTwist(0, 0, 0.05), LocomotionMode.POINT_TURN
+                    )
+                ],
+                marker_offset=(0.4, 0.1),
+            )
+        )
+
+    def test_records_are_built_on_demand(self, telemetry):
+        first = telemetry[0]
+        assert isinstance(first, TelemetryRecord)
+        assert first == telemetry[0] and first is not telemetry[0]
+        assert telemetry[-1] == telemetry[len(telemetry) - 1]
+        assert [r.t for r in telemetry] == telemetry.column("t").tolist()
+        with pytest.raises(IndexError):
+            telemetry[len(telemetry)]
+
+    def test_from_records_round_trip(self, telemetry):
+        again = Telemetry.from_records(list(telemetry))
+        assert np.array_equal(again.values, telemetry.values)
+        assert len(Telemetry.from_records([])) == 0
+
+    def test_total_power_matches_the_records_bit_for_bit(self, telemetry):
+        # the series starts with a steering reposition, so the steer terms vary
+        assert telemetry.total_power.tolist() == [r.total_power for r in telemetry]
+        noisy = Telemetry(np.random.default_rng(5).uniform(0.0, 30.0, (500, 36)))
+        assert noisy.total_power.tolist() == [r.total_power for r in noisy]
+
+    def test_rejects_wrong_width(self):
+        with pytest.raises(ValueError, match="36 columns"):
+            Telemetry(np.zeros((3, 35)))
 
 
 class TestMocapParsing:

@@ -158,7 +158,7 @@ class TestReposition:
 
 class TestSimulateTraverse:
     def test_empty_profile(self):
-        assert simulate_traverse(Scenario(profile=[])) == []
+        assert len(simulate_traverse(Scenario(profile=[]))) == 0
 
     def test_straight_flat_run(self):
         scenario = Scenario(
@@ -306,6 +306,23 @@ class TestScenarioFiles:
         path = tmp_path / "bad.scn"
         path.write_text("terrain.slope = 10\n[profile]\nduration_s,vx,vy,wz,mode\n")
         with pytest.raises(ConfigError, match="unknown scenario key"):
+            load_scenario(path)
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_text(
+            "terrain.slope_deg = steep\n[profile]\nduration_s,vx,vy,wz,mode\n"
+        )
+        with pytest.raises(ConfigError, match="non-numeric terrain.slope_deg 'steep'"):
+            load_scenario(path)
+
+    def test_profile_errors_name_the_file_line(self, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_text(
+            "name = x\n# comment\n[profile]\nduration_s,vx,vy,wz,mode\n"
+            "1,0.06,0,0,skid_steer\n1,0.06,0,0\n"
+        )
+        with pytest.raises(ConfigError, match=f"^{path}:6: expected 5 columns, got 4$"):
             load_scenario(path)
 
     def test_missing_profile_rejected(self, tmp_path):
