@@ -10,7 +10,6 @@ from rovermotion.config import (
     validate_config,
     wheel_positions,
 )
-from rovermotion.kernels import BACKEND
 from rovermotion.kinematics import (
     forward_odometry,
     icr_of,

@@ -1,4 +1,4 @@
-"""Pure-Python planar track integrator (fallback for the compiled kernel)."""
+"""Step-by-step planar track integrator, the reference for integrate_track."""
 from __future__ import annotations
 
 import math

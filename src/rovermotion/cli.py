@@ -18,6 +18,7 @@ from rovermotion.telemetry import (
     Telemetry,
     TelemetryFormatError,
     read_telemetry_csv,
+    write_fixed_csv,
     write_telemetry_csv,
 )
 
@@ -61,6 +62,18 @@ _COT_HEADER = ["table2_mode", "table2_slope_deg", "table2_velocity_m_s",
               "table2_power_w", "table2_cot"]
 
 
+def _write_series(
+    path: Path, header: list[str], times, *columns: list[float | None]
+) -> None:
+    """Write a time column and value columns; a None value is written empty."""
+    blank = [np.zeros(len(times), dtype=bool)]
+    blank += [np.array([v is None for v in c], dtype=bool) for c in columns]
+    values = [np.array([0.0 if v is None else v for v in c]) for c in columns]
+    write_fixed_csv(
+        path, header, np.column_stack((times, *values)), np.column_stack(blank)
+    )
+
+
 def _cot_row(report: metrics.CotReport) -> list[str]:
     return [report.mode, _fmt(report.slope_deg), _fmt(report.mean_velocity),
             _fmt(report.mean_power), _fmt(report.cost_of_transport)]
@@ -70,10 +83,10 @@ def _write_yaw_energy(
     path: Path, telemetry: Telemetry, mode: str
 ) -> metrics.YawEnergyCurve:
     curve = metrics.energy_vs_yaw(telemetry, mode=mode)
-    _write_csv(
+    write_fixed_csv(
         path,
         ["fig3_yaw_deg", "fig3_energy_j"],
-        [[_fmt(a), _fmt(e)] for a, e in curve.points],
+        np.array(curve.points, dtype=np.float64).reshape(-1, 2),
     )
     return curve
 
@@ -88,16 +101,15 @@ def _write_efficiency(
         telemetry.column("odo_wz"),
         smoothing_window_s=window_s,
     )
-    _write_csv(
+    ratios = [ratio for _, ratio in series]
+    _write_series(
         path,
         ["fig4_t_s", "fig4_ratio", "fig4_ratio_clamped"],
-        [
-            [_fmt(t), "", ""] if ratio is None
-            else [_fmt(t), _fmt(ratio), _fmt(metrics.clamp_ratio(ratio))]
-            for t, ratio in series
-        ],
+        [t for t, _ in series],
+        ratios,
+        [None if r is None else metrics.clamp_ratio(r) for r in ratios],
     )
-    return [ratio for _, ratio in series if ratio is not None]
+    return [r for r in ratios if r is not None]
 
 
 def preset_path(name: str) -> Path:
@@ -177,10 +189,7 @@ def cmd_analyze(args) -> int:
         xy = np.column_stack((telemetry.column("x"), telemetry.column("y")))
         gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
         slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
-        rows = [
-            [_fmt(t), "" if s is None else _fmt(s)] for t, s in zip(times, slip)
-        ]
-        _write_csv(out / "slip.csv", ["slip_t_s", "slip_ratio"], rows)
+        _write_series(out / "slip.csv", ["slip_t_s", "slip_ratio"], times, slip)
         valid = [s for s in slip if s is not None]
         mean = sum(valid) / len(valid) if valid else float("nan")
         print(f"mean_slip={mean:.3f}")

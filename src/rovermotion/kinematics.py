@@ -18,7 +18,6 @@ from rovermotion.config import (
     WheelCommand,
     wheel_positions,
 )
-from rovermotion.kernels import integrate_track
 
 
 class KinematicsError(ValueError):
@@ -36,6 +35,7 @@ class IcrResult:
 AT_INFINITY = IcrResult(at_infinity=True)
 
 _PARALLEL_EIG_TOL = 1e-12
+_WZ_EPS = 1e-12  # below this yaw rate a step is integrated as a straight line
 
 
 def _normalize_steering(angle: float, speed: float, limit: float) -> tuple[float, float]:
@@ -223,6 +223,39 @@ def load_twist_profile(path: str | Path) -> list[ProfileSegment]:
     """Load a twist profile CSV with header duration_s,vx,vy,wz,mode."""
     with open(path, newline="") as handle:
         return parse_profile(handle, path)
+
+
+def integrate_track(vx, vy, wz, dt, x0=0.0, y0=0.0, theta0=0.0):
+    """Integrate a piecewise-constant planar twist sequence.
+
+    Each step holds the body twist (vx[i], vy[i], wz[i]) constant for dt
+    seconds and advances the pose along the exact constant-twist arc.
+    Returns (x, y, theta) arrays of length n + 1 including the start pose.
+
+    The headings and positions are running sums taken left to right from
+    the start pose, the order of stepping the pose one step at a time
+    (rovermotion._track_py), so the two agree bit for bit wherever numpy's
+    sin and cos return the math module's values.
+    """
+    vx = np.asarray(vx, dtype=np.float64)
+    vy = np.asarray(vy, dtype=np.float64)
+    wz = np.asarray(wz, dtype=np.float64)
+    n = vx.shape[0]
+    if vy.shape[0] != n or wz.shape[0] != n:
+        raise ValueError("twist component arrays must have equal length")
+    dth = wz * dt
+    straight = np.abs(wz) < _WZ_EPS
+    w = np.where(straight, 1.0, wz)
+    s = np.sin(dth) / w
+    c = (1.0 - np.cos(dth)) / w
+    # body-frame displacement of each step along its arc
+    dxb = np.where(straight, vx * dt, vx * s - vy * c)
+    dyb = np.where(straight, vy * dt, vx * c + vy * s)
+    theta = np.cumsum(np.concatenate(([theta0], dth)))
+    cos_t, sin_t = np.cos(theta[:-1]), np.sin(theta[:-1])
+    x = np.cumsum(np.concatenate(([x0], cos_t * dxb - sin_t * dyb)))
+    y = np.cumsum(np.concatenate(([y0], sin_t * dxb + cos_t * dyb)))
+    return x, y, theta
 
 
 def marker_positions(

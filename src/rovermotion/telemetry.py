@@ -167,12 +167,121 @@ def _sum_left(products: np.ndarray) -> np.ndarray:
     return total
 
 
-def write_telemetry_csv(path: str | Path, telemetry: Telemetry) -> None:
-    with open(path, "w", newline="") as handle:
-        np.savetxt(
-            handle, telemetry.values, fmt=FLOAT_FORMAT, delimiter=",",
-            header=_HEADER_LINE, comments="",
+# Rows per vectorised formatting pass. It bounds the (rows, columns, width)
+# byte buffer and its mask; 4096 rows raised a simulate's peak RSS by ~10 MB.
+_CHUNK_ROWS = 1024
+
+
+def _words(prefix: str, suffix: str) -> np.ndarray:
+    """Entry k: the four bytes prefix + the three digits of k + suffix."""
+    k = np.arange(1000)[:, None]
+    digits = k // np.array([100, 10, 1]) % 10 + ord("0")
+    columns = [np.full((1000, 1), ord(c)) for c in prefix]
+    columns += [digits] + [np.full((1000, 1), ord(c)) for c in suffix]
+    return np.hstack(columns).astype(np.uint8).view(np.uint32).ravel()
+
+
+# Each cell is laid out in four-byte words: "-ddd" per group of three
+# integer digits, ".ddd" and "ddd," for the six decimals.
+_GROUP_WORDS = _words("-", "")
+_POINT_WORDS = _words(".", "")
+_TAIL_WORDS = _words("", ",")
+
+# |x| * 1e6 below this is an exact float64 integer plus fraction
+_FAST_LIMIT = 2.0**52
+
+
+def write_fixed_csv(
+    path: str | Path,
+    header: Iterable[str],
+    values: np.ndarray,
+    blank: np.ndarray | None = None,
+) -> None:
+    """Write `header` and the rows of `values` as CSV, each cell as "%.6f" % x.
+
+    The bytes are those of np.savetxt(fmt="%.6f", delimiter=",") under
+    the header line. Cells where the boolean array `blank` is true are
+    written as empty cells.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        for start in range(0, len(values), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            handle.write(
+                _format_rows(
+                    values[start:stop], None if blank is None else blank[start:stop]
+                )
+            )
+
+
+def _format_rows(values: np.ndarray, blank: np.ndarray | None) -> bytes:
+    """CSV text of `values`, byte for byte as "%.6f" % x writes each cell.
+
+    Each cell is rounded to q = round(|x| * 1e6) and written in a fixed
+    layout of four-byte words, whose unused sign, group-padding and
+    leading-zero bytes one boolean mask drops. A row with a cell this
+    rounding may get wrong is formatted by Python instead.
+    """
+    rows, cols = values.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(values) * 1e6
+    fast = scaled < _FAST_LIMIT  # false for nan and inf
+    scaled[~fast] = 0.0
+    whole = np.floor(scaled)
+    frac = scaled - whole
+    # The product is within half a unit in the last place of the exact
+    # |x| * 1e6, so rounding half up is exact unless frac lies within a
+    # spacing of .5: exact ties (odd multiples of 1/128, which "%.6f" rounds
+    # to even) and near-ties go to Python.
+    fast &= np.abs(frac - 0.5) > np.spacing(scaled)
+    if blank is not None:
+        fast |= blank
+    q = (whole + (frac > 0.5)).astype(np.int64)
+    int_part = q // 1_000_000
+    decimals = (q - int_part * 1_000_000).astype(np.int32)
+
+    groups = -(-len(str(int_part.max(initial=0))) // 3)
+    words = np.empty((rows, cols, groups + 2), dtype=np.uint32)
+    for g in range(groups):
+        group = int_part // 1000 ** (groups - 1 - g)
+        words[..., g] = _GROUP_WORDS[group % 1000 if g else group]
+    words[..., groups] = _POINT_WORDS[decimals // 1000]
+    words[..., groups + 1] = _TAIL_WORDS[decimals % 1000]
+    text = words.view(np.uint8).reshape(rows, cols, -1)
+    text[:, -1, -1] = ord("\n")
+
+    keep = np.zeros(text.shape, dtype=bool)
+    keep[..., 0] = np.signbit(values)
+    # the digit of place 10**p sits at byte 4 * g + 1 + j, with
+    # p = 3 * (groups - 1 - g) + 2 - j; it is kept from the leading digit on
+    for g in range(groups):
+        for j in range(3):
+            p = 3 * (groups - 1 - g) + 2 - j
+            keep[..., 4 * g + 1 + j] = int_part >= 10**p if p else True
+    keep[..., 4 * groups :] = True
+    if blank is not None:
+        keep[blank, :-1] = False
+    out = text[keep].tobytes()
+
+    slow = np.flatnonzero(~fast.all(axis=1))
+    if slow.size == 0:
+        return out
+    ends = np.cumsum(keep.sum(axis=(1, 2))).tolist()
+    pieces, done = [], 0
+    for i in slow.tolist():
+        pieces.append(out[done : ends[i - 1] if i else 0])
+        cells = zip(values[i].tolist(), [False] * cols if blank is None else blank[i])
+        pieces.append(
+            (",".join("" if b else FLOAT_FORMAT % x for x, b in cells) + "\n").encode()
         )
+        done = ends[i]
+    pieces.append(out[done:])
+    return b"".join(pieces)
+
+
+def write_telemetry_csv(path: str | Path, telemetry: Telemetry) -> None:
+    write_fixed_csv(path, TELEMETRY_HEADER, telemetry.values)
 
 
 def read_telemetry_csv(path: str | Path) -> Telemetry:

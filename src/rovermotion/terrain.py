@@ -18,10 +18,10 @@ from rovermotion.config import (
     validate_config,
     wheel_positions,
 )
-from rovermotion.kernels import integrate_track
 from rovermotion.kinematics import (
     ProfileSegment,
     forward_odometry,
+    integrate_track,
     inverse_kinematics,
     marker_positions,
     parse_profile,

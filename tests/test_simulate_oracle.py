@@ -14,7 +14,7 @@ import pytest
 
 from rovermotion.cli import EXIT_OK, PRESET_NAMES, ROTATION_PRESETS, main, preset_path
 from rovermotion.config import WHEEL_ORDER, BodyTwist, ConfigError, validate_config
-from rovermotion.kernels import integrate_track
+from rovermotion._track_py import integrate_track
 from rovermotion.telemetry import (
     BUS_VOLTAGE,
     TELEMETRY_HEADER,

@@ -1,7 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rovermotion.config import BodyTwist, LocomotionMode
 from rovermotion.kinematics import ProfileSegment
@@ -14,10 +17,12 @@ from rovermotion.telemetry import (
     Telemetry,
     TelemetryFormatError,
     TelemetryRecord,
+    _CHUNK_ROWS,
     align_series,
     parse_actuator_csv,
     parse_mocap_csv,
     read_telemetry_csv,
+    write_fixed_csv,
     write_telemetry_csv,
 )
 from rovermotion.terrain import Scenario, simulate_traverse
@@ -102,6 +107,88 @@ class TestTelemetryCsv:
         lines[2] = '"' + lines[2].replace(",", '","') + '"'
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
         assert np.array_equal(read_telemetry_csv(path).values, plain)
+
+
+def savetxt_bytes(values):
+    """The telemetry.csv bytes np.savetxt(fmt="%.6f") writes for `values`."""
+    handle = io.StringIO()
+    np.savetxt(handle, values, fmt="%.6f", delimiter=",",
+               header=",".join(TELEMETRY_HEADER), comments="")
+    return handle.getvalue().encode()
+
+
+def percent_rows(values, blank):
+    """CSV rows of "%.6f" % x per cell, blank cells empty."""
+    return "".join(
+        ",".join("" if e else "%.6f" % x for x, e in zip(row, empty)) + "\n"
+        for row, empty in zip(values.tolist(), blank.tolist())
+    ).encode()
+
+
+# exact ties of the sixth decimal, which "%.6f" rounds half to even
+TIES = [k / 128 for k in range(-9, 10, 2)] + [1001 / 128, -40001 / 128]
+SPECIALS = [0.0, -0.0, -4e-7, 4e-7, math.nan, math.inf, -math.inf, 1e300, -1e300,
+            0.9999995, -999.9999995, 2.0**52 / 1e6, 123456789012.5]
+
+cells = st.one_of(
+    st.floats(),
+    st.integers(-(2**40), 2**40).map(lambda k: k / 128),
+    st.floats(-1e9, 1e9).map(lambda x: round(x, 6) + 5e-7),
+    st.sampled_from(SPECIALS),
+)
+
+
+class TestFixedPointWriter:
+    """write_fixed_csv writes exactly the bytes of "%.6f" % x per cell."""
+
+    def write(self, path, values, blank=None):
+        write_fixed_csv(path, [f"c{j}" for j in range(values.shape[1])], values, blank)
+        return path.read_bytes().split(b"\n", 1)[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.lists(cells, min_size=1, max_size=120),
+        width=st.integers(1, 7),
+        blanks=st.lists(st.booleans(), min_size=120, max_size=120),
+    )
+    def test_cells_match_percent_format(self, tmp_path_factory, data, width, blanks):
+        rows = max(1, len(data) // width)
+        values = np.resize(np.array(data), (rows, width))
+        blank = np.array(blanks[: rows * width]).reshape(rows, width)
+        path = tmp_path_factory.getbasetemp() / "fixed.csv"
+        assert self.write(path, values) == percent_rows(values, np.zeros_like(blank))
+        assert self.write(path, values, blank) == percent_rows(values, blank)
+
+    def test_ties_and_specials(self, tmp_path):
+        values = np.array([TIES + SPECIALS])
+        written = self.write(tmp_path / "s.csv", values).decode()[:-1].split(",")
+        assert written == ["%.6f" % x for x in TIES + SPECIALS]
+        assert written[:4] == ["-0.070312", "-0.054688", "-0.039062", "-0.023438"]
+        assert written[len(TIES):][:4] == [
+            "0.000000", "-0.000000", "-0.000000", "0.000000"]
+        assert written[len(TIES):][4:7] == ["nan", "inf", "-inf"]
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]
+    )
+    def test_row_counts_match_savetxt(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        values = rng.normal(0.0, 50.0, (rows, len(TELEMETRY_HEADER)))
+        values[:, 0] = np.arange(rows) * 0.01
+        telemetry = Telemetry(values) if rows else Telemetry.empty()
+        write_telemetry_csv(tmp_path / "t.csv", telemetry)
+        assert (tmp_path / "t.csv").read_bytes() == savetxt_bytes(telemetry.values)
+        assert len((tmp_path / "t.csv").read_bytes().splitlines()) == rows + 1
+
+    @pytest.mark.parametrize("row", [0, 500, _CHUNK_ROWS - 1, _CHUNK_ROWS + 2])
+    def test_one_python_cell_among_fast_cells(self, tmp_path, row):
+        rng = np.random.default_rng(row)
+        values = rng.uniform(-2000.0, 2000.0, (_CHUNK_ROWS + 3, len(TELEMETRY_HEADER)))
+        values[row, 17] = 1 / 128  # a tie: half to even gives ...812, half up ...813
+        write_telemetry_csv(tmp_path / "t.csv", Telemetry(values))
+        text = (tmp_path / "t.csv").read_bytes()
+        assert text == savetxt_bytes(values)
+        assert text.splitlines()[row + 1].split(b",")[17] == b"0.007812"
 
 
 class TestTelemetrySeries:
