@@ -6,14 +6,18 @@ import csv
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from rovermotion import metrics, terrain
 from rovermotion.config import ConfigError, RoverConfig, load_config
-from rovermotion.errors import GeometryError, PoseFitError
-from rovermotion.kinematics import KinematicsError
-from rovermotion.metrics import MetricsError
+from rovermotion.errors import (
+    CalibrationError,
+    GeometryError,
+    KinematicsError,
+    MetricsError,
+    PoseFitError,
+)
 from rovermotion.telemetry import (
     Telemetry,
     TelemetryFormatError,
@@ -21,6 +25,9 @@ from rovermotion.telemetry import (
     write_fixed_csv,
     write_telemetry_csv,
 )
+
+if TYPE_CHECKING:
+    from rovermotion import metrics
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,15 +70,15 @@ _COT_HEADER = ["table2_mode", "table2_slope_deg", "table2_velocity_m_s",
 
 
 def _write_series(
-    path: Path, header: list[str], times, *columns: list[float | None]
+    path: Path, header: list[str], times: np.ndarray, gap: np.ndarray,
+    *columns: np.ndarray,
 ) -> None:
-    """Write a time column and value columns; a None value is written empty."""
-    blank = [np.zeros(len(times), dtype=bool)]
-    blank += [np.array([v is None for v in c], dtype=bool) for c in columns]
-    values = [np.array([0.0 if v is None else v for v in c]) for c in columns]
-    write_fixed_csv(
-        path, header, np.column_stack((times, *values)), np.column_stack(blank)
-    )
+    """Write a time column and value columns; the value cells of the samples
+    where `gap` is true are written empty."""
+    values = np.column_stack((times, *columns))
+    blank = np.zeros(values.shape, dtype=bool)
+    blank[:, 1:] = gap[:, None]
+    write_fixed_csv(path, header, values, blank)
 
 
 def _cot_row(report: metrics.CotReport) -> list[str]:
@@ -82,12 +89,10 @@ def _cot_row(report: metrics.CotReport) -> list[str]:
 def _write_yaw_energy(
     path: Path, telemetry: Telemetry, mode: str
 ) -> metrics.YawEnergyCurve:
+    from rovermotion import metrics
+
     curve = metrics.energy_vs_yaw(telemetry, mode=mode)
-    write_fixed_csv(
-        path,
-        ["fig3_yaw_deg", "fig3_energy_j"],
-        np.array(curve.points, dtype=np.float64).reshape(-1, 2),
-    )
+    write_fixed_csv(path, ["fig3_yaw_deg", "fig3_energy_j"], curve.points)
     return curve
 
 
@@ -95,21 +100,24 @@ def _write_efficiency(
     path: Path, telemetry: Telemetry, window_s: float
 ) -> list[float]:
     """Write the angular-speed efficiency series; returns its defined ratios."""
-    series = metrics.angular_speed_efficiency(
+    from rovermotion import metrics
+
+    ratios = metrics.angular_speed_efficiency(
         telemetry.column("t"),
         telemetry.column("heading"),
         telemetry.column("odo_wz"),
         smoothing_window_s=window_s,
     )
-    ratios = [ratio for _, ratio in series]
+    gap = np.isnan(ratios)
     _write_series(
         path,
         ["fig4_t_s", "fig4_ratio", "fig4_ratio_clamped"],
-        [t for t, _ in series],
+        telemetry.column("t"),
+        gap,
         ratios,
-        [None if r is None else metrics.clamp_ratio(r) for r in ratios],
+        metrics.clamp_ratio(ratios),
     )
-    return [r for r in ratios if r is not None]
+    return ratios[~gap].tolist()
 
 
 def preset_path(name: str) -> Path:
@@ -127,6 +135,8 @@ def _load_telemetry_arg(path: str):
 
 
 def cmd_simulate(args) -> int:
+    from rovermotion import terrain
+
     scenario = terrain.load_scenario(args.scenario)
     telemetry = terrain.simulate_traverse(scenario)
     out = Path(args.out)
@@ -159,6 +169,8 @@ def _config_from_args(args) -> RoverConfig:
 
 
 def cmd_analyze(args) -> int:
+    from rovermotion import metrics
+
     telemetry = _load_telemetry_arg(args.telemetry)
     config = _config_from_args(args)
     out = Path(args.out)
@@ -174,7 +186,7 @@ def cmd_analyze(args) -> int:
 
     if args.metric == "yaw-energy":
         curve = _write_yaw_energy(out / "yaw_energy.csv", telemetry, args.label)
-        total = curve.points[-1] if curve.points else (0.0, 0.0)
+        total = curve.points[-1] if len(curve.points) else (0.0, 0.0)
         print(f"yaw_deg={total[0]:.3f} energy_j={total[1]:.3f}")
         return EXIT_OK
 
@@ -189,8 +201,9 @@ def cmd_analyze(args) -> int:
         xy = np.column_stack((telemetry.column("x"), telemetry.column("y")))
         gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
         slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
-        _write_series(out / "slip.csv", ["slip_t_s", "slip_ratio"], times, slip)
-        valid = [s for s in slip if s is not None]
+        gap = np.isnan(slip)
+        _write_series(out / "slip.csv", ["slip_t_s", "slip_ratio"], times, gap, slip)
+        valid = slip[~gap].tolist()
         mean = sum(valid) / len(valid) if valid else float("nan")
         print(f"mean_slip={mean:.3f}")
         return EXIT_OK
@@ -225,6 +238,8 @@ def cmd_deflect(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from rovermotion import terrain
+
     path = Path(args.table)
     if not path.exists():
         raise ConfigError(f"no such file: {path}")
@@ -267,6 +282,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_report(args) -> int:
     from rovermotion import deflection  # imports scipy
+    from rovermotion import metrics, terrain
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -354,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, TelemetryFormatError, GeometryError, MetricsError,
-            KinematicsError, terrain.CalibrationError, FileNotFoundError) as exc:
+            KinematicsError, CalibrationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PoseFitError as exc:

@@ -1,7 +1,9 @@
-"""Error types of the deflection pipeline.
+"""Error types that the CLI maps to exit codes.
 
-They live apart from `rovermotion.deflection`, which imports scipy, so that
-the CLI can map them to exit codes without loading scipy for every command.
+They live apart from the modules that raise them, so that the CLI can catch
+them without loading those modules for every command: `deflection` imports
+scipy, `analyze` does not use the simulator (`kinematics`, `terrain`) and
+`simulate` does not use `metrics`.
 """
 from __future__ import annotations
 
@@ -9,6 +11,18 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from rovermotion.deflection import WheelPose
+
+
+class KinematicsError(ValueError):
+    """Raised for mode/twist combinations the steering geometry cannot realize."""
+
+
+class MetricsError(ValueError):
+    """Raised when a metric is undefined for the given input."""
+
+
+class CalibrationError(ValueError):
+    """Raised when the power-model calibration problem is ill-posed."""
 
 
 class GeometryError(ValueError):

@@ -18,10 +18,7 @@ from rovermotion.config import (
     WheelCommand,
     wheel_positions,
 )
-
-
-class KinematicsError(ValueError):
-    """Raised for mode/twist combinations the steering geometry cannot realize."""
+from rovermotion.errors import KinematicsError
 
 
 @dataclass(frozen=True)

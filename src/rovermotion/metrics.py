@@ -7,11 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rovermotion.config import RoverConfig
+from rovermotion.errors import MetricsError
 from rovermotion.telemetry import Telemetry
-
-
-class MetricsError(ValueError):
-    """Raised when a metric is undefined for the given input."""
 
 
 RATIO_CLAMP = 5.0  # reporting clamp for efficiency ratios near zero denominators
@@ -29,7 +26,7 @@ class CotReport:
 @dataclass(frozen=True)
 class YawEnergyCurve:
     mode: str
-    points: list[tuple[float, float]]  # (cumulative yaw deg, cumulative energy J)
+    points: np.ndarray  # rows of (cumulative yaw deg, cumulative energy J)
 
 
 def cost_of_transport(power_w: float, mass: float, gravity: float, v: float) -> float:
@@ -94,12 +91,12 @@ def energy_vs_yaw(telemetry: Telemetry, mode: str = "") -> YawEnergyCurve:
     yaw = 0, which is the point-turn basal offset.
     """
     if not telemetry:
-        return YawEnergyCurve(mode, [])
+        return YawEnergyCurve(mode, np.empty((0, 2)))
     heading = np.unwrap(telemetry.column("heading"))
     yaw = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(heading)))))
-    energy = telemetry.cumulative_energy()
+    # np.degrees multiplies by the same 180 / pi as math.degrees
     return YawEnergyCurve(
-        mode, [(math.degrees(a), float(e)) for a, e in zip(yaw, energy)]
+        mode, np.column_stack((np.degrees(yaw), telemetry.cumulative_energy()))
     )
 
 
@@ -119,12 +116,12 @@ def angular_speed_efficiency(
     odo_wz: np.ndarray,
     smoothing_window_s: float = 0.5,
     wz_threshold: float = 1e-3,
-) -> list[tuple[float, float | None]]:
-    """Pointwise ground-truth yaw rate over odometry yaw rate.
+) -> np.ndarray:
+    """Pointwise ground-truth yaw rate over odometry yaw rate, per sample.
 
     The ground-truth rate comes from central differences of the heading
     series, smoothed with a centered moving average. Samples where the
-    odometry yaw rate is below wz_threshold are emitted as gaps (None).
+    odometry yaw rate is below wz_threshold are gaps (NaN).
     """
     times = np.asarray(times, dtype=float)
     gt_heading = np.unwrap(np.asarray(gt_heading, dtype=float))
@@ -139,32 +136,32 @@ def angular_speed_efficiency(
     if window % 2 == 0:
         window += 1
     gt_rate = _smooth(gt_rate, window)
-    out: list[tuple[float, float | None]] = []
-    for t, gt, odo in zip(times, gt_rate, odo_wz):
-        if abs(odo) < wz_threshold:
-            out.append((float(t), None))
-        else:
-            out.append((float(t), float(gt / odo)))
-    return out
+    ratio = np.full(len(times), np.nan)
+    np.divide(gt_rate, odo_wz, out=ratio, where=np.abs(odo_wz) >= wz_threshold)
+    return ratio
 
 
-def longitudinal_slip(
-    encoder_v: np.ndarray, mocap_v: np.ndarray
-) -> list[float | None]:
-    """Slip ratio (encoder - mocap) / encoder; non-positive encoder -> gap."""
+def longitudinal_slip(encoder_v: np.ndarray, mocap_v: np.ndarray) -> np.ndarray:
+    """Slip ratio (encoder - mocap) / encoder per sample; a gap (NaN) where
+    the encoder speed is not positive."""
     encoder_v = np.asarray(encoder_v, dtype=float)
     mocap_v = np.asarray(mocap_v, dtype=float)
     if len(encoder_v) != len(mocap_v):
         raise MetricsError("series must be time-aligned")
-    out: list[float | None] = []
-    for enc, moc in zip(encoder_v, mocap_v):
-        if enc <= 0:
-            out.append(None)
-        else:
-            out.append(float((enc - moc) / enc))
-    return out
+    moving = encoder_v > 0
+    slip = np.full(len(encoder_v), np.nan)
+    np.subtract(encoder_v, mocap_v, out=slip, where=moving)
+    np.divide(slip, encoder_v, out=slip, where=moving)
+    return slip
 
 
-def clamp_ratio(value: float, limit: float = RATIO_CLAMP) -> float:
-    """Clamp a ratio into [-limit, limit] for plot-friendly reporting."""
-    return max(-limit, min(limit, value))
+def clamp_ratio(
+    value: float | np.ndarray, limit: float = RATIO_CLAMP
+) -> float | np.ndarray:
+    """Clamp a ratio, or each of an array of ratios, into [-limit, limit]
+    for plot-friendly reporting.
+
+    The result is max(-limit, min(limit, value)), so NaN clamps to limit.
+    """
+    below = np.where(value < limit, value, limit)
+    return np.where(below > -limit, below, -limit)[()]

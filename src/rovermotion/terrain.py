@@ -18,6 +18,7 @@ from rovermotion.config import (
     validate_config,
     wheel_positions,
 )
+from rovermotion.errors import CalibrationError
 from rovermotion.kinematics import (
     ProfileSegment,
     forward_odometry,
@@ -34,10 +35,6 @@ from rovermotion.telemetry import (
 )
 
 _ANGLE_TOL = 1e-9
-
-
-class CalibrationError(ValueError):
-    """Raised when the power-model calibration problem is ill-posed."""
 
 
 @dataclass(frozen=True)

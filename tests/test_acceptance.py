@@ -121,7 +121,7 @@ def _rotation_efficiency(mode: LocomotionMode) -> float:
     heading = np.array([r.pose[2] for r in records])
     odo_wz = np.array([r.odo_twist.wz for r in records])
     series = angular_speed_efficiency(t, heading, odo_wz)
-    ratios = [r for _, r in series if r is not None]
+    ratios = series[~np.isnan(series)]
     return float(np.mean(ratios))
 
 

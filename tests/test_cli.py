@@ -291,6 +291,48 @@ def test_scipy_loads_only_for_deflect_and_calibrate(tmp_path):
     assert result.stdout.splitlines()[-1] == "ok"
 
 
+SIMULATOR_GUARD = """
+import sys
+
+from rovermotion.cli import main
+
+SIMULATOR = ("rovermotion.terrain", "rovermotion.kinematics")
+
+def simulator_loaded():
+    return [name for name in SIMULATOR if name in sys.modules]
+
+telemetry, out = sys.argv[1:]
+assert not simulator_loaded(), "import rovermotion.cli"
+assert "rovermotion.metrics" not in sys.modules, "import rovermotion.cli"
+for metric in ("cot", "yaw-energy", "efficiency", "slip"):
+    assert main(["analyze", metric, "--telemetry", telemetry,
+                 "--out", f"{out}/{metric}"]) == 0
+    assert not simulator_loaded(), metric
+from rovermotion import simulate_traverse
+from rovermotion.terrain import simulate_traverse as defined
+assert simulate_traverse is defined
+assert simulator_loaded() == list(SIMULATOR)
+print("ok")
+"""
+
+
+def test_analyze_does_not_load_the_simulator(tmp_path):
+    assert run(["simulate", "--scenario", str(preset_path("nominal_0_6cm")),
+                "--out", str(tmp_path / "sim")]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", SIMULATOR_GUARD, str(tmp_path / "sim" / "telemetry.csv"),
+         str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run([])

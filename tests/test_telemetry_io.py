@@ -1,11 +1,15 @@
 import io
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rovermotion import telemetry as telemetry_module
 from rovermotion.config import BodyTwist, LocomotionMode
 from rovermotion.kinematics import ProfileSegment
 from rovermotion.telemetry import (
@@ -18,6 +22,8 @@ from rovermotion.telemetry import (
     TelemetryFormatError,
     TelemetryRecord,
     _CHUNK_ROWS,
+    _parse_fixed,
+    _read_rows,
     align_series,
     parse_actuator_csv,
     parse_mocap_csv,
@@ -189,6 +195,238 @@ class TestFixedPointWriter:
         text = (tmp_path / "t.csv").read_bytes()
         assert text == savetxt_bytes(values)
         assert text.splitlines()[row + 1].split(b",")[17] == b"0.007812"
+
+
+def bits(values):
+    """The bit patterns of a float64 array, so that -0.0 and NaNs compare exactly."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def read_result(read, path):
+    """What `read(path)` returns: its values, or the error it raises."""
+    try:
+        return bits(read(path).values)
+    except TelemetryFormatError as exc:
+        return str(exc)
+
+
+def same_result(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def write_rows(path, values):
+    """A telemetry file of `values` with an increasing time column."""
+    values = np.array(values, dtype=np.float64).reshape(-1, len(TELEMETRY_HEADER))
+    values[:, 0] = np.arange(len(values)) * 0.01
+    write_telemetry_csv(path, Telemetry(values))
+    return values
+
+
+@pytest.fixture
+def fast_only(monkeypatch):
+    """Fail any read the fixed-point parser leaves to the row-by-row reader."""
+    def no_fallback(path):
+        raise AssertionError(f"{path} was read row by row")
+
+    monkeypatch.setattr(telemetry_module, "_read_rows", no_fallback)
+
+
+class TestFixedPointReader:
+    """read_telemetry_csv gives _read_rows's values bit for bit, or its error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fixed=st.lists(
+            st.one_of(
+                st.floats(-1e9, 1e9),
+                st.integers(-(10**15) + 1, 10**15 - 1).map(lambda q: q / 1e6),
+                st.sampled_from(TIES + [0.0, -0.0, -4e-7, 999999999.9999994]),
+            ),
+            min_size=1,
+            max_size=400,
+        ),
+        # a cell "%.6f" writes in another layout sends the file to _read_rows
+        other=st.lists(cells, max_size=2),
+        chunk_bytes=st.integers(1, 3000),
+    )
+    def test_written_cells_read_back_bit_identical(
+        self, tmp_path_factory, fixed, other, chunk_bytes
+    ):
+        data = fixed + other
+        path = tmp_path_factory.getbasetemp() / "read.csv"
+        write_rows(path, np.resize(np.array(data), (-(-len(data) // 36), 36)))
+        lines = path.read_text().splitlines()[1:]
+        expected = np.array([[float(c) for c in line.split(",")] for line in lines])
+        with mock.patch.object(telemetry_module, "_READ_CHUNK_BYTES", chunk_bytes):
+            values = read_telemetry_csv(path).values
+        assert np.array_equal(bits(values), bits(expected))
+        assert np.array_equal(bits(values), bits(_read_rows(path).values))
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_few_rows(self, tmp_path, fast_only, rows):
+        path = tmp_path / "t.csv"
+        written = write_rows(path, np.full((rows, 36), -4e-7))
+        values = read_telemetry_csv(path).values
+        assert values.shape == (rows, 36)
+        assert np.array_equal(bits(values), bits(np.round(written, 6)))
+        assert all(math.copysign(1.0, x) == -1.0 for x in values[:, 1:].ravel())
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_chunks(self, tmp_path, monkeypatch, chunks):
+        # 6 lines of equal length, so a chunk of 6 / chunks lines ends at a line end
+        rng = np.random.default_rng(chunks)
+        values = rng.uniform(100.0, 999.0, (6, 36)) * np.resize([1.0, -1.0], 36)
+        path = tmp_path / "t.csv"
+        write_rows(path, values)
+        lines = path.read_bytes().splitlines(keepends=True)[1:]
+        assert len({len(line) for line in lines}) == 1
+        expected = _read_rows(path).values
+        parsed = []
+        parse = telemetry_module._ChunkParser.parse
+
+        def counted(parser, start, stop, row):
+            parsed.append((start, stop))
+            return parse(parser, start, stop, row)
+
+        monkeypatch.setattr(telemetry_module._ChunkParser, "parse", counted)
+        monkeypatch.setattr(
+            telemetry_module, "_READ_CHUNK_BYTES", len(lines[0]) * 6 // chunks
+        )
+        monkeypatch.setattr(telemetry_module, "_read_rows", None)
+        assert np.array_equal(bits(read_telemetry_csv(path).values), bits(expected))
+        assert len(parsed) == chunks
+
+    def test_mission_sized_file(self, tmp_path, fast_only):
+        # many chunks, shared by the two threads, with 1 to 9 integer digits
+        rng = np.random.default_rng(9)
+        values = rng.normal(0.0, 1.0, (3000, 36)) * 10.0 ** rng.integers(0, 9, (3000, 36))
+        values[::7, 3] = -0.0
+        path = tmp_path / "t.csv"
+        write_rows(path, values)
+        with open(path) as handle:
+            next(handle)
+            expected = [[float(c) for c in line.split(",")] for line in handle]
+        assert np.array_equal(
+            bits(read_telemetry_csv(path).values), bits(np.array(expected))
+        )
+
+    def test_concurrent_reads_parse_each_chunk_once(self, tmp_path, monkeypatch):
+        # four reads at once (eight parsing threads on fewer cores) with
+        # one line per chunk and a short switch interval
+        rng = np.random.default_rng(4)
+        path = tmp_path / "t.csv"
+        write_rows(path, rng.normal(0.0, 100.0, (300, 36)))
+        expected = bits(_read_rows(path).values)
+        lines = path.read_bytes().splitlines(keepends=True)
+        line_starts = np.cumsum([len(line) for line in lines])[:-1].tolist()
+        parsed = []
+        parse = telemetry_module._ChunkParser.parse
+
+        def recorded(parser, start, stop, row):
+            parsed.append(start)
+            return parse(parser, start, stop, row)
+
+        monkeypatch.setattr(telemetry_module._ChunkParser, "parse", recorded)
+        monkeypatch.setattr(telemetry_module, "_READ_CHUNK_BYTES", 1)
+        results = []
+        readers = [
+            threading.Thread(
+                target=lambda: results.append(bits(read_telemetry_csv(path).values))
+            )
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(results) == 4
+        assert all(np.array_equal(r, expected) for r in results)
+        assert sorted(parsed) == sorted(line_starts * 4)
+
+    def test_error_in_helper_thread_is_raised(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        write_rows(path, np.ones((50, 36)))
+        parse = telemetry_module._ChunkParser.parse
+        main = threading.current_thread()
+        helper_failed = threading.Event()
+
+        def failing(*args):
+            if threading.current_thread() is not main:
+                helper_failed.set()
+                raise MemoryError("helper")
+            helper_failed.wait(timeout=60)  # so that the helper takes a chunk
+            return parse(*args)
+
+        monkeypatch.setattr(telemetry_module._ChunkParser, "parse", failing)
+        monkeypatch.setattr(telemetry_module, "_READ_CHUNK_BYTES", 1)
+        with pytest.raises(MemoryError, match="helper"):
+            read_telemetry_csv(path)
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["+1.000000", " 1.000000", "1e-3", "1.5", ".500000", "--1.000000",
+         "1-2.000000", "1/2.000000", "1:2.000000", "\u0661.000000", "1.0000000",
+         "1234567890.000000", '"1.000000"', "1_0.000000", "", "nan", "-inf"],
+    )
+    @pytest.mark.parametrize("row", [0, 40])
+    def test_rejected_cell_falls_back(self, tmp_path, monkeypatch, cell, row):
+        monkeypatch.setattr(telemetry_module, "_READ_CHUNK_BYTES", 1000)
+        path = tmp_path / "t.csv"
+        write_rows(path, np.full((41, 36), 2.5))
+        lines = path.read_text().splitlines(keepends=True)
+        cells_of_row = lines[row + 1].split(",")
+        cells_of_row[5] = cell
+        lines[row + 1] = ",".join(cells_of_row)
+        path.write_text("".join(lines), encoding="utf-8")
+        self.check_falls_back(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        ["no final newline", "crlf", "blank line", "short row", "long row",
+         "header only without newline", "late timestamp"],
+    )
+    def test_rejected_layout_falls_back(self, tmp_path, monkeypatch, change):
+        monkeypatch.setattr(telemetry_module, "_READ_CHUNK_BYTES", 1000)
+        path = tmp_path / "t.csv"
+        write_rows(path, np.full((41, 36), -2.5))
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)
+        if change == "no final newline":
+            text = text[:-1]
+        elif change == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif change == "blank line":
+            text = "".join(lines[:20] + ["\n"] + lines[20:])
+        elif change == "short row":
+            text = "".join(lines[:20] + [lines[20].split(",", 1)[1]] + lines[21:])
+        elif change == "long row":
+            text = "".join(lines[:20] + ["0.000000," + lines[20]] + lines[21:])
+        elif change == "header only without newline":
+            text = lines[0][:-1]
+        elif change == "late timestamp":
+            text = "".join(lines[:30] + [lines[29]] + lines[30:])
+        path.write_text(text)
+        if change == "late timestamp":
+            # the layout holds, so the fast path reports it
+            assert _parse_fixed(path.read_bytes()) is not None
+            assert read_result(read_telemetry_csv, path) == read_result(_read_rows, path)
+        else:
+            self.check_falls_back(path)
+
+    @staticmethod
+    def check_falls_back(path):
+        assert _parse_fixed(path.read_bytes()) is None
+        assert same_result(
+            read_result(read_telemetry_csv, path), read_result(_read_rows, path)
+        )
 
 
 class TestTelemetrySeries:
