@@ -1,9 +1,10 @@
 """Generate the bundled synthetic wheel-deflection fixture.
 
 Writes model.txt, camera.txt, annotations.csv, and oracle.csv into
-src/rovermotion/data/deflection/. The fraction series mimics an
-obstacle-clearing run: a stable window, a dip, an airborne window with no
-chord, an impact peak, and a return to the stable band.
+src/rovermotion/data/deflection/, or into the directory given to main().
+The fraction series mimics an obstacle-clearing run: a stable window, a
+dip, an airborne window with no chord, an impact peak, and a return to the
+stable band.
 """
 import csv
 from pathlib import Path
@@ -51,12 +52,12 @@ def frame_pose(index: int) -> WheelPose:
     return WheelPose.from_rotvec(rotvec, translation)
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
-    (OUT / "model.txt").write_text(
+def main(out: Path = OUT):
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "model.txt").write_text(
         f"radius = {MODEL.radius}\nwidth = {MODEL.width}\nhub_radius = {MODEL.hub_radius}\n"
     )
-    (OUT / "camera.txt").write_text(
+    (out / "camera.txt").write_text(
         f"fx = {CAM.fx}\nfy = {CAM.fy}\ncx = {CAM.cx}\ncy = {CAM.cy}\n"
         f"width = {CAM.width}\nheight = {CAM.height}\n"
     )
@@ -74,13 +75,13 @@ def main():
             )
             oracle_rows.append([index, target])
         frames.append(AnnotationFrame(index, "wheel_a", loops, chord))
-    write_annotations_csv(OUT / "annotations.csv", frames)
-    with open(OUT / "oracle.csv", "w", newline="") as handle:
+    write_annotations_csv(out / "annotations.csv", frames)
+    with open(out / "oracle.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["frame", "fraction"])
         for frame, fraction in oracle_rows:
             writer.writerow([frame, f"{fraction:.6f}"])
-    print(f"wrote fixture ({len(frames)} frames) to {OUT}")
+    print(f"wrote fixture ({len(frames)} frames) to {out}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from rovermotion.telemetry import (
 )
 
 if TYPE_CHECKING:
-    from rovermotion import metrics
+    from rovermotion import deflection, metrics
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -211,26 +211,39 @@ def cmd_analyze(args) -> int:
     raise ConfigError(f"unknown metric {args.metric!r}")
 
 
-def cmd_deflect(args) -> int:
+def _estimate_deflection(
+    annotations: str, model: str, camera: str
+) -> list[deflection.DeflectionEstimate]:
+    """Load the model, camera and annotation files and estimate each frame."""
     from rovermotion import deflection  # imports scipy
 
-    model = deflection.load_wheel_model(args.model)
-    cam = deflection.load_camera(args.camera)
-    frames = deflection.read_annotations_csv(args.annotations)
-    estimates = deflection.process_annotations(frames, model, cam)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    wheel = deflection.load_wheel_model(model)
+    cam = deflection.load_camera(camera)
+    frames = deflection.read_annotations_csv(annotations)
+    return deflection.process_annotations(frames, wheel, cam)
+
+
+def _write_deflection(
+    path: Path, estimates: list[deflection.DeflectionEstimate]
+) -> None:
     _write_csv(
-        out / "deflection.csv",
+        path,
         ["frame", "volume_m3", "fraction"],
         [[str(e.frame), f"{e.volume:.9f}", _fmt(e.fraction)] for e in estimates],
     )
+
+
+def cmd_deflect(args) -> int:
+    from rovermotion import deflection
+
+    estimates = _estimate_deflection(args.annotations, args.model, args.camera)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_deflection(out / "deflection.csv", estimates)
     if args.window > 1:
-        smoothed = deflection.smooth_deflection_series(estimates, args.window)
-        _write_csv(
+        _write_deflection(
             out / "deflection_smoothed.csv",
-            ["frame", "volume_m3", "fraction"],
-            [[str(e.frame), f"{e.volume:.9f}", _fmt(e.fraction)] for e in smoothed],
+            deflection.smooth_deflection_series(estimates, args.window),
         )
     peak = max((e.fraction for e in estimates), default=0.0)
     print(f"frames={len(estimates)} max_fraction={peak:.4f}")
@@ -281,7 +294,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from rovermotion import deflection  # imports scipy
     from rovermotion import metrics, terrain
 
     out = Path(args.out)
@@ -309,10 +321,11 @@ def cmd_report(args) -> int:
         _write_efficiency(out / f"fig4_{name}.csv", telemetry, 0.5)
 
     fixture = resources.files("rovermotion").joinpath("data", "deflection")
-    model = deflection.load_wheel_model(str(fixture.joinpath("model.txt")))
-    cam = deflection.load_camera(str(fixture.joinpath("camera.txt")))
-    frames = deflection.read_annotations_csv(str(fixture.joinpath("annotations.csv")))
-    estimates = deflection.process_annotations(frames, model, cam)
+    estimates = _estimate_deflection(
+        str(fixture.joinpath("annotations.csv")),
+        str(fixture.joinpath("model.txt")),
+        str(fixture.joinpath("camera.txt")),
+    )
     _write_csv(
         out / "fig6.csv",
         ["fig6_frame", "fig6_fraction"],

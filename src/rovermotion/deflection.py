@@ -1,14 +1,13 @@
-"""Wheel-deflection estimation: reprojection, pose fit, chord geometry, hull."""
+"""Wheel-deflection estimation: reprojection, pose fit, chord geometry, volume."""
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq, least_squares
-from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.transform import Rotation
 
 from rovermotion.errors import GeometryError, PoseFitError
@@ -116,7 +115,11 @@ def _circle_points_3d(radius: float, z_offset: float, phi: np.ndarray) -> np.nda
 
 
 def _project(points_3d: np.ndarray, pose: WheelPose, cam: CameraIntrinsics) -> np.ndarray:
-    cam_pts = points_3d @ pose.rotation.T + pose.translation
+    return _pixels(points_3d @ pose.rotation.T + pose.translation, cam)
+
+
+def _pixels(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
+    """Pinhole image of camera-frame points."""
     z = cam_pts[..., 2]
     if np.any(z <= 0):
         raise GeometryError("wheel behind camera")
@@ -147,7 +150,9 @@ def project_wheel(
     ]
 
 
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton steps per closest-point search. On a circle seen face on, a step
+# takes a parameter error e to about e**3 / 3.
+_CLOSEST_POINT_STEPS = 3
 
 
 def _signed_curve_distances(
@@ -156,53 +161,48 @@ def _signed_curve_distances(
     z_offset: np.ndarray,
     pose: WheelPose,
     cam: CameraIntrinsics,
-    coarse: int = 64,
-    refine_iters: int = 36,
 ) -> np.ndarray:
-    """Signed distance from image points to their projected circle curves.
+    """Signed distance in pixels from image points to their projected circles.
 
     radius/z_offset are per-point, so loops on several model circles can be
-    processed in one vectorized pass. Per point, the closest curve
-    parameter is found by a coarse scan followed by golden-section
-    refinement; the sign is positive outside the curve (relative to the
-    projected loop centroid).
+    processed in one vectorized pass. Each point's viewing ray meets its
+    circle's plane at `hit` (relative to the circle centre), whose angle is
+    the closest curve parameter if the point is on the curve. From there, a
+    fixed number of Newton steps on the squared pixel distance finds it. The
+    sign is positive where the ray passes outside the circle. A ray parallel
+    to the plane, or a curve point at or behind the camera, raises
+    GeometryError.
     """
-    phi_grid = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
-
-    def at(phi):
-        x = radius * np.cos(phi)
-        pts = np.stack(
-            [x, radius * np.sin(phi), np.broadcast_to(z_offset, x.shape)], axis=-1
-        )
-        return _project(pts, pose, cam)
-
-    curve = at(phi_grid[:, None])  # (coarse, n, 2)
-    centroid = curve.mean(axis=0)
-    d2 = ((curve - observed[None, :, :]) ** 2).sum(axis=2)
-    best = np.argmin(d2, axis=0)
-    span = 2.0 * math.pi / coarse
-    a = phi_grid[best] - span
-    b = phi_grid[best] + span
-
-    def f(phi):
-        return ((at(phi) - observed) ** 2).sum(axis=1)
-
-    c = b - _INV_GOLD * (b - a)
-    d = a + _INV_GOLD * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(refine_iters):
-        take_left = fc < fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        c = b - _INV_GOLD * (b - a)
-        d = a + _INV_GOLD * (b - a)
-        fc, fd = f(c), f(d)
-    closest = at((a + b) / 2.0)
-    dist = np.linalg.norm(observed - closest, axis=1)
-    outside = np.linalg.norm(observed - centroid, axis=1) > np.linalg.norm(
-        closest - centroid, axis=1
-    )
-    return np.where(outside, dist, -dist)
+    e1, e2, normal = pose.rotation.T
+    centre = np.multiply.outer(z_offset, normal) + pose.translation
+    focal = np.array([cam.fx, cam.fy])
+    ray = np.column_stack([(observed - [cam.cx, cam.cy]) / focal, np.ones(len(observed))])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hit = ray * ((centre @ normal) / (ray @ normal))[:, None] - centre
+    if not np.isfinite(hit).all():
+        raise GeometryError("viewing ray parallel to the wheel plane")
+    phi = np.arctan2(hit @ e2, hit @ e1)
+    r = radius[:, None]
+    for step in range(_CLOSEST_POINT_STEPS + 1):
+        cos, sin = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        radial = r * (cos * e1 + sin * e2)
+        point = centre + radial
+        gap = _pixels(point, cam) - observed
+        if step == _CLOSEST_POINT_STEPS:
+            break
+        # d/dphi of the image point by the quotient rule, once (slope) and
+        # twice (bend); the point's own derivatives are tangent and -radial
+        tangent = r * (cos * e2 - sin * e1)
+        depth, image = point[:, 2:], point[:, :2] / point[:, 2:]
+        slope = focal * (tangent[:, :2] - image * tangent[:, 2:]) / depth
+        bend = focal * (image * radial[:, 2:] - radial[:, :2]) / depth
+        bend -= 2.0 * slope * tangent[:, 2:] / depth
+        speed2 = (slope * slope).sum(axis=1)
+        # a curvature of at least a quarter of Gauss-Newton's: always downhill
+        curvature = np.maximum(speed2 + (bend * gap).sum(axis=1), speed2 / 4.0)
+        phi = phi - (slope * gap).sum(axis=1) / curvature
+    dist = np.hypot(gap[:, 0], gap[:, 1])
+    return np.where(np.linalg.norm(hit, axis=1) > radius, dist, -dist)
 
 
 def _tilt_rotvec(axis: np.ndarray) -> np.ndarray:
@@ -229,8 +229,10 @@ def fit_wheel_pose(
 ) -> tuple[WheelPose, float]:
     """Nonlinear least-squares wheel pose from observed circle loops.
 
-    loops are [inboard, outboard, hub] image point sets; residuals are
-    signed point-to-projected-curve distances. The model circles are
+    loops are [inboard, outboard, hub] image point sets. The residuals are
+    each point's signed pixel distance to its projected model circle, exact
+    to rounding (see _signed_curve_distances); the Levenberg-Marquardt
+    solver takes their Jacobian by finite differences. The model circles are
     symmetric about the wheel axis, so spin about that axis changes no
     residual and cannot be observed. The fit therefore solves for 5
     unknowns: the axis tilt, as a rotation vector with its z component
@@ -254,18 +256,7 @@ def fit_wheel_pose(
         raise GeometryError("wheel behind camera")
 
     observed = np.concatenate([np.asarray(loop, dtype=float) for loop in loops])
-    radius = np.concatenate(
-        [
-            np.full(len(loop), circle[0])
-            for loop, circle in zip(loops, model.circles)
-        ]
-    )
-    z_offset = np.concatenate(
-        [
-            np.full(len(loop), circle[1])
-            for loop, circle in zip(loops, model.circles)
-        ]
-    )
+    radius, z_offset = np.repeat(model.circles, [len(loop) for loop in loops], axis=0).T
 
     def pose_of(x):
         return WheelPose.from_rotvec([x[0], x[1], 0.0], x[2:])
@@ -357,6 +348,13 @@ def _chord_plane_line(
     return a, b, c
 
 
+def _prism_volume(x: np.ndarray, y: np.ndarray, width: float) -> float:
+    """Volume of a prism over the polygon with vertices (x, y) in order: the
+    shoelace area times the width."""
+    twice_area = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
+    return abs(float(twice_area)) / 2.0 * width
+
+
 def deflected_volume_fraction(
     model: WheelModel3D,
     pose: WheelPose,
@@ -369,11 +367,11 @@ def deflected_volume_fraction(
 
     The chord is back-projected onto the inboard perimeter plane; its two
     circle intersections are mirrored onto the outboard perimeter (equal
-    deflection on both sides), both arcs between the intersections are
-    sampled at the given angular resolution, and the convex hull volume of
-    the point set is taken as the deflected volume. A chord that misses
-    the circle yields fraction 0; a fraction above one half is flagged
-    implausible.
+    deflection on both sides). The deflected shape is then a prism as wide
+    as the wheel over the circular segment cut off by the chord: the arc
+    between the intersections, sampled at the given angular resolution and
+    closed by the chord. A chord that misses the circle yields fraction 0;
+    a fraction above one half is flagged implausible.
     """
     inboard_z = -model.width / 2.0
     line = _chord_plane_line(chord, pose, cam, inboard_z)
@@ -399,20 +397,8 @@ def deflected_volume_fraction(
         span = (phi2 - phi1) % (2.0 * math.pi)
     n_arc = max(2, int(math.ceil(span / math.radians(arc_resolution_deg))) + 1)
     phi = phi1 + span * np.linspace(0.0, 1.0, n_arc)
-    arc = np.stack(
-        [model.radius * np.cos(phi), model.radius * np.sin(phi)], axis=-1
-    )
-    planar = np.vstack([arc, hits])
-    points = np.vstack(
-        [
-            np.column_stack([planar, np.full(len(planar), inboard_z)]),
-            np.column_stack([planar, np.full(len(planar), -inboard_z)]),
-        ]
-    )
-    try:
-        volume = float(ConvexHull(points).volume)
-    except QhullError:
-        return DeflectionEstimate(frame, 0.0, 0.0)
+    volume = _prism_volume(model.radius * np.cos(phi), model.radius * np.sin(phi),
+                           model.width)
     fraction = volume / model.volume
     return DeflectionEstimate(frame, volume, fraction, implausible=fraction > 0.5)
 
@@ -507,8 +493,10 @@ def _serialize_loop(loop: np.ndarray) -> str:
 def _parse_loop(text: str) -> np.ndarray:
     points = []
     for pair in text.split(";"):
-        u, v = pair.split(":")
-        points.append((float(u), float(v)))
+        uv = pair.split(":")
+        if len(uv) != 2:
+            raise ValueError(f"loop point {pair!r} is not u:v")
+        points.append((float(uv[0]), float(uv[1])))
     return np.array(points)
 
 
@@ -558,14 +546,17 @@ def read_annotations_csv(path: str | Path) -> list[AnnotationFrame]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(ANNOTATION_HEADER):
                 raise GeometryError(f"{path}:{lineno}: wrong column count")
-            loops = [_parse_loop(cell) for cell in row[2:5]]
-            if any(cell.strip() for cell in row[5:9]):
-                chord = ChordAnnotation(
-                    (float(row[5]), float(row[6])), (float(row[7]), float(row[8]))
-                )
-            else:
-                chord = None
-            frames.append(AnnotationFrame(int(row[0]), row[1], loops, chord))
+            try:
+                loops = [_parse_loop(cell) for cell in row[2:5]]
+                if any(cell.strip() for cell in row[5:9]):
+                    chord = ChordAnnotation(
+                        (float(row[5]), float(row[6])), (float(row[7]), float(row[8]))
+                    )
+                else:
+                    chord = None
+                frames.append(AnnotationFrame(int(row[0]), row[1], loops, chord))
+            except ValueError as exc:  # GeometryError is one too
+                raise GeometryError(f"{path}:{lineno}: {exc}") from None
     return frames
 
 
@@ -621,26 +612,34 @@ def process_annotations(
     return estimates
 
 
-def load_wheel_model(path: str | Path) -> WheelModel3D:
+def _load_numbers(path: str | Path, keys: tuple[str, ...]) -> dict[str, float]:
+    """The numeric `key = value` pairs of a file that holds exactly `keys`."""
     from rovermotion.config import parse_key_value_file
 
     pairs = parse_key_value_file(path)
-    known = {"radius", "width", "hub_radius"}
-    unknown = sorted(set(pairs) - known)
+    unknown = sorted(set(pairs) - set(keys))
     if unknown:
-        raise GeometryError(f"unknown wheel model keys: {', '.join(unknown)}")
-    return WheelModel3D(**{k: float(v) for k, v in pairs.items()})
+        raise GeometryError(f"{path}: unknown keys: {', '.join(unknown)}")
+    missing = [key for key in keys if key not in pairs]
+    if missing:
+        raise GeometryError(f"{path}: missing keys: {', '.join(missing)}")
+    values = {}
+    for key, text in pairs.items():
+        try:
+            values[key] = float(text)
+        except ValueError:
+            values[key] = math.nan
+        if not math.isfinite(values[key]):
+            raise GeometryError(f"{path}: {key} = {text!r} is not a finite number")
+    return values
+
+
+def load_wheel_model(path: str | Path) -> WheelModel3D:
+    return WheelModel3D(**_load_numbers(path, ("radius", "width", "hub_radius")))
 
 
 def load_camera(path: str | Path) -> CameraIntrinsics:
-    from rovermotion.config import parse_key_value_file
-
-    pairs = parse_key_value_file(path)
-    known = {"fx", "fy", "cx", "cy", "width", "height"}
-    unknown = sorted(set(pairs) - known)
-    if unknown:
-        raise GeometryError(f"unknown camera keys: {', '.join(unknown)}")
-    values = {k: float(v) for k, v in pairs.items()}
+    values = _load_numbers(path, ("fx", "fy", "cx", "cy", "width", "height"))
     values["width"] = int(values["width"])
     values["height"] = int(values["height"])
     return CameraIntrinsics(**values)

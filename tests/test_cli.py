@@ -202,6 +202,42 @@ class TestDeflect:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "name, edit, where",
+        [
+            ("camera.txt", lambda text: text.replace("fx = 800.0", "fx = eight"),
+             "camera.txt: fx = 'eight' is not a finite number"),
+            ("model.txt", lambda text: text.replace("hub_radius = 0.05\n", ""),
+             "model.txt: missing keys: hub_radius"),
+            ("annotations.csv", lambda text: text.replace(":", ";", 1),
+             "annotations.csv:2: loop point '850.142652' is not u:v"),
+            ("annotations.csv", lambda text: text.replace("\n1,", "\nx0,", 1),
+             "annotations.csv:3: invalid literal for int()"),
+        ],
+        ids=["camera_value_not_a_number", "model_key_missing", "loop_point_without_colon",
+             "frame_not_an_integer"],
+    )
+    def test_bad_input_names_the_file(self, tmp_path, capsys, name, edit, where):
+        paths = {}
+        for fixture_name in ("annotations.csv", "model.txt", "camera.txt"):
+            paths[fixture_name] = tmp_path / fixture_name
+            text = (FIXTURE_DIR / fixture_name).read_text()
+            paths[fixture_name].write_text(edit(text) if fixture_name == name else text)
+        assert paths[name].read_text() != (FIXTURE_DIR / name).read_text()
+        code = run(
+            [
+                "deflect",
+                "--annotations", str(paths["annotations.csv"]),
+                "--model", str(paths["model.txt"]),
+                "--camera", str(paths["camera.txt"]),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and where in err
+        assert not (tmp_path / "out" / "deflection.csv").exists()
+
     def test_failed_fit_names_frame(self, tmp_path, capsys, monkeypatch):
         def failing_fit(loops, model, cam, guess):
             raise deflection.PoseFitError(guess, 8.8, 1200, "max_nfev reached")
@@ -301,13 +337,16 @@ SIMULATOR = ("rovermotion.terrain", "rovermotion.kinematics")
 def simulator_loaded():
     return [name for name in SIMULATOR if name in sys.modules]
 
-telemetry, out = sys.argv[1:]
+telemetry, scenario, out = sys.argv[1:]
 assert not simulator_loaded(), "import rovermotion.cli"
 assert "rovermotion.metrics" not in sys.modules, "import rovermotion.cli"
 for metric in ("cot", "yaw-energy", "efficiency", "slip"):
     assert main(["analyze", metric, "--telemetry", telemetry,
                  "--out", f"{out}/{metric}"]) == 0
     assert not simulator_loaded(), metric
+    assert "rovermotion.mocap" not in sys.modules, metric
+assert main(["simulate", "--scenario", scenario, "--out", f"{out}/simulate"]) == 0
+assert "rovermotion.mocap" not in sys.modules, "simulate"
 from rovermotion import simulate_traverse
 from rovermotion.terrain import simulate_traverse as defined
 assert simulate_traverse is defined
@@ -326,7 +365,7 @@ def test_analyze_does_not_load_the_simulator(tmp_path):
     )
     result = subprocess.run(
         [sys.executable, "-c", SIMULATOR_GUARD, str(tmp_path / "sim" / "telemetry.csv"),
-         str(tmp_path)],
+         str(preset_path("nominal_0_6cm")), str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr

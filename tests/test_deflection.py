@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from rovermotion.deflection import (
     AnnotationFrame,
@@ -34,7 +36,8 @@ from rovermotion import deflection
 
 MODEL = WheelModel3D(radius=0.15, width=0.12, hub_radius=0.05)
 CAM = CameraIntrinsics(fx=800.0, fy=800.0, cx=640.0, cy=360.0, width=1280, height=720)
-FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "rovermotion" / "data" / "deflection"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE_DIR = ROOT / "src" / "rovermotion" / "data" / "deflection"
 
 
 def frontal_pose(depth=1.0):
@@ -244,6 +247,139 @@ class TestPoseFit:
             fit_wheel_pose(loops, MODEL, CAM, frontal_pose())
 
 
+_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_signed_curve_distances(
+    observed: np.ndarray,
+    radius: np.ndarray,
+    z_offset: np.ndarray,
+    pose: WheelPose,
+    cam: CameraIntrinsics,
+    coarse: int = 64,
+    refine_iters: int = 36,
+) -> np.ndarray:
+    """Signed distance from image points to their projected circle curves.
+
+    The former search, kept as the oracle of the closed-form one. Per point,
+    the closest curve parameter is found by a coarse scan followed by
+    golden-section refinement; the sign is positive outside the curve
+    (relative to the projected loop centroid).
+    """
+    phi_grid = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
+
+    def at(phi):
+        x = radius * np.cos(phi)
+        pts = np.stack(
+            [x, radius * np.sin(phi), np.broadcast_to(z_offset, x.shape)], axis=-1
+        )
+        return deflection._project(pts, pose, cam)
+
+    curve = at(phi_grid[:, None])  # (coarse, n, 2)
+    centroid = curve.mean(axis=0)
+    d2 = ((curve - observed[None, :, :]) ** 2).sum(axis=2)
+    best = np.argmin(d2, axis=0)
+    span = 2.0 * math.pi / coarse
+    a = phi_grid[best] - span
+    b = phi_grid[best] + span
+
+    def f(phi):
+        return ((at(phi) - observed) ** 2).sum(axis=1)
+
+    c = b - _INV_GOLD * (b - a)
+    d = a + _INV_GOLD * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(refine_iters):
+        take_left = fc < fd
+        b = np.where(take_left, d, b)
+        a = np.where(take_left, a, c)
+        c = b - _INV_GOLD * (b - a)
+        d = a + _INV_GOLD * (b - a)
+        fc, fd = f(c), f(d)
+    closest = at((a + b) / 2.0)
+    dist = np.linalg.norm(observed - closest, axis=1)
+    outside = np.linalg.norm(observed - centroid, axis=1) > np.linalg.norm(
+        closest - centroid, axis=1
+    )
+    return np.where(outside, dist, -dist)
+
+
+def _random_tilt(rng, max_deg):
+    axis = rng.normal(size=3)
+    return axis / np.linalg.norm(axis) * math.radians(rng.uniform(0.0, max_deg))
+
+
+class TestCurveDistances:
+    """The closed-form closest points against the golden-section search."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_golden_section_search(self, seed):
+        # a pose in the fit's basin, noisy loops, and evaluation poses the fit
+        # passes through: the true pose, its own start, and a pose 20 degrees
+        # and 20% in depth away
+        rng = np.random.default_rng(seed)
+        translation = np.array(
+            [rng.uniform(-0.08, 0.08), rng.uniform(-0.05, 0.05), rng.uniform(0.7, 1.1)]
+        )
+        true = WheelPose.from_rotvec(_random_tilt(rng, 20.0), translation)
+        noise = rng.uniform(0.0, 1.0)
+        loops = [
+            loop + rng.normal(0.0, noise, loop.shape)
+            for loop in project_wheel(MODEL, true, CAM, samples_per_circle=24)
+        ]
+        observed = np.concatenate(loops)
+        radius = np.repeat([c[0] for c in MODEL.circles], 24)
+        z_offset = np.repeat([c[1] for c in MODEL.circles], 24)
+        tilt = WheelPose.from_rotvec(_random_tilt(rng, 20.0), np.zeros(3)).rotation
+        off = WheelPose(
+            tilt @ true.rotation, translation * [1.0, 1.0, rng.uniform(0.8, 1.2)]
+        )
+        start = initial_pose_guess(loops, MODEL, CAM)
+        for pose in (true, start, off):
+            want = golden_signed_curve_distances(observed, radius, z_offset, pose, CAM)
+            got = deflection._signed_curve_distances(
+                observed, radius, z_offset, pose, CAM
+            )
+            np.testing.assert_allclose(np.abs(got), np.abs(want), rtol=0, atol=1e-6)
+            clear = np.abs(want) > 1e-6
+            np.testing.assert_array_equal(np.sign(got[clear]), np.sign(want[clear]))
+
+    def test_edge_on_circle_plane_raises(self):
+        # the wheel axis is along the camera's x axis and the circle's plane
+        # holds the camera centre, so every viewing ray of its image lies in
+        # the plane (the rotation is written out, so that this holds exactly)
+        pose = WheelPose(
+            np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]),
+            np.array([0.0, 0.0, 1.0]),
+        )
+        phi = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+        circle = deflection._circle_points_3d(0.15, 0.0, phi)
+        observed = deflection._project(circle, pose, CAM)
+        np.testing.assert_allclose(observed[:, 0], CAM.cx)
+        with pytest.raises(GeometryError, match="parallel"):
+            deflection._signed_curve_distances(
+                observed, np.full(12, 0.15), np.zeros(12), pose, CAM
+            )
+
+
+def test_prism_volume_matches_convex_hull():
+    # random circular segments (minor and major), sampled as the volume is
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        radius, width = rng.uniform(0.05, 0.5), rng.uniform(0.02, 0.3)
+        span = math.radians(rng.uniform(2.0, 358.0))
+        phi = rng.uniform(-math.pi, math.pi) + span * np.linspace(
+            0.0, 1.0, math.ceil(math.degrees(span)) + 1
+        )
+        x, y = radius * np.cos(phi), radius * np.sin(phi)
+        prism = np.vstack(
+            [np.column_stack([x, y, np.full(len(x), z)]) for z in (-width / 2, width / 2)]
+        )
+        want = ConvexHull(prism).volume
+        assert deflection._prism_volume(x, y, width) == pytest.approx(want, rel=1e-9)
+
+
 class TestAnnotationsCsv:
     def test_round_trip(self, tmp_path):
         pose = frontal_pose(0.9)
@@ -275,6 +411,18 @@ class TestBundledFixture:
         cam = load_camera(FIXTURE_DIR / "camera.txt")
         assert model == MODEL
         assert cam == CAM
+
+    def test_fixture_script_rebuilds_the_files(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "make_deflection_fixture", ROOT / "scripts" / "make_deflection_fixture.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        script.main(tmp_path)
+        names = ["annotations.csv", "camera.txt", "model.txt", "oracle.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / name).read_bytes(), name
 
     def test_oracle_shape(self):
         with open(FIXTURE_DIR / "oracle.csv") as handle:

@@ -12,11 +12,16 @@ from hypothesis import strategies as st
 from rovermotion import telemetry as telemetry_module
 from rovermotion.config import BodyTwist, LocomotionMode
 from rovermotion.kinematics import ProfileSegment
-from rovermotion.telemetry import (
+from rovermotion.mocap import (
     ACTUATOR_IDS,
     MOCAP_HEADER,
     ActuatorRecord,
     MocapRecord,
+    align_series,
+    parse_actuator_csv,
+    parse_mocap_csv,
+)
+from rovermotion.telemetry import (
     TELEMETRY_HEADER,
     Telemetry,
     TelemetryFormatError,
@@ -24,9 +29,6 @@ from rovermotion.telemetry import (
     _CHUNK_ROWS,
     _parse_fixed,
     _read_rows,
-    align_series,
-    parse_actuator_csv,
-    parse_mocap_csv,
     read_telemetry_csv,
     write_fixed_csv,
     write_telemetry_csv,
