@@ -640,6 +640,8 @@ def load_wheel_model(path: str | Path) -> WheelModel3D:
 
 def load_camera(path: str | Path) -> CameraIntrinsics:
     values = _load_numbers(path, ("fx", "fy", "cx", "cy", "width", "height"))
-    values["width"] = int(values["width"])
-    values["height"] = int(values["height"])
+    for key in ("width", "height"):
+        if not values[key].is_integer():
+            raise GeometryError(f"{path}: {key} = {values[key]!r} is not an integer")
+        values[key] = int(values[key])
     return CameraIntrinsics(**values)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import operator
+import os
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -167,6 +168,28 @@ def _sum_left(products: np.ndarray) -> np.ndarray:
     return total
 
 
+class _Scratch:
+    """Named buffers kept from chunk to chunk, grown when a chunk needs more.
+
+    Allocated afresh, each chunk-sized temporary got new pages from malloc,
+    whose page faults made the first pass in a process about half again as
+    slow. A buffer holds bytes, so an array whose values are no longer
+    needed can lend its memory to one of another dtype.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _scratch(self, name: str, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = int(np.prod(shape)) * dtype.itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < size:
+            # room for the next chunk, which may be a little larger
+            buffer = self._buffers[name] = np.empty(size * 9 // 8, np.uint8)
+        return buffer[:size].view(dtype).reshape(shape)
+
+
 # Rows per vectorised formatting pass. It bounds the (rows, columns, width)
 # byte buffer and its mask; 4096 rows raised a simulate's peak RSS by ~10 MB.
 _CHUNK_ROWS = 1024
@@ -204,80 +227,114 @@ def write_fixed_csv(
     written as empty cells.
     """
     values = np.asarray(values, dtype=np.float64)
+    formatter = _ChunkFormatter()
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
         for start in range(0, len(values), _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
-            handle.write(
-                _format_rows(
-                    values[start:stop], None if blank is None else blank[start:stop]
-                )
+            formatter.write(
+                handle, values[start:stop], None if blank is None else blank[start:stop]
             )
 
 
-def _format_rows(values: np.ndarray, blank: np.ndarray | None) -> bytes:
-    """CSV text of `values`, byte for byte as "%.6f" % x writes each cell.
+class _ChunkFormatter(_Scratch):
+    """Formats chunks of rows for write_fixed_csv in arrays it keeps."""
 
-    Each cell is rounded to q = round(|x| * 1e6) and written in a fixed
-    layout of four-byte words, whose unused sign, group-padding and
-    leading-zero bytes one boolean mask drops. A row with a cell this
-    rounding may get wrong is formatted by Python instead.
-    """
-    rows, cols = values.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.abs(values) * 1e6
-    fast = scaled < _FAST_LIMIT  # false for nan and inf
-    scaled[~fast] = 0.0
-    whole = np.floor(scaled)
-    frac = scaled - whole
-    # The product is within half a unit in the last place of the exact
-    # |x| * 1e6, so rounding half up is exact unless frac lies within a
-    # spacing of .5: exact ties (odd multiples of 1/128, which "%.6f" rounds
-    # to even) and near-ties go to Python.
-    fast &= np.abs(frac - 0.5) > np.spacing(scaled)
-    if blank is not None:
-        fast |= blank
-    q = (whole + (frac > 0.5)).astype(np.int64)
-    int_part = q // 1_000_000
-    decimals = (q - int_part * 1_000_000).astype(np.int32)
+    def write(self, handle, values: np.ndarray, blank: np.ndarray | None) -> None:
+        """Write the CSV text of `values`, byte for byte as "%.6f" % x
+        writes each cell.
 
-    groups = -(-len(str(int_part.max(initial=0))) // 3)
-    words = np.empty((rows, cols, groups + 2), dtype=np.uint32)
-    for g in range(groups):
-        group = int_part // 1000 ** (groups - 1 - g)
-        words[..., g] = _GROUP_WORDS[group % 1000 if g else group]
-    words[..., groups] = _POINT_WORDS[decimals // 1000]
-    words[..., groups + 1] = _TAIL_WORDS[decimals % 1000]
-    text = words.view(np.uint8).reshape(rows, cols, -1)
-    text[:, -1, -1] = ord("\n")
+        Each cell is rounded to q = round(|x| * 1e6) and written in a fixed
+        layout of four-byte words, whose unused sign, group-padding and
+        leading-zero bytes one boolean mask drops. A row with a cell this
+        rounding may get wrong is formatted by Python instead.
+        """
+        rows, cols = shape = values.shape
+        # three float64 buffers; once the rounding is known, their memory
+        # holds q, its integer part and its decimals
+        scaled = self._scratch("scaled", shape, np.float64)
+        whole = self._scratch("whole", shape, np.float64)
+        frac = self._scratch("frac", shape, np.float64)
+        fast = self._scratch("fast", shape, bool)
+        flags = self._scratch("flags", shape, bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.abs(values, out=scaled)
+            scaled *= 1e6
+        np.less(scaled, _FAST_LIMIT, out=fast)  # false for nan and inf
+        scaled[np.logical_not(fast, out=flags)] = 0.0
+        np.floor(scaled, out=whole)
+        np.subtract(scaled, whole, out=frac)
+        # The product is within half a unit in the last place of the exact
+        # |x| * 1e6, so rounding half up is exact unless frac lies within a
+        # spacing of .5: exact ties (odd multiples of 1/128, which "%.6f"
+        # rounds to even) and near-ties go to Python.
+        whole += np.greater(frac, 0.5, out=flags)
+        frac -= 0.5
+        np.abs(frac, out=frac)
+        fast &= np.greater(frac, np.spacing(scaled, out=scaled), out=flags)
+        if blank is not None:
+            fast |= blank
+        q = self._scratch("scaled", shape, np.int64)
+        np.copyto(q, whole, casting="unsafe")
+        int_part = self._scratch("frac", shape, np.int64)
+        decimals = self._scratch("whole", shape, np.int64)
+        np.floor_divide(q, 1_000_000, out=int_part)
+        np.subtract(q, np.multiply(int_part, 1_000_000, out=decimals), out=decimals)
 
-    keep = np.zeros(text.shape, dtype=bool)
-    keep[..., 0] = np.signbit(values)
-    # the digit of place 10**p sits at byte 4 * g + 1 + j, with
-    # p = 3 * (groups - 1 - g) + 2 - j; it is kept from the leading digit on
-    for g in range(groups):
-        for j in range(3):
-            p = 3 * (groups - 1 - g) + 2 - j
-            keep[..., 4 * g + 1 + j] = int_part >= 10**p if p else True
-    keep[..., 4 * groups :] = True
-    if blank is not None:
-        keep[blank, :-1] = False
-    out = text[keep].tobytes()
+        groups = -(-len(str(int_part.max(initial=0))) // 3)
+        words = self._scratch("words", (rows, cols, groups + 2), np.uint32)
+        # each word is looked up into a contiguous array first: take() copies
+        # a strided `out` to a temporary
+        word = self._scratch("word", shape, np.uint32)
+        for g in range(groups):
+            group = int_part
+            if g < groups - 1:
+                group = np.floor_divide(group, 1000 ** (groups - 1 - g), out=q)
+            if g:
+                group = np.remainder(group, 1000, out=q)
+            words[..., g] = np.take(_GROUP_WORDS, group, out=word, mode="clip")
+        np.floor_divide(decimals, 1000, out=q)
+        words[..., groups] = np.take(_POINT_WORDS, q, out=word, mode="clip")
+        q *= 1000
+        decimals -= q
+        words[..., groups + 1] = np.take(_TAIL_WORDS, decimals, out=word, mode="clip")
+        text = words.view(np.uint8).reshape(rows, cols, -1)
+        text[:, -1, -1] = ord("\n")
 
-    slow = np.flatnonzero(~fast.all(axis=1))
-    if slow.size == 0:
-        return out
-    ends = np.cumsum(keep.sum(axis=(1, 2))).tolist()
-    pieces, done = [], 0
-    for i in slow.tolist():
-        pieces.append(out[done : ends[i - 1] if i else 0])
-        cells = zip(values[i].tolist(), [False] * cols if blank is None else blank[i])
-        pieces.append(
-            (",".join("" if b else FLOAT_FORMAT % x for x, b in cells) + "\n").encode()
-        )
-        done = ends[i]
-    pieces.append(out[done:])
-    return b"".join(pieces)
+        keep = self._scratch("keep", text.shape, bool)
+        # four flags at a time: the decimals' two words are kept, the padding
+        # byte of a later group word is not
+        keep.view(np.uint32)[..., groups:] = 0x01010101
+        keep.view(np.uint32)[..., 1:groups] = 0
+        # through a contiguous array: numpy 2.4's signbit writes wrong values
+        # into a strided `out`
+        keep[..., 0] = np.signbit(values, out=flags)
+        # the digit of place 10**p sits at byte 4 * g + 1 + j, with
+        # p = 3 * (groups - 1 - g) + 2 - j; it is kept from the leading digit on
+        for g in range(groups):
+            for j in range(3):
+                p = 3 * (groups - 1 - g) + 2 - j
+                keep[..., 4 * g + 1 + j] = (
+                    np.greater_equal(int_part, 10**p, out=flags) if p else True
+                )
+        if blank is not None:
+            keep[blank, :-1] = False
+        out = text[keep]
+
+        slow = np.flatnonzero(~fast.all(axis=1))
+        if slow.size == 0:
+            handle.write(out)
+            return
+        ends = np.cumsum(keep.sum(axis=(1, 2))).tolist()
+        done = 0
+        for i in slow.tolist():
+            handle.write(out[done : ends[i - 1] if i else 0])
+            empty = [False] * cols if blank is None else blank[i]
+            cells = zip(values[i].tolist(), empty)
+            row = ",".join("" if b else FLOAT_FORMAT % x for x, b in cells) + "\n"
+            handle.write(row.encode())
+            done = ends[i]
+        handle.write(out[done:])
 
 
 def write_telemetry_csv(path: str | Path, telemetry: Telemetry) -> None:
@@ -293,7 +350,7 @@ def read_telemetry_csv(path: str | Path) -> Telemetry:
     read row by row by _read_rows, which gives the same values and names the
     line of a malformed row.
     """
-    values = _parse_fixed(Path(path).read_bytes())
+    values = _parse_fixed(path)
     if values is None:
         return _read_rows(path)
     t = values[:, 0]
@@ -305,10 +362,20 @@ def read_telemetry_csv(path: str | Path) -> Telemetry:
 
 _HEADER_BYTES = (_HEADER_LINE + "\n").encode()
 
-# Bytes per chunk of _parse_fixed, which cuts each chunk at a line end. On a
-# 20,001-row file, 256 KiB chunks read faster than 64 KiB ones (more numpy
-# calls per byte) and than 1 MiB ones (temporaries beyond the CPU caches).
+# Bytes per chunk of _parse_fixed, which completes each chunk to a line end.
+# On a 20,001-row file, 256 KiB chunks read faster than 64 KiB ones (more
+# numpy calls per byte) and than 1 MiB ones (temporaries beyond the CPU
+# caches).
 _READ_CHUNK_BYTES = 1 << 18
+
+# The shortest and the longest line in the layout of _parse_fixed: 36 cells
+# of "0.000000" or "-123456789.123456" and their separators
+_MIN_LINE_BYTES = len(TELEMETRY_HEADER) * len("0.000000,")
+_MAX_LINE_BYTES = len(TELEMETRY_HEADER) * len("-123456789.123456,")
+
+# Bytes in front of a chunk in a parser's buffer, where the eight-byte word
+# before the chunk's first cell starts (see _ChunkParser.parse)
+_PAD = 8
 
 # The bytes that end a cell, in order, on each line
 _SEPARATORS = np.array([ord(",")] * (len(TELEMETRY_HEADER) - 1) + [ord("\n")], np.uint8)
@@ -341,7 +408,7 @@ def _eight_digits(words: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return v
 
 
-def _parse_fixed(data: bytes) -> np.ndarray | None:
+def _parse_fixed(path: str | Path) -> np.ndarray | None:
     """The rows of a telemetry CSV in write_fixed_csv's layout, else None.
 
     The layout is the header line, then lines of 36 cells "-?D+.DDDDDD"
@@ -350,86 +417,103 @@ def _parse_fixed(data: bytes) -> np.ndarray | None:
     negated after a "-". q and 1e6 are exact doubles, so the division gives
     the correctly rounded value, which is float(cell) bit for bit.
 
-    The rows are parsed in chunks of about _READ_CHUNK_BYTES, cut at line
-    ends, by this thread and one helper thread (numpy releases the GIL).
+    The file is read in chunks of _READ_CHUNK_BYTES completed to a line end,
+    each into the buffer of the thread that parses it: this thread and one
+    helper thread (numpy releases the GIL). The rows go straight into one
+    array sized for the most lines the file can hold, of which the filled
+    rows are returned; pages never written are never resident.
     """
-    if not data.startswith(_HEADER_BYTES) or not data.endswith(b"\n"):
-        return None
-    chunks, rows, start = [], 0, len(_HEADER_BYTES)
-    while start < len(data):
-        stop = data.find(b"\n", min(start + _READ_CHUNK_BYTES, len(data)) - 1) + 1
-        chunks.append((start, stop, rows))
-        rows += data.count(b"\n", start, stop)
-        start = stop
-    values = np.empty((rows, len(TELEMETRY_HEADER)))
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # the eight bytes from each offset, as one little-endian integer
-    words = np.ndarray((len(buf) - 7,), "<u8", data, 0, (1,))
+    with open(path, "rb") as handle:
+        if handle.read(len(_HEADER_BYTES)) != _HEADER_BYTES:
+            return None
+        size = os.fstat(handle.fileno()).st_size - len(_HEADER_BYTES)
+        values = np.empty((size // _MIN_LINE_BYTES, len(TELEMETRY_HEADER)))
+        rows = 0  # rows of the chunks read so far
+        lock = threading.Lock()
+        rejected: list[object] = []
+        errors: list[BaseException] = []
 
-    pending = iter(chunks)
-    lock = threading.Lock()
-    rejected: list[object] = []
-    errors: list[BaseException] = []
+        def work() -> None:
+            nonlocal rows
+            parser = _ChunkParser(values)
+            while not rejected:
+                with lock:
+                    chunk = parser.read(handle)
+                    if chunk is None:
+                        return
+                    row = rows
+                    rows += parser.lines(*chunk)
+                if not parser.parse(*chunk, row):
+                    rejected.append(chunk)
 
-    def work() -> None:
-        parser = _ChunkParser(buf, words, values)
-        while not rejected:
-            with lock:
-                chunk = next(pending, None)
-            if chunk is None:
-                return
-            if not parser.parse(*chunk):
-                rejected.append(chunk)
+        def helper() -> None:
+            try:
+                work()
+            except BaseException as exc:  # raised again by the calling thread
+                errors.append(exc)
 
-    def helper() -> None:
+        thread = threading.Thread(target=helper) if size > _READ_CHUNK_BYTES else None
+        if thread is not None:
+            thread.start()
         try:
             work()
-        except BaseException as exc:  # raised again by the calling thread
-            errors.append(exc)
-
-    thread = threading.Thread(target=helper) if len(chunks) > 1 else None
-    if thread is not None:
-        thread.start()
-    try:
-        work()
-    finally:
-        if thread is not None:
-            thread.join()
+        finally:
+            if thread is not None:
+                thread.join()
     if errors:
         raise errors[0]
-    return None if rejected else values
+    return None if rejected else values[:rows]
 
 
-class _ChunkParser:
-    """Parses chunks of a file in the layout of _parse_fixed into `values`.
+class _ChunkParser(_Scratch):
+    """Reads chunks of a file in the layout of _parse_fixed into its own
+    buffer and parses them into `values`; each thread has its own."""
 
-    Each thread has its own. The chunk-sized arrays are kept from chunk to
-    chunk: allocated afresh, each one got new pages from malloc, whose page
-    faults made the first read in a process about half again as slow.
-    """
+    def __init__(self, values: np.ndarray):
+        super().__init__()
+        self.values = values
+        self.buf = np.empty(_PAD + _READ_CHUNK_BYTES + _MAX_LINE_BYTES, np.uint8)
+        # the eight bytes from each offset, as one little-endian integer
+        self.words = np.ndarray((len(self.buf) - 7,), "<u8", self.buf, 0, (1,))
 
-    def __init__(self, buf: np.ndarray, words: np.ndarray, values: np.ndarray):
-        self.buf, self.words, self.values = buf, words, values
-        self._arrays: dict[str, np.ndarray] = {}
+    def read(self, handle) -> tuple[int, int] | None:
+        """Read the next chunk into buf; its (start, stop) there, or None at
+        the end of the file.
 
-    def _scratch(self, name: str, size: int, dtype) -> np.ndarray:
-        array = self._arrays.get(name)
-        if array is None or len(array) < size:
-            # room for the next chunk, which may end a little further on
-            array = self._arrays[name] = np.empty(size * 9 // 8, dtype)
-        return array[:size]
+        The chunk is _READ_CHUNK_BYTES bytes, completed to the end of the
+        line it stops in. A line that does not end within _MAX_LINE_BYTES
+        leaves the chunk without a final "\n", which parse rejects.
+        """
+        stop = _PAD + handle.readinto(self.buf[_PAD : _PAD + _READ_CHUNK_BYTES])
+        if stop == _PAD:
+            return None
+        if self.buf[stop - 1] != ord("\n"):
+            tail = handle.readline(_MAX_LINE_BYTES)
+            self.buf[stop : stop + len(tail)] = np.frombuffer(tail, np.uint8)
+            stop += len(tail)
+        return _PAD, stop
+
+    def lines(self, start: int, stop: int) -> int:
+        """The number of "\n" in buf[start:stop]."""
+        text = self.buf[start:stop]
+        return np.count_nonzero(
+            np.equal(text, ord("\n"), out=self._scratch("flags", len(text), bool))
+        )
 
     def parse(self, start: int, stop: int, row: int) -> bool:
         """Parse the lines in buf[start:stop] into values[row:]; False if any
-        byte breaks the layout."""
+        byte breaks the layout or the lines do not fit."""
         text = self.buf[start:stop]
         # "," and "\n" (and any other byte below "-")
         flags = np.less(text, ord("-"), out=self._scratch("flags", len(text), bool))
         ends = np.flatnonzero(flags)
         cells = len(ends)
-        if cells % len(_SEPARATORS) or not (
-            text[ends].reshape(-1, len(_SEPARATORS)) == _SEPARATORS
-        ).all():
+        if (
+            text[-1] != ord("\n")
+            or cells % len(_SEPARATORS)
+            or row + cells // len(_SEPARATORS) > len(self.values)
+            or not (text[ends].reshape(-1, len(_SEPARATORS)) == _SEPARATORS).all()
+        ):
             return False
         # each cell's first byte, then its number of integer digits
         digits = self._scratch("digits", cells, ends.dtype)
@@ -464,8 +548,8 @@ class _ChunkParser:
         low |= spare
         low |= np.uint64(ord("0"))
         # the integer digits before I end the eight bytes before "I."; the
-        # bytes in front of them (sign, earlier cells, the header line)
-        # become "0"
+        # bytes in front of them (sign, earlier cells, the _PAD bytes before
+        # the chunk) become "0"
         ends -= 8
         high = self.words[ends]
         keep = _HIGH_BYTES.take(digits, out=spare, mode="clip")

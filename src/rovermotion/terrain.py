@@ -225,14 +225,13 @@ class Scenario:
 
 
 def _phase_block(
-    n: int, twist, drive_current, steer_current, speeds, angles
-) -> np.ndarray:
-    """Telemetry rows of one phase's n samples; time, pose and marker stay 0.
+    block: np.ndarray, twist, drive_current, steer_current, speeds, angles
+) -> None:
+    """Fill a phase's rows of telemetry but the time, pose and marker columns.
 
-    Each argument broadcasts over the samples: a motion phase passes
-    constants, a reposition phase one row per sample where its state varies.
+    Each argument broadcasts over the rows: a motion phase passes constants,
+    a reposition phase one row per sample where its state varies.
     """
-    block = np.zeros((n, len(TELEMETRY_HEADER)))
     for name, value in (
         ("odo_twist", twist),
         ("commanded_twist", twist),
@@ -244,7 +243,6 @@ def _phase_block(
         ("steering_angles", angles),
     ):
         block[:, FIELD_COLUMNS[name]] = value
-    return block
 
 
 def simulate_traverse(scenario: Scenario) -> Telemetry:
@@ -256,6 +254,9 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     odometry reflects the commanded (pre-slip) wheel speeds while the
     ground-truth pose integrates the slip-reduced twist, so the odometry /
     ground-truth efficiency gap appears by construction.
+
+    The phases are planned first and then written into one telemetry array,
+    so the working memory is that array and a few of its columns.
     """
     config = validate_config(scenario.config)
     terrain = validate_terrain(scenario.terrain)
@@ -264,12 +265,12 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
         raise ConfigError("non-positive integration step")
     if not scenario.profile:
         return Telemetry.empty()
-    rng = np.random.default_rng(terrain.rng_seed)
     step = scenario.step
     tags = [w.value.lower() for w in WHEEL_ORDER]
 
-    blocks: list[np.ndarray] = []  # telemetry rows of each phase
-    twists: list[np.ndarray] = []  # achieved (vx, vy, wz) per step of each phase
+    # (samples, achieved twist or None while the body holds still,
+    #  _phase_block's arguments) of each phase
+    phases: list[tuple[int, BodyTwist | None, tuple]] = []
     current_angles = np.zeros(4)
     for segment in scenario.profile:
         if segment.duration <= 0:
@@ -289,48 +290,46 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
                 power.steering_move_power,
                 power.steering_hold_power,
             )
-            blocks.append(
-                _phase_block(
-                    n, 0.0, power.idle_power_per_drive / BUS_VOLTAGE,
-                    steer_power / BUS_VOLTAGE, 0.0, angles,
-                )
-            )
-            twists.append(np.zeros((n, 3)))
+            block = (0.0, power.idle_power_per_drive / BUS_VOLTAGE,
+                     steer_power / BUS_VOLTAGE, 0.0, angles)
+            phases.append((n, None, block))
             current_angles = targets
         n = max(1, round(segment.duration / step))
         _, breakdown = drive_power(commands, terrain, config, power)
-        blocks.append(
-            _phase_block(
-                n,
-                (segment.twist.vx, segment.twist.vy, segment.twist.wz),
-                [breakdown[f"drive_{tag}"] / BUS_VOLTAGE for tag in tags],
-                [breakdown[f"steer_{tag}"] / BUS_VOLTAGE for tag in tags],
-                [cmd.drive_speed for cmd in commands],
-                targets,
-            )
+        block = (
+            (segment.twist.vx, segment.twist.vy, segment.twist.wz),
+            [breakdown[f"drive_{tag}"] / BUS_VOLTAGE for tag in tags],
+            [breakdown[f"steer_{tag}"] / BUS_VOLTAGE for tag in tags],
+            [cmd.drive_speed for cmd in commands],
+            targets,
         )
-        slip = apply_slip(segment.twist, segment.mode, terrain)
-        achieved = np.tile((slip.vx, slip.vy, slip.wz), (n, 1))
-        if terrain.noise_std > 0.0:
-            # row-major, so the draws land in apply_slip's per-step order
-            achieved *= 1.0 + rng.normal(0.0, terrain.noise_std, size=(n, 3))
-        twists.append(achieved)
+        phases.append((n, apply_slip(segment.twist, segment.mode, terrain), block))
 
-    vx, vy, wz = np.concatenate(twists).T
-    xs, ys, ths = integrate_track(vx, vy, wz, step)
+    steps = sum(n for n, _, _ in phases)
+    values = np.empty((steps + 1, len(TELEMETRY_HEADER)))
+    achieved = np.zeros((steps, 3))  # (vx, vy, wz) of each step
+    # the generator, and numpy.random with it, only when there is noise to draw
+    rng = np.random.default_rng(terrain.rng_seed) if terrain.noise_std > 0.0 else None
+    start = 0
+    for n, slip, block in phases:
+        stop = start + n
+        _phase_block(values[start:stop], *block)
+        if slip is not None:
+            achieved[start:stop] = (slip.vx, slip.vy, slip.wz)
+            if rng is not None:
+                # row-major, so the draws land in apply_slip's per-step order
+                achieved[start:stop] *= 1.0 + rng.normal(
+                    0.0, terrain.noise_std, size=(n, 3)
+                )
+        start = stop
     # the final sample carries the end state of the last phase, which is a
     # motion phase and so constant
-    values = np.concatenate(blocks + [blocks[-1][-1:]])
-    # the leading columns: t, x, y, heading, marker_x, marker_y
-    values[:, :6] = np.column_stack(
-        (
-            np.arange(len(values)) * step,
-            xs,
-            ys,
-            ths,
-            *marker_positions(xs, ys, ths, scenario.marker_offset),
-        )
-    )
+    values[-1, 6:] = values[-2, 6:]
+
+    xs, ys, ths = integrate_track(*achieved.T, step)
+    np.multiply(np.arange(len(values)), step, out=values[:, 0])
+    values[:, 1], values[:, 2], values[:, 3] = xs, ys, ths
+    values[:, 4], values[:, 5] = marker_positions(xs, ys, ths, scenario.marker_offset)
     return Telemetry(values)
 
 

@@ -19,6 +19,7 @@ from rovermotion.cli import (
     preset_path,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURE_DIR = (
     Path(__file__).resolve().parents[1] / "src" / "rovermotion" / "data" / "deflection"
 )
@@ -207,6 +208,8 @@ class TestDeflect:
         [
             ("camera.txt", lambda text: text.replace("fx = 800.0", "fx = eight"),
              "camera.txt: fx = 'eight' is not a finite number"),
+            ("camera.txt", lambda text: text.replace("width = 1280", "width = 1280.9"),
+             "camera.txt: width = 1280.9 is not an integer"),
             ("model.txt", lambda text: text.replace("hub_radius = 0.05\n", ""),
              "model.txt: missing keys: hub_radius"),
             ("annotations.csv", lambda text: text.replace(":", ";", 1),
@@ -214,8 +217,8 @@ class TestDeflect:
             ("annotations.csv", lambda text: text.replace("\n1,", "\nx0,", 1),
              "annotations.csv:3: invalid literal for int()"),
         ],
-        ids=["camera_value_not_a_number", "model_key_missing", "loop_point_without_colon",
-             "frame_not_an_integer"],
+        ids=["camera_value_not_a_number", "camera_size_not_an_integer",
+             "model_key_missing", "loop_point_without_colon", "frame_not_an_integer"],
     )
     def test_bad_input_names_the_file(self, tmp_path, capsys, name, edit, where):
         paths = {}
@@ -312,19 +315,25 @@ print("ok")
 """
 
 
-def test_scipy_loads_only_for_deflect_and_calibrate(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter that imports this checkout's package;
+    its stdout, once it exits 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_GUARD, str(tmp_path), str(FIXTURE_DIR),
-         str(src / "rovermotion" / "data" / "cot_measurements.csv")],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "ok"
+    return result.stdout
+
+
+def test_scipy_loads_only_for_deflect_and_calibrate(tmp_path):
+    stdout = run_python(SCIPY_GUARD, str(tmp_path), str(FIXTURE_DIR),
+                        str(SRC / "rovermotion" / "data" / "cot_measurements.csv"))
+    assert stdout.splitlines()[-1] == "ok"
 
 
 SIMULATOR_GUARD = """
@@ -358,18 +367,50 @@ print("ok")
 def test_analyze_does_not_load_the_simulator(tmp_path):
     assert run(["simulate", "--scenario", str(preset_path("nominal_0_6cm")),
                 "--out", str(tmp_path / "sim")]) == 0
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", SIMULATOR_GUARD, str(tmp_path / "sim" / "telemetry.csv"),
-         str(preset_path("nominal_0_6cm")), str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "ok"
+    stdout = run_python(SIMULATOR_GUARD, str(tmp_path / "sim" / "telemetry.csv"),
+                        str(preset_path("nominal_0_6cm")), str(tmp_path))
+    assert stdout.splitlines()[-1] == "ok"
+
+
+LOADED_GUARD = """
+import sys
+
+from rovermotion.cli import main
+
+assert main(sys.argv[1:]) == 0
+print(" ".join(name for name in ("numpy.random", "numpy.ma") if name in sys.modules))
+"""
+
+
+def modules_loaded_by(args):
+    """The optional numpy packages (numpy.random, numpy.ma) a CLI command loads."""
+    return run_python(LOADED_GUARD, *args).split()
+
+
+def test_noiseless_simulate_does_not_load_numpy_random(tmp_path):
+    loaded = modules_loaded_by(["simulate", "--scenario",
+                                str(preset_path("rotation_skid")),
+                                "--out", str(tmp_path / "sim")])
+    assert "numpy.random" not in loaded
+
+
+def test_noisy_simulate_loads_numpy_random(tmp_path):
+    scenario = tmp_path / "noisy.scn"
+    write_scenario(scenario)
+    scenario.write_text(scenario.read_text().replace(
+        "[profile]", "terrain.noise_std = 0.02\nterrain.rng_seed = 3\n[profile]"))
+    loaded = modules_loaded_by(["simulate", "--scenario", str(scenario),
+                                "--out", str(tmp_path / "sim")])
+    assert "numpy.random" in loaded
+
+
+def test_analyze_efficiency_does_not_load_numpy_ma(tmp_path):
+    assert run(["simulate", "--scenario", str(preset_path("rotation_skid")),
+                "--out", str(tmp_path / "sim")]) == 0
+    loaded = modules_loaded_by(["analyze", "efficiency", "--telemetry",
+                                str(tmp_path / "sim" / "telemetry.csv"),
+                                "--out", str(tmp_path / "eff")])
+    assert "numpy.ma" not in loaded
 
 
 def test_missing_subcommand_is_usage_error(capsys):

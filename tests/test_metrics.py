@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,20 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rovermotion.cli import PRESET_NAMES, ROTATION_PRESETS, preset_path
 from rovermotion.config import BodyTwist, LocomotionMode, RoverConfig
 from rovermotion.kinematics import ProfileSegment
 from rovermotion.metrics import (
     RATIO_CLAMP,
     MetricsError,
+    _median,
     angular_speed_efficiency,
     clamp_ratio,
     cost_of_transport,
+    encoder_speed,
     energy_vs_yaw,
     longitudinal_slip,
     mean_cot,
 )
 from rovermotion.telemetry import Telemetry, TelemetryRecord
-from rovermotion.terrain import Scenario, TerrainParams, simulate_traverse
+from rovermotion.terrain import (
+    Scenario,
+    TerrainParams,
+    load_scenario,
+    simulate_traverse,
+)
 
 CFG = RoverConfig()
 
@@ -200,3 +209,100 @@ def test_clamp_ratio_property(value):
     assert -RATIO_CLAMP <= clamped <= RATIO_CLAMP
     if abs(value) <= RATIO_CLAMP:
         assert clamped == value
+
+
+def bits(values):
+    """The bit patterns of float64 values, so that -0.0 and NaNs compare exactly."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestMedian:
+    """_median is np.median bit for bit; np.median is the oracle here only."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 100, 101])
+    def test_random_lengths(self, n):
+        rng = np.random.default_rng(n)
+        for values in (
+            rng.normal(size=n),
+            np.round(rng.normal(size=n), 1),  # ties, and -0.0 among them
+            rng.integers(-2, 3, n) * 0.0,  # only signed zeros
+            np.full(n, 1e308) * rng.choice([-1.0, 1.0], n),  # sums that overflow
+        ):
+            with np.errstate(over="ignore"):
+                assert bits(_median(values)) == bits(np.median(values))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7])
+    def test_nan_propagates(self, n):
+        values = np.arange(n, dtype=float)
+        for where in range(n):
+            with_nan = values.copy()
+            with_nan[where] = math.nan
+            assert math.isnan(_median(with_nan))
+            assert bits(_median(with_nan)) == bits(np.median(with_nan))
+
+    def test_even_length_is_the_mean_of_the_middle_pair(self):
+        assert _median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
+        assert _median(np.array([0.1, 0.2])) == (0.1 + 0.2) / 2
+
+
+def hypot_loop(telemetry):
+    """encoder_speed as one math.hypot per sample: the reference."""
+    return np.array(
+        [
+            math.hypot(vx, vy)
+            for vx, vy in zip(
+                telemetry.column("odo_vx").tolist(), telemetry.column("odo_vy").tolist()
+            )
+        ]
+    )
+
+
+def assert_matches_hypot_loop(telemetry):
+    assert np.array_equal(bits(encoder_speed(telemetry)), bits(hypot_loop(telemetry)))
+
+
+NOISY_MISSION = """\
+name = noisy_mission
+terrain.slope_deg = 8
+terrain.noise_std = 0.03
+terrain.rng_seed = 5
+[profile]
+duration_s,vx,vy,wz,mode
+4,0.05,0,0.02,skid_steer
+3,0.04,-0.03,0,crab
+5,0.06,0,0.03,ackermann
+4,0,0,0.07,point_turn
+3,-0.02,0.05,0,crab
+"""
+
+
+class TestEncoderSpeed:
+    """encoder_speed gives the per-sample math.hypot loop bit for bit."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES + ROTATION_PRESETS)
+    def test_presets(self, preset):
+        telemetry = simulate_traverse(load_scenario(preset_path(preset)))
+        assert_matches_hypot_loop(telemetry)
+
+    def test_noisy_mission(self, tmp_path):
+        path = tmp_path / "mission.scn"
+        path.write_text(NOISY_MISSION)
+        telemetry = simulate_traverse(load_scenario(path))
+        vx, vy = telemetry.column("odo_vx"), telemetry.column("odo_vy")
+        assert np.count_nonzero((vx != 0) & (vy != 0)) > 100
+        assert_matches_hypot_loop(telemetry)
+
+    def test_random_and_special_values(self):
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                    0.3, -1.5, 1e300, -1.7976931348623157e308, math.inf, -math.inf,
+                    math.nan]
+        pairs = np.array(list(itertools.product(specials, repeat=2)))
+        rng = np.random.default_rng(11)
+        wide = rng.normal(size=(3000, 2)) * 10.0 ** rng.integers(-320, 300, (3000, 2))
+        wide[::3, 0] = 0.0
+        wide[1::3, 1] = -0.0
+        pairs = np.concatenate((pairs, wide, rng.normal(size=(3000, 2))))
+        values = np.zeros((len(pairs), 36))
+        values[:, 6:8] = pairs
+        telemetry = Telemetry(values)
+        assert_matches_hypot_loop(telemetry)

@@ -2,6 +2,7 @@ import io
 import math
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -321,13 +322,15 @@ class TestFixedPointReader:
         path = tmp_path / "t.csv"
         write_rows(path, rng.normal(0.0, 100.0, (300, 36)))
         expected = bits(_read_rows(path).values)
-        lines = path.read_bytes().splitlines(keepends=True)
-        line_starts = np.cumsum([len(line) for line in lines])[:-1].tolist()
-        parsed = []
+        parsed = {}  # id of each read's array -> (the array, the rows parsed into it)
+        lock = threading.Lock()
         parse = telemetry_module._ChunkParser.parse
 
         def recorded(parser, start, stop, row):
-            parsed.append(start)
+            lines = np.count_nonzero(parser.buf[start:stop] == ord("\n"))
+            with lock:
+                rows = parsed.setdefault(id(parser.values), (parser.values, []))[1]
+                rows.extend(range(row, row + lines))
             return parse(parser, start, stop, row)
 
         monkeypatch.setattr(telemetry_module._ChunkParser, "parse", recorded)
@@ -351,7 +354,8 @@ class TestFixedPointReader:
         assert not any(reader.is_alive() for reader in readers)
         assert len(results) == 4
         assert all(np.array_equal(r, expected) for r in results)
-        assert sorted(parsed) == sorted(line_starts * 4)
+        assert len(parsed) == 4
+        assert all(sorted(rows) == list(range(300)) for _, rows in parsed.values())
 
     def test_error_in_helper_thread_is_raised(self, tmp_path, monkeypatch):
         path = tmp_path / "t.csv"
@@ -418,17 +422,131 @@ class TestFixedPointReader:
         path.write_text(text)
         if change == "late timestamp":
             # the layout holds, so the fast path reports it
-            assert _parse_fixed(path.read_bytes()) is not None
+            assert _parse_fixed(path) is not None
             assert read_result(read_telemetry_csv, path) == read_result(_read_rows, path)
         else:
             self.check_falls_back(path)
 
     @staticmethod
     def check_falls_back(path):
-        assert _parse_fixed(path.read_bytes()) is None
+        assert _parse_fixed(path) is None
         assert same_result(
             read_result(read_telemetry_csv, path), read_result(_read_rows, path)
         )
+
+
+class TestStreamedReader:
+    """Chunks are read from the open file, each completed to a line end."""
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 323, 324, 325, 1000, 4096, 1 << 18])
+    @pytest.mark.parametrize(
+        "change",
+        ["none", "no final newline", "trailing cell", "crlf", "header only",
+         "overlong line"],
+    )
+    def test_gives_the_row_readers_result(self, tmp_path, monkeypatch, chunk_bytes,
+                                          change):
+        # chunks shorter than a line, cutting lines anywhere, and longer
+        rng = np.random.default_rng(chunk_bytes)
+        path = tmp_path / "t.csv"
+        write_rows(path, rng.normal(0.0, 100.0, (40, 36)))
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)
+        if change == "no final newline":
+            text = text[:-1]
+        elif change == "trailing cell":
+            text += "1.000000"
+        elif change == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif change == "header only":
+            text = lines[0]
+        elif change == "overlong line":
+            cells = lines[20].split(",")
+            cells[3] = "1" * 700 + ".000000"
+            text = "".join(lines[:20] + [",".join(cells)] + lines[21:])
+        path.write_text(text)
+        monkeypatch.setattr(telemetry_module, "_READ_CHUNK_BYTES", chunk_bytes)
+        fast = _parse_fixed(path)
+        assert (fast is not None) == (change in ("none", "header only"))
+        assert same_result(
+            read_result(read_telemetry_csv, path), read_result(_read_rows, path)
+        )
+
+    def test_lines_past_the_size_bound_fall_back(self, tmp_path, monkeypatch):
+        # Short lines, rejected by their own chunk, push the rows of a later
+        # chunk past the rows the file size allows; that chunk is parsed
+        # first here, and must be rejected, not written out of bounds
+        path = tmp_path / "t.csv"
+        write_rows(path, np.ones((3, 36)))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "1.000000\n" * 300 + "".join(lines[1:]))
+        parse = telemetry_module._ChunkParser.parse
+        later_parsed = threading.Event()
+
+        def later_chunk_first(parser, start, stop, row):
+            if row == 0:
+                later_parsed.wait(timeout=60)
+                return parse(parser, start, stop, row)
+            try:
+                return parse(parser, start, stop, row)
+            finally:
+                later_parsed.set()
+
+        monkeypatch.setattr(telemetry_module._ChunkParser, "parse", later_chunk_first)
+        monkeypatch.setattr(telemetry_module, "_READ_CHUNK_BYTES", 9 * 300)
+        assert path.stat().st_size // 324 < 300
+        assert same_result(
+            read_result(read_telemetry_csv, path), read_result(_read_rows, path)
+        )
+        assert later_parsed.is_set()
+
+
+def held(values):
+    """Bytes of the allocation that holds `values` (a view holds its base)."""
+    return values.nbytes if values.base is None else values.base.nbytes
+
+
+def traced_peak(call, *args):
+    """call(*args)'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """numpy reports its allocations to tracemalloc, so these peaks are exact."""
+
+    @staticmethod
+    def files(tmp_path):
+        rng = np.random.default_rng(3)
+        for rows in (3000, 20000):
+            path = tmp_path / f"t{rows}.csv"
+            yield path, write_rows(path, rng.normal(0.0, 50.0, (rows, 36)))
+
+    def test_reader_scratch_does_not_grow_with_the_file(self, tmp_path, fast_only):
+        # Two threads each hold a chunk buffer and its temporaries, ~1.7 MB;
+        # how much of that is live at once depends on how they interleave,
+        # so the bound is fixed rather than one file's peak
+        bound = 16 * telemetry_module._READ_CHUNK_BYTES
+        for path, _ in self.files(tmp_path):
+            read_telemetry_csv(path)
+            telemetry, peak = traced_peak(read_telemetry_csv, path)
+            # sized for the most lines the file could hold; the rows past
+            # the last line are never written, so never resident
+            assert held(telemetry.values) <= path.stat().st_size // 324 * 36 * 8
+            assert peak - held(telemetry.values) < bound
+        assert bound < path.stat().st_size  # the 20k-row file
+
+    def test_writer_scratch_does_not_grow_with_the_rows(self, tmp_path):
+        peaks = []
+        for path, values in self.files(tmp_path):
+            _, peak = traced_peak(write_fixed_csv, path, TELEMETRY_HEADER, values)
+            peaks.append(peak)
+        small, large = peaks
+        assert large < small + 64 * 1024
 
 
 class TestTelemetrySeries:

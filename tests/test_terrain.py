@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rovermotion.cli import preset_path
 from rovermotion.config import BodyTwist, ConfigError, LocomotionMode, RoverConfig
 from rovermotion.kinematics import ProfileSegment, inverse_kinematics
 from rovermotion.terrain import (
@@ -219,6 +221,20 @@ class TestSimulateTraverse:
         a = simulate_traverse(scenario)
         b = simulate_traverse(scenario)
         assert [r.pose for r in a] == [r.pose for r in b]
+
+    @pytest.mark.parametrize("preset", ["rotation_skid", "rotation_point_turn"])
+    def test_working_memory_is_the_result_and_a_few_columns(self, preset):
+        # numpy reports its allocations to tracemalloc, so the peak is exact
+        scenario = load_scenario(preset_path(preset))
+        simulate_traverse(scenario)  # lazy imports and caches first
+        tracemalloc.start()
+        try:
+            telemetry = simulate_traverse(scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(telemetry) > 10_000
+        assert peak < 1.6 * telemetry.values.nbytes
 
     def test_different_seed_diverges(self):
         base = dict(
