@@ -198,6 +198,8 @@ def cmd_analyze(args) -> int:
 
     if args.metric == "slip":
         times = telemetry.column("t")
+        if len(times) < 2:  # the ground-truth speed is a finite difference
+            raise MetricsError("insufficient samples")
         xy = np.column_stack((telemetry.column("x"), telemetry.column("y")))
         gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
         slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
@@ -258,18 +260,25 @@ def cmd_calibrate(args) -> int:
         raise ConfigError(f"no such file: {path}")
     rows = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         expected = ["mode", "slope_deg", "velocity", "cot"]
-        if reader.fieldnames != expected:
+        if next(reader, None) != expected:
             raise ConfigError(f"{path}: expected header {','.join(expected)}")
         for row in reader:
-            if args.flat_only and (
-                float(row["slope_deg"]) != 0.0 or row["mode"].lower() != "nominal"
-            ):
+            if not row:
                 continue
-            rows.append(
-                (float(row["slope_deg"]), float(row["velocity"]), float(row["cot"]))
-            )
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(expected):
+                raise ConfigError(
+                    f"{where}: expected {len(expected)} columns, got {len(row)}"
+                )
+            try:
+                slope, velocity, cot = (float(cell) for cell in row[1:])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if args.flat_only and (slope != 0.0 or row[0].lower() != "nominal"):
+                continue
+            rows.append((slope, velocity, cot))
     config = _config_from_args(args)
     params, residuals = terrain.calibrate_power(rows, config)
     out = Path(args.out)

@@ -101,10 +101,12 @@ class ChordAnnotation:
 
 @dataclass(frozen=True)
 class DeflectionEstimate:
+    """One frame's deflected volume and its fraction of the undeformed
+    cylinder; deflected_volume_fraction gives fractions in [0, 0.5]."""
+
     frame: int
     volume: float  # m^3
     fraction: float  # of the undeformed cylinder volume
-    implausible: bool = False  # chord cut more than half the wheel
 
 
 def _circle_points_3d(radius: float, z_offset: float, phi: np.ndarray) -> np.ndarray:
@@ -154,6 +156,13 @@ def project_wheel(
 # takes a parameter error e to about e**3 / 3.
 _CLOSEST_POINT_STEPS = 3
 
+# A circle plane whose distance from the camera centre is at most this share
+# of the circle centre's distance is seen edge-on. Points on the image of a
+# circle seen at a share of 1e-11 still measure below 1e-12 px from it; at
+# 1e-13 rounding in the plane's offset moves them by ~0.01 px, at 1e-14 by
+# pixels.
+_EDGE_ON_REL_TOL = 1e-9
+
 
 def _signed_curve_distances(
     observed: np.ndarray,
@@ -169,16 +178,19 @@ def _signed_curve_distances(
     circle's plane at `hit` (relative to the circle centre), whose angle is
     the closest curve parameter if the point is on the curve. From there, a
     fixed number of Newton steps on the squared pixel distance finds it. The
-    sign is positive where the ray passes outside the circle. A ray parallel
-    to the plane, or a curve point at or behind the camera, raises
-    GeometryError.
+    sign is positive where the ray passes outside the circle. A plane that
+    holds the camera centre to within _EDGE_ON_REL_TOL, a ray parallel to
+    the plane, or a curve point at or behind the camera raises GeometryError.
     """
     e1, e2, normal = pose.rotation.T
     centre = np.multiply.outer(z_offset, normal) + pose.translation
+    offset = centre @ normal
+    if np.any(np.abs(offset) <= _EDGE_ON_REL_TOL * np.linalg.norm(centre, axis=1)):
+        raise GeometryError("wheel plane seen edge-on: viewing rays parallel to it")
     focal = np.array([cam.fx, cam.fy])
     ray = np.column_stack([(observed - [cam.cx, cam.cy]) / focal, np.ones(len(observed))])
     with np.errstate(divide="ignore", invalid="ignore"):
-        hit = ray * ((centre @ normal) / (ray @ normal))[:, None] - centre
+        hit = ray * (offset / (ray @ normal))[:, None] - centre
     if not np.isfinite(hit).all():
         raise GeometryError("viewing ray parallel to the wheel plane")
     phi = np.arctan2(hit @ e2, hit @ e1)
@@ -288,38 +300,6 @@ def fit_wheel_pose(
     return pose, rms
 
 
-def chord_circle_intersections(
-    center: tuple[float, float],
-    radius: float,
-    p1: tuple[float, float],
-    p2: tuple[float, float],
-    tangent_rel_tol: float = 1e-12,
-) -> list[tuple[float, float]]:
-    """Intersections of the infinite line through p1, p2 with a circle.
-
-    Tangency within the relative tolerance is reported as a single point.
-    """
-    if p1 == p2:
-        raise GeometryError("degenerate chord: identical endpoints")
-    cx, cy = center
-    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
-    length = math.hypot(dx, dy)
-    ux, uy = dx / length, dy / length
-    rx, ry = p1[0] - cx, p1[1] - cy
-    t0 = -(rx * ux + ry * uy)  # foot of perpendicular along the line
-    fx, fy = rx + t0 * ux, ry + t0 * uy
-    h = math.hypot(fx, fy)
-    if abs(h - radius) <= tangent_rel_tol * radius:
-        return [(cx + fx, cy + fy)]
-    if h > radius:
-        return []
-    half = math.sqrt(radius * radius - h * h)
-    return [
-        (cx + fx - half * ux, cy + fy - half * uy),
-        (cx + fx + half * ux, cy + fy + half * uy),
-    ]
-
-
 def _chord_plane_line(
     chord: ChordAnnotation,
     pose: WheelPose,
@@ -348,11 +328,9 @@ def _chord_plane_line(
     return a, b, c
 
 
-def _prism_volume(x: np.ndarray, y: np.ndarray, width: float) -> float:
-    """Volume of a prism over the polygon with vertices (x, y) in order: the
-    shoelace area times the width."""
-    twice_area = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
-    return abs(float(twice_area)) / 2.0 * width
+# A chord whose distance from the centre is within this share of the radius
+# of the circle's rim touches the circle and cuts nothing.
+_TANGENT_REL_TOL = 1e-12
 
 
 def deflected_volume_fraction(
@@ -361,46 +339,26 @@ def deflected_volume_fraction(
     cam: CameraIntrinsics,
     chord: ChordAnnotation,
     frame: int = 0,
-    arc_resolution_deg: float = 1.0,
 ) -> DeflectionEstimate:
     """Deflected volume fraction from an annotated chord line.
 
-    The chord is back-projected onto the inboard perimeter plane; its two
-    circle intersections are mirrored onto the outboard perimeter (equal
-    deflection on both sides). The deflected shape is then a prism as wide
-    as the wheel over the circular segment cut off by the chord: the arc
-    between the intersections, sampled at the given angular resolution and
-    closed by the chord. A chord that misses the circle yields fraction 0;
-    a fraction above one half is flagged implausible.
+    The chord is back-projected onto the inboard perimeter plane and taken
+    to cut the outboard perimeter in the same place (equal deflection on
+    both sides). The deflected shape is then a prism as wide as the wheel
+    over the circular segment the chord cuts off on the far side from the
+    centre, so the fraction is segment_fraction of the chord's distance
+    from the centre, at most one half. A chord that misses or touches the
+    circle yields fraction 0.
     """
-    inboard_z = -model.width / 2.0
-    line = _chord_plane_line(chord, pose, cam, inboard_z)
+    line = _chord_plane_line(chord, pose, cam, -model.width / 2.0)
     if line is None:
         return DeflectionEstimate(frame, 0.0, 0.0)
     a, b, c = line
-    norm = math.hypot(a, b)
-    p0 = (-c * a / (norm * norm), -c * b / (norm * norm))
-    p1 = (p0[0] - b, p0[1] + a)
-    hits = chord_circle_intersections((0.0, 0.0), model.radius, p0, p1)
-    if len(hits) < 2:
+    depth_ratio = abs(c) / math.hypot(a, b) / model.radius
+    if depth_ratio >= 1.0 - _TANGENT_REL_TOL:
         return DeflectionEstimate(frame, 0.0, 0.0)
-
-    phi1 = math.atan2(hits[0][1], hits[0][0])
-    phi2 = math.atan2(hits[1][1], hits[1][0])
-    # walk the arc on the side of the line away from the circle center
-    center_sign = math.copysign(1.0, c)
-    span = (phi2 - phi1) % (2.0 * math.pi)
-    mid = phi1 + span / 2.0
-    mx, my = model.radius * math.cos(mid), model.radius * math.sin(mid)
-    if (a * mx + b * my + c) * center_sign > 0:
-        phi1, phi2 = phi2, phi1
-        span = (phi2 - phi1) % (2.0 * math.pi)
-    n_arc = max(2, int(math.ceil(span / math.radians(arc_resolution_deg))) + 1)
-    phi = phi1 + span * np.linspace(0.0, 1.0, n_arc)
-    volume = _prism_volume(model.radius * np.cos(phi), model.radius * np.sin(phi),
-                           model.width)
-    fraction = volume / model.volume
-    return DeflectionEstimate(frame, volume, fraction, implausible=fraction > 0.5)
+    fraction = segment_fraction(depth_ratio)
+    return DeflectionEstimate(frame, fraction * model.volume, fraction)
 
 
 def smooth_deflection_series(
@@ -423,7 +381,6 @@ def smooth_deflection_series(
                 est.frame,
                 sum(volumes) / len(volumes),
                 sum(fractions) / len(fractions),
-                est.implausible,
             )
         )
     return out
@@ -584,9 +541,9 @@ def process_annotations(
     frames: list[AnnotationFrame],
     model: WheelModel3D,
     cam: CameraIntrinsics,
-    arc_resolution_deg: float = 1.0,
 ) -> list[DeflectionEstimate]:
-    """Full per-frame pipeline: pose fit then deflected volume fraction.
+    """Full per-frame pipeline: pose fit, then the closed-form deflected
+    volume fraction of the frame's chord (0 for a frame without one).
 
     Stops at the first frame whose pose fit fails, raising PoseFitError
     with that frame's number.
@@ -605,9 +562,7 @@ def process_annotations(
             estimates.append(DeflectionEstimate(item.frame, 0.0, 0.0))
         else:
             estimates.append(
-                deflected_volume_fraction(
-                    model, pose, cam, item.chord, item.frame, arc_resolution_deg
-                )
+                deflected_volume_fraction(model, pose, cam, item.chord, item.frame)
             )
     return estimates
 

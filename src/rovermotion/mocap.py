@@ -60,7 +60,7 @@ def parse_mocap_csv(path: str | Path) -> list[MocapRecord]:
             norm = math.sqrt(sum(c * c for c in quat))
             if abs(norm - 1.0) > 1e-6:
                 raise TelemetryFormatError(
-                    f"non-unit quaternion at line {lineno}"
+                    f"{path}: non-unit quaternion at line {lineno}"
                 )
             if previous_t is not None and t < previous_t:
                 raise TelemetryFormatError(

@@ -206,7 +206,7 @@ def test_criterion_6_deflection_oracle_equivalence():
         previous = est.fraction
     tangent = make_chord_annotation(model, pose, cam, 1.0)
     ok = ok and deflected_volume_fraction(model, pose, cam, tangent).fraction == 0.0
-    _report(6, "hull vs analytic segment volume", ok)
+    _report(6, "chord volume vs analytic segment volume", ok)
 
 
 def test_criterion_7_fixture_reproduction():

@@ -162,6 +162,15 @@ class TestAnalyze:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: insufficient samples\n"
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_slip_on_too_few_rows_is_data_error(self, telemetry, tmp_path, capsys,
+                                                rows):
+        short = tmp_path / "short.csv"
+        short.write_text("".join(telemetry.read_text().splitlines(True)[: 1 + rows]))
+        code = run(["analyze", "slip", "--telemetry", str(short), "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: insufficient samples\n"
+
     def test_bad_metric_is_usage_error(self, telemetry, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(["analyze", "wrong", "--telemetry", str(telemetry)])
@@ -188,6 +197,26 @@ class TestDeflect:
         peak = max(float(r["fraction"]) for r in rows)
         assert peak < 0.065
         assert (tmp_path / "deflection_smoothed.csv").exists()
+
+    def test_fixture_fractions_match_oracle_bytes(self, tmp_path):
+        code = run(
+            [
+                "deflect",
+                "--annotations", str(FIXTURE_DIR / "annotations.csv"),
+                "--model", str(FIXTURE_DIR / "model.txt"),
+                "--camera", str(FIXTURE_DIR / "camera.txt"),
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_OK
+
+        def columns(path):
+            with open(path, newline="") as handle:
+                return [(row[0], row[-1]) for row in csv.reader(handle)]
+
+        written = columns(tmp_path / "deflection.csv")
+        assert written[0] == ("frame", "fraction")
+        assert written == columns(FIXTURE_DIR / "oracle.csv")
 
     def test_corrupt_annotations_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "annotations.csv"
@@ -277,6 +306,27 @@ class TestCalibrate:
         assert "rows=3" in printed
         params = (tmp_path / "power_params.txt").read_text()
         assert "rolling_resistance_coeff = 0.201" in params
+
+    @pytest.mark.parametrize(
+        "row, flat_only, message",
+        [
+            ("nominal,0,fast,1.1", False, "could not convert string to float: 'fast'"),
+            ("nominal,0,0.06", False, "expected 4 columns, got 3"),
+            ("nominal,flat,0.06,1.1", True, "could not convert string to float: 'flat'"),
+        ],
+        ids=["non_numeric", "short_row", "flat_only_non_numeric_slope"],
+    )
+    def test_bad_row_names_the_line(self, tmp_path, capsys, row, flat_only, message):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "mode,slope_deg,velocity,cot\nnominal,0,0.03,0.646\n"
+            f"nominal,0,0.06,1.10\n{row}\nnominal,0,0.08,1.39\n"
+        )
+        args = ["calibrate", "--table", str(table), "--out", str(tmp_path / "out")]
+        code = run(args + ["--flat-only"] * flat_only)
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {table}:4: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_underdetermined_is_data_error(self, tmp_path, capsys):
         table = tmp_path / "short.csv"

@@ -617,6 +617,13 @@ class TestMocapParsing:
         with pytest.raises(TelemetryFormatError, match="non-unit quaternion at line 3"):
             parse_mocap_csv(path)
 
+    def test_non_unit_quaternion_names_the_file(self, tmp_path):
+        path = tmp_path / "mocap.csv"
+        path.write_text(",".join(MOCAP_HEADER) + "\n" + "0.0,0,0,0,0.9,0,0,0.1,m0\n")
+        with pytest.raises(TelemetryFormatError) as info:
+            parse_mocap_csv(path)
+        assert str(info.value) == f"{path}: non-unit quaternion at line 2"
+
     def test_bad_cell_line_number(self, tmp_path):
         path = tmp_path / "mocap.csv"
         path.write_text(
