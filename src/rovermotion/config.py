@@ -89,18 +89,18 @@ _LENGTH_FIELDS = (
 def validate_config(raw: RoverConfig) -> RoverConfig:
     """Return the config unchanged if every invariant holds.
 
-    Raises ConfigError naming the first violated invariant.
+    Raises ConfigError naming the first violated invariant; NaN violates all.
     """
-    if raw.mass <= 0:
+    if not raw.mass > 0:
         raise ConfigError("non-positive mass")
-    if raw.gravity <= 0:
+    if not raw.gravity > 0:
         raise ConfigError("non-positive gravity")
     for name in _LENGTH_FIELDS:
-        if getattr(raw, name) <= 0:
+        if not getattr(raw, name) > 0:
             raise ConfigError(f"non-positive {name}")
-    if raw.drive_motor_rated_power <= 0 or raw.steering_motor_rated_power <= 0:
+    if not (raw.drive_motor_rated_power > 0 and raw.steering_motor_rated_power > 0):
         raise ConfigError("non-positive motor rating")
-    if raw.steering_rate <= 0:
+    if not raw.steering_rate > 0:
         raise ConfigError("non-positive steering rate")
     if not 0.0 < raw.steering_limit <= math.pi:
         raise ConfigError("empty steering range")
@@ -141,15 +141,26 @@ def parse_key_value_lines(lines: list[str], path: str | Path) -> dict[str, str]:
     return pairs
 
 
+def parse_finite(text: str, key: str, path: str | Path) -> float:
+    """The value of `key` in file `path` as a finite float; errors name both."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{path}: non-numeric {key} {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: non-finite {key} {text!r}")
+    return value
+
+
 def load_config(path: str | Path) -> RoverConfig:
     """Load a RoverConfig from a key/value file; unknown keys are errors."""
     pairs = parse_key_value_file(path)
     known = set(RoverConfig.__dataclass_fields__)
     unknown = sorted(set(pairs) - known)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    values = {key: parse_finite(text, key, path) for key, text in pairs.items()}
     try:
-        values = {key: float(text) for key, text in pairs.items()}
-    except ValueError as exc:
-        raise ConfigError(f"non-numeric config value: {exc}") from exc
-    return validate_config(replace(RoverConfig(), **values))
+        return validate_config(replace(RoverConfig(), **values))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

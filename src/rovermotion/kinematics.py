@@ -209,6 +209,8 @@ def parse_profile(
             )
         try:
             duration, vx, vy, wz = (float(cell) for cell in row[:4])
+            if not 0.0 < duration < math.inf:
+                raise ConfigError(f"duration {row[0]!r} outside (0, inf)")
             mode = LocomotionMode.parse(row[4])
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
@@ -263,42 +265,3 @@ def marker_positions(
     cos_t, sin_t = np.cos(heading), np.sin(heading)
     return x + cos_t * mx - sin_t * my, y + sin_t * mx + cos_t * my
 
-
-def simulate_pose_track(
-    profile: list[ProfileSegment],
-    config: RoverConfig,
-    marker_offset: tuple[float, float] = (0.0, 0.0),
-    step: float = 0.01,
-) -> list[tuple[float, tuple[float, float], float]]:
-    """Integrate a slip-free piecewise-constant twist profile.
-
-    Returns (time, marker world position, body heading) samples at the
-    integration step, starting at t = 0 with the body at the origin. The
-    marker is rigidly attached at marker_offset in the body frame, so a
-    point turn traces a circle of radius |marker_offset| around a fixed
-    vehicle center.
-    """
-    if step <= 0:
-        raise ConfigError("non-positive integration step")
-    vx_steps: list[float] = []
-    vy_steps: list[float] = []
-    wz_steps: list[float] = []
-    for segment in profile:
-        if segment.duration <= 0:
-            raise ConfigError("non-positive segment duration")
-        n = max(1, round(segment.duration / step))
-        if segment.mode is LocomotionMode.CRAB and segment.twist.wz != 0.0:
-            raise KinematicsError("yaw rate unsupported in crab mode")
-        vx_steps.extend([segment.twist.vx] * n)
-        vy_steps.extend([segment.twist.vy] * n)
-        wz_steps.extend([segment.twist.wz] * n)
-    x, y, theta = integrate_track(
-        np.array(vx_steps), np.array(vy_steps), np.array(wz_steps), step
-    )
-    marker_x, marker_y = marker_positions(x, y, theta, marker_offset)
-    return [
-        (i * step, (mx, my), th)
-        for i, (mx, my, th) in enumerate(
-            zip(marker_x.tolist(), marker_y.tolist(), theta.tolist())
-        )
-    ]

@@ -14,6 +14,7 @@ from rovermotion.config import (
     LocomotionMode,
     RoverConfig,
     WheelCommand,
+    parse_finite,
     parse_key_value_lines,
     validate_config,
     wheel_positions,
@@ -55,7 +56,7 @@ def validate_terrain(terrain: TerrainParams) -> TerrainParams:
             raise ConfigError(f"{name} outside (0, 1]")
     if not 0.0 <= terrain.longitudinal_slip_ratio < 1.0:
         raise ConfigError("longitudinal_slip_ratio outside [0, 1)")
-    if terrain.noise_std < 0.0:
+    if not terrain.noise_std >= 0.0:
         raise ConfigError("negative noise_std")
     return terrain
 
@@ -87,20 +88,18 @@ def validate_power(power: PowerModelParams) -> PowerModelParams:
         "speed_quadratic_coeff",
         "lateral_friction_coeff",
     ):
-        if getattr(power, name) < 0.0:
+        if not getattr(power, name) >= 0.0:
             raise ConfigError(f"negative {name}")
     if not 0.0 < power.drivetrain_efficiency <= 1.0:
         raise ConfigError("drivetrain_efficiency outside (0, 1]")
     return power
 
 
-def apply_slip(
-    cmd: BodyTwist,
-    mode: LocomotionMode,
-    terrain: TerrainParams,
-    rng: np.random.Generator | None = None,
-) -> BodyTwist:
-    """Scale a commanded twist down to the achieved twist on regolith."""
+def apply_slip(cmd: BodyTwist, mode: LocomotionMode, terrain: TerrainParams) -> BodyTwist:
+    """Scale a commanded twist down to the mean achieved twist on regolith.
+
+    `simulate_traverse` draws the per-step slip noise on top of this.
+    """
     if mode is LocomotionMode.SKID_STEER:
         yaw_eff = terrain.skid_rotation_efficiency
     elif mode is LocomotionMode.POINT_TURN:
@@ -108,14 +107,7 @@ def apply_slip(
     else:
         yaw_eff = 1.0
     lin = 1.0 - terrain.longitudinal_slip_ratio
-    vx = cmd.vx * lin
-    vy = cmd.vy * lin
-    wz = cmd.wz * yaw_eff
-    if rng is not None and terrain.noise_std > 0.0:
-        vx *= 1.0 + rng.normal(0.0, terrain.noise_std)
-        vy *= 1.0 + rng.normal(0.0, terrain.noise_std)
-        wz *= 1.0 + rng.normal(0.0, terrain.noise_std)
-    return BodyTwist(vx, vy, wz)
+    return BodyTwist(cmd.vx * lin, cmd.vy * lin, cmd.wz * yaw_eff)
 
 
 def drive_power(
@@ -123,7 +115,6 @@ def drive_power(
     terrain: TerrainParams,
     config: RoverConfig,
     power: PowerModelParams,
-    steering_in_motion: bool = False,
 ) -> tuple[float, dict[str, float]]:
     """Total electrical power and per-actuator breakdown for a command set.
 
@@ -131,8 +122,9 @@ def drive_power(
     quadratic speed term, lateral scrub drag (nonzero only when a wheel's
     no-slip contact velocity has a component across its rolling direction,
     as in skid rotation), and an optional drawbar pull, all divided by the
-    drivetrain efficiency. Steering units draw move power while
-    repositioning and hold power otherwise.
+    drivetrain efficiency. Steering units hold their angles during motion
+    and draw hold power; their move power is charged only while they slew,
+    by the reposition model (`reposition_between`, `simulate_traverse`).
     """
     theta = math.radians(terrain.slope_deg)
     weight_per_wheel = config.mass * config.gravity / 4.0
@@ -163,11 +155,8 @@ def drive_power(
             / power.drivetrain_efficiency
         )
         breakdown[f"drive_{cmd.wheel_id.value.lower()}"] = max(p_i, 0.0)
-    steer_power = (
-        power.steering_move_power if steering_in_motion else power.steering_hold_power
-    )
     for cmd in commands:
-        breakdown[f"steer_{cmd.wheel_id.value.lower()}"] = steer_power
+        breakdown[f"steer_{cmd.wheel_id.value.lower()}"] = power.steering_hold_power
     return sum(breakdown.values()), breakdown
 
 
@@ -185,17 +174,33 @@ def mode_steering_angles(mode: LocomotionMode, config: RoverConfig) -> list[floa
     return [cmd.steering_angle for cmd in commands]
 
 
+def _slew(from_angles, to_angles, config: RoverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(signed angle change, slew time) of each steering unit at the configured rate."""
+    deltas = np.subtract(to_angles, from_angles)
+    return deltas, np.abs(deltas) / config.steering_rate
+
+
 def reposition_between(
     from_angles: list[float],
     to_angles: list[float],
     config: RoverConfig,
     power: PowerModelParams,
 ) -> tuple[float, float]:
-    """(energy J, duration s) to slew steering units between angle sets."""
-    deltas = [abs(b - a) for a, b in zip(from_angles, to_angles)]
-    duration = max(deltas) / config.steering_rate
-    moving = sum(1 for d in deltas if d > _ANGLE_TOL)
-    return power.steering_move_power * moving * duration, duration
+    """(energy J, duration s) to slew steering units between angle sets.
+
+    This is the reposition phase `simulate_traverse` inserts: it lasts as
+    long as the widest slew, T = max t_i, and each unit draws move power for
+    its own slew time t_i and hold power for the rest, T - t_i. A slew no
+    longer than the simulator's tolerance inserts no phase and costs nothing.
+    """
+    _, times = _slew(from_angles, to_angles, config)
+    duration = float(times.max())
+    if not duration > _ANGLE_TOL:
+        return 0.0, 0.0
+    moving = float(times.sum())
+    holding = len(times) * duration - moving
+    energy = power.steering_move_power * moving + power.steering_hold_power * holding
+    return energy, duration
 
 
 def steering_reposition_energy(
@@ -250,10 +255,12 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
 
     Before any segment whose steering pose differs from the current one, a
     reposition phase is inserted: the body holds still while the steering
-    units slew at the configured rate, drawing move power. During motion,
-    odometry reflects the commanded (pre-slip) wheel speeds while the
-    ground-truth pose integrates the slip-reduced twist, so the odometry /
-    ground-truth efficiency gap appears by construction.
+    units slew at the configured rate, each drawing move power until it
+    arrives and hold power after (the energy `reposition_between` gives).
+    During motion, odometry reflects the commanded (pre-slip) wheel speeds
+    while the ground-truth pose integrates the slip-reduced twist, so the
+    odometry / ground-truth efficiency gap appears by construction. Noise
+    scales each step's vx, vy and wz by 1 + N(0, noise_std), in that order.
 
     The phases are planned first and then written into one telemetry array,
     so the working memory is that array and a few of its columns.
@@ -261,8 +268,8 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     config = validate_config(scenario.config)
     terrain = validate_terrain(scenario.terrain)
     power = validate_power(scenario.power)
-    if scenario.step <= 0:
-        raise ConfigError("non-positive integration step")
+    if not 0.0 < scenario.step < math.inf:
+        raise ConfigError("integration step outside (0, inf)")
     if not scenario.profile:
         return Telemetry.empty()
     step = scenario.step
@@ -273,12 +280,11 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     phases: list[tuple[int, BodyTwist | None, tuple]] = []
     current_angles = np.zeros(4)
     for segment in scenario.profile:
-        if segment.duration <= 0:
-            raise ConfigError("non-positive segment duration")
+        if not 0.0 < segment.duration < math.inf:
+            raise ConfigError("segment duration outside (0, inf)")
         commands = inverse_kinematics(segment.twist, segment.mode, config)
         targets = np.array([cmd.steering_angle for cmd in commands])
-        deltas = targets - current_angles
-        move_times = np.abs(deltas) / config.steering_rate
+        deltas, move_times = _slew(current_angles, targets, config)
         if move_times.max() > _ANGLE_TOL:
             n = math.ceil(move_times.max() / step - 1e-9)
             tau = (np.arange(n) * step)[:, None]
@@ -396,11 +402,7 @@ def load_scenario(path: str | Path) -> Scenario:
     pairs = parse_key_value_lines(lines[:split], path)
 
     def number(key: str, default: str) -> float:
-        text = pairs.pop(key, default)
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{path}: non-numeric {key} {text!r}") from None
+        return parse_finite(pairs.pop(key, default), key, path)
 
     config_kw: dict[str, float] = {}
     terrain_kw: dict[str, float] = {}
@@ -423,15 +425,21 @@ def load_scenario(path: str | Path) -> Scenario:
         if field_name not in known:
             raise ConfigError(f"{path}: unknown scenario key {key!r}")
         bucket[field_name] = number(key, "")
-    if "rng_seed" in terrain_kw:
-        terrain_kw["rng_seed"] = int(terrain_kw["rng_seed"])
-
-    return Scenario(
-        profile=parse_profile(lines[split + 1 :], path, first_lineno=split + 2),
-        terrain=validate_terrain(TerrainParams(**terrain_kw)),
-        config=validate_config(replace(RoverConfig(), **config_kw)),
-        power=validate_power(PowerModelParams(**power_kw)),
-        marker_offset=marker,
-        step=step,
-        name=name,
-    )
+    profile = parse_profile(lines[split + 1 :], path, first_lineno=split + 2)
+    seed = terrain_kw.pop("rng_seed", 0.0)
+    try:  # each error below is prefixed with the file name
+        if not step > 0:
+            raise ConfigError(f"non-positive step {step!r}")
+        if not (seed.is_integer() and seed >= 0):
+            raise ConfigError(f"terrain.rng_seed = {seed!r} is not a non-negative integer")
+        return Scenario(
+            profile=profile,
+            terrain=validate_terrain(TerrainParams(**terrain_kw, rng_seed=int(seed))),
+            config=validate_config(replace(RoverConfig(), **config_kw)),
+            power=validate_power(PowerModelParams(**power_kw)),
+            marker_offset=marker,
+            step=step,
+            name=name,
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -33,7 +33,6 @@ from rovermotion.kinematics import (
     forward_odometry,
     icr_of,
     inverse_kinematics,
-    simulate_pose_track,
 )
 from rovermotion.metrics import (
     angular_speed_efficiency,
@@ -173,18 +172,25 @@ def test_criterion_5_kinematics_invariants():
             abs(back.vx - twist.vx), abs(back.vy - twist.vy), abs(back.wz - twist.wz)
         ) < 1e-9
 
-    crab = simulate_pose_track(
-        [ProfileSegment(20.0, BodyTwist(0.04, 0.03, 0), LocomotionMode.CRAB)], CFG
+    slip_free = TerrainParams(skid_rotation_efficiency=1.0, longitudinal_slip_ratio=0.0)
+    crab = simulate_traverse(
+        Scenario(
+            [ProfileSegment(20.0, BodyTwist(0.04, 0.03, 0), LocomotionMode.CRAB)],
+            terrain=slip_free,
+        )
     )
-    ok = ok and all(heading == 0.0 for _, _, heading in crab)
+    ok = ok and bool(np.all(crab.column("heading") == 0.0))
 
-    marker = simulate_pose_track(
-        [ProfileSegment(60.0, BodyTwist(0, 0, 0.1), LocomotionMode.POINT_TURN)],
-        CFG,
-        marker_offset=(0.4, 0.0),
-        step=0.01,
+    marker = simulate_traverse(
+        Scenario(
+            [ProfileSegment(60.0, BodyTwist(0, 0, 0.1), LocomotionMode.POINT_TURN)],
+            terrain=slip_free,
+            marker_offset=(0.4, 0.0),
+            step=0.01,
+        )
     )
-    radius_err = max(abs(math.hypot(*m) - 0.4) for _, m, _ in marker)
+    radii = np.hypot(marker.column("marker_x"), marker.column("marker_y"))
+    radius_err = float(np.max(np.abs(radii - 0.4)))
     ok = ok and radius_err < 1e-4
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0

@@ -86,6 +86,39 @@ class TestSimulate:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: {scn}:5: {message}\n"
 
+    @pytest.mark.parametrize(
+        "setting, row, message",
+        [
+            ("step = nan", "", ": non-finite step 'nan'"),
+            ("", "inf,0.06,0,0,skid_steer", ":6: duration 'inf' outside (0, inf)"),
+            ("", "nan,0.06,0,0,skid_steer", ":6: duration 'nan' outside (0, inf)"),
+            ("", "0,0.06,0,0,skid_steer", ":6: duration '0' outside (0, inf)"),
+            ("config.mass = nan", "", ": non-finite config.mass 'nan'"),
+            ("config.steering_rate = inf", "", ": non-finite config.steering_rate 'inf'"),
+            ("marker_offset_x = inf", "", ": non-finite marker_offset_x 'inf'"),
+            ("terrain.noise_std = 0.05\nterrain.rng_seed = -1", "",
+             ": terrain.rng_seed = -1.0 is not a non-negative integer"),
+            ("terrain.rng_seed = 1.5", "",
+             ": terrain.rng_seed = 1.5 is not a non-negative integer"),
+            ("terrain.slope_deg = 95", "", ": slope out of supported range"),
+            ("step = 0", "", ": non-positive step 0.0"),
+        ],
+        ids=["step_nan", "duration_inf", "duration_nan", "duration_zero", "mass_nan",
+             "steering_rate_inf", "marker_offset_inf", "rng_seed_negative",
+             "rng_seed_fractional", "slope_out_of_range", "step_zero"],
+    )
+    def test_bad_scenario_number_names_the_file(self, tmp_path, capsys, setting, row,
+                                                message):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(
+            f"name = bad\n{setting}\n[profile]\nduration_s,vx,vy,wz,mode\n"
+            f"2,0.06,0,0,skid_steer\n{row}\n"
+        )
+        code = run(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {scn}{message}")
+        assert not (tmp_path / "out" / "telemetry.csv").exists()
+
 
 class TestAnalyze:
     @pytest.fixture
@@ -170,6 +203,26 @@ class TestAnalyze:
         code = run(["analyze", "slip", "--telemetry", str(short), "--out", str(tmp_path)])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: insufficient samples\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("masss = 42\n", "unknown config keys: masss"),
+            ("mass = heavy\n", "non-numeric mass 'heavy'"),
+            ("mass = nan\n", "non-finite mass 'nan'"),
+            ("steering_rate = inf\n", "non-finite steering_rate 'inf'"),
+            ("mass = -1\n", "non-positive mass"),
+        ],
+        ids=["unknown_key", "non_numeric", "nan", "inf", "invalid"],
+    )
+    def test_bad_config_names_the_file(self, telemetry, tmp_path, capsys, text,
+                                       message):
+        config = tmp_path / "rover.cfg"
+        config.write_text(text)
+        code = run(["analyze", "cot", "--telemetry", str(telemetry),
+                    "--config", str(config), "--out", str(tmp_path / "m")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
     def test_bad_metric_is_usage_error(self, telemetry, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -86,3 +87,9 @@ def test_load_config_unknown_key(tmp_path):
     path.write_text("masss = 42\n")
     with pytest.raises(ConfigError, match="unknown config keys: masss"):
         load_config(path)
+
+
+@pytest.mark.parametrize("name", sorted(RoverConfig.__dataclass_fields__))
+def test_nan_field_rejected(name):
+    with pytest.raises(ConfigError):
+        validate_config(replace(RoverConfig(), **{name: math.nan}))

@@ -21,8 +21,8 @@ from rovermotion.kinematics import (
     icr_of,
     inverse_kinematics,
     load_twist_profile,
-    simulate_pose_track,
 )
+from rovermotion.terrain import Scenario, TerrainParams, simulate_traverse
 
 CFG = RoverConfig()
 
@@ -216,34 +216,39 @@ def test_ackermann_icr_consistency_property(twist):
     assert residual < 1e-9
 
 
+def slip_free_track(profile, marker_offset=(0.0, 0.0)):
+    """(marker_x, marker_y, heading) columns of a slip-free simulated traverse."""
+    terrain = TerrainParams(skid_rotation_efficiency=1.0, longitudinal_slip_ratio=0.0)
+    telemetry = simulate_traverse(
+        Scenario(profile=profile, terrain=terrain, marker_offset=marker_offset)
+    )
+    return tuple(telemetry.column(name) for name in ("marker_x", "marker_y", "heading"))
+
+
 class TestPoseTrack:
     def test_point_turn_marker_circle(self):
         profile = [ProfileSegment(62.83, BodyTwist(0, 0, 0.1), LocomotionMode.POINT_TURN)]
-        track = simulate_pose_track(profile, CFG, marker_offset=(0.4, 0.0))
-        radii = [math.hypot(*marker) for _, marker, _ in track]
-        assert max(abs(r - 0.4) for r in radii) < 1e-9
+        mx, my, _ = slip_free_track(profile, marker_offset=(0.4, 0.0))
+        assert np.max(np.abs(np.hypot(mx, my) - 0.4)) < 1e-9
 
     def test_crab_diagonal_track(self):
         profile = [ProfileSegment(10.0, BodyTwist(0.05, 0.05, 0), LocomotionMode.CRAB)]
-        track = simulate_pose_track(profile, CFG)
-        headings = {heading for _, _, heading in track}
-        assert headings == {0.0}  # exactly constant
-        _, end, _ = track[-1]
-        assert math.degrees(math.atan2(end[1], end[0])) == pytest.approx(45.0)
-        assert math.hypot(*end) == pytest.approx(10 * math.hypot(0.05, 0.05))
+        mx, my, headings = slip_free_track(profile)
+        assert set(headings.tolist()) == {0.0}  # exactly constant
+        assert math.degrees(math.atan2(my[-1], mx[-1])) == pytest.approx(45.0)
+        assert math.hypot(mx[-1], my[-1]) == pytest.approx(10 * math.hypot(0.05, 0.05))
 
     def test_skid_straight_track(self):
         profile = [ProfileSegment(10.0, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)]
-        track = simulate_pose_track(profile, CFG)
-        _, end, heading = track[-1]
-        assert end[0] == pytest.approx(0.6)
-        assert end[1] == pytest.approx(0.0, abs=1e-12)
-        assert heading == 0.0
+        mx, my, headings = slip_free_track(profile)
+        assert mx[-1] == pytest.approx(0.6)
+        assert my[-1] == pytest.approx(0.0, abs=1e-12)
+        assert headings[-1] == 0.0
 
     def test_rejects_non_positive_duration(self):
         profile = [ProfileSegment(-1.0, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)]
         with pytest.raises(Exception, match="duration"):
-            simulate_pose_track(profile, CFG)
+            slip_free_track(profile)
 
 
 def test_load_twist_profile(tmp_path):

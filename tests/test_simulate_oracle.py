@@ -2,7 +2,8 @@
 
 The reference below is the simulator and CSV writer the package used when
 telemetry was a list of TelemetryRecord: one record per sample, built in a
-Python loop, with per-step slip noise from apply_slip. The columnar
+Python loop, with per-step slip noise drawn for each step on top of
+apply_slip's mean twist. The columnar
 `simulate` must write the same telemetry.csv and summary.txt bytes.
 """
 import csv
@@ -93,21 +94,22 @@ def reference_simulate(scenario: Scenario) -> list[TelemetryRecord]:
             wz_steps.extend([0.0] * n)
             current_angles = targets
         n = max(1, round(segment.duration / step))
-        _, breakdown = drive_power(commands, terrain, config, power, False)
+        _, breakdown = drive_power(commands, terrain, config, power)
         speeds = tuple(cmd.drive_speed for cmd in commands)
         phases.append(
             _Phase(n, targets, (0.0,) * 4, (0.0,) * 4,
                    (segment.twist, segment.twist, breakdown, speeds, targets))
         )
-        if terrain.noise_std > 0.0:
-            twists = [
-                apply_slip(segment.twist, segment.mode, terrain, rng) for _ in range(n)
-            ]
-        else:
-            twists = [apply_slip(segment.twist, segment.mode, terrain)] * n
-        vx_steps.extend(tw.vx for tw in twists)
-        vy_steps.extend(tw.vy for tw in twists)
-        wz_steps.extend(tw.wz for tw in twists)
+        slip = apply_slip(segment.twist, segment.mode, terrain)
+        for _ in range(n):
+            vx, vy, wz = slip.vx, slip.vy, slip.wz
+            if terrain.noise_std > 0.0:
+                vx *= 1.0 + rng.normal(0.0, terrain.noise_std)
+                vy *= 1.0 + rng.normal(0.0, terrain.noise_std)
+                wz *= 1.0 + rng.normal(0.0, terrain.noise_std)
+            vx_steps.append(vx)
+            vy_steps.append(vy)
+            wz_steps.append(wz)
 
     xs, ys, ths = integrate_track(
         np.array(vx_steps), np.array(vy_steps), np.array(wz_steps), step

@@ -8,6 +8,7 @@ import pytest
 from rovermotion.cli import preset_path
 from rovermotion.config import BodyTwist, ConfigError, LocomotionMode, RoverConfig
 from rovermotion.kinematics import ProfileSegment, inverse_kinematics
+from rovermotion.telemetry import BUS_VOLTAGE, FIELD_COLUMNS
 from rovermotion.terrain import (
     CalibrationError,
     PowerModelParams,
@@ -19,6 +20,7 @@ from rovermotion.terrain import (
     load_scenario,
     mode_steering_angles,
     model_cot,
+    reposition_between,
     simulate_traverse,
     steering_reposition_energy,
     validate_power,
@@ -50,6 +52,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="rolling_resistance"):
             validate_power(replace(POWER, rolling_resistance_coeff=-0.1))
 
+    @pytest.mark.parametrize("name", [
+        "slope_deg", "skid_rotation_efficiency", "point_turn_efficiency",
+        "longitudinal_slip_ratio", "noise_std"])
+    def test_nan_terrain_rejected(self, name):
+        with pytest.raises(ConfigError):
+            validate_terrain(replace(FLAT, **{name: math.nan}))
+
+    @pytest.mark.parametrize("name", [
+        "idle_power_per_drive", "rolling_resistance_coeff", "drivetrain_efficiency",
+        "steering_hold_power", "steering_move_power", "speed_quadratic_coeff",
+        "lateral_friction_coeff"])
+    def test_nan_power_rejected(self, name):
+        with pytest.raises(ConfigError):
+            validate_power(replace(POWER, **{name: math.nan}))
+
 
 class TestApplySlip:
     def test_skid_yaw_scaled(self):
@@ -60,23 +77,6 @@ class TestApplySlip:
     def test_point_turn_yaw_unscaled(self):
         out = apply_slip(BodyTwist(0, 0, 0.1), LocomotionMode.POINT_TURN, FLAT)
         assert out.wz == pytest.approx(0.1)
-
-    def test_noise_is_seeded(self):
-        noisy = TerrainParams(noise_std=0.02)
-        a = apply_slip(
-            BodyTwist(0.06, 0, 0.1),
-            LocomotionMode.SKID_STEER,
-            noisy,
-            np.random.default_rng(7),
-        )
-        b = apply_slip(
-            BodyTwist(0.06, 0, 0.1),
-            LocomotionMode.SKID_STEER,
-            noisy,
-            np.random.default_rng(7),
-        )
-        assert (a.vx, a.vy, a.wz) == (b.vx, b.vy, b.wz)
-        assert a.vx != pytest.approx(0.06 * 0.95, abs=1e-12)
 
 
 class TestDrivePower:
@@ -128,10 +128,8 @@ class TestDrivePower:
 
     def test_steering_power_states(self):
         cmds = inverse_kinematics(BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER, CFG)
-        _, hold = drive_power(cmds, FLAT, CFG, POWER, steering_in_motion=False)
-        _, move = drive_power(cmds, FLAT, CFG, POWER, steering_in_motion=True)
+        _, hold = drive_power(cmds, FLAT, CFG, POWER)
         assert hold["steer_fl"] == POWER.steering_hold_power
-        assert move["steer_fl"] == POWER.steering_move_power
 
 
 class TestReposition:
@@ -143,6 +141,42 @@ class TestReposition:
         assert duration == pytest.approx(4.974, abs=0.001)
         assert energy == pytest.approx(4 * POWER.steering_move_power * duration)
         assert energy == pytest.approx(159.16, abs=0.01)
+
+    def test_matches_the_simulated_phase(self):
+        # crab at atan2(0.03, 0.05), then point turn: FL and RR slew ~80.7 deg,
+        # FR and RL ~18.8 deg, so units arrive at different times
+        crab = BodyTwist(0.05, 0.03, 0)
+        profile = [
+            ProfileSegment(2.0, crab, LocomotionMode.CRAB),
+            ProfileSegment(2.0, BodyTwist(0, 0, 0.1), LocomotionMode.POINT_TURN),
+        ]
+        telemetry = simulate_traverse(Scenario(profile=profile))
+        still = ~telemetry.values[:, FIELD_COLUMNS["commanded_twist"]].any(axis=1)
+        phase = still & (np.cumsum(~still) > 0)  # the still rows after the crab
+        steer_power = telemetry.values[:, FIELD_COLUMNS["steer_current"]] * BUS_VOLTAGE
+        simulated = steer_power[phase].sum() * 0.01  # each row holds for a step
+        commands = inverse_kinematics(crab, LocomotionMode.CRAB, CFG)
+        energy, duration = reposition_between(
+            [cmd.steering_angle for cmd in commands],
+            mode_steering_angles(LocomotionMode.POINT_TURN, CFG),
+            CFG,
+            POWER,
+        )
+        assert energy == pytest.approx(159.16, abs=0.01)
+        assert energy == pytest.approx(simulated, abs=4 * POWER.steering_move_power * 0.01)
+        assert duration == pytest.approx(phase.sum() * 0.01, abs=0.01)
+
+    def test_hold_power_for_the_rest_of_the_phase(self):
+        power = replace(POWER, steering_hold_power=1.5)
+        rate = CFG.steering_rate
+        energy, duration = reposition_between(
+            [0.0] * 4, [4 * rate, rate, 0.0, -2 * rate], CFG, power
+        )
+        assert duration == pytest.approx(4.0)
+        moving = 4.0 + 1.0 + 0.0 + 2.0
+        assert energy == pytest.approx(
+            power.steering_move_power * moving + 1.5 * (4 * duration - moving)
+        )
 
     def test_no_slew_no_energy(self):
         energy, duration = steering_reposition_energy(
@@ -236,6 +270,13 @@ class TestSimulateTraverse:
         assert len(telemetry) > 10_000
         assert peak < 1.6 * telemetry.values.nbytes
 
+    @pytest.mark.parametrize("step, duration", [
+        (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.01, math.inf), (0.01, math.nan)])
+    def test_step_and_duration_must_be_positive_and_finite(self, step, duration):
+        profile = [ProfileSegment(duration, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)]
+        with pytest.raises(ConfigError, match=r"outside \(0, inf\)"):
+            simulate_traverse(Scenario(profile=profile, step=step))
+
     def test_different_seed_diverges(self):
         base = dict(
             profile=[
@@ -323,6 +364,12 @@ class TestScenarioFiles:
         path.write_text("terrain.slope = 10\n[profile]\nduration_s,vx,vy,wz,mode\n")
         with pytest.raises(ConfigError, match="unknown scenario key"):
             load_scenario(path)
+
+    def test_rng_seed_loads_as_an_integer(self, tmp_path):
+        path = tmp_path / "seeded.scn"
+        path.write_text("terrain.rng_seed = 12\n[profile]\nduration_s,vx,vy,wz,mode\n")
+        seed = load_scenario(path).terrain.rng_seed
+        assert seed == 12 and type(seed) is int
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
