@@ -54,6 +54,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _number_arg(text: str, positive: bool = False) -> float:
+    """argparse type: a finite float, > 0 if `positive`; else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and (value > 0.0 or not positive)):
+        kind = "finite positive" if positive else "finite"
+        raise argparse.ArgumentTypeError(f"expected a {kind} number, got {text!r}")
+    return value
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
@@ -142,18 +154,17 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_telemetry_csv(out / "telemetry.csv", telemetry)
-    duration = telemetry[-1].t if telemetry else 0.0
-    final = telemetry[-1].pose if telemetry else (0.0, 0.0, 0.0)
+    t, x, y, heading = telemetry.values[-1, :4] if len(telemetry) else (0.0,) * 4
     summary = out / "summary.txt"
     summary.write_text(
         "\n".join(
             [
                 f"scenario = {scenario.name}",
                 f"records = {len(telemetry)}",
-                f"duration_s = {_fmt(duration)}",
-                f"final_x_m = {_fmt(final[0])}",
-                f"final_y_m = {_fmt(final[1])}",
-                f"final_heading_rad = {_fmt(final[2])}",
+                f"duration_s = {_fmt(t)}",
+                f"final_x_m = {_fmt(x)}",
+                f"final_y_m = {_fmt(y)}",
+                f"final_heading_rad = {_fmt(heading)}",
                 f"energy_j = {_fmt(telemetry.cumulative_energy()[-1])}",
             ]
         )
@@ -242,7 +253,7 @@ def cmd_deflect(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_deflection(out / "deflection.csv", estimates)
-    if args.window > 1:
+    if args.window != 1:
         _write_deflection(
             out / "deflection_smoothed.csv",
             deflection.smooth_deflection_series(estimates, args.window),
@@ -273,9 +284,12 @@ def cmd_calibrate(args) -> int:
                     f"{where}: expected {len(expected)} columns, got {len(row)}"
                 )
             try:
-                slope, velocity, cot = (float(cell) for cell in row[1:])
+                slope, velocity, cot = values = [float(cell) for cell in row[1:]]
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
+            for name, cell, value in zip(expected[1:], row[1:], values):
+                if not np.isfinite(value):
+                    raise ConfigError(f"{where}: non-finite {name} {cell!r}")
             if args.flat_only and (slope != 0.0 or row[0].lower() != "nominal"):
                 continue
             rows.append((slope, velocity, cot))
@@ -359,9 +373,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="rover config key/value file")
     p.add_argument("--out", default=".")
     p.add_argument("--label", default="", help="mode label for the report")
-    p.add_argument("--slope", type=float, default=0.0)
-    p.add_argument("--window", type=float, default=0.5,
-                   help="smoothing window (s) for efficiency")
+    p.add_argument("--slope", type=_number_arg, default=0.0)
+    p.add_argument("--window", type=lambda text: _number_arg(text, positive=True),
+                   default=0.5, help="smoothing window (s) for efficiency")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("deflect", help="run the wheel-deflection pipeline")

@@ -49,9 +49,6 @@ class BodyTwist:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"non-finite twist component {name}")
 
-    def scaled(self, k: float) -> "BodyTwist":
-        return BodyTwist(self.vx * k, self.vy * k, self.wz * k)
-
 
 @dataclass(frozen=True)
 class WheelCommand:

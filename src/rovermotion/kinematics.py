@@ -218,12 +218,6 @@ def parse_profile(
     return segments
 
 
-def load_twist_profile(path: str | Path) -> list[ProfileSegment]:
-    """Load a twist profile CSV with header duration_s,vx,vy,wz,mode."""
-    with open(path, newline="") as handle:
-        return parse_profile(handle, path)
-
-
 def integrate_track(vx, vy, wz, dt, x0=0.0, y0=0.0, theta0=0.0):
     """Integrate a piecewise-constant planar twist sequence.
 

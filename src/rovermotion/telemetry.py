@@ -20,7 +20,7 @@ _WHEEL_TAGS = ("fl", "fr", "rl", "rr")
 
 
 class TelemetryFormatError(ValueError):
-    """Raised for malformed telemetry, mocap, or actuator files."""
+    """Raised for malformed telemetry files."""
 
 
 @dataclass(frozen=True)

@@ -404,29 +404,19 @@ def load_scenario(path: str | Path) -> Scenario:
     def number(key: str, default: str) -> float:
         return parse_finite(pairs.pop(key, default), key, path)
 
-    config_kw: dict[str, float] = {}
-    terrain_kw: dict[str, float] = {}
-    power_kw: dict[str, float] = {}
+    sections = {"config": RoverConfig, "terrain": TerrainParams, "power": PowerModelParams}
+    kwargs: dict[str, dict[str, float]] = {section: {} for section in sections}
     name = pairs.pop("name", Path(path).stem)
     step = number("step", "0.01")
     marker = (number("marker_offset_x", "0"), number("marker_offset_y", "0"))
     for key in list(pairs):
-        if key.startswith("config."):
-            bucket, field_name = config_kw, key[len("config.") :]
-            known = RoverConfig.__dataclass_fields__
-        elif key.startswith("terrain."):
-            bucket, field_name = terrain_kw, key[len("terrain.") :]
-            known = TerrainParams.__dataclass_fields__
-        elif key.startswith("power."):
-            bucket, field_name = power_kw, key[len("power.") :]
-            known = PowerModelParams.__dataclass_fields__
-        else:
-            raise ConfigError(f"{path}: unknown scenario key {key!r}")
+        section, _, field_name = key.partition(".")
+        known = sections[section].__dataclass_fields__ if section in sections else {}
         if field_name not in known:
             raise ConfigError(f"{path}: unknown scenario key {key!r}")
-        bucket[field_name] = number(key, "")
+        kwargs[section][field_name] = number(key, "")
     profile = parse_profile(lines[split + 1 :], path, first_lineno=split + 2)
-    seed = terrain_kw.pop("rng_seed", 0.0)
+    seed = kwargs["terrain"].pop("rng_seed", 0.0)
     try:  # each error below is prefixed with the file name
         if not step > 0:
             raise ConfigError(f"non-positive step {step!r}")
@@ -434,9 +424,11 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(f"terrain.rng_seed = {seed!r} is not a non-negative integer")
         return Scenario(
             profile=profile,
-            terrain=validate_terrain(TerrainParams(**terrain_kw, rng_seed=int(seed))),
-            config=validate_config(replace(RoverConfig(), **config_kw)),
-            power=validate_power(PowerModelParams(**power_kw)),
+            terrain=validate_terrain(
+                TerrainParams(**kwargs["terrain"], rng_seed=int(seed))
+            ),
+            config=validate_config(replace(RoverConfig(), **kwargs["config"])),
+            power=validate_power(PowerModelParams(**kwargs["power"])),
             marker_offset=marker,
             step=step,
             name=name,

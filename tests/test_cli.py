@@ -229,6 +229,31 @@ class TestAnalyze:
             run(["analyze", "wrong", "--telemetry", str(telemetry)])
         assert excinfo.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "metric, flag, value, kind",
+        [
+            ("cot", "--slope", "nan", "finite"),
+            ("cot", "--slope", "inf", "finite"),
+            ("cot", "--slope", "abc", "finite"),
+            ("efficiency", "--window", "nan", "finite positive"),
+            ("efficiency", "--window", "inf", "finite positive"),
+            ("efficiency", "--window", "0", "finite positive"),
+            ("efficiency", "--window", "-3", "finite positive"),
+        ],
+        ids=["nan_slope", "inf_slope", "non_numeric_slope", "nan_window",
+             "inf_window", "zero_window", "negative_window"],
+    )
+    def test_bad_number_is_usage_error(self, telemetry, tmp_path, capsys, metric,
+                                       flag, value, kind):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["analyze", metric, "--telemetry", str(telemetry),
+                 "--out", str(tmp_path / "m"), flag, value])
+        assert excinfo.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        message = f"expected a {kind} number, got {value!r}"
+        assert err.endswith(f"error: argument {flag}: {message}\n")
+        assert not (tmp_path / "m").exists()
+
 
 class TestDeflect:
     def test_fixture_pipeline(self, tmp_path, capsys):
@@ -323,6 +348,25 @@ class TestDeflect:
         assert str(tmp_path) in err and where in err
         assert not (tmp_path / "out" / "deflection.csv").exists()
 
+    @pytest.mark.parametrize("window", ["0", "-3", "2"])
+    def test_bad_window_is_data_error(self, tmp_path, capsys, window):
+        annotations = tmp_path / "annotations.csv"
+        first_frame = (FIXTURE_DIR / "annotations.csv").read_text().splitlines()[:2]
+        annotations.write_text("\n".join(first_frame) + "\n")
+        code = run(
+            [
+                "deflect",
+                "--annotations", str(annotations),
+                "--model", str(FIXTURE_DIR / "model.txt"),
+                "--camera", str(FIXTURE_DIR / "camera.txt"),
+                "--out", str(tmp_path),
+                "--window", window,
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: window must be odd and >= 1\n"
+        assert not (tmp_path / "deflection_smoothed.csv").exists()
+
     def test_failed_fit_names_frame(self, tmp_path, capsys, monkeypatch):
         def failing_fit(loops, model, cam, guess):
             raise deflection.PoseFitError(guess, 8.8, 1200, "max_nfev reached")
@@ -366,8 +410,12 @@ class TestCalibrate:
             ("nominal,0,fast,1.1", False, "could not convert string to float: 'fast'"),
             ("nominal,0,0.06", False, "expected 4 columns, got 3"),
             ("nominal,flat,0.06,1.1", True, "could not convert string to float: 'flat'"),
+            ("nominal,nan,0.06,1.1", False, "non-finite slope_deg 'nan'"),
+            ("nominal,0,inf,1.1", False, "non-finite velocity 'inf'"),
+            ("nominal,0,0.06,-inf", True, "non-finite cot '-inf'"),
         ],
-        ids=["non_numeric", "short_row", "flat_only_non_numeric_slope"],
+        ids=["non_numeric", "short_row", "flat_only_non_numeric_slope", "nan_slope",
+             "inf_velocity", "flat_only_inf_cot"],
     )
     def test_bad_row_names_the_line(self, tmp_path, capsys, row, flat_only, message):
         table = tmp_path / "table.csv"
@@ -456,9 +504,7 @@ for metric in ("cot", "yaw-energy", "efficiency", "slip"):
     assert main(["analyze", metric, "--telemetry", telemetry,
                  "--out", f"{out}/{metric}"]) == 0
     assert not simulator_loaded(), metric
-    assert "rovermotion.mocap" not in sys.modules, metric
 assert main(["simulate", "--scenario", scenario, "--out", f"{out}/simulate"]) == 0
-assert "rovermotion.mocap" not in sys.modules, "simulate"
 from rovermotion import simulate_traverse
 from rovermotion.terrain import simulate_traverse as defined
 assert simulate_traverse is defined

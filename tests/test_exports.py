@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import rovermotion
 
 
@@ -10,3 +13,42 @@ def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from rovermotion import *", namespace)
     assert set(rovermotion.__all__) <= set(namespace)
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rovermotion"
+
+# Modules that no command imports, each with the reason it stays.
+UNREACHED = {
+    # The step-by-step track integrator: a test oracle for
+    # kinematics.integrate_track that perfbench imports. It leaves the
+    # package when the benchmark moves it under the tests.
+    "_track_py",
+}
+
+
+def _imported_modules(path: Path, modules: set[str]) -> set[str]:
+    """The package modules that the source at `path` imports anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+        else:
+            continue
+        for name in names:
+            package, _, module = name.partition(".")
+            if package == "rovermotion" and module in modules:
+                found.add(module)
+    return found
+
+
+def test_every_module_is_reached_from_the_cli():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    reached, pending = set(), ["cli"]
+    while pending:
+        module = pending.pop()
+        if module not in reached:
+            reached.add(module)
+            pending.extend(_imported_modules(PACKAGE / f"{module}.py", modules))
+    assert sorted(modules - reached) == sorted(UNREACHED)

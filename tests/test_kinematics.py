@@ -20,7 +20,7 @@ from rovermotion.kinematics import (
     forward_odometry,
     icr_of,
     inverse_kinematics,
-    load_twist_profile,
+    parse_profile,
 )
 from rovermotion.terrain import Scenario, TerrainParams, simulate_traverse
 
@@ -254,7 +254,7 @@ class TestPoseTrack:
 def test_load_twist_profile(tmp_path):
     path = tmp_path / "profile.csv"
     path.write_text("duration_s,vx,vy,wz,mode\n10,0.06,0,0,skid_steer\n5,0,0,0.1,point_turn\n")
-    profile = load_twist_profile(path)
+    profile = parse_profile(path.read_text().splitlines(), path)
     assert len(profile) == 2
     assert profile[0].twist == BodyTwist(0.06, 0, 0)
     assert profile[1].mode is LocomotionMode.POINT_TURN
@@ -266,4 +266,4 @@ def test_load_twist_profile_names_bad_row(tmp_path):
         "duration_s,vx,vy,wz,mode\n10,0.06,0,0,skid_steer\n\n5,0,x,0.1,point_turn\n"
     )
     with pytest.raises(ConfigError, match=f"^{path}:4: could not convert"):
-        load_twist_profile(path)
+        parse_profile(path.read_text().splitlines(), path)

@@ -13,15 +13,6 @@ from hypothesis import strategies as st
 from rovermotion import telemetry as telemetry_module
 from rovermotion.config import BodyTwist, LocomotionMode
 from rovermotion.kinematics import ProfileSegment
-from rovermotion.mocap import (
-    ACTUATOR_IDS,
-    MOCAP_HEADER,
-    ActuatorRecord,
-    MocapRecord,
-    align_series,
-    parse_actuator_csv,
-    parse_mocap_csv,
-)
 from rovermotion.telemetry import (
     TELEMETRY_HEADER,
     Telemetry,
@@ -35,15 +26,6 @@ from rovermotion.telemetry import (
     write_telemetry_csv,
 )
 from rovermotion.terrain import Scenario, simulate_traverse
-
-
-def quat_for_yaw(yaw):
-    return (math.cos(yaw / 2), 0.0, 0.0, math.sin(yaw / 2))
-
-
-def mocap_line(t, x, y, yaw, marker="m0"):
-    w, qx, qy, qz = quat_for_yaw(yaw)
-    return f"{t},{x},{y},0.0,{w},{qx},{qy},{qz},{marker}"
 
 
 class TestTelemetryCsv:
@@ -586,125 +568,3 @@ class TestTelemetrySeries:
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError, match="36 columns"):
             Telemetry(np.zeros((3, 35)))
-
-
-class TestMocapParsing:
-    def test_parse_and_yaw(self, tmp_path):
-        path = tmp_path / "mocap.csv"
-        path.write_text(
-            ",".join(MOCAP_HEADER)
-            + "\n"
-            + mocap_line(0.0, 1.0, 2.0, 0.5)
-            + "\n"
-            + mocap_line(0.1, 1.1, 2.0, 0.6)
-            + "\n"
-        )
-        records = parse_mocap_csv(path)
-        assert len(records) == 2
-        assert records[0].position == (1.0, 2.0, 0.0)
-        assert records[0].yaw == pytest.approx(0.5)
-        assert records[1].marker_id == "m0"
-
-    def test_non_unit_quaternion_line_number(self, tmp_path):
-        path = tmp_path / "mocap.csv"
-        path.write_text(
-            ",".join(MOCAP_HEADER)
-            + "\n"
-            + mocap_line(0.0, 0, 0, 0.0)
-            + "\n"
-            + "0.1,0,0,0,0.9,0,0,0.1,m0\n"
-        )
-        with pytest.raises(TelemetryFormatError, match="non-unit quaternion at line 3"):
-            parse_mocap_csv(path)
-
-    def test_non_unit_quaternion_names_the_file(self, tmp_path):
-        path = tmp_path / "mocap.csv"
-        path.write_text(",".join(MOCAP_HEADER) + "\n" + "0.0,0,0,0,0.9,0,0,0.1,m0\n")
-        with pytest.raises(TelemetryFormatError) as info:
-            parse_mocap_csv(path)
-        assert str(info.value) == f"{path}: non-unit quaternion at line 2"
-
-    def test_bad_cell_line_number(self, tmp_path):
-        path = tmp_path / "mocap.csv"
-        path.write_text(
-            ",".join(MOCAP_HEADER) + "\n" + "0.0,oops,0,0,1,0,0,0,m0\n"
-        )
-        with pytest.raises(TelemetryFormatError, match=":2:"):
-            parse_mocap_csv(path)
-
-    def test_out_of_order_rejected(self, tmp_path):
-        path = tmp_path / "mocap.csv"
-        path.write_text(
-            ",".join(MOCAP_HEADER)
-            + "\n"
-            + mocap_line(1.0, 0, 0, 0.0)
-            + "\n"
-            + mocap_line(0.5, 0, 0, 0.0)
-            + "\n"
-        )
-        with pytest.raises(TelemetryFormatError, match=":3: out-of-order"):
-            parse_mocap_csv(path)
-
-
-class TestActuatorParsing:
-    def test_parse(self, tmp_path):
-        path = tmp_path / "act.csv"
-        path.write_text(
-            "t,actuator,voltage,current,measured\n"
-            "0.0,drive_fl,24.0,0.5,0.4\n"
-            "0.0,steer_fl,24.0,0.1,0.0\n"
-        )
-        records = parse_actuator_csv(path)
-        assert [r.actuator_id for r in records] == ["drive_fl", "steer_fl"]
-        assert records[0].measured == 0.4
-
-    def test_unknown_actuator(self, tmp_path):
-        path = tmp_path / "act.csv"
-        path.write_text("t,actuator,voltage,current,measured\n0,drive_xx,24,0,0\n")
-        with pytest.raises(TelemetryFormatError, match="unknown actuator"):
-            parse_actuator_csv(path)
-
-
-def act(t, actuator="drive_fl", v=0.4):
-    return ActuatorRecord(t, actuator, 24.0, 0.5, v)
-
-
-def moc(t, x=0.0, yaw=0.0):
-    return MocapRecord(t, (x, 0.0, 0.0), quat_for_yaw(yaw), "m0")
-
-
-class TestAlignment:
-    def test_linear_interpolation(self):
-        mocap = [moc(0.0, x=0.0), moc(1.0, x=1.0)]
-        actuators = [act(0.25), act(0.75)]
-        samples = align_series(mocap, actuators, max_gap=1.5)
-        assert samples[0].position[0] == pytest.approx(0.25)
-        assert samples[1].position[0] == pytest.approx(0.75)
-        assert "drive_fl" in samples[0].actuators
-
-    def test_yaw_interpolates_across_wrap(self):
-        mocap = [moc(0.0, yaw=math.pi - 0.1), moc(1.0, yaw=-math.pi + 0.1)]
-        samples = align_series(mocap, [act(0.5)], max_gap=2.0)
-        assert abs(samples[0].yaw) == pytest.approx(math.pi, abs=1e-9)
-
-    def test_gap_becomes_hole(self):
-        mocap = [moc(0.0), moc(0.1), moc(2.0), moc(2.1)]
-        actuators = [act(0.05), act(1.0), act(2.05)]
-        samples = align_series(mocap, actuators, max_gap=0.5)
-        assert samples[0].position is not None
-        assert samples[1].position is None and samples[1].yaw is None
-        assert samples[2].position is not None
-
-    def test_no_overlap(self):
-        with pytest.raises(TelemetryFormatError, match="no temporal overlap"):
-            align_series([moc(0.0), moc(1.0)], [act(5.0)], max_gap=0.5)
-
-    def test_empty_series(self):
-        with pytest.raises(TelemetryFormatError, match="no temporal overlap"):
-            align_series([], [act(0.0)], max_gap=0.5)
-
-
-def test_actuator_id_catalog():
-    assert len(ACTUATOR_IDS) == 8
-    assert ACTUATOR_IDS[0] == "drive_fl"
-    assert ACTUATOR_IDS[-1] == "steer_rr"
