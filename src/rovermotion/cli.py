@@ -2,32 +2,29 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from importlib import resources
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from rovermotion.config import ConfigError, RoverConfig, load_config
 from rovermotion.errors import (
     CalibrationError,
+    ConfigError,
     GeometryError,
     KinematicsError,
     MetricsError,
     PoseFitError,
-)
-from rovermotion.telemetry import (
-    Telemetry,
     TelemetryFormatError,
-    read_telemetry_csv,
-    write_fixed_csv,
-    write_telemetry_csv,
 )
 
+# Importing the CLI loads nothing else: each command imports numpy and the
+# modules it runs when it runs, after the input checks that need neither.
 if TYPE_CHECKING:
+    from pathlib import Path
+
+    import numpy as np
+
     from rovermotion import deflection, metrics
+    from rovermotion.config import RoverConfig
+    from rovermotion.telemetry import Telemetry
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,11 +53,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _number_arg(text: str, positive: bool = False) -> float:
     """argparse type: a finite float, > 0 if `positive`; else a usage error."""
+    from math import isfinite
+
     try:
         value = float(text)
     except ValueError:
-        value = np.nan
-    if not (np.isfinite(value) and (value > 0.0 or not positive)):
+        value = float("nan")
+    if not (isfinite(value) and (value > 0.0 or not positive)):
         kind = "finite positive" if positive else "finite"
         raise argparse.ArgumentTypeError(f"expected a {kind} number, got {text!r}")
     return value
@@ -70,7 +69,18 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _out_dir(path: str) -> Path:
+    """The directory `path`, made with its parents if it does not exist."""
+    from pathlib import Path
+
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    import csv
+
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -87,6 +97,10 @@ def _write_series(
 ) -> None:
     """Write a time column and value columns; the value cells of the samples
     where `gap` is true are written empty."""
+    import numpy as np
+
+    from rovermotion.telemetry import write_fixed_csv
+
     values = np.column_stack((times, *columns))
     blank = np.zeros(values.shape, dtype=bool)
     blank[:, 1:] = gap[:, None]
@@ -102,6 +116,7 @@ def _write_yaw_energy(
     path: Path, telemetry: Telemetry, mode: str
 ) -> metrics.YawEnergyCurve:
     from rovermotion import metrics
+    from rovermotion.telemetry import write_fixed_csv
 
     curve = metrics.energy_vs_yaw(telemetry, mode=mode)
     write_fixed_csv(path, ["fig3_yaw_deg", "fig3_energy_j"], curve.points)
@@ -112,6 +127,8 @@ def _write_efficiency(
     path: Path, telemetry: Telemetry, window_s: float
 ) -> list[float]:
     """Write the angular-speed efficiency series; returns its defined ratios."""
+    import numpy as np
+
     from rovermotion import metrics
 
     ratios = metrics.angular_speed_efficiency(
@@ -132,15 +149,39 @@ def _write_efficiency(
     return ratios[~gap].tolist()
 
 
+def _data_dir(name: str) -> Path:
+    """The directory `name` among the package's bundled data."""
+    from importlib import resources
+    from pathlib import Path
+
+    return Path(str(resources.files("rovermotion").joinpath("data", name)))
+
+
 def preset_path(name: str) -> Path:
-    base = resources.files("rovermotion").joinpath("data", "presets")
-    path = Path(str(base.joinpath(f"{name}.scn")))
+    path = _data_dir("presets") / f"{name}.scn"
     if not path.exists():
         raise ConfigError(f"unknown preset {name!r}")
     return path
 
 
-def _load_telemetry_arg(path: str):
+# perfbench/trace_child.py wraps these two where the commands look them up,
+# as attributes of this module. Each imports the telemetry module, and with
+# it numpy, on its first call.
+def read_telemetry_csv(path: str) -> Telemetry:
+    from rovermotion import telemetry
+
+    return telemetry.read_telemetry_csv(path)
+
+
+def write_telemetry_csv(path: Path, series: Telemetry) -> None:
+    from rovermotion import telemetry
+
+    telemetry.write_telemetry_csv(path, series)
+
+
+def _load_telemetry_arg(path: str) -> Telemetry:
+    from pathlib import Path
+
     if not Path(path).exists():
         raise TelemetryFormatError(f"no such file: {path}")
     return read_telemetry_csv(path)
@@ -151,8 +192,7 @@ def cmd_simulate(args) -> int:
 
     scenario = terrain.load_scenario(args.scenario)
     telemetry = terrain.simulate_traverse(scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_telemetry_csv(out / "telemetry.csv", telemetry)
     t, x, y, heading = telemetry.values[-1, :4] if len(telemetry) else (0.0,) * 4
     summary = out / "summary.txt"
@@ -174,18 +214,19 @@ def cmd_simulate(args) -> int:
 
 
 def _config_from_args(args) -> RoverConfig:
+    from rovermotion.config import RoverConfig, load_config
+
     if getattr(args, "config", None):
         return load_config(args.config)
     return RoverConfig()
 
 
 def cmd_analyze(args) -> int:
-    from rovermotion import metrics
-
     telemetry = _load_telemetry_arg(args.telemetry)
     config = _config_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    from rovermotion import metrics
+
+    out = _out_dir(args.out)
 
     if args.metric == "cot":
         report = metrics.mean_cot(
@@ -208,6 +249,8 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
 
     if args.metric == "slip":
+        import numpy as np
+
         times = telemetry.column("t")
         if len(times) < 2:  # the ground-truth speed is a finite difference
             raise MetricsError("insufficient samples")
@@ -247,11 +290,14 @@ def _write_deflection(
 
 
 def cmd_deflect(args) -> int:
+    # deflection.smooth_deflection_series checks this too, but only after the
+    # fit of every frame; a bad window fails here, before scipy loads.
+    if args.window < 1 or args.window % 2 == 0:
+        raise GeometryError("window must be odd and >= 1")
     from rovermotion import deflection
 
     estimates = _estimate_deflection(args.annotations, args.model, args.camera)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _write_deflection(out / "deflection.csv", estimates)
     if args.window != 1:
         _write_deflection(
@@ -264,7 +310,9 @@ def cmd_deflect(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from rovermotion import terrain
+    import csv
+    from math import isfinite
+    from pathlib import Path
 
     path = Path(args.table)
     if not path.exists():
@@ -288,15 +336,18 @@ def cmd_calibrate(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
             for name, cell, value in zip(expected[1:], row[1:], values):
-                if not np.isfinite(value):
+                if not isfinite(value):
                     raise ConfigError(f"{where}: non-finite {name} {cell!r}")
             if args.flat_only and (slope != 0.0 or row[0].lower() != "nominal"):
                 continue
+            if velocity <= 0.0:
+                raise ConfigError(f"{where}: non-positive velocity in calibration row")
             rows.append((slope, velocity, cot))
     config = _config_from_args(args)
+    from rovermotion import terrain
+
     params, residuals = terrain.calibrate_power(rows, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     (out / "power_params.txt").write_text(
         "\n".join(
             f"{name} = {_fmt(getattr(params, name))}"
@@ -319,8 +370,7 @@ def cmd_calibrate(args) -> int:
 def cmd_report(args) -> int:
     from rovermotion import metrics, terrain
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
 
     table_rows = []
     for name in PRESET_NAMES:
@@ -343,11 +393,11 @@ def cmd_report(args) -> int:
         _write_yaw_energy(out / f"fig3_{name}.csv", telemetry, name)
         _write_efficiency(out / f"fig4_{name}.csv", telemetry, 0.5)
 
-    fixture = resources.files("rovermotion").joinpath("data", "deflection")
+    fixture = _data_dir("deflection")
     estimates = _estimate_deflection(
-        str(fixture.joinpath("annotations.csv")),
-        str(fixture.joinpath("model.txt")),
-        str(fixture.joinpath("camera.txt")),
+        str(fixture / "annotations.csv"),
+        str(fixture / "model.txt"),
+        str(fixture / "camera.txt"),
     )
     _write_csv(
         out / "fig6.csv",

@@ -6,9 +6,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-
-class ConfigError(ValueError):
-    """Raised when a rover configuration violates an invariant."""
+from rovermotion.errors import ConfigError
 
 
 class LocomotionMode(enum.Enum):

@@ -1,9 +1,10 @@
 """Error types that the CLI maps to exit codes.
 
 They live apart from the modules that raise them, so that the CLI can catch
-them without loading those modules for every command: `deflection` imports
-scipy, `analyze` does not use the simulator (`kinematics`, `terrain`) and
-`simulate` does not use `metrics`.
+them without loading those modules for every command: a usage error, or
+an input error that needs neither, fails before `config` and `telemetry`
+(numpy) load, `deflection` imports scipy, `analyze` does not use the simulator (`kinematics`,
+`terrain`) and `simulate` does not use `metrics`.
 """
 from __future__ import annotations
 
@@ -11,6 +12,14 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from rovermotion.deflection import WheelPose
+
+
+class ConfigError(ValueError):
+    """Raised when a rover configuration violates an invariant."""
+
+
+class TelemetryFormatError(ValueError):
+    """Raised for malformed telemetry files."""
 
 
 class KinematicsError(ValueError):

@@ -12,15 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from rovermotion.config import BodyTwist
+from rovermotion.errors import TelemetryFormatError
 
 BUS_VOLTAGE = 24.0
 FLOAT_FORMAT = "%.6f"
 
 _WHEEL_TAGS = ("fl", "fr", "rl", "rr")
-
-
-class TelemetryFormatError(ValueError):
-    """Raised for malformed telemetry files."""
 
 
 @dataclass(frozen=True)

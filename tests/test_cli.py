@@ -366,6 +366,7 @@ class TestDeflect:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: window must be odd and >= 1\n"
         assert not (tmp_path / "deflection_smoothed.csv").exists()
+        assert not (tmp_path / "deflection.csv").exists()
 
     def test_failed_fit_names_frame(self, tmp_path, capsys, monkeypatch):
         def failing_fit(loops, model, cam, guess):
@@ -413,9 +414,12 @@ class TestCalibrate:
             ("nominal,nan,0.06,1.1", False, "non-finite slope_deg 'nan'"),
             ("nominal,0,inf,1.1", False, "non-finite velocity 'inf'"),
             ("nominal,0,0.06,-inf", True, "non-finite cot '-inf'"),
+            ("nominal,0,0,1.1", False, "non-positive velocity in calibration row"),
+            ("nominal,0,-0.06,1.1", True, "non-positive velocity in calibration row"),
         ],
         ids=["non_numeric", "short_row", "flat_only_non_numeric_slope", "nan_slope",
-             "inf_velocity", "flat_only_inf_cot"],
+             "inf_velocity", "flat_only_inf_cot", "zero_velocity",
+             "flat_only_negative_velocity"],
     )
     def test_bad_row_names_the_line(self, tmp_path, capsys, row, flat_only, message):
         table = tmp_path / "table.csv"
@@ -519,6 +523,42 @@ def test_analyze_does_not_load_the_simulator(tmp_path):
     stdout = run_python(SIMULATOR_GUARD, str(tmp_path / "sim" / "telemetry.csv"),
                         str(preset_path("nominal_0_6cm")), str(tmp_path))
     assert stdout.splitlines()[-1] == "ok"
+
+
+START_UP_GUARD = """
+import sys
+
+from rovermotion.cli import main
+
+def loaded():
+    package = sorted(name for name in sys.modules if name.split(".")[0] == "rovermotion")
+    return package, "numpy" in sys.modules
+
+BARE = (["rovermotion", "rovermotion.cli", "rovermotion.errors"], False)
+assert loaded() == BARE, ("import rovermotion.cli", loaded())
+missing = sys.argv[1]
+for argv, code in [
+    (["--help"], 0),
+    (["analyze", "bogus", "--telemetry", missing], 1),
+    (["deflect", "--annotations", missing, "--model", missing, "--camera", missing,
+      "--out", missing, "--window", "2"], 2),
+    (["analyze", "cot", "--telemetry", missing, "--out", missing], 2),
+    (["calibrate", "--table", missing, "--out", missing], 2),
+]:
+    try:
+        result = main(argv)
+    except SystemExit as exc:
+        result = exc.code
+    assert result == code, (argv, result)
+    assert loaded() == BARE, (argv, loaded())
+print("ok")
+"""
+
+
+def test_usage_and_input_errors_load_neither_numpy_nor_a_command(tmp_path):
+    stdout = run_python(START_UP_GUARD, str(tmp_path / "missing"))
+    assert stdout.splitlines()[-1] == "ok"
+    assert not (tmp_path / "missing").exists()
 
 
 LOADED_GUARD = """

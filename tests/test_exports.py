@@ -43,6 +43,34 @@ def _imported_modules(path: Path, modules: set[str]) -> set[str]:
     return found
 
 
+# The modules `import rovermotion.cli` may import: each command imports numpy
+# and the package modules it runs when it runs.
+CLI_IMPORTS = {"__future__", "argparse", "sys", "typing", "rovermotion.errors"}
+
+
+def _import_time_imports(path: Path) -> set[str]:
+    """The modules the source at `path` imports when it is imported: outside
+    functions and outside its `if TYPE_CHECKING:` block."""
+    found, pending = set(), list(ast.parse(path.read_text()).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            pending.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_cli_imports_only_what_parsing_needs():
+    assert _import_time_imports(PACKAGE / "cli.py") <= CLI_IMPORTS
+
+
 def test_every_module_is_reached_from_the_cli():
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     reached, pending = set(), ["cli"]
