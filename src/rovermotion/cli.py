@@ -179,15 +179,17 @@ def write_telemetry_csv(path: Path, series: Telemetry) -> None:
     telemetry.write_telemetry_csv(path, series)
 
 
-def _load_telemetry_arg(path: str) -> Telemetry:
+def _check_exists(error: type[Exception], *paths: str | Path) -> None:
+    """Raise `error` naming the first of `paths` that does not exist."""
     from pathlib import Path
 
-    if not Path(path).exists():
-        raise TelemetryFormatError(f"no such file: {path}")
-    return read_telemetry_csv(path)
+    for path in paths:
+        if not Path(path).exists():
+            raise error(f"no such file: {path}")
 
 
 def cmd_simulate(args) -> int:
+    _check_exists(ConfigError, args.scenario)
     from rovermotion import terrain
 
     scenario = terrain.load_scenario(args.scenario)
@@ -222,7 +224,8 @@ def _config_from_args(args) -> RoverConfig:
 
 
 def cmd_analyze(args) -> int:
-    telemetry = _load_telemetry_arg(args.telemetry)
+    _check_exists(TelemetryFormatError, args.telemetry)
+    telemetry = read_telemetry_csv(args.telemetry)
     config = _config_from_args(args)
     from rovermotion import metrics
 
@@ -294,6 +297,7 @@ def cmd_deflect(args) -> int:
     # fit of every frame; a bad window fails here, before scipy loads.
     if args.window < 1 or args.window % 2 == 0:
         raise GeometryError("window must be odd and >= 1")
+    _check_exists(GeometryError, args.model, args.camera, args.annotations)
     from rovermotion import deflection
 
     estimates = _estimate_deflection(args.annotations, args.model, args.camera)
@@ -315,8 +319,7 @@ def cmd_calibrate(args) -> int:
     from pathlib import Path
 
     path = Path(args.table)
-    if not path.exists():
-        raise ConfigError(f"no such file: {path}")
+    _check_exists(ConfigError, path)
     rows = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)

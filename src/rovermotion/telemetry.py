@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import csv
+import math
 import operator
 import os
-import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -415,56 +415,28 @@ def _parse_fixed(path: str | Path) -> np.ndarray | None:
     the correctly rounded value, which is float(cell) bit for bit.
 
     The file is read in chunks of _READ_CHUNK_BYTES completed to a line end,
-    each into the buffer of the thread that parses it: this thread and one
-    helper thread (numpy releases the GIL). The rows go straight into one
-    array sized for the most lines the file can hold, of which the filled
-    rows are returned; pages never written are never resident.
+    each parsed in turn straight into one array sized for the most lines the
+    file can hold, of which the filled rows are returned; pages never written
+    are never resident.
     """
     with open(path, "rb") as handle:
         if handle.read(len(_HEADER_BYTES)) != _HEADER_BYTES:
             return None
         size = os.fstat(handle.fileno()).st_size - len(_HEADER_BYTES)
         values = np.empty((size // _MIN_LINE_BYTES, len(TELEMETRY_HEADER)))
+        parser = _ChunkParser(values)
         rows = 0  # rows of the chunks read so far
-        lock = threading.Lock()
-        rejected: list[object] = []
-        errors: list[BaseException] = []
-
-        def work() -> None:
-            nonlocal rows
-            parser = _ChunkParser(values)
-            while not rejected:
-                with lock:
-                    chunk = parser.read(handle)
-                    if chunk is None:
-                        return
-                    row = rows
-                    rows += parser.lines(*chunk)
-                if not parser.parse(*chunk, row):
-                    rejected.append(chunk)
-
-        def helper() -> None:
-            try:
-                work()
-            except BaseException as exc:  # raised again by the calling thread
-                errors.append(exc)
-
-        thread = threading.Thread(target=helper) if size > _READ_CHUNK_BYTES else None
-        if thread is not None:
-            thread.start()
-        try:
-            work()
-        finally:
-            if thread is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
-    return None if rejected else values[:rows]
+        while (chunk := parser.read(handle)) is not None:
+            parsed = parser.parse(*chunk, rows)
+            if parsed is None:
+                return None
+            rows += parsed
+    return values[:rows]
 
 
 class _ChunkParser(_Scratch):
-    """Reads chunks of a file in the layout of _parse_fixed into its own
-    buffer and parses them into `values`; each thread has its own."""
+    """Reads chunks of a file in the layout of _parse_fixed into its buffer
+    and parses them into `values`."""
 
     def __init__(self, values: np.ndarray):
         super().__init__()
@@ -490,16 +462,9 @@ class _ChunkParser(_Scratch):
             stop += len(tail)
         return _PAD, stop
 
-    def lines(self, start: int, stop: int) -> int:
-        """The number of "\n" in buf[start:stop]."""
-        text = self.buf[start:stop]
-        return np.count_nonzero(
-            np.equal(text, ord("\n"), out=self._scratch("flags", len(text), bool))
-        )
-
-    def parse(self, start: int, stop: int, row: int) -> bool:
-        """Parse the lines in buf[start:stop] into values[row:]; False if any
-        byte breaks the layout or the lines do not fit."""
+    def parse(self, start: int, stop: int, row: int) -> int | None:
+        """Parse the lines in buf[start:stop] into values[row:]; the number of
+        lines, or None if any byte breaks the layout or the lines do not fit."""
         text = self.buf[start:stop]
         # "," and "\n" (and any other byte below "-")
         flags = np.less(text, ord("-"), out=self._scratch("flags", len(text), bool))
@@ -511,7 +476,7 @@ class _ChunkParser(_Scratch):
             or row + cells // len(_SEPARATORS) > len(self.values)
             or not (text[ends].reshape(-1, len(_SEPARATORS)) == _SEPARATORS).all()
         ):
-            return False
+            return None
         # each cell's first byte, then its number of integer digits
         digits = self._scratch("digits", cells, ends.dtype)
         digits[0] = 0
@@ -522,7 +487,7 @@ class _ChunkParser(_Scratch):
         digits -= 7
         ends -= 7
         if digits.min() < 1 or digits.max() > 9 or not (text[ends] == ord(".")).all():
-            return False
+            return None
         # With one "." in each cell and "-" only as a first byte, every other
         # byte must be a digit
         if (
@@ -532,7 +497,7 @@ class _ChunkParser(_Scratch):
             or np.equal(text, ord("/"), out=flags).any()
             or np.greater(text, ord("9"), out=flags).any()
         ):
-            return False
+            return None
 
         spare = self._scratch("spare", cells, np.uint64)
         # each cell's last eight bytes "I.DDDDDD" become "0IDDDDDD": I * 1e6
@@ -557,10 +522,11 @@ class _ChunkParser(_Scratch):
         q = _eight_digits(high, spare)
         q *= np.uint64(10_000_000)
         q += _eight_digits(low, spare)
-        out = self.values[row : row + cells // len(_SEPARATORS)].reshape(-1)
+        lines = cells // len(_SEPARATORS)
+        out = self.values[row : row + lines].reshape(-1)
         np.divide(q, 1e6, out=out)
         np.negative(out, out=out, where=negative)
-        return True
+        return lines
 
 
 def _read_rows(path: str | Path) -> Telemetry:
@@ -578,6 +544,11 @@ def _read_rows(path: str | Path) -> Telemetry:
                 v = [float(cell) for cell in row]
             except ValueError as exc:
                 raise TelemetryFormatError(f"{path}:{lineno}: {exc}") from exc
+            # nan fails every comparison, so the order check below lets it by
+            if not math.isfinite(v[0]):
+                raise TelemetryFormatError(
+                    f"{path}:{lineno}: non-finite timestamp {row[0]!r}"
+                )
             if previous_t is not None and v[0] <= previous_t:
                 raise TelemetryFormatError(
                     f"{path}:{lineno}: non-increasing timestamp"

@@ -47,6 +47,13 @@ class TestSimulate:
         assert "scenario = cli_demo" in summary
         assert "records = 1001" in summary
 
+    def test_missing_scenario_is_data_error(self, tmp_path, capsys):
+        scn = tmp_path / "nope.scn"
+        out = tmp_path / "out"
+        assert run(["simulate", "--scenario", str(scn), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: no such file: {scn}\n"
+        assert not out.exists()
+
     def test_preset_smoke(self, tmp_path):
         out = tmp_path / "out"
         code = run(
@@ -187,6 +194,19 @@ class TestAnalyze:
         code = run(["analyze", "cot", "--telemetry", str(bad), "--out", str(tmp_path)])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: {bad}:{message}\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_is_data_error(self, telemetry, tmp_path, capsys,
+                                                cell):
+        lines = telemetry.read_text().splitlines(keepends=True)
+        lines[2] = cell + lines[2][lines[2].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        code = run(["analyze", "efficiency", "--telemetry", str(bad),
+                    "--out", str(tmp_path / "eff")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}:3: non-finite timestamp '{cell}'\n"
+        assert not (tmp_path / "eff").exists()
 
     def test_header_only_telemetry_is_data_error(self, telemetry, tmp_path, capsys):
         bad = tmp_path / "header.csv"
@@ -347,6 +367,29 @@ class TestDeflect:
         err = capsys.readouterr().err
         assert str(tmp_path) in err and where in err
         assert not (tmp_path / "out" / "deflection.csv").exists()
+
+    @pytest.mark.parametrize("missing, named", [
+        (["model.txt"], "model.txt"),
+        (["camera.txt"], "camera.txt"),
+        (["annotations.csv"], "annotations.csv"),
+        # the first missing file in the order they load: model, camera, annotations
+        (["annotations.csv", "camera.txt"], "camera.txt"),
+    ])
+    def test_missing_input_is_data_error(self, tmp_path, capsys, missing, named):
+        paths = {name: str((tmp_path if name in missing else FIXTURE_DIR) / name)
+                 for name in ("annotations.csv", "model.txt", "camera.txt")}
+        code = run(
+            [
+                "deflect",
+                "--annotations", paths["annotations.csv"],
+                "--model", paths["model.txt"],
+                "--camera", paths["camera.txt"],
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: no such file: {paths[named]}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("window", ["0", "-3", "2"])
     def test_bad_window_is_data_error(self, tmp_path, capsys, window):
@@ -542,6 +585,9 @@ for argv, code in [
     (["analyze", "bogus", "--telemetry", missing], 1),
     (["deflect", "--annotations", missing, "--model", missing, "--camera", missing,
       "--out", missing, "--window", "2"], 2),
+    (["deflect", "--annotations", missing, "--model", missing, "--camera", missing,
+      "--out", missing, "--window", "1"], 2),
+    (["simulate", "--scenario", missing, "--out", missing], 2),
     (["analyze", "cot", "--telemetry", missing, "--out", missing], 2),
     (["calibrate", "--table", missing, "--out", missing], 2),
 ]:
