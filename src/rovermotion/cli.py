@@ -74,7 +74,10 @@ def _out_dir(path: str) -> Path:
     from pathlib import Path
 
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at `path` or above it, or no permission
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
     return out
 
 
@@ -180,12 +183,13 @@ def write_telemetry_csv(path: Path, series: Telemetry) -> None:
 
 
 def _check_exists(error: type[Exception], *paths: str | Path) -> None:
-    """Raise `error` naming the first of `paths` that does not exist."""
+    """Raise `error` naming the first of `paths` that is not a file."""
     from pathlib import Path
 
     for path in paths:
-        if not Path(path).exists():
-            raise error(f"no such file: {path}")
+        if not Path(path).is_file():
+            problem = "not a file" if Path(path).exists() else "no such file"
+            raise error(f"{problem}: {path}")
 
 
 def cmd_simulate(args) -> int:
@@ -219,6 +223,7 @@ def _config_from_args(args) -> RoverConfig:
     from rovermotion.config import RoverConfig, load_config
 
     if getattr(args, "config", None):
+        _check_exists(ConfigError, args.config)
         return load_config(args.config)
     return RoverConfig()
 
@@ -315,37 +320,39 @@ def cmd_deflect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     import csv
+    import io
     from math import isfinite
     from pathlib import Path
 
     path = Path(args.table)
     _check_exists(ConfigError, path)
+    from rovermotion.config import read_text
+
     rows = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        expected = ["mode", "slope_deg", "velocity", "cot"]
-        if next(reader, None) != expected:
-            raise ConfigError(f"{path}: expected header {','.join(expected)}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(expected):
-                raise ConfigError(
-                    f"{where}: expected {len(expected)} columns, got {len(row)}"
-                )
-            try:
-                slope, velocity, cot = values = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            for name, cell, value in zip(expected[1:], row[1:], values):
-                if not isfinite(value):
-                    raise ConfigError(f"{where}: non-finite {name} {cell!r}")
-            if args.flat_only and (slope != 0.0 or row[0].lower() != "nominal"):
-                continue
-            if velocity <= 0.0:
-                raise ConfigError(f"{where}: non-positive velocity in calibration row")
-            rows.append((slope, velocity, cot))
+    reader = csv.reader(io.StringIO(read_text(path)))
+    expected = ["mode", "slope_deg", "velocity", "cot"]
+    if next(reader, None) != expected:
+        raise ConfigError(f"{path}: expected header {','.join(expected)}")
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) != len(expected):
+            raise ConfigError(
+                f"{where}: expected {len(expected)} columns, got {len(row)}"
+            )
+        try:
+            slope, velocity, cot = values = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        for name, cell, value in zip(expected[1:], row[1:], values):
+            if not isfinite(value):
+                raise ConfigError(f"{where}: non-finite {name} {cell!r}")
+        if args.flat_only and (slope != 0.0 or row[0].lower() != "nominal"):
+            continue
+        if velocity <= 0.0:
+            raise ConfigError(f"{where}: non-positive velocity in calibration row")
+        rows.append((slope, velocity, cot))
     config = _config_from_args(args)
     from rovermotion import terrain
 

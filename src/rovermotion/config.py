@@ -114,9 +114,18 @@ def wheel_positions(config: RoverConfig) -> dict[WheelId, tuple[float, float]]:
     }
 
 
+def read_text(path: str | Path, error: type[ValueError] = ConfigError) -> str:
+    """The contents of file `path` decoded as UTF-8; `error`, naming the
+    file, if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+
+
 def parse_key_value_file(path: str | Path) -> dict[str, str]:
     """Parse a plain `key = value` file, one pair per line, '#' comments."""
-    return parse_key_value_lines(Path(path).read_text().splitlines(), path)
+    return parse_key_value_lines(read_text(path).splitlines(), path)
 
 
 def parse_key_value_lines(lines: list[str], path: str | Path) -> dict[str, str]:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -500,26 +501,27 @@ def write_annotations_csv(path: str | Path, frames: list[AnnotationFrame]) -> No
 
 
 def read_annotations_csv(path: str | Path) -> list[AnnotationFrame]:
+    from rovermotion.config import read_text
+
     frames = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ANNOTATION_HEADER:
-            raise GeometryError(f"{path}: unexpected annotation header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(ANNOTATION_HEADER):
-                raise GeometryError(f"{path}:{lineno}: wrong column count")
-            try:
-                loops = [_parse_loop(cell) for cell in row[2:5]]
-                if any(cell.strip() for cell in row[5:9]):
-                    chord = ChordAnnotation(
-                        (float(row[5]), float(row[6])), (float(row[7]), float(row[8]))
-                    )
-                else:
-                    chord = None
-                frames.append(AnnotationFrame(int(row[0]), row[1], loops, chord))
-            except ValueError as exc:  # GeometryError is one too
-                raise GeometryError(f"{path}:{lineno}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path, GeometryError)))
+    header = next(reader, None)
+    if header != ANNOTATION_HEADER:
+        raise GeometryError(f"{path}: unexpected annotation header")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(ANNOTATION_HEADER):
+            raise GeometryError(f"{path}:{lineno}: wrong column count")
+        try:
+            loops = [_parse_loop(cell) for cell in row[2:5]]
+            if any(cell.strip() for cell in row[5:9]):
+                chord = ChordAnnotation(
+                    (float(row[5]), float(row[6])), (float(row[7]), float(row[8]))
+                )
+            else:
+                chord = None
+            frames.append(AnnotationFrame(int(row[0]), row[1], loops, chord))
+        except ValueError as exc:  # GeometryError is one too
+            raise GeometryError(f"{path}:{lineno}: {exc}") from None
     return frames
 
 

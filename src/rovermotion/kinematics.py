@@ -112,9 +112,7 @@ def inverse_kinematics(
     raise KinematicsError(f"unsupported mode {mode}")
 
 
-def forward_odometry(
-    commands: list[WheelCommand], mode: LocomotionMode, config: RoverConfig
-) -> BodyTwist:
+def forward_odometry(commands: list[WheelCommand], config: RoverConfig) -> BodyTwist:
     """Least-squares body twist explaining the wheel rolling speeds.
 
     Only the rolling-direction projection of each contact velocity is

@@ -1,46 +1,21 @@
-"""Telemetry series and records, and their CSV serialization."""
+"""Telemetry series and their CSV serialization."""
 from __future__ import annotations
 
 import csv
 import math
 import operator
 import os
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-from rovermotion.config import BodyTwist
 from rovermotion.errors import TelemetryFormatError
 
 BUS_VOLTAGE = 24.0
 FLOAT_FORMAT = "%.6f"
 
 _WHEEL_TAGS = ("fl", "fr", "rl", "rr")
-
-
-@dataclass(frozen=True)
-class TelemetryRecord:
-    """One synchronized sample of ground truth, odometry, and power."""
-
-    t: float
-    pose: tuple[float, float, float]  # ground-truth x, y, heading
-    marker: tuple[float, float]  # mocap marker world position
-    odo_twist: BodyTwist
-    commanded_twist: BodyTwist
-    drive_voltage: tuple[float, float, float, float]
-    drive_current: tuple[float, float, float, float]
-    steer_voltage: tuple[float, float, float, float]
-    steer_current: tuple[float, float, float, float]
-    drive_speeds: tuple[float, float, float, float]  # rad/s, FL FR RL RR
-    steering_angles: tuple[float, float, float, float]  # rad
-
-    @property
-    def total_power(self) -> float:
-        return sum(v * i for v, i in zip(self.drive_voltage, self.drive_current)) + sum(
-            v * i for v, i in zip(self.steer_voltage, self.steer_current)
-        )
 
 
 TELEMETRY_HEADER = (
@@ -57,8 +32,10 @@ TELEMETRY_HEADER = (
 
 _HEADER_LINE = ",".join(TELEMETRY_HEADER)
 _COLUMN = {name: j for j, name in enumerate(TELEMETRY_HEADER)}
+# One row of a series, with a float64 field per TELEMETRY_HEADER name
+_RECORD = np.dtype((np.record, [(name, np.float64) for name in TELEMETRY_HEADER]))
 
-# TelemetryRecord field -> its columns in TELEMETRY_HEADER
+# Named groups of TELEMETRY_HEADER columns: group -> its slice of a row
 FIELD_COLUMNS = {
     "pose": slice(1, 4),
     "marker": slice(4, 6),
@@ -76,9 +53,9 @@ FIELD_COLUMNS = {
 class Telemetry:
     """A telemetry series as one float64 column per TELEMETRY_HEADER field.
 
-    `values` has shape (samples, len(TELEMETRY_HEADER)). `telemetry[i]`
-    builds sample i as a TelemetryRecord on demand; whole-series code reads
-    columns with `column(name)` instead.
+    `values` has shape (samples, len(TELEMETRY_HEADER)). Whole-series code
+    reads columns with `column(name)`; `telemetry[i]` is sample i as a
+    record, so `telemetry[i].odo_wz == telemetry.column("odo_wz")[i]`.
     """
 
     def __init__(self, values: np.ndarray):
@@ -94,41 +71,13 @@ class Telemetry:
     def empty(cls) -> "Telemetry":
         return cls(np.empty((0, len(TELEMETRY_HEADER))))
 
-    @classmethod
-    def from_records(cls, records: Iterable[TelemetryRecord]) -> "Telemetry":
-        rows = [
-            [
-                r.t, *r.pose, *r.marker,
-                r.odo_twist.vx, r.odo_twist.vy, r.odo_twist.wz,
-                r.commanded_twist.vx, r.commanded_twist.vy, r.commanded_twist.wz,
-                *r.drive_voltage, *r.drive_current, *r.steer_voltage,
-                *r.steer_current, *r.drive_speeds, *r.steering_angles,
-            ]
-            for r in records
-        ]
-        return cls(np.array(rows).reshape(-1, len(TELEMETRY_HEADER)))
-
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, index: int) -> TelemetryRecord:
-        v = self.values[operator.index(index)].tolist()
-        return TelemetryRecord(
-            t=v[0],
-            pose=(v[1], v[2], v[3]),
-            marker=(v[4], v[5]),
-            odo_twist=BodyTwist(v[6], v[7], v[8]),
-            commanded_twist=BodyTwist(v[9], v[10], v[11]),
-            drive_voltage=tuple(v[12:16]),
-            drive_current=tuple(v[16:20]),
-            steer_voltage=tuple(v[20:24]),
-            steer_current=tuple(v[24:28]),
-            drive_speeds=tuple(v[28:32]),
-            steering_angles=tuple(v[32:36]),
-        )
-
-    def __iter__(self) -> Iterator[TelemetryRecord]:
-        return (self[i] for i in range(len(self)))
+    def __getitem__(self, index: int) -> np.record:
+        """Sample `index` as a record whose fields are the TELEMETRY_HEADER
+        names; a copy, so writing a field leaves `values` as it was."""
+        return self.values[operator.index(index)].copy().view(_RECORD)[0]
 
     def column(self, name: str) -> np.ndarray:
         """The column named `name` in TELEMETRY_HEADER (a view, not a copy)."""
@@ -136,7 +85,8 @@ class Telemetry:
 
     @property
     def total_power(self) -> np.ndarray:
-        """Per-sample TelemetryRecord.total_power, summed in the same order."""
+        """Per-sample electrical power: drive plus steering power, each the
+        sum of its four units' V * I, added left to right as sum() adds."""
         return _sum_left(
             self.values[:, FIELD_COLUMNS["drive_voltage"]]
             * self.values[:, FIELD_COLUMNS["drive_current"]]
@@ -158,7 +108,7 @@ class Telemetry:
 
 
 def _sum_left(products: np.ndarray) -> np.ndarray:
-    # sum() over each row, left to right from 0, as TelemetryRecord.total_power
+    """Each row's sum, added left to right from 0 as Python's sum() does."""
     total = np.zeros(len(products))
     for j in range(products.shape[1]):
         total = total + products[:, j]
@@ -349,7 +299,10 @@ def read_telemetry_csv(path: str | Path) -> Telemetry:
     """
     values = _parse_fixed(path)
     if values is None:
-        return _read_rows(path)
+        try:
+            return _read_rows(path)
+        except UnicodeDecodeError:
+            raise TelemetryFormatError(f"{path}: not UTF-8 text") from None
     t = values[:, 0]
     late = np.flatnonzero(t[1:] <= t[:-1])
     if late.size:
@@ -531,7 +484,7 @@ class _ChunkParser(_Scratch):
 
 def _read_rows(path: str | Path) -> Telemetry:
     rows: list[list[float]] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != TELEMETRY_HEADER:

@@ -16,6 +16,7 @@ from rovermotion.config import (
     WheelCommand,
     parse_finite,
     parse_key_value_lines,
+    read_text,
     validate_config,
     wheel_positions,
 )
@@ -132,7 +133,7 @@ def drive_power(
         power.rolling_resistance_coeff * math.cos(theta) + math.sin(theta)
     ) * weight_per_wheel
     normal_per_wheel = weight_per_wheel * math.cos(theta)
-    twist = forward_odometry(commands, LocomotionMode.SKID_STEER, config)
+    twist = forward_odometry(commands, config)
     positions = wheel_positions(config)
 
     breakdown: dict[str, float] = {}
@@ -394,7 +395,7 @@ def calibrate_power(
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario file: `key = value` lines, then a [profile] CSV block."""
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     try:
         split = lines.index("[profile]")
     except ValueError:

@@ -117,8 +117,8 @@ def _rotation_efficiency(mode: LocomotionMode) -> float:
         Scenario(profile=[ProfileSegment(duration, BodyTwist(0, 0, 0.05), mode)])
     )
     t = np.array([r.t for r in records])
-    heading = np.array([r.pose[2] for r in records])
-    odo_wz = np.array([r.odo_twist.wz for r in records])
+    heading = np.array([r.heading for r in records])
+    odo_wz = np.array([r.odo_wz for r in records])
     series = angular_speed_efficiency(t, heading, odo_wz)
     ratios = series[~np.isnan(series)]
     return float(np.mean(ratios))
@@ -167,7 +167,7 @@ def test_criterion_5_kinematics_invariants():
         commands = inverse_kinematics(twist, mode, CFG)
         _, residual = icr_of(commands, CFG)
         ok = ok and residual < 1e-9
-        back = forward_odometry(commands, mode, CFG)
+        back = forward_odometry(commands, CFG)
         ok = ok and max(
             abs(back.vx - twist.vx), abs(back.vy - twist.vy), abs(back.wz - twist.wz)
         ) < 1e-9

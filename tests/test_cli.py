@@ -483,6 +483,71 @@ class TestCalibrate:
         assert code == EXIT_DATA
 
 
+class TestInputAndOutputPaths:
+    INPUT_FLAGS = ["simulate --scenario", "analyze --telemetry", "analyze --config",
+                   "calibrate --table", "calibrate --config", "deflect --model",
+                   "deflect --camera", "deflect --annotations"]
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """A valid input file for each flag in INPUT_FLAGS."""
+        scenario = tmp_path / "run.scn"
+        write_scenario(scenario, duration=1.0)
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(sim)]) == EXIT_OK
+        config = tmp_path / "rover.cfg"
+        config.write_text("mass = 84\n")
+        return {
+            "simulate": {"--scenario": scenario},
+            "analyze": {"--telemetry": sim / "telemetry.csv", "--config": config},
+            "calibrate": {"--table": SRC / "rovermotion" / "data" / "cot_measurements.csv",
+                          "--config": config},
+            "deflect": {f"--{name}": FIXTURE_DIR / f"{name}.{ext}" for name, ext in
+                        (("model", "txt"), ("camera", "txt"), ("annotations", "csv"))},
+        }
+
+    @staticmethod
+    def argv(inputs, flag, path, out):
+        """The arguments of `flag`'s command with `path` given to `flag`."""
+        command, name = flag.split()
+        files = {**inputs[command], name: path}
+        metric = ["cot"] if command == "analyze" else []
+        pairs = [str(arg) for pair in files.items() for arg in pair]
+        return [command, *metric, *pairs, "--out", str(out)]
+
+    @pytest.mark.parametrize("flag", INPUT_FLAGS)
+    def test_directory_input_is_data_error(self, inputs, tmp_path, capsys, flag):
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        code = run(self.argv(inputs, flag, directory, tmp_path / "out"))
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: not a file: {directory}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", INPUT_FLAGS)
+    def test_non_utf8_input_is_data_error(self, inputs, tmp_path, capsys, flag):
+        command, name = flag.split()
+        bad = tmp_path / "not_utf8"
+        bad.write_bytes(inputs[command][name].read_bytes() + b"# \xff\n")
+        code = run(self.argv(inputs, flag, bad, tmp_path / "out"))
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["simulate --scenario", "analyze --telemetry"])
+    @pytest.mark.parametrize("where, reason", [
+        ("out", "File exists"), ("out/sub", "Not a directory")])
+    def test_out_at_or_under_a_file_is_data_error(self, inputs, tmp_path, capsys,
+                                                  flag, where, reason):
+        (tmp_path / "out").write_text("a file\n")
+        out = tmp_path / where
+        command, name = flag.split()
+        code = run(self.argv(inputs, flag, inputs[command][name], out))
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: cannot make output directory {out}: {reason}\n")
+
+
 SCIPY_GUARD = """
 import sys
 from pathlib import Path
@@ -579,7 +644,7 @@ def loaded():
 
 BARE = (["rovermotion", "rovermotion.cli", "rovermotion.errors"], False)
 assert loaded() == BARE, ("import rovermotion.cli", loaded())
-missing = sys.argv[1]
+missing, directory = sys.argv[1:]
 for argv, code in [
     (["--help"], 0),
     (["analyze", "bogus", "--telemetry", missing], 1),
@@ -590,6 +655,11 @@ for argv, code in [
     (["simulate", "--scenario", missing, "--out", missing], 2),
     (["analyze", "cot", "--telemetry", missing, "--out", missing], 2),
     (["calibrate", "--table", missing, "--out", missing], 2),
+    (["simulate", "--scenario", directory, "--out", missing], 2),
+    (["analyze", "cot", "--telemetry", directory, "--out", missing], 2),
+    (["calibrate", "--table", directory, "--out", missing], 2),
+    (["deflect", "--annotations", directory, "--model", directory,
+      "--camera", directory, "--out", missing], 2),
 ]:
     try:
         result = main(argv)
@@ -602,7 +672,7 @@ print("ok")
 
 
 def test_usage_and_input_errors_load_neither_numpy_nor_a_command(tmp_path):
-    stdout = run_python(START_UP_GUARD, str(tmp_path / "missing"))
+    stdout = run_python(START_UP_GUARD, str(tmp_path / "missing"), str(tmp_path))
     assert stdout.splitlines()[-1] == "ok"
     assert not (tmp_path / "missing").exists()
 

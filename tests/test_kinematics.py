@@ -137,7 +137,7 @@ class TestForwardOdometry:
             WheelCommand(w, s, 0.0)
             for w, s in zip(WHEEL_ORDER, [0.3, 0.5, 0.3, 0.5])
         ]
-        twist = forward_odometry(cmds, LocomotionMode.SKID_STEER, CFG)
+        twist = forward_odometry(cmds, CFG)
         assert twist.vx == pytest.approx(0.06)
         assert twist.wz == pytest.approx((0.5 - 0.3) * 0.15 / 0.830)
         assert twist.vy == pytest.approx(0.0, abs=1e-12)
@@ -148,7 +148,7 @@ class TestForwardOdometry:
             WheelCommand(c.wheel_id, 0.75 * c.drive_speed, c.steering_angle)
             for c in cmds
         ]
-        twist = forward_odometry(scaled, LocomotionMode.POINT_TURN, CFG)
+        twist = forward_odometry(scaled, CFG)
         assert twist.wz == pytest.approx(0.15)
         assert math.hypot(twist.vx, twist.vy) == pytest.approx(0.0, abs=1e-12)
 
@@ -164,7 +164,7 @@ class TestForwardOdometry:
         ],
     )
     def test_round_trip_identity(self, twist, mode):
-        recovered = forward_odometry(inverse_kinematics(twist, mode, CFG), mode, CFG)
+        recovered = forward_odometry(inverse_kinematics(twist, mode, CFG), CFG)
         assert recovered.vx == pytest.approx(twist.vx, abs=1e-9)
         assert recovered.vy == pytest.approx(twist.vy, abs=1e-9)
         assert recovered.wz == pytest.approx(twist.wz, abs=1e-9)
@@ -203,7 +203,7 @@ twists = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(twist=twists, mode=st.sampled_from([LocomotionMode.ACKERMANN, LocomotionMode.SKID_STEER]))
 def test_round_trip_property(twist, mode):
-    recovered = forward_odometry(inverse_kinematics(twist, mode, CFG), mode, CFG)
+    recovered = forward_odometry(inverse_kinematics(twist, mode, CFG), CFG)
     assert math.isclose(recovered.vx, twist.vx, abs_tol=1e-9)
     assert math.isclose(recovered.wz, twist.wz, abs_tol=1e-9)
 

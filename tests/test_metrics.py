@@ -21,7 +21,7 @@ from rovermotion.metrics import (
     longitudinal_slip,
     mean_cot,
 )
-from rovermotion.telemetry import Telemetry, TelemetryRecord
+from rovermotion.telemetry import TELEMETRY_HEADER, Telemetry
 from rovermotion.terrain import (
     Scenario,
     TerrainParams,
@@ -33,21 +33,16 @@ CFG = RoverConfig()
 
 
 def make_record(t, power, v, heading=0.0):
+    """One telemetry row, in TELEMETRY_HEADER order."""
+    row = dict.fromkeys(TELEMETRY_HEADER, 0.0)
+    row.update(t=t, x=v * t, heading=heading, marker_x=v * t, odo_vx=v, cmd_vx=v)
+    for wheel in ("fl", "fr", "rl", "rr"):
+        row[f"v_drive_{wheel}"] = row[f"v_steer_{wheel}"] = 24.0
+        row[f"speed_{wheel}"] = v / 0.15
     # one drive carries the whole electrical load, which is all the
     # aggregate metrics care about
-    return TelemetryRecord(
-        t=t,
-        pose=(v * t, 0.0, heading),
-        marker=(v * t, 0.0),
-        odo_twist=BodyTwist(v, 0.0, 0.0),
-        commanded_twist=BodyTwist(v, 0.0, 0.0),
-        drive_voltage=(24.0,) * 4,
-        drive_current=(power / 24.0, 0.0, 0.0, 0.0),
-        steer_voltage=(24.0,) * 4,
-        steer_current=(0.0,) * 4,
-        drive_speeds=(v / 0.15,) * 4,
-        steering_angles=(0.0,) * 4,
-    )
+    row["i_drive_fl"] = power / 24.0
+    return list(row.values())
 
 
 class TestCostOfTransport:
@@ -74,7 +69,7 @@ class TestCostOfTransport:
 class TestMeanCot:
     def test_constant_series(self):
         records = [make_record(0.1 * k, 54.4, 0.06) for k in range(100)]
-        report = mean_cot(Telemetry.from_records(records), CFG, mode="nominal")
+        report = mean_cot(Telemetry(records), CFG, mode="nominal")
         assert report.cost_of_transport == pytest.approx(1.100, abs=1e-9 + 0.001)
         assert report.mean_power == pytest.approx(54.4)
         assert report.mean_velocity == pytest.approx(0.06)
@@ -88,17 +83,17 @@ class TestMeanCot:
             make_record(9.0 + 1e-9, 100.0, 0.05),
             make_record(10.0, 100.0, 0.05),
         ]
-        report = mean_cot(Telemetry.from_records(records), CFG)
+        report = mean_cot(Telemetry(records), CFG)
         assert report.mean_power == pytest.approx(19.0, abs=1e-3)
 
     def test_insufficient_samples(self):
         with pytest.raises(MetricsError, match="insufficient samples"):
-            mean_cot(Telemetry.from_records([make_record(0.0, 10.0, 0.05)]), CFG)
+            mean_cot(Telemetry([make_record(0.0, 10.0, 0.05)]), CFG)
 
     def test_stationary_series_undefined(self):
         records = [make_record(0.1 * k, 5.0, 0.0) for k in range(10)]
         with pytest.raises(MetricsError, match="zero velocity"):
-            mean_cot(Telemetry.from_records(records), CFG)
+            mean_cot(Telemetry(records), CFG)
 
 
 class TestEnergyVsYaw:
@@ -110,7 +105,7 @@ class TestEnergyVsYaw:
         records = [
             make_record(0.1 * k, 10.0, 0.0, heading=0.01 * k) for k in range(101)
         ]
-        curve = energy_vs_yaw(Telemetry.from_records(records), mode="point_turn")
+        curve = energy_vs_yaw(Telemetry(records), mode="point_turn")
         yaw_deg, energy = curve.points[-1]
         assert yaw_deg == pytest.approx(math.degrees(1.0))
         assert energy == pytest.approx(100.0)
@@ -134,7 +129,7 @@ class TestEnergyVsYaw:
             make_record(float(k), 10.0, 0.0, heading=h)
             for k, h in enumerate(headings)
         ]
-        curve = energy_vs_yaw(Telemetry.from_records(records))
+        curve = energy_vs_yaw(Telemetry(records))
         assert curve.points[-1][0] == pytest.approx(math.degrees(0.4))
 
 

@@ -1,10 +1,10 @@
 """The columnar simulator and writer against the per-record reference.
 
 The reference below is the simulator and CSV writer the package used when
-telemetry was a list of TelemetryRecord: one record per sample, built in a
-Python loop, with per-step slip noise drawn for each step on top of
-apply_slip's mean twist. The columnar
-`simulate` must write the same telemetry.csv and summary.txt bytes.
+telemetry was a list of per-sample records: one row of floats per sample,
+built in a Python loop, with per-step slip noise drawn for each step on top
+of apply_slip's mean twist. The columnar `simulate` must write the same
+telemetry.csv and summary.txt bytes, and hold the same float64 bits.
 """
 import csv
 import math
@@ -16,12 +16,7 @@ import pytest
 from rovermotion.cli import EXIT_OK, PRESET_NAMES, ROTATION_PRESETS, main, preset_path
 from rovermotion.config import WHEEL_ORDER, BodyTwist, ConfigError, validate_config
 from rovermotion._track_py import integrate_track
-from rovermotion.telemetry import (
-    BUS_VOLTAGE,
-    TELEMETRY_HEADER,
-    Telemetry,
-    TelemetryRecord,
-)
+from rovermotion.telemetry import BUS_VOLTAGE, TELEMETRY_HEADER
 from rovermotion.terrain import (
     _ANGLE_TOL,
     Scenario,
@@ -35,7 +30,8 @@ from rovermotion.terrain import (
 )
 
 
-def _record(t, pose, marker_offset, odo, cmd, breakdown, speeds, angles):
+def _record(t, pose, marker_offset, odo, cmd, breakdown, speeds, angles) -> list[float]:
+    """One sample's row, in TELEMETRY_HEADER order."""
     x, y, heading = pose
     mx, my = marker_offset
     cos_t, sin_t = math.cos(heading), math.sin(heading)
@@ -43,19 +39,19 @@ def _record(t, pose, marker_offset, odo, cmd, breakdown, speeds, angles):
     tags = [w.value.lower() for w in WHEEL_ORDER]
     drive_p = [breakdown[f"drive_{tag}"] for tag in tags]
     steer_p = [breakdown[f"steer_{tag}"] for tag in tags]
-    return TelemetryRecord(
-        t=t,
-        pose=pose,
-        marker=marker,
-        odo_twist=odo,
-        commanded_twist=cmd,
-        drive_voltage=(BUS_VOLTAGE,) * 4,
-        drive_current=tuple(p / BUS_VOLTAGE for p in drive_p),
-        steer_voltage=(BUS_VOLTAGE,) * 4,
-        steer_current=tuple(p / BUS_VOLTAGE for p in steer_p),
-        drive_speeds=tuple(speeds),
-        steering_angles=tuple(angles),
-    )
+    return [
+        t, *pose, *marker,
+        odo.vx, odo.vy, odo.wz, cmd.vx, cmd.vy, cmd.wz,
+        *(BUS_VOLTAGE,) * 4, *(p / BUS_VOLTAGE for p in drive_p),
+        *(BUS_VOLTAGE,) * 4, *(p / BUS_VOLTAGE for p in steer_p),
+        *speeds, *angles,
+    ]
+
+
+def _power(row: list[float]) -> float:
+    """A sample's drive plus steering power, each summed left to right."""
+    drive = sum(v * i for v, i in zip(row[12:16], row[16:20]))
+    return drive + sum(v * i for v, i in zip(row[20:24], row[24:28]))
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class _Phase:
     motion: tuple | None  # (odo, cmd, breakdown, speeds, angles) or None
 
 
-def reference_simulate(scenario: Scenario) -> list[TelemetryRecord]:
+def reference_simulate(scenario: Scenario) -> list[list[float]]:
     config = validate_config(scenario.config)
     terrain = validate_terrain(scenario.terrain)
     power = validate_power(scenario.power)
@@ -151,45 +147,24 @@ def reference_simulate(scenario: Scenario) -> list[TelemetryRecord]:
     return records
 
 
-def _row_of(record: TelemetryRecord) -> list[str]:
-    values = [
-        record.t,
-        *record.pose,
-        *record.marker,
-        record.odo_twist.vx,
-        record.odo_twist.vy,
-        record.odo_twist.wz,
-        record.commanded_twist.vx,
-        record.commanded_twist.vy,
-        record.commanded_twist.wz,
-        *record.drive_voltage,
-        *record.drive_current,
-        *record.steer_voltage,
-        *record.steer_current,
-        *record.drive_speeds,
-        *record.steering_angles,
-    ]
-    return ["{:.6f}".format(v) for v in values]
-
-
-def reference_energy(records: list[TelemetryRecord]) -> float:
+def reference_energy(records: list[list[float]]) -> float:
     energy = 0.0
     for a, b in zip(records, records[1:]):
-        energy += (b.t - a.t) * (a.total_power + b.total_power) / 2.0
+        energy += (b[0] - a[0]) * (_power(a) + _power(b)) / 2.0
     return energy
 
 
-def reference_outputs(scenario: Scenario, records: list[TelemetryRecord], out) -> None:
+def reference_outputs(scenario: Scenario, records: list[list[float]], out) -> None:
     """telemetry.csv and summary.txt as the per-record `simulate` wrote them."""
     out.mkdir(parents=True)
     with open(out / "telemetry.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(TELEMETRY_HEADER)
         for record in records:
-            writer.writerow(_row_of(record))
+            writer.writerow(["{:.6f}".format(v) for v in record])
     energy = reference_energy(records)
-    duration = records[-1].t if records else 0.0
-    final = records[-1].pose if records else (0.0, 0.0, 0.0)
+    duration = records[-1][0] if records else 0.0
+    final = records[-1][1:4] if records else (0.0, 0.0, 0.0)
     (out / "summary.txt").write_text(
         "\n".join(
             [
@@ -217,8 +192,9 @@ def assert_simulate_matches_reference(scenario_path, tmp_path):
         assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
     # the same float64 bits, not only the same six printed decimals
     telemetry = simulate_traverse(scenario)
-    assert np.array_equal(telemetry.values, Telemetry.from_records(records).values)
-    assert telemetry.total_power.tolist() == [r.total_power for r in records]
+    reference = np.array(records, dtype=np.float64).reshape(-1, len(TELEMETRY_HEADER))
+    assert np.array_equal(telemetry.values.view(np.uint64), reference.view(np.uint64))
+    assert telemetry.total_power.tolist() == [_power(r) for r in records]
     assert telemetry.cumulative_energy()[-1] == reference_energy(records)
 
 

@@ -17,7 +17,6 @@ from rovermotion.telemetry import (
     TELEMETRY_HEADER,
     Telemetry,
     TelemetryFormatError,
-    TelemetryRecord,
     _CHUNK_ROWS,
     _parse_fixed,
     _read_rows,
@@ -42,8 +41,8 @@ class TestTelemetryCsv:
         assert len(loaded) == len(records)
         for a, b in zip(records, loaded):
             assert b.t == pytest.approx(a.t, abs=1e-6)
-            assert b.pose == pytest.approx(a.pose, abs=1e-6)
-            assert b.total_power == pytest.approx(a.total_power, abs=1e-4)
+            assert (b.x, b.y, b.heading) == pytest.approx((a.x, a.y, a.heading), abs=1e-6)
+        assert loaded.total_power == pytest.approx(records.total_power, abs=1e-4)
 
     def test_values_written_six_decimal(self, tmp_path):
         scenario = Scenario(
@@ -528,24 +527,37 @@ class TestTelemetrySeries:
         )
 
     def test_records_are_built_on_demand(self, telemetry):
-        first = telemetry[0]
-        assert isinstance(first, TelemetryRecord)
-        assert first == telemetry[0] and first is not telemetry[0]
-        assert telemetry[-1] == telemetry[len(telemetry) - 1]
-        assert [r.t for r in telemetry] == telemetry.column("t").tolist()
+        for i in (0, 7, -1):
+            record = telemetry[i]
+            assert record.dtype.names == tuple(TELEMETRY_HEADER)
+            # the same float64 bits as the row
+            assert np.array_equal(
+                np.array(record.tolist()).view(np.uint64),
+                telemetry.values[i].view(np.uint64),
+            )
+            assert record.odo_wz == telemetry.column("odo_wz")[i]
+        assert telemetry[-1].t == telemetry[len(telemetry) - 1].t
+        records = list(telemetry)
+        assert len(records) == len(telemetry)
+        assert [r.t for r in records] == telemetry.column("t").tolist()
         with pytest.raises(IndexError):
             telemetry[len(telemetry)]
 
-    def test_from_records_round_trip(self, telemetry):
-        again = Telemetry.from_records(list(telemetry))
-        assert np.array_equal(again.values, telemetry.values)
-        assert len(Telemetry.from_records([])) == 0
+    def test_writing_a_record_leaves_the_series(self, telemetry):
+        record = telemetry[3]
+        record.t = -1.0
+        assert telemetry.column("t")[3] != -1.0
 
     def test_total_power_matches_the_records_bit_for_bit(self, telemetry):
+        def row_power(row):  # the power of one sample, summed left to right
+            drive = sum(v * i for v, i in zip(row[12:16], row[16:20]))
+            return drive + sum(v * i for v, i in zip(row[20:24], row[24:28]))
+
         # the series starts with a steering reposition, so the steer terms vary
-        assert telemetry.total_power.tolist() == [r.total_power for r in telemetry]
+        rows = telemetry.values.tolist()
+        assert telemetry.total_power.tolist() == [row_power(r) for r in rows]
         noisy = Telemetry(np.random.default_rng(5).uniform(0.0, 30.0, (500, 36)))
-        assert noisy.total_power.tolist() == [r.total_power for r in noisy]
+        assert noisy.total_power.tolist() == [row_power(r) for r in noisy.values.tolist()]
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError, match="36 columns"):

@@ -207,10 +207,10 @@ class TestSimulateTraverse:
         assert records[0].t == 0.0
         assert records[-1].t == pytest.approx(30.0)
         # ground truth integrates the slip-reduced speed
-        assert records[-1].pose[0] == pytest.approx(30.0 * 0.06 * 0.95)
+        assert records[-1].x == pytest.approx(30.0 * 0.06 * 0.95)
         # odometry reports the commanded twist
-        assert records[-1].odo_twist.vx == pytest.approx(0.06)
-        assert records[10].total_power == pytest.approx(54.14, abs=0.01)
+        assert records[-1].odo_vx == pytest.approx(0.06)
+        assert records.total_power[10] == pytest.approx(54.14, abs=0.01)
 
     def test_skid_rotation_yaw_deficit(self):
         # commanding 180 deg of odometric yaw yields ~135 deg of true yaw
@@ -221,7 +221,7 @@ class TestSimulateTraverse:
             ]
         )
         records = simulate_traverse(scenario)
-        gt_yaw = math.degrees(records[-1].pose[2])
+        gt_yaw = math.degrees(records[-1].heading)
         assert gt_yaw == pytest.approx(135.0, abs=0.01)
 
     def test_point_turn_inserts_reposition(self):
@@ -233,17 +233,17 @@ class TestSimulateTraverse:
         )
         records = simulate_traverse(scenario)
         # reposition phase first: body static, steering drawing move power
-        assert records[0].pose == (0.0, 0.0, 0.0)
-        assert records[0].steer_current[0] * 24 == pytest.approx(
+        assert (records[0].x, records[0].y, records[0].heading) == (0.0, 0.0, 0.0)
+        assert records[0].i_steer_fl * 24 == pytest.approx(
             PowerModelParams().steering_move_power
         )
-        assert records[0].odo_twist.wz == 0.0
-        slew_steps = sum(1 for r in records if r.odo_twist.wz == 0.0 and r.t < 6)
+        assert records[0].odo_wz == 0.0
+        slew_steps = sum(1 for r in records if r.odo_wz == 0.0 and r.t < 6)
         assert slew_steps == pytest.approx(498, abs=1)
         # marker stays on its circle during rotation
-        moving = [r for r in records if r.odo_twist.wz != 0.0]
+        moving = [r for r in records if r.odo_wz != 0.0]
         for r in moving:
-            assert math.hypot(*r.marker) == pytest.approx(0.4, abs=1e-9)
+            assert math.hypot(r.marker_x, r.marker_y) == pytest.approx(0.4, abs=1e-9)
 
     def test_noise_is_bit_reproducible(self):
         scenario = Scenario(
@@ -254,7 +254,7 @@ class TestSimulateTraverse:
         )
         a = simulate_traverse(scenario)
         b = simulate_traverse(scenario)
-        assert [r.pose for r in a] == [r.pose for r in b]
+        assert [(r.x, r.y, r.heading) for r in a] == [(r.x, r.y, r.heading) for r in b]
 
     @pytest.mark.parametrize("preset", ["rotation_skid", "rotation_point_turn"])
     def test_working_memory_is_the_result_and_a_few_columns(self, preset):
@@ -289,7 +289,7 @@ class TestSimulateTraverse:
         b = simulate_traverse(
             Scenario(**base, terrain=TerrainParams(noise_std=0.05, rng_seed=4))
         )
-        assert a[-1].pose != b[-1].pose
+        assert (a[-1].x, a[-1].y, a[-1].heading) != (b[-1].x, b[-1].y, b[-1].heading)
 
 
 class TestCalibration:
