@@ -69,6 +69,18 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _check_outputs(path: str, *names: str) -> None:
+    """Raise ConfigError naming the first of `names` in the output directory
+    `path` that is itself a directory, before the command does work whose
+    result it could not write. Makes nothing, so an input error leaves no
+    `path` behind."""
+    from pathlib import Path
+
+    for name in names:
+        if (Path(path) / name).is_dir():
+            raise ConfigError(f"is a directory: {Path(path) / name}")
+
+
 def _out_dir(path: str) -> Path:
     """The directory `path`, made with its parents if it does not exist."""
     from pathlib import Path
@@ -84,7 +96,7 @@ def _out_dir(path: str) -> Path:
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     import csv
 
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -194,6 +206,7 @@ def _check_exists(error: type[Exception], *paths: str | Path) -> None:
 
 def cmd_simulate(args) -> int:
     _check_exists(ConfigError, args.scenario)
+    _check_outputs(args.out, "telemetry.csv", "summary.txt")
     from rovermotion import terrain
 
     scenario = terrain.load_scenario(args.scenario)
@@ -214,7 +227,8 @@ def cmd_simulate(args) -> int:
                 f"energy_j = {_fmt(telemetry.cumulative_energy()[-1])}",
             ]
         )
-        + "\n"
+        + "\n",
+        encoding="utf-8",
     )
     return EXIT_OK
 
@@ -228,30 +242,36 @@ def _config_from_args(args) -> RoverConfig:
     return RoverConfig()
 
 
+_ANALYZE_OUTPUTS = {"cot": "cot.csv", "yaw-energy": "yaw_energy.csv",
+                    "efficiency": "efficiency.csv", "slip": "slip.csv"}
+
+
 def cmd_analyze(args) -> int:
     _check_exists(TelemetryFormatError, args.telemetry)
+    _check_outputs(args.out, _ANALYZE_OUTPUTS[args.metric])
     telemetry = read_telemetry_csv(args.telemetry)
     config = _config_from_args(args)
     from rovermotion import metrics
 
     out = _out_dir(args.out)
+    path = out / _ANALYZE_OUTPUTS[args.metric]
 
     if args.metric == "cot":
         report = metrics.mean_cot(
             telemetry, config, mode=args.label, slope_deg=args.slope
         )
-        _write_csv(out / "cot.csv", _COT_HEADER, [_cot_row(report)])
+        _write_csv(path, _COT_HEADER, [_cot_row(report)])
         print(f"cot={report.cost_of_transport:.3f}")
         return EXIT_OK
 
     if args.metric == "yaw-energy":
-        curve = _write_yaw_energy(out / "yaw_energy.csv", telemetry, args.label)
+        curve = _write_yaw_energy(path, telemetry, args.label)
         total = curve.points[-1] if len(curve.points) else (0.0, 0.0)
         print(f"yaw_deg={total[0]:.3f} energy_j={total[1]:.3f}")
         return EXIT_OK
 
     if args.metric == "efficiency":
-        valid = _write_efficiency(out / "efficiency.csv", telemetry, args.window)
+        valid = _write_efficiency(path, telemetry, args.window)
         mean = sum(valid) / len(valid) if valid else float("nan")
         print(f"mean_ratio={mean:.3f}")
         return EXIT_OK
@@ -266,7 +286,7 @@ def cmd_analyze(args) -> int:
         gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
         slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
         gap = np.isnan(slip)
-        _write_series(out / "slip.csv", ["slip_t_s", "slip_ratio"], times, gap, slip)
+        _write_series(path, ["slip_t_s", "slip_ratio"], times, gap, slip)
         valid = slip[~gap].tolist()
         mean = sum(valid) / len(valid) if valid else float("nan")
         print(f"mean_slip={mean:.3f}")
@@ -303,6 +323,8 @@ def cmd_deflect(args) -> int:
     if args.window < 1 or args.window % 2 == 0:
         raise GeometryError("window must be odd and >= 1")
     _check_exists(GeometryError, args.model, args.camera, args.annotations)
+    _check_outputs(args.out, "deflection.csv",
+                   *(["deflection_smoothed.csv"] if args.window != 1 else []))
     from rovermotion import deflection
 
     estimates = _estimate_deflection(args.annotations, args.model, args.camera)
@@ -326,6 +348,7 @@ def cmd_calibrate(args) -> int:
 
     path = Path(args.table)
     _check_exists(ConfigError, path)
+    _check_outputs(args.out, "power_params.txt", "calibration_residuals.csv")
     from rovermotion.config import read_text
 
     rows = []
@@ -363,7 +386,8 @@ def cmd_calibrate(args) -> int:
             f"{name} = {_fmt(getattr(params, name))}"
             for name in sorted(params.__dataclass_fields__)
         )
-        + "\n"
+        + "\n",
+        encoding="utf-8",
     )
     _write_csv(
         out / "calibration_residuals.csv",
@@ -378,6 +402,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_outputs(
+        args.out, "table2.csv", "fig6.csv",
+        *(f"telemetry_{name}.csv" for name in PRESET_NAMES + ROTATION_PRESETS),
+        *(f"fig{n}_{name}.csv" for name in ROTATION_PRESETS for n in (3, 4)),
+    )
     from rovermotion import metrics, terrain
 
     out = _out_dir(args.out)
@@ -461,6 +490,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import os
+
+    # One OpenBLAS thread: no command does BLAS-sized work, and the pool's
+    # idle worker spins on a second core. Read once, when numpy first loads,
+    # so it acts only on a process that has not loaded numpy yet; a value the
+    # caller sets wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -474,5 +510,28 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
 
+def run() -> None:
+    """The console entry point: run main() and end the process with its exit
+    code, skipping interpreter teardown (final garbage collection and module
+    cleanup), which costs 20-30 ms after the outputs are written.
+
+    The skip loses nothing: every command closes each file it writes before
+    main() returns (`with open(...)` in `_write_csv` and the telemetry
+    writer, `Path.write_text` for `summary.txt` and `power_params.txt`), and
+    the package starts no thread and registers no `atexit` handler. Only
+    stdout and stderr may hold buffered bytes, so they are flushed first.
+    SystemExit (usage errors, `--help`) and uncaught exceptions propagate and
+    end the process the normal way. Library callers and tests call main(),
+    which returns its code and never ends the process.
+    """
+    import os
+
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -153,9 +153,17 @@ def project_wheel(
     ]
 
 
-# Newton steps per closest-point search. On a circle seen face on, a step
-# takes a parameter error e to about e**3 / 3.
-_CLOSEST_POINT_STEPS = 3
+# Each closest-point search takes Newton steps until no point's step moves
+# its curve point by more than _CLOSEST_POINT_TOL_PX; the distance's own
+# error is second order in that move. On a circle seen face on, a step takes
+# a parameter error e to about e**3 / 3, so two or three steps suffice. Where
+# the curvature floor binds (a point near its curve's centre of curvature,
+# seen obliquely), convergence is linear: a 20-degree-off evaluation pose
+# needed ~20 steps at a rate of 0.32. A search still moving after
+# _CLOSEST_POINT_MAX_STEPS keeps its last point, whose distance is an upper
+# bound on the true one.
+_CLOSEST_POINT_TOL_PX = 1e-9
+_CLOSEST_POINT_MAX_STEPS = 32
 
 # A circle plane whose distance from the camera centre is at most this share
 # of the circle centre's distance is seen edge-on. Points on the image of a
@@ -177,11 +185,12 @@ def _signed_curve_distances(
     radius/z_offset are per-point, so loops on several model circles can be
     processed in one vectorized pass. Each point's viewing ray meets its
     circle's plane at `hit` (relative to the circle centre), whose angle is
-    the closest curve parameter if the point is on the curve. From there, a
-    fixed number of Newton steps on the squared pixel distance finds it. The
-    sign is positive where the ray passes outside the circle. A plane that
-    holds the camera centre to within _EDGE_ON_REL_TOL, a ray parallel to
-    the plane, or a curve point at or behind the camera raises GeometryError.
+    the closest curve parameter if the point is on the curve. From there,
+    Newton steps on the squared pixel distance find it to within
+    _CLOSEST_POINT_TOL_PX. The sign is positive where the ray passes outside
+    the circle. A plane that holds the camera centre to within
+    _EDGE_ON_REL_TOL, a ray parallel to the plane, or a curve point at or
+    behind the camera raises GeometryError.
 
     Limit: seen within ~6 degrees of edge-on, noise can move the ray-plane
     seed far along the thin projected ellipse, and Newton may settle on a
@@ -202,12 +211,13 @@ def _signed_curve_distances(
         raise GeometryError("viewing ray parallel to the wheel plane")
     phi = np.arctan2(hit @ e2, hit @ e1)
     r = radius[:, None]
-    for step in range(_CLOSEST_POINT_STEPS + 1):
+    converged = False
+    for count in range(_CLOSEST_POINT_MAX_STEPS + 1):
         cos, sin = np.cos(phi)[:, None], np.sin(phi)[:, None]
         radial = r * (cos * e1 + sin * e2)
         point = centre + radial
         gap = _pixels(point, cam) - observed
-        if step == _CLOSEST_POINT_STEPS:
+        if converged or count == _CLOSEST_POINT_MAX_STEPS:
             break
         # d/dphi of the image point by the quotient rule, once (slope) and
         # twice (bend); the point's own derivatives are tangent and -radial
@@ -219,7 +229,10 @@ def _signed_curve_distances(
         speed2 = (slope * slope).sum(axis=1)
         # a curvature of at least a quarter of Gauss-Newton's: always downhill
         curvature = np.maximum(speed2 + (bend * gap).sum(axis=1), speed2 / 4.0)
-        phi = phi - (slope * gap).sum(axis=1) / curvature
+        step = (slope * gap).sum(axis=1) / curvature
+        phi = phi - step
+        # the curve point moves by |step| * speed pixels
+        converged = bool((step * step * speed2 <= _CLOSEST_POINT_TOL_PX**2).all())
     dist = np.hypot(gap[:, 0], gap[:, 1])
     return np.where(np.linalg.norm(hit, axis=1) > radius, dist, -dist)
 
@@ -478,7 +491,7 @@ ANNOTATION_HEADER = [
 
 
 def write_annotations_csv(path: str | Path, frames: list[AnnotationFrame]) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(ANNOTATION_HEADER)
         for item in frames:

@@ -547,6 +547,35 @@ class TestInputAndOutputPaths:
         assert capsys.readouterr().err == (
             f"error: cannot make output directory {out}: {reason}\n")
 
+    # (an input flag of the command, its metric or extra arguments, a file it writes)
+    OUTPUTS = [
+        ("simulate --scenario", [], "telemetry.csv"),
+        ("simulate --scenario", [], "summary.txt"),
+        *(("analyze --telemetry", [metric], name) for metric, name in [
+            ("cot", "cot.csv"), ("yaw-energy", "yaw_energy.csv"),
+            ("efficiency", "efficiency.csv"), ("slip", "slip.csv")]),
+        ("deflect --model", [], "deflection.csv"),
+        ("deflect --model", ["--window", "3"], "deflection_smoothed.csv"),
+        ("calibrate --table", [], "power_params.txt"),
+        ("calibrate --table", [], "calibration_residuals.csv"),
+    ]
+
+    @pytest.mark.parametrize("flag, extra, name", OUTPUTS,
+                             ids=[name for _, _, name in OUTPUTS])
+    def test_directory_at_an_output_name_is_data_error(self, inputs, tmp_path, capsys,
+                                                       flag, extra, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        command, option = flag.split()
+        argv = self.argv(inputs, flag, inputs[command][option], out)
+        if command == "analyze":
+            argv[1] = extra[0]
+        else:
+            argv += extra
+        assert run(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: is a directory: {out / name}\n"
+        assert [path.name for path in out.iterdir()] == [name]
+
 
 SCIPY_GUARD = """
 import sys
@@ -578,16 +607,27 @@ print("ok")
 """
 
 
-def run_python(code, *args):
-    """Run `code` in a fresh interpreter that imports this checkout's package;
-    its stdout, once it exits 0."""
+def python_env(**changes):
+    """The environment of a fresh interpreter that imports this checkout's
+    package, with `changes` applied; a change to None removes the variable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def run_python(code, *args, **env):
+    """Run `code` in a fresh interpreter under python_env(**env); its stdout,
+    once it exits 0."""
     result = subprocess.run(
         [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=python_env(**env), timeout=300,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -644,7 +684,7 @@ def loaded():
 
 BARE = (["rovermotion", "rovermotion.cli", "rovermotion.errors"], False)
 assert loaded() == BARE, ("import rovermotion.cli", loaded())
-missing, directory = sys.argv[1:]
+missing, directory, a_file, taken = sys.argv[1:]
 for argv, code in [
     (["--help"], 0),
     (["analyze", "bogus", "--telemetry", missing], 1),
@@ -660,6 +700,12 @@ for argv, code in [
     (["calibrate", "--table", directory, "--out", missing], 2),
     (["deflect", "--annotations", directory, "--model", directory,
       "--camera", directory, "--out", missing], 2),
+    (["simulate", "--scenario", a_file, "--out", taken], 2),
+    (["analyze", "slip", "--telemetry", a_file, "--out", taken], 2),
+    (["calibrate", "--table", a_file, "--out", taken], 2),
+    (["deflect", "--annotations", a_file, "--model", a_file, "--camera", a_file,
+      "--out", taken], 2),
+    (["report", "--out", taken], 2),
 ]:
     try:
         result = main(argv)
@@ -672,7 +718,14 @@ print("ok")
 
 
 def test_usage_and_input_errors_load_neither_numpy_nor_a_command(tmp_path):
-    stdout = run_python(START_UP_GUARD, str(tmp_path / "missing"), str(tmp_path))
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    taken = tmp_path / "taken"  # a directory at an output name of each command
+    for name in ("summary.txt", "slip.csv", "power_params.txt", "deflection.csv",
+                 "table2.csv"):
+        (taken / name).mkdir(parents=True)
+    stdout = run_python(START_UP_GUARD, str(tmp_path / "missing"), str(tmp_path),
+                        str(a_file), str(taken))
     assert stdout.splitlines()[-1] == "ok"
     assert not (tmp_path / "missing").exists()
 
@@ -727,3 +780,104 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_preset_catalog_resolves():
     for name in PRESET_NAMES + ROTATION_PRESETS:
         assert preset_path(name).exists()
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                "PYTHONIOENCODING": None}
+
+UTF8_GUARD = """
+import locale
+import sys
+
+from rovermotion.cli import main
+
+scenario, out = sys.argv[1:]
+assert locale.getpreferredencoding(False).lower() not in ("utf-8", "utf8")
+assert main(["simulate", "--scenario", scenario, "--out", out]) == 0
+assert main(["analyze", "cot", "--telemetry", f"{out}/telemetry.csv",
+             "--label", "caf\\u00e9", "--out", out]) == 0
+print("ok")
+"""
+
+
+def test_text_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    scenario = tmp_path / "cafe.scn"
+    write_scenario(scenario, duration=2.0)
+    scenario.write_text(scenario.read_text().replace("cli_demo", "caf\u00e9"),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    stdout = run_python(UTF8_GUARD, str(scenario), str(out), **ASCII_LOCALE)
+    assert stdout.splitlines()[-1] == "ok"
+    assert (out / "summary.txt").read_bytes().startswith(
+        "scenario = caf\u00e9\nrecords = 201\n".encode("utf-8"))
+    assert (out / "cot.csv").read_bytes().splitlines()[1].startswith(
+        "caf\u00e9,0.000000,".encode("utf-8"))
+
+
+BLAS_GUARD = """
+import os
+import sys
+
+from rovermotion.cli import main
+
+before = os.environ.get("OPENBLAS_NUM_THREADS")
+assert main(["analyze", "cot", "--telemetry", sys.argv[1]]) == 2
+print(before, os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.parametrize("before, after", [(None, "1"), ("3", "3")])
+def test_main_pins_openblas_to_one_thread_unless_set(tmp_path, before, after):
+    stdout = run_python(BLAS_GUARD, str(tmp_path / "missing.csv"),
+                        OPENBLAS_NUM_THREADS=before)
+    assert stdout.split() == [str(before), after]
+
+
+def test_the_cli_process_matches_main_in_process(tmp_path, capsys, monkeypatch):
+    """`python -m rovermotion.cli` ends through run()'s os._exit: with stdout a
+    block-buffered pipe it prints, writes and exits as main() does."""
+    cases = [
+        ["simulate", "--scenario", str(preset_path("nominal_0_6cm")), "--out", "sim"],
+        *(["analyze", metric, "--telemetry", "sim/telemetry.csv", "--out", metric]
+          for metric in ("cot", "yaw-energy", "efficiency", "slip")),
+        ["analyze", "slip", "--telemetry", "missing.csv"],
+        ["analyze", "bogus", "--telemetry", "sim/telemetry.csv"],
+        ["--help"],
+    ]
+    env = python_env(PYTHONUNBUFFERED=None, COLUMNS="80")  # --help wraps to COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    process, in_process = tmp_path / "process", tmp_path / "in_process"
+    process.mkdir()
+    in_process.mkdir()
+    codes = []
+    for argv in cases:
+        result = subprocess.run([sys.executable, "-m", "rovermotion.cli", *argv],
+                                cwd=process, env=env, capture_output=True, text=True,
+                                timeout=300)
+        monkeypatch.chdir(in_process)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (result.returncode, result.stdout, result.stderr) == (
+            code, captured.out, captured.err), argv
+        codes.append(code)
+    assert codes == [EXIT_OK] * 5 + [EXIT_DATA, EXIT_USAGE, EXIT_OK]
+    files = sorted(path.relative_to(process) for path in process.rglob("*.*"))
+    assert files == sorted(path.relative_to(in_process) for path in in_process.rglob("*.*"))
+    assert len(files) == 6  # telemetry.csv, summary.txt and one CSV per metric
+    for name in files:
+        assert (process / name).read_bytes() == (in_process / name).read_bytes(), name
+
+
+def test_the_console_script_is_run():
+    import importlib
+
+    from rovermotion import cli
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["rovermotion"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+

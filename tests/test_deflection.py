@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rovermotion.deflection import (
@@ -291,6 +291,7 @@ class TestCurveDistances:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=1346192)  # the 20-degree-off pose needs 21 Newton steps
     def test_matches_golden_section_search(self, seed):
         # a pose in the fit's basin, noisy loops, and evaluation poses the fit
         # passes through: the true pose, its own start, and a pose 20 degrees
