@@ -93,15 +93,6 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 _COT_HEADER = ["table2_mode", "table2_slope_deg", "table2_velocity_m_s",
               "table2_power_w", "table2_cot"]
 
@@ -208,28 +199,22 @@ def cmd_simulate(args) -> int:
     _check_exists(ConfigError, args.scenario)
     _check_outputs(args.out, "telemetry.csv", "summary.txt")
     from rovermotion import terrain
+    from rovermotion.config import write_key_value_file
 
     scenario = terrain.load_scenario(args.scenario)
     telemetry = terrain.simulate_traverse(scenario)
     out = _out_dir(args.out)
     write_telemetry_csv(out / "telemetry.csv", telemetry)
     t, x, y, heading = telemetry.values[-1, :4] if len(telemetry) else (0.0,) * 4
-    summary = out / "summary.txt"
-    summary.write_text(
-        "\n".join(
-            [
-                f"scenario = {scenario.name}",
-                f"records = {len(telemetry)}",
-                f"duration_s = {_fmt(t)}",
-                f"final_x_m = {_fmt(x)}",
-                f"final_y_m = {_fmt(y)}",
-                f"final_heading_rad = {_fmt(heading)}",
-                f"energy_j = {_fmt(telemetry.cumulative_energy()[-1])}",
-            ]
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    write_key_value_file(out / "summary.txt", [
+        ("scenario", scenario.name),
+        ("records", len(telemetry)),
+        ("duration_s", _fmt(t)),
+        ("final_x_m", _fmt(x)),
+        ("final_y_m", _fmt(y)),
+        ("final_heading_rad", _fmt(heading)),
+        ("energy_j", _fmt(telemetry.cumulative_energy()[-1])),
+    ])
     return EXIT_OK
 
 
@@ -252,6 +237,7 @@ def cmd_analyze(args) -> int:
     telemetry = read_telemetry_csv(args.telemetry)
     config = _config_from_args(args)
     from rovermotion import metrics
+    from rovermotion.config import write_csv
 
     out = _out_dir(args.out)
     path = out / _ANALYZE_OUTPUTS[args.metric]
@@ -260,7 +246,7 @@ def cmd_analyze(args) -> int:
         report = metrics.mean_cot(
             telemetry, config, mode=args.label, slope_deg=args.slope
         )
-        _write_csv(path, _COT_HEADER, [_cot_row(report)])
+        write_csv(path, _COT_HEADER, [_cot_row(report)])
         print(f"cot={report.cost_of_transport:.3f}")
         return EXIT_OK
 
@@ -310,7 +296,9 @@ def _estimate_deflection(
 def _write_deflection(
     path: Path, estimates: list[deflection.DeflectionEstimate]
 ) -> None:
-    _write_csv(
+    from rovermotion.config import write_csv
+
+    write_csv(
         path,
         ["frame", "volume_m3", "fraction"],
         [[str(e.frame), f"{e.volume:.9f}", _fmt(e.fraction)] for e in estimates],
@@ -341,7 +329,6 @@ def cmd_deflect(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    import csv
     import io
     from math import isfinite
     from pathlib import Path
@@ -349,26 +336,16 @@ def cmd_calibrate(args) -> int:
     path = Path(args.table)
     _check_exists(ConfigError, path)
     _check_outputs(args.out, "power_params.txt", "calibration_residuals.csv")
-    from rovermotion.config import read_text
+    from rovermotion.config import csv_rows, read_text, write_csv, write_key_value_file
 
     rows = []
-    reader = csv.reader(io.StringIO(read_text(path)))
-    expected = ["mode", "slope_deg", "velocity", "cot"]
-    if next(reader, None) != expected:
-        raise ConfigError(f"{path}: expected header {','.join(expected)}")
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path}:{reader.line_num}"
-        if len(row) != len(expected):
-            raise ConfigError(
-                f"{where}: expected {len(expected)} columns, got {len(row)}"
-            )
+    header = ["mode", "slope_deg", "velocity", "cot"]
+    for where, row in csv_rows(io.StringIO(read_text(path)), header, path):
         try:
             slope, velocity, cot = values = [float(cell) for cell in row[1:]]
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        for name, cell, value in zip(expected[1:], row[1:], values):
+        for name, cell, value in zip(header[1:], row[1:], values):
             if not isfinite(value):
                 raise ConfigError(f"{where}: non-finite {name} {cell!r}")
         if args.flat_only and (slope != 0.0 or row[0].lower() != "nominal"):
@@ -381,15 +358,10 @@ def cmd_calibrate(args) -> int:
 
     params, residuals = terrain.calibrate_power(rows, config)
     out = _out_dir(args.out)
-    (out / "power_params.txt").write_text(
-        "\n".join(
-            f"{name} = {_fmt(getattr(params, name))}"
-            for name in sorted(params.__dataclass_fields__)
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    _write_csv(
+    write_key_value_file(out / "power_params.txt", [
+        (name, _fmt(getattr(params, name))) for name in sorted(params.__dataclass_fields__)
+    ])
+    write_csv(
         out / "calibration_residuals.csv",
         ["slope_deg", "velocity_m_s", "cot_measured", "cot_residual"],
         [
@@ -408,6 +380,7 @@ def cmd_report(args) -> int:
         *(f"fig{n}_{name}.csv" for name in ROTATION_PRESETS for n in (3, 4)),
     )
     from rovermotion import metrics, terrain
+    from rovermotion.config import write_csv
 
     out = _out_dir(args.out)
 
@@ -423,7 +396,7 @@ def cmd_report(args) -> int:
             slope_deg=scenario.terrain.slope_deg,
         )
         table_rows.append(_cot_row(report))
-    _write_csv(out / "table2.csv", _COT_HEADER, table_rows)
+    write_csv(out / "table2.csv", _COT_HEADER, table_rows)
 
     for name in ROTATION_PRESETS:
         scenario = terrain.load_scenario(preset_path(name))
@@ -438,7 +411,7 @@ def cmd_report(args) -> int:
         str(fixture / "model.txt"),
         str(fixture / "camera.txt"),
     )
-    _write_csv(
+    write_csv(
         out / "fig6.csv",
         ["fig6_frame", "fig6_fraction"],
         [[str(e.frame), _fmt(e.fraction)] for e in estimates],
@@ -515,10 +488,9 @@ def run() -> None:
     code, skipping interpreter teardown (final garbage collection and module
     cleanup), which costs 20-30 ms after the outputs are written.
 
-    The skip loses nothing: every command closes each file it writes before
-    main() returns (`with open(...)` in `_write_csv` and the telemetry
-    writer, `Path.write_text` for `summary.txt` and `power_params.txt`), and
-    the package starts no thread and registers no `atexit` handler. Only
+    The skip loses nothing: every file is written through
+    `config.open_output`, which closes it before main() returns, and the
+    package starts no thread and registers no `atexit` handler. Only
     stdout and stderr may hold buffered bytes, so they are flushed first.
     SystemExit (usage errors, `--help`) and uncaught exceptions propagate and
     end the process the normal way. Library callers and tests call main(),

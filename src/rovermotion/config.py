@@ -1,8 +1,13 @@
-"""Rover configuration and shared locomotion value types."""
+"""Rover configuration, shared locomotion value types and the package's file I/O."""
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import math
+import os
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -121,6 +126,67 @@ def read_text(path: str | Path, error: type[ValueError] = ConfigError) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
+
+
+@contextmanager
+def open_output(path: str | Path) -> Iterator[io.BufferedWriter]:
+    """A binary handle on `NAME.tmp` beside the file `path`, moved onto `path`
+    by os.replace when the block succeeds and removed when it does not, so
+    `path` holds a previous run's bytes or this run's, never part of them.
+    The package's one way to write a file: an OSError, on opening, writing
+    or replacing, is ConfigError naming `path`."""
+    tmp = f"{path}.tmp"
+    try:
+        handle = open(tmp, "wb")
+        try:
+            with handle:
+                yield handle
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, a surrogate escape as the byte it stands for."""
+    with open_output(path) as handle:
+        handle.write(text.encode("utf-8", "surrogateescape"))
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write `header` and `rows` as CSV lines ending in "\n"."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_output(path, text.getvalue())
+
+
+def csv_rows(
+    lines: Iterable[str], header: list[str], path: str | Path, first_lineno: int = 1
+) -> Iterator[tuple[str, list[str]]]:
+    """The rows after `header` of the CSV `lines`, which start at line
+    `first_lineno` of `path`, each with its `path:line`; blank rows are
+    skipped. ConfigError names the file for another header, and the line for
+    a row whose length differs from the header's."""
+    reader = csv.reader(lines)
+    if next(reader, None) != header:
+        raise ConfigError(f"{path}: expected header {','.join(header)}")
+    for row in reader:
+        if row:
+            where = f"{path}:{first_lineno - 1 + reader.line_num}"
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"{where}: expected {len(header)} columns, got {len(row)}"
+                )
+            yield where, row
+
+
+def write_key_value_file(path: str | Path, pairs: Iterable[tuple[str, object]]) -> None:
+    """Write `key = value` lines that parse_key_value_file reads back."""
+    write_output(path, "".join(f"{key} = {value}\n" for key, value in pairs))
 
 
 def parse_key_value_file(path: str | Path) -> dict[str, str]:

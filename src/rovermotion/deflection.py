@@ -491,26 +491,14 @@ ANNOTATION_HEADER = [
 
 
 def write_annotations_csv(path: str | Path, frames: list[AnnotationFrame]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(ANNOTATION_HEADER)
-        for item in frames:
-            chord = (
-                ["", "", "", ""]
-                if item.chord is None
-                else [
-                    f"{c:.6f}"
-                    for c in (*item.chord.p1, *item.chord.p2)
-                ]
-            )
-            writer.writerow(
-                [
-                    item.frame,
-                    item.cam_id,
-                    *(_serialize_loop(loop) for loop in item.loops),
-                    *chord,
-                ]
-            )
+    from rovermotion.config import write_csv
+
+    rows = []
+    for item in frames:
+        chord = ([""] * 4 if item.chord is None
+                 else [f"{c:.6f}" for c in (*item.chord.p1, *item.chord.p2)])
+        rows.append([item.frame, item.cam_id, *map(_serialize_loop, item.loops), *chord])
+    write_csv(path, ANNOTATION_HEADER, rows)
 
 
 def read_annotations_csv(path: str | Path) -> list[AnnotationFrame]:

@@ -1,7 +1,6 @@
 """Body-twist <-> wheel-command kinematics for the four steering modes."""
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from rovermotion.config import (
     LocomotionMode,
     RoverConfig,
     WheelCommand,
+    csv_rows,
     wheel_positions,
 )
 from rovermotion.errors import KinematicsError
@@ -190,21 +190,8 @@ def parse_profile(
     Blank rows are skipped; any other malformed row raises ConfigError
     naming `path:line`.
     """
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header != PROFILE_HEADER:
-        raise ConfigError(
-            f"{path}: profile header must be {','.join(PROFILE_HEADER)}, got {header}"
-        )
     segments = []
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path}:{first_lineno - 1 + reader.line_num}"
-        if len(row) != len(PROFILE_HEADER):
-            raise ConfigError(
-                f"{where}: expected {len(PROFILE_HEADER)} columns, got {len(row)}"
-            )
+    for where, row in csv_rows(lines, PROFILE_HEADER, path, first_lineno):
         try:
             duration, vx, vy, wz = (float(cell) for cell in row[:4])
             if not 0.0 < duration < math.inf:

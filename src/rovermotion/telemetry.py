@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from rovermotion.config import open_output
 from rovermotion.errors import TelemetryFormatError
 
 BUS_VOLTAGE = 24.0
@@ -175,8 +176,8 @@ def write_fixed_csv(
     """
     values = np.asarray(values, dtype=np.float64)
     formatter = _ChunkFormatter()
-    with open(path, "wb") as handle:
-        handle.write((",".join(header) + "\n").encode())
+    with open_output(path) as handle:
+        handle.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(values), _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
             formatter.write(

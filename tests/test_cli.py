@@ -1,4 +1,5 @@
 import csv
+import errno
 import os
 import shutil
 import subprocess
@@ -576,6 +577,28 @@ class TestInputAndOutputPaths:
         assert capsys.readouterr().err == f"error: is a directory: {out / name}\n"
         assert [path.name for path in out.iterdir()] == [name]
 
+    def test_a_write_that_fails_partway_keeps_the_previous_file(
+            self, tmp_path, capsys, monkeypatch):
+        from rovermotion import telemetry
+
+        scenario, out = tmp_path / "run.scn", tmp_path / "out"
+        write_scenario(scenario, duration=1.0)
+        argv = ["simulate", "--scenario", str(scenario), "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        write = telemetry._ChunkFormatter.write
+
+        def write_then_fail(self, handle, values, blank):
+            write(self, handle, values, blank)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(telemetry._ChunkFormatter, "write", write_then_fail)
+        assert run(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'telemetry.csv'}: No space left on device\n")
+        # the first run's telemetry.csv and summary.txt, and no telemetry.csv.tmp
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
 
 SCIPY_GUARD = """
 import sys
@@ -812,6 +835,28 @@ def test_text_outputs_are_utf8_under_an_ascii_locale(tmp_path):
         "scenario = caf\u00e9\nrecords = 201\n".encode("utf-8"))
     assert (out / "cot.csv").read_bytes().splitlines()[1].startswith(
         "caf\u00e9,0.000000,".encode("utf-8"))
+
+
+def test_an_undecodable_label_is_written_as_its_bytes(tmp_path):
+    """Under an ASCII locale the UTF-8 bytes of `--label café` reach main() as
+    surrogate escapes, and cot.csv holds those bytes, as under a UTF-8 locale."""
+    sim = tmp_path / "sim"
+    sim.mkdir()
+    write_scenario(sim / "run.scn", duration=1.0)
+    assert run(["simulate", "--scenario", str(sim / "run.scn"), "--out", str(sim)]) == 0
+    written = []
+    for name, locale in [("ascii", ASCII_LOCALE),
+                         ("utf8", {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"})]:
+        result = subprocess.run(
+            [sys.executable, "-m", "rovermotion.cli", "analyze", "cot",
+             "--telemetry", str(sim / "telemetry.csv"), "--out", str(tmp_path / name),
+             "--label", "caf\u00e9".encode("utf-8")],
+            capture_output=True, env=python_env(**locale), timeout=300,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        written.append((tmp_path / name / "cot.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].splitlines()[1].startswith("caf\u00e9,".encode("utf-8"))
 
 
 BLAS_GUARD = """

@@ -9,7 +9,9 @@ from rovermotion.config import (
     ConfigError,
     RoverConfig,
     WheelId,
+    csv_rows,
     load_config,
+    open_output,
     validate_config,
     wheel_positions,
 )
@@ -93,3 +95,35 @@ def test_load_config_unknown_key(tmp_path):
 def test_nan_field_rejected(name):
     with pytest.raises(ConfigError):
         validate_config(replace(RoverConfig(), **{name: math.nan}))
+
+
+def test_open_output_replaces_the_file_only_when_the_block_succeeds(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"previous\n")
+    with pytest.raises(ZeroDivisionError):
+        with open_output(path) as handle:
+            handle.write(b"partial")
+            1 / 0
+    assert path.read_bytes() == b"previous\n"
+    with open_output(path) as handle:
+        handle.write(b"new\n")
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_open_output_names_the_file_it_cannot_write(tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    with pytest.raises(ConfigError) as info:
+        with open_output(path):
+            pass
+    assert str(info.value) == f"cannot write {path}: No such file or directory"
+
+
+def test_csv_rows_skips_blank_rows_and_names_lines():
+    lines = ["a,b\n", "1,2\n", "\n", "3,4\n"]
+    assert list(csv_rows(lines, ["a", "b"], "t.csv", first_lineno=5)) == [
+        ("t.csv:6", ["1", "2"]), ("t.csv:8", ["3", "4"])]
+    with pytest.raises(ConfigError, match=r"^t.csv: expected header a,b$"):
+        list(csv_rows(["a\n"], ["a", "b"], "t.csv"))
+    with pytest.raises(ConfigError, match=r"^t.csv:3: expected 2 columns, got 3$"):
+        list(csv_rows(["a,b\n", "1,2\n", "1,2,3\n"], ["a", "b"], "t.csv"))

@@ -80,3 +80,47 @@ def test_every_module_is_reached_from_the_cli():
             reached.add(module)
             pending.extend(_imported_modules(PACKAGE / f"{module}.py", modules))
     assert sorted(modules - reached) == sorted(UNREACHED)
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether `call` opens a file for writing: `open` or `.open` with a mode
+    containing w, a, x or + (or one that is not a literal), or a
+    `.write_text` or `.write_bytes` call."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        modes = call.args[:1]
+    else:
+        return False
+    modes += [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+        or set(mode.value) & set("wax+")
+        for mode in modes
+    )
+
+
+def _writing_functions(path: Path) -> list[str]:
+    """`module.function` for each call in the source at `path` that opens a
+    file for writing, named by the innermost function around it."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{path.stem}.{node.name}"
+        if isinstance(node, ast.Call) and _opens_for_writing(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_files_are_written_only_through_open_output():
+    writers = [name for path in sorted(PACKAGE.glob("*.py"))
+               for name in _writing_functions(path)]
+    assert writers == ["config.open_output"]
