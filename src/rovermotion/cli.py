@@ -71,14 +71,15 @@ def _fmt(value: float) -> str:
 
 def _check_outputs(path: str, *names: str) -> None:
     """Raise ConfigError naming the first of `names` in the output directory
-    `path` that is itself a directory, before the command does work whose
-    result it could not write. Makes nothing, so an input error leaves no
-    `path` behind."""
+    `path`, or the `NAME.tmp` open_output writes it through, that is itself a
+    directory, before the command does work whose result it could not write.
+    Makes nothing, so an input error leaves no `path` behind."""
     from pathlib import Path
 
     for name in names:
-        if (Path(path) / name).is_dir():
-            raise ConfigError(f"is a directory: {Path(path) / name}")
+        for target in (Path(path) / name, Path(path) / f"{name}.tmp"):
+            if target.is_dir():
+                raise ConfigError(f"is a directory: {target}")
 
 
 def _out_dir(path: str) -> Path:
@@ -205,14 +206,15 @@ def cmd_simulate(args) -> int:
     telemetry = terrain.simulate_traverse(scenario)
     out = _out_dir(args.out)
     write_telemetry_csv(out / "telemetry.csv", telemetry)
-    t, x, y, heading = telemetry.values[-1, :4] if len(telemetry) else (0.0,) * 4
+    final = (telemetry[-1] if len(telemetry)
+             else dict.fromkeys(["t", "x", "y", "heading"], 0.0))
     write_key_value_file(out / "summary.txt", [
         ("scenario", scenario.name),
         ("records", len(telemetry)),
-        ("duration_s", _fmt(t)),
-        ("final_x_m", _fmt(x)),
-        ("final_y_m", _fmt(y)),
-        ("final_heading_rad", _fmt(heading)),
+        ("duration_s", _fmt(final["t"])),
+        ("final_x_m", _fmt(final["x"])),
+        ("final_y_m", _fmt(final["y"])),
+        ("final_heading_rad", _fmt(final["heading"])),
         ("energy_j", _fmt(telemetry.cumulative_energy()[-1])),
     ])
     return EXIT_OK

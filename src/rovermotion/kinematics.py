@@ -36,13 +36,9 @@ _WZ_EPS = 1e-12  # below this yaw rate a step is integrated as a straight line
 
 
 def _normalize_steering(angle: float, speed: float, limit: float) -> tuple[float, float]:
-    """Fold a steering angle into [-limit, limit] via (angle +/- pi, -speed)."""
-    if angle > limit:
-        angle -= math.pi
-        speed = -speed
-    elif angle < -limit:
-        angle += math.pi
-        speed = -speed
+    """Fold a steering angle into [-limit, limit] via (angle -/+ pi, -speed)."""
+    if abs(angle) > limit:
+        angle, speed = angle - math.copysign(math.pi, angle), -speed
     if not -limit <= angle <= limit:
         raise KinematicsError("steering limit exceeded")
     return angle, speed
@@ -58,58 +54,48 @@ def inverse_kinematics(
     turn steers every wheel tangent to a circle around the body center;
     Ackermann steers all wheel axes through a common ICR at (0, vx/wz).
     """
-    r = config.wheel_radius
     positions = wheel_positions(config)
-    limit = config.steering_limit
-    commands: list[WheelCommand] = []
-
+    points = [positions[wheel] for wheel in WHEEL_ORDER]
     if mode is LocomotionMode.SKID_STEER:
         half_w = config.wheel_lateral_separation / 2.0
-        for wheel in WHEEL_ORDER:
-            _, y = positions[wheel]
-            side = half_w if y > 0 else -half_w
-            commands.append(WheelCommand(wheel, (twist.vx - twist.wz * side) / r, 0.0))
-        return commands
-
-    if mode is LocomotionMode.CRAB:
+        wheels = [(0.0, twist.vx - twist.wz * (half_w if y > 0 else -half_w))
+                  for _, y in points]
+    elif mode is LocomotionMode.CRAB:
         if twist.wz != 0.0:
             raise KinematicsError("yaw rate unsupported in crab mode")
         speed = math.hypot(twist.vx, twist.vy)
         angle = math.atan2(twist.vy, twist.vx) if speed > 0 else 0.0
-        for wheel in WHEEL_ORDER:
-            a, s = _normalize_steering(angle, speed / r, limit)
-            commands.append(WheelCommand(wheel, s, a))
-        return commands
+        wheels = [(angle, speed)] * len(points)
+    elif mode is LocomotionMode.ACKERMANN and twist.vy != 0.0:
+        raise KinematicsError("lateral velocity unsupported in Ackermann")
+    elif mode is LocomotionMode.ACKERMANN and twist.wz == 0.0:
+        wheels = [(0.0, twist.vx)] * len(points)  # ICR at infinity: straight line
+    elif mode is LocomotionMode.POINT_TURN or mode is LocomotionMode.ACKERMANN:
+        # wheel axes through the ICR (0, icr_y), the center for a point turn;
+        # rolling direction is z-hat x (p - icr), so positive wz drives forward
+        icr_y = 0.0 if mode is LocomotionMode.POINT_TURN else twist.vx / twist.wz
+        rels = [(px, py - icr_y) for px, py in points]
+        wheels = [(math.atan2(rx, -ry), twist.wz * math.hypot(rx, ry)) for rx, ry in rels]
+    else:
+        raise KinematicsError(f"unsupported mode {mode}")
+    commands = []
+    for wheel, (angle, speed) in zip(WHEEL_ORDER, wheels):
+        angle, drive_speed = _normalize_steering(
+            angle, speed / config.wheel_radius, config.steering_limit
+        )
+        commands.append(WheelCommand(wheel, drive_speed, angle))
+    return commands
 
-    if mode is LocomotionMode.POINT_TURN:
-        for wheel in WHEEL_ORDER:
-            px, py = positions[wheel]
-            # rolling direction is z-hat x p, so positive wz drives forward
-            angle = math.atan2(px, -py)
-            speed = twist.wz * math.hypot(px, py) / r
-            a, s = _normalize_steering(angle, speed, limit)
-            commands.append(WheelCommand(wheel, s, a))
-        return commands
 
-    if mode is LocomotionMode.ACKERMANN:
-        if twist.vy != 0.0:
-            raise KinematicsError("lateral velocity unsupported in Ackermann")
-        if twist.wz == 0.0:
-            # ICR at infinity: straight-line driving
-            for wheel in WHEEL_ORDER:
-                commands.append(WheelCommand(wheel, twist.vx / r, 0.0))
-            return commands
-        icr_y = twist.vx / twist.wz
-        for wheel in WHEEL_ORDER:
-            px, py = positions[wheel]
-            rel = (px, py - icr_y)
-            angle = math.atan2(rel[0], -rel[1])
-            speed = twist.wz * math.hypot(*rel) / r
-            a, s = _normalize_steering(angle, speed, limit)
-            commands.append(WheelCommand(wheel, s, a))
-        return commands
-
-    raise KinematicsError(f"unsupported mode {mode}")
+def rolling_directions(
+    commands: list[WheelCommand], config: RoverConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, p): each command's unit rolling direction (cos, sin) of its
+    steering angle, and its wheel's contact position, as (wheels, 2) arrays."""
+    positions = wheel_positions(config)
+    u = np.array([(math.cos(cmd.steering_angle), math.sin(cmd.steering_angle))
+                  for cmd in commands])
+    return u, np.array([positions[cmd.wheel_id] for cmd in commands])
 
 
 def forward_odometry(commands: list[WheelCommand], config: RoverConfig) -> BodyTwist:
@@ -120,55 +106,29 @@ def forward_odometry(commands: list[WheelCommand], config: RoverConfig) -> BodyT
     measured steering angles are handled uniformly. Unobservable twist
     components come out as the minimum-norm solution (zero).
     """
-    positions = wheel_positions(config)
-    r = config.wheel_radius
-    rows = []
-    rhs = []
-    for cmd in commands:
-        px, py = positions[cmd.wheel_id]
-        ux = math.cos(cmd.steering_angle)
-        uy = math.sin(cmd.steering_angle)
-        # u . (v + wz x p) = drive_speed * r
-        rows.append([ux, uy, uy * px - ux * py])
-        rhs.append(cmd.drive_speed * r)
-    solution, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    u, p = rolling_directions(commands, config)
+    # u . (v + wz x p) = drive_speed * r
+    rows = np.column_stack((u, u[:, 1] * p[:, 0] - u[:, 0] * p[:, 1]))
+    rhs = np.array([cmd.drive_speed for cmd in commands]) * config.wheel_radius
+    solution, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     return BodyTwist(*solution)
 
 
 def icr_of(
     commands: list[WheelCommand], config: RoverConfig
 ) -> tuple[IcrResult, float]:
-    """Least-squares intersection of the four wheel axes.
-
-    Returns the ICR and the RMS point-to-axis distance. Parallel axes
-    (straight driving) give AT_INFINITY with zero residual.
-    """
-    positions = wheel_positions(config)
-    acc = np.zeros((2, 2))
-    vec = np.zeros(2)
-    axes = []
-    for cmd in commands:
-        p = np.array(positions[cmd.wheel_id])
-        # wheel axis is the rolling direction rotated by 90 degrees
-        d = np.array(
-            [-math.sin(cmd.steering_angle), math.cos(cmd.steering_angle)]
-        )
-        proj = np.eye(2) - np.outer(d, d)
-        acc += proj
-        vec += proj @ p
-        axes.append((p, d))
-    eigvals = np.linalg.eigvalsh(acc)
-    if eigvals[0] < _PARALLEL_EIG_TOL:
+    """Least-squares intersection of the four wheel axes, and the RMS
+    point-to-axis distance. A point x lies u . (x - p) off the axis of a wheel
+    at p rolling along u, so the ICR solves (u^T u) x = u^T (u . p). Parallel
+    axes (straight driving) give AT_INFINITY with zero residual."""
+    u, p = rolling_directions(commands, config)
+    offsets = np.einsum("ij,ij->i", u, p)
+    normal = u.T @ u
+    if np.linalg.eigvalsh(normal)[0] < _PARALLEL_EIG_TOL:
         return AT_INFINITY, 0.0
-    point = np.linalg.solve(acc, vec)
-    sq_sum = 0.0
-    for p, d in axes:
-        rel = point - p
-        perp = rel - (rel @ d) * d
-        sq_sum += float(perp @ perp)
-    return IcrResult(False, (float(point[0]), float(point[1]))), math.sqrt(
-        sq_sum / len(axes)
-    )
+    point = np.linalg.solve(normal, u.T @ offsets)
+    residual = math.sqrt(float(np.mean((u @ point - offsets) ** 2)))
+    return IcrResult(False, (float(point[0]), float(point[1]))), residual
 
 
 @dataclass(frozen=True)
@@ -221,18 +181,26 @@ def integrate_track(vx, vy, wz, dt, x0=0.0, y0=0.0, theta0=0.0):
     n = vx.shape[0]
     if vy.shape[0] != n or wz.shape[0] != n:
         raise ValueError("twist component arrays must have equal length")
-    dth = wz * dt
+    x, y, theta = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    x[0], y[0], theta[0] = x0, y0, theta0
+    dth = np.multiply(wz, dt, out=theta[1:])
     straight = np.abs(wz) < _WZ_EPS
     w = np.where(straight, 1.0, wz)
     s = np.sin(dth) / w
     c = (1.0 - np.cos(dth)) / w
-    # body-frame displacement of each step along its arc
-    dxb = np.where(straight, vx * dt, vx * s - vy * c)
-    dyb = np.where(straight, vy * dt, vx * c + vy * s)
-    theta = np.cumsum(np.concatenate(([theta0], dth)))
+    # body-frame displacement of each step along its arc, in x[1:] and y[1:]
+    dxb = np.subtract(vx * s, vy * c, out=x[1:])
+    dyb = np.add(vx * c, vy * s, out=y[1:])
+    np.copyto(dxb, vx * dt, where=straight)
+    np.copyto(dyb, vy * dt, where=straight)
+    del straight, w, s, c  # at most five step-length temporaries live at once
+    np.cumsum(theta, out=theta)
     cos_t, sin_t = np.cos(theta[:-1]), np.sin(theta[:-1])
-    x = np.cumsum(np.concatenate(([x0], cos_t * dxb - sin_t * dyb)))
-    y = np.cumsum(np.concatenate(([y0], sin_t * dxb + cos_t * dyb)))
+    dx = cos_t * dxb - sin_t * dyb
+    np.add(sin_t * dxb, cos_t * dyb, out=dyb)
+    dxb[:] = dx
+    np.cumsum(x, out=x)
+    np.cumsum(y, out=y)
     return x, y, theta
 
 

@@ -18,7 +18,6 @@ from rovermotion.config import (
     parse_key_value_lines,
     read_text,
     validate_config,
-    wheel_positions,
 )
 from rovermotion.errors import CalibrationError
 from rovermotion.kinematics import (
@@ -28,6 +27,7 @@ from rovermotion.kinematics import (
     inverse_kinematics,
     marker_positions,
     parse_profile,
+    rolling_directions,
 )
 from rovermotion.telemetry import (
     BUS_VOLTAGE,
@@ -134,30 +134,19 @@ def drive_power(
     ) * weight_per_wheel
     normal_per_wheel = weight_per_wheel * math.cos(theta)
     twist = forward_odometry(commands, config)
-    positions = wheel_positions(config)
-
-    breakdown: dict[str, float] = {}
-    for cmd in commands:
-        v_i = abs(cmd.drive_speed) * config.wheel_radius
-        px, py = positions[cmd.wheel_id]
-        cx = twist.vx - twist.wz * py
-        cy = twist.vy + twist.wz * px
-        ux = math.cos(cmd.steering_angle)
-        uy = math.sin(cmd.steering_angle)
-        lateral = abs(-uy * cx + ux * cy)
-        p_i = (
-            power.idle_power_per_drive
-            + (
-                tractive_coeff * v_i
-                + power.speed_quadratic_coeff * v_i * v_i
-                + power.lateral_friction_coeff * normal_per_wheel * lateral
-                + (power.drawbar_force / 4.0) * v_i
-            )
-            / power.drivetrain_efficiency
-        )
-        breakdown[f"drive_{cmd.wheel_id.value.lower()}"] = max(p_i, 0.0)
-    for cmd in commands:
-        breakdown[f"steer_{cmd.wheel_id.value.lower()}"] = power.steering_hold_power
+    u, p = rolling_directions(commands, config)
+    v = np.abs([cmd.drive_speed for cmd in commands]) * config.wheel_radius
+    cx, cy = twist.vx - twist.wz * p[:, 1], twist.vy + twist.wz * p[:, 0]
+    lateral = np.abs(-u[:, 1] * cx + u[:, 0] * cy)
+    drive = power.idle_power_per_drive + (
+        tractive_coeff * v
+        + power.speed_quadratic_coeff * v * v
+        + power.lateral_friction_coeff * normal_per_wheel * lateral
+        + (power.drawbar_force / 4.0) * v
+    ) / power.drivetrain_efficiency
+    tags = [cmd.wheel_id.value.lower() for cmd in commands]
+    breakdown = {f"drive_{tag}": max(p_i, 0.0) for tag, p_i in zip(tags, drive)}
+    breakdown.update((f"steer_{tag}", power.steering_hold_power) for tag in tags)
     return sum(breakdown.values()), breakdown
 
 
@@ -331,13 +320,15 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
         start = stop
     # the final sample carries the end state of the last phase, which is a
     # motion phase and so constant
-    values[-1, 6:] = values[-2, 6:]
+    _phase_block(values[-1:], *phases[-1][2])
 
-    xs, ys, ths = integrate_track(*achieved.T, step)
-    np.multiply(np.arange(len(values)), step, out=values[:, 0])
-    values[:, 1], values[:, 2], values[:, 3] = xs, ys, ths
-    values[:, 4], values[:, 5] = marker_positions(xs, ys, ths, scenario.marker_offset)
-    return Telemetry(values)
+    telemetry = Telemetry(values)
+    np.multiply(np.arange(len(values)), step, out=telemetry.column("t"))
+    pose = integrate_track(*achieved.T, step)
+    for name, column in zip(["x", "y", "heading", "marker_x", "marker_y"],
+                            [*pose, *marker_positions(*pose, scenario.marker_offset)]):
+        telemetry.column(name)[:] = column
+    return telemetry
 
 
 def model_cot(

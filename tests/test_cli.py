@@ -559,6 +559,8 @@ class TestInputAndOutputPaths:
         ("deflect --model", ["--window", "3"], "deflection_smoothed.csv"),
         ("calibrate --table", [], "power_params.txt"),
         ("calibrate --table", [], "calibration_residuals.csv"),
+        # the temporary file an output is written through before it is renamed
+        ("simulate --scenario", [], "telemetry.csv.tmp"),
     ]
 
     @pytest.mark.parametrize("flag, extra, name", OUTPUTS,

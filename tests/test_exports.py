@@ -103,16 +103,16 @@ def _opens_for_writing(call: ast.Call) -> bool:
     )
 
 
-def _writing_functions(path: Path) -> list[str]:
-    """`module.function` for each call in the source at `path` that opens a
-    file for writing, named by the innermost function around it."""
+def _function_calls(path: Path) -> list[tuple[str, ast.Call]]:
+    """(`module.function`, call) for each call in the source at `path`, named
+    by the innermost function around it."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{path.stem}.{node.name}"
-        if isinstance(node, ast.Call) and _opens_for_writing(node):
-            found.append(where)
+        if isinstance(node, ast.Call):
+            found.append((where, node))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -120,7 +120,31 @@ def _writing_functions(path: Path) -> list[str]:
     return found
 
 
+def _writing_functions(path: Path) -> list[str]:
+    """`module.function` for each call in the source at `path` that opens a
+    file for writing."""
+    return [where for where, call in _function_calls(path) if _opens_for_writing(call)]
+
+
 def test_files_are_written_only_through_open_output():
     writers = [name for path in sorted(PACKAGE.glob("*.py"))
                for name in _writing_functions(path)]
     assert writers == ["config.open_output"]
+
+
+def _called_name(call: ast.Call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def test_steering_angles_become_rolling_directions_in_one_place():
+    calls = [(where, call) for path in sorted(PACKAGE.glob("*.py"))
+             for where, call in _function_calls(path)]
+    trig = {where for where, call in calls if _called_name(call) in ("cos", "sin")
+            and any(isinstance(node, ast.Attribute) and node.attr == "steering_angle"
+                    for arg in call.args for node in ast.walk(arg))}
+    assert trig == {"kinematics.rolling_directions"}
+    in_ik = [_called_name(call) for where, call in calls
+             if where == "kinematics.inverse_kinematics"]
+    assert in_ik.count("_normalize_steering") == 1
+    assert in_ik.count("WheelCommand") == 1
