@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 # load the simulator.
 _SUBMODULE_NAMES = {
     "config": ["BodyTwist", "LocomotionMode", "RoverConfig", "WheelCommand",
-               "WheelId", "load_config", "validate_config", "wheel_positions"],
+               "WheelId", "load_config", "wheel_positions"],
     "kinematics": ["forward_odometry", "icr_of", "inverse_kinematics"],
     "metrics": ["cost_of_transport", "energy_vs_yaw", "mean_cot"],
     "terrain": ["PowerModelParams", "Scenario", "TerrainParams", "apply_slip",

@@ -8,7 +8,7 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from rovermotion.errors import ConfigError
@@ -76,35 +76,23 @@ class RoverConfig:
     steering_rate: float = math.radians(10.0)
     steering_limit: float = math.radians(95.0)
 
-
-_LENGTH_FIELDS = (
-    "wheel_longitudinal_separation",
-    "wheel_lateral_separation",
-    "wheel_radius",
-    "wheel_width",
-    "ground_clearance",
-)
-
-
-def validate_config(raw: RoverConfig) -> RoverConfig:
-    """Return the config unchanged if every invariant holds.
-
-    Raises ConfigError naming the first violated invariant; NaN violates all.
-    """
-    if not raw.mass > 0:
-        raise ConfigError("non-positive mass")
-    if not raw.gravity > 0:
-        raise ConfigError("non-positive gravity")
-    for name in _LENGTH_FIELDS:
-        if not getattr(raw, name) > 0:
-            raise ConfigError(f"non-positive {name}")
-    if not (raw.drive_motor_rated_power > 0 and raw.steering_motor_rated_power > 0):
-        raise ConfigError("non-positive motor rating")
-    if not raw.steering_rate > 0:
-        raise ConfigError("non-positive steering rate")
-    if not 0.0 < raw.steering_limit <= math.pi:
-        raise ConfigError("empty steering range")
-    return raw
+    def __post_init__(self):
+        """Raise ConfigError naming the first violated invariant; NaN violates all."""
+        if not self.mass > 0:
+            raise ConfigError("non-positive mass")
+        if not self.gravity > 0:
+            raise ConfigError("non-positive gravity")
+        for name in ("wheel_longitudinal_separation", "wheel_lateral_separation",
+                     "wheel_radius", "wheel_width", "ground_clearance"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"non-positive {name}")
+        if not (self.drive_motor_rated_power > 0
+                and self.steering_motor_rated_power > 0):
+            raise ConfigError("non-positive motor rating")
+        if not self.steering_rate > 0:
+            raise ConfigError("non-positive steering rate")
+        if not 0.0 < self.steering_limit <= math.pi:
+            raise ConfigError("empty steering range")
 
 
 def wheel_positions(config: RoverConfig) -> dict[WheelId, tuple[float, float]]:
@@ -231,6 +219,6 @@ def load_config(path: str | Path) -> RoverConfig:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     values = {key: parse_finite(text, key, path) for key, text in pairs.items()}
     try:
-        return validate_config(replace(RoverConfig(), **values))
+        return RoverConfig(**values)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -107,11 +107,15 @@ def forward_odometry(commands: list[WheelCommand], config: RoverConfig) -> BodyT
     components come out as the minimum-norm solution (zero).
     """
     u, p = rolling_directions(commands, config)
+    return BodyTwist(*_odometry_twist(commands, config, u, p))
+
+
+def _odometry_twist(commands, config: RoverConfig, u, p) -> np.ndarray:
+    """forward_odometry's (vx, vy, wz), given the commands' rolling_directions."""
     # u . (v + wz x p) = drive_speed * r
     rows = np.column_stack((u, u[:, 1] * p[:, 0] - u[:, 0] * p[:, 1]))
     rhs = np.array([cmd.drive_speed for cmd in commands]) * config.wheel_radius
-    solution, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    return BodyTwist(*solution)
+    return np.linalg.lstsq(rows, rhs, rcond=None)[0]
 
 
 def icr_of(
@@ -136,6 +140,10 @@ class ProfileSegment:
     duration: float  # s
     twist: BodyTwist
     mode: LocomotionMode
+
+    def __post_init__(self):
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError("segment duration outside (0, inf)")
 
 
 PROFILE_HEADER = ["duration_s", "vx", "vy", "wz", "mode"]

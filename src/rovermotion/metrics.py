@@ -73,8 +73,6 @@ def mean_cot(
     span = t[-1] - t[0]
     mean_power = float(np.trapezoid(p, t) / span)
     mean_velocity = float(np.trapezoid(v, t) / span)
-    if mean_velocity <= 0:
-        raise MetricsError("undefined at zero velocity")
     return CotReport(
         mode=mode,
         slope_deg=slope_deg,

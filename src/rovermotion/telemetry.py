@@ -395,9 +395,10 @@ class _ChunkParser(_Scratch):
     def __init__(self, values: np.ndarray):
         super().__init__()
         self.values = values
-        self.buf = np.empty(_PAD + _READ_CHUNK_BYTES + _MAX_LINE_BYTES, np.uint8)
-        # the eight bytes from each offset, as one little-endian integer
-        self.words = np.ndarray((len(self.buf) - 7,), "<u8", self.buf, 0, (1,))
+        # buf as little-endian words, and one word more
+        words = (_PAD + _READ_CHUNK_BYTES + _MAX_LINE_BYTES) // 8 + 2
+        self.aligned = np.empty(words, "<u8")
+        self.buf = self.aligned.view(np.uint8)
 
     def read(self, handle) -> tuple[int, int] | None:
         """Read the next chunk into buf; its (start, stop) there, or None at
@@ -415,6 +416,33 @@ class _ChunkParser(_Scratch):
             self.buf[stop : stop + len(tail)] = np.frombuffer(tail, np.uint8)
             stop += len(tail)
         return _PAD, stop
+
+    def _words_at(self, offsets: np.ndarray, low: np.ndarray) -> np.ndarray:
+        """Write the eight bytes of buf from each offset p in `offsets` (at
+        least 8; overwritten) into `low`, and return the eight before each, as
+        little-endian integers (A[i] >> s) | (A[i + 1] << (64 - s)) of the
+        aligned words A, i = p // 8, s = 8 (p % 8); a shift by 64 gives 0.
+        Unlike indexing buf at each offset, this allocates nothing."""
+        # the buffers "flags" and "spare" are free by now
+        shift, word, high = (self._scratch(name, len(offsets), np.uint64)
+                             for name in ("flags", "spare", "high"))
+        np.bitwise_and(offsets.view(np.uint64), np.uint64(7), out=shift)
+        shift <<= np.uint64(3)
+        offsets >>= 3
+        np.take(self.aligned, offsets, out=word, mode="clip")
+        np.right_shift(word, shift, out=low)
+        np.subtract(np.uint64(64), shift, out=shift)
+        np.left_shift(word, shift, out=high)
+        offsets += 1
+        np.take(self.aligned, offsets, out=word, mode="clip")
+        word <<= shift
+        low |= word
+        np.subtract(np.uint64(64), shift, out=shift)
+        offsets -= 2
+        np.take(self.aligned, offsets, out=word, mode="clip")
+        word >>= shift
+        high |= word
+        return high
 
     def parse(self, start: int, stop: int, row: int) -> int | None:
         """Parse the lines in buf[start:stop] into values[row:]; the number of
@@ -453,11 +481,15 @@ class _ChunkParser(_Scratch):
         ):
             return None
 
-        spare = self._scratch("spare", cells, np.uint64)
-        # each cell's last eight bytes "I.DDDDDD" become "0IDDDDDD": I * 1e6
-        # plus the decimals
+        lines = cells // len(_SEPARATORS)
+        out = self.values[row : row + lines].reshape(-1)
+        # each cell's last eight bytes "I.DDDDDD" (in its value's memory), and
+        # the eight before them
         ends += start - 1
-        low = self.words[ends]
+        low = out.view(np.uint64)
+        high = self._words_at(ends, low)
+        spare = self._scratch("spare", cells, np.uint64)
+        # "I.DDDDDD" becomes "0IDDDDDD": I * 1e6 plus the decimals
         np.bitwise_and(low, np.uint64(0xFF), out=spare)
         spare <<= np.uint64(8)
         low &= np.uint64(0xFFFFFFFFFFFF0000)
@@ -466,8 +498,6 @@ class _ChunkParser(_Scratch):
         # the integer digits before I end the eight bytes before "I."; the
         # bytes in front of them (sign, earlier cells, the _PAD bytes before
         # the chunk) become "0"
-        ends -= 8
-        high = self.words[ends]
         keep = _HIGH_BYTES.take(digits, out=spare, mode="clip")
         high &= keep
         np.invert(keep, out=keep)
@@ -476,8 +506,6 @@ class _ChunkParser(_Scratch):
         q = _eight_digits(high, spare)
         q *= np.uint64(10_000_000)
         q += _eight_digits(low, spare)
-        lines = cells // len(_SEPARATORS)
-        out = self.values[row : row + lines].reshape(-1)
         np.divide(q, 1e6, out=out)
         np.negative(out, out=out, where=negative)
         return lines

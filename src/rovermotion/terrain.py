@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +17,14 @@ from rovermotion.config import (
     parse_finite,
     parse_key_value_lines,
     read_text,
-    validate_config,
 )
 from rovermotion.errors import CalibrationError
 from rovermotion.kinematics import (
     ProfileSegment,
-    forward_odometry,
     integrate_track,
     inverse_kinematics,
     marker_positions,
+    _odometry_twist,
     parse_profile,
     rolling_directions,
 )
@@ -48,18 +47,16 @@ class TerrainParams:
     noise_std: float = 0.0
     rng_seed: int = 0
 
-
-def validate_terrain(terrain: TerrainParams) -> TerrainParams:
-    if not 0.0 <= terrain.slope_deg < 90.0:
-        raise ConfigError("slope out of supported range")
-    for name in ("skid_rotation_efficiency", "point_turn_efficiency"):
-        if not 0.0 < getattr(terrain, name) <= 1.0:
-            raise ConfigError(f"{name} outside (0, 1]")
-    if not 0.0 <= terrain.longitudinal_slip_ratio < 1.0:
-        raise ConfigError("longitudinal_slip_ratio outside [0, 1)")
-    if not terrain.noise_std >= 0.0:
-        raise ConfigError("negative noise_std")
-    return terrain
+    def __post_init__(self):
+        if not 0.0 <= self.slope_deg < 90.0:
+            raise ConfigError("slope out of supported range")
+        for name in ("skid_rotation_efficiency", "point_turn_efficiency"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} outside (0, 1]")
+        if not 0.0 <= self.longitudinal_slip_ratio < 1.0:
+            raise ConfigError("longitudinal_slip_ratio outside [0, 1)")
+        if not self.noise_std >= 0.0:
+            raise ConfigError("negative noise_std")
 
 
 @dataclass(frozen=True)
@@ -79,21 +76,14 @@ class PowerModelParams:
     lateral_friction_coeff: float = 0.4  # scrub drag during skid rotation
     drawbar_force: float = 0.0  # N, payload/implement pull (excavator mode)
 
-
-def validate_power(power: PowerModelParams) -> PowerModelParams:
-    for name in (
-        "idle_power_per_drive",
-        "rolling_resistance_coeff",
-        "steering_hold_power",
-        "steering_move_power",
-        "speed_quadratic_coeff",
-        "lateral_friction_coeff",
-    ):
-        if not getattr(power, name) >= 0.0:
-            raise ConfigError(f"negative {name}")
-    if not 0.0 < power.drivetrain_efficiency <= 1.0:
-        raise ConfigError("drivetrain_efficiency outside (0, 1]")
-    return power
+    def __post_init__(self):
+        for name in ("idle_power_per_drive", "rolling_resistance_coeff",
+                     "steering_hold_power", "steering_move_power",
+                     "speed_quadratic_coeff", "lateral_friction_coeff"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"negative {name}")
+        if not 0.0 < self.drivetrain_efficiency <= 1.0:
+            raise ConfigError("drivetrain_efficiency outside (0, 1]")
 
 
 def apply_slip(cmd: BodyTwist, mode: LocomotionMode, terrain: TerrainParams) -> BodyTwist:
@@ -133,10 +123,10 @@ def drive_power(
         power.rolling_resistance_coeff * math.cos(theta) + math.sin(theta)
     ) * weight_per_wheel
     normal_per_wheel = weight_per_wheel * math.cos(theta)
-    twist = forward_odometry(commands, config)
     u, p = rolling_directions(commands, config)
+    vx, vy, wz = _odometry_twist(commands, config, u, p)
     v = np.abs([cmd.drive_speed for cmd in commands]) * config.wheel_radius
-    cx, cy = twist.vx - twist.wz * p[:, 1], twist.vy + twist.wz * p[:, 0]
+    cx, cy = vx - wz * p[:, 1], vy + wz * p[:, 0]
     lateral = np.abs(-u[:, 1] * cx + u[:, 0] * cy)
     drive = power.idle_power_per_drive + (
         tractive_coeff * v
@@ -218,6 +208,10 @@ class Scenario:
     step: float = 0.01
     name: str = "scenario"
 
+    def __post_init__(self):
+        if not 0.0 < self.step < math.inf:
+            raise ConfigError("integration step outside (0, inf)")
+
 
 def _phase_block(
     block: np.ndarray, twist, drive_current, steer_current, speeds, angles
@@ -255,11 +249,7 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     The phases are planned first and then written into one telemetry array,
     so the working memory is that array and a few of its columns.
     """
-    config = validate_config(scenario.config)
-    terrain = validate_terrain(scenario.terrain)
-    power = validate_power(scenario.power)
-    if not 0.0 < scenario.step < math.inf:
-        raise ConfigError("integration step outside (0, inf)")
+    config, terrain, power = scenario.config, scenario.terrain, scenario.power
     if not scenario.profile:
         return Telemetry.empty()
     step = scenario.step
@@ -270,8 +260,6 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     phases: list[tuple[int, BodyTwist | None, tuple]] = []
     current_angles = np.zeros(4)
     for segment in scenario.profile:
-        if not 0.0 < segment.duration < math.inf:
-            raise ConfigError("segment duration outside (0, inf)")
         commands = inverse_kinematics(segment.twist, segment.mode, config)
         targets = np.array([cmd.steering_angle for cmd in commands])
         deltas, move_times = _slew(current_angles, targets, config)
@@ -371,13 +359,9 @@ def calibrate_power(
 
     solution, _ = nnls(design, target)
     idle, rolling, quad = (float(c) for c in solution)
-    params = replace(
-        PowerModelParams(),
-        idle_power_per_drive=idle,
-        rolling_resistance_coeff=rolling,
-        speed_quadratic_coeff=quad,
-        drivetrain_efficiency=1.0,
-    )
+    params = PowerModelParams(
+        idle_power_per_drive=idle, rolling_resistance_coeff=rolling,
+        speed_quadratic_coeff=quad, drivetrain_efficiency=1.0)
     residuals = [
         model_cot(params, config, slope_deg, v) - cot for slope_deg, v, cot in rows
     ]
@@ -396,7 +380,7 @@ def load_scenario(path: str | Path) -> Scenario:
     def number(key: str, default: str) -> float:
         return parse_finite(pairs.pop(key, default), key, path)
 
-    sections = {"config": RoverConfig, "terrain": TerrainParams, "power": PowerModelParams}
+    sections = {"terrain": TerrainParams, "config": RoverConfig, "power": PowerModelParams}
     kwargs: dict[str, dict[str, float]] = {section: {} for section in sections}
     name = pairs.pop("name", Path(path).stem)
     step = number("step", "0.01")
@@ -414,16 +398,9 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(f"non-positive step {step!r}")
         if not (seed.is_integer() and seed >= 0):
             raise ConfigError(f"terrain.rng_seed = {seed!r} is not a non-negative integer")
-        return Scenario(
-            profile=profile,
-            terrain=validate_terrain(
-                TerrainParams(**kwargs["terrain"], rng_seed=int(seed))
-            ),
-            config=validate_config(replace(RoverConfig(), **kwargs["config"])),
-            power=validate_power(PowerModelParams(**kwargs["power"])),
-            marker_offset=marker,
-            step=step,
-            name=name,
-        )
+        kwargs["terrain"]["rng_seed"] = int(seed)
+        # built in the order of `sections`, which names the first invalid one
+        params = {section: cls(**kwargs[section]) for section, cls in sections.items()}
+        return Scenario(profile, **params, marker_offset=marker, step=step, name=name)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -1,24 +1,29 @@
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rovermotion.config import (
+    BodyTwist,
     ConfigError,
+    LocomotionMode,
     RoverConfig,
     WheelId,
     csv_rows,
     load_config,
     open_output,
-    validate_config,
     wheel_positions,
 )
+from rovermotion.kinematics import ProfileSegment
+from rovermotion.terrain import PowerModelParams, Scenario, TerrainParams
 
 
 def test_breadboard_defaults_are_valid():
-    cfg = validate_config(RoverConfig())
+    cfg = RoverConfig()
     assert cfg.mass == 84.0
     assert cfg.wheel_longitudinal_separation == 0.980
     assert cfg.wheel_lateral_separation == 0.830
@@ -27,22 +32,17 @@ def test_breadboard_defaults_are_valid():
 
 def test_zero_mass_rejected():
     with pytest.raises(ConfigError, match="non-positive mass"):
-        validate_config(RoverConfig(mass=0.0))
+        RoverConfig(mass=0.0)
 
 
 def test_zero_steering_limit_rejected():
     with pytest.raises(ConfigError, match="empty steering range"):
-        validate_config(RoverConfig(steering_limit=0.0))
+        RoverConfig(steering_limit=0.0)
 
 
 def test_lunar_gravity_override():
-    cfg = validate_config(RoverConfig(gravity=1.62))
+    cfg = RoverConfig(gravity=1.62)
     assert cfg.gravity == 1.62
-
-
-def test_validate_is_idempotent():
-    cfg = validate_config(RoverConfig())
-    assert validate_config(cfg) == cfg
 
 
 def test_wheel_positions_breadboard():
@@ -94,7 +94,75 @@ def test_load_config_unknown_key(tmp_path):
 @pytest.mark.parametrize("name", sorted(RoverConfig.__dataclass_fields__))
 def test_nan_field_rejected(name):
     with pytest.raises(ConfigError):
-        validate_config(replace(RoverConfig(), **{name: math.nan}))
+        replace(RoverConfig(), **{name: math.nan})
+
+
+# A value outside each range of the parameter types, and the message it
+# raises. NaN is outside every range, so it raises its field's message.
+OUT_OF_RANGE = [
+    (RoverConfig, "mass", 0.0, "non-positive mass"),
+    (RoverConfig, "gravity", -9.81, "non-positive gravity"),
+    *[(RoverConfig, name, 0.0, f"non-positive {name}")
+      for name in ("wheel_longitudinal_separation", "wheel_lateral_separation",
+                   "wheel_radius", "wheel_width", "ground_clearance")],
+    (RoverConfig, "drive_motor_rated_power", 0.0, "non-positive motor rating"),
+    (RoverConfig, "steering_motor_rated_power", -1.0, "non-positive motor rating"),
+    (RoverConfig, "steering_rate", 0.0, "non-positive steering rate"),
+    (RoverConfig, "steering_limit", 0.0, "empty steering range"),
+    (RoverConfig, "steering_limit", 3.2, "empty steering range"),
+    (TerrainParams, "slope_deg", -1.0, "slope out of supported range"),
+    (TerrainParams, "slope_deg", 90.0, "slope out of supported range"),
+    *[(TerrainParams, name, value, f"{name} outside (0, 1]")
+      for name in ("skid_rotation_efficiency", "point_turn_efficiency")
+      for value in (0.0, 1.01)],
+    (TerrainParams, "longitudinal_slip_ratio", -0.1, "longitudinal_slip_ratio outside [0, 1)"),
+    (TerrainParams, "longitudinal_slip_ratio", 1.0, "longitudinal_slip_ratio outside [0, 1)"),
+    (TerrainParams, "noise_std", -0.01, "negative noise_std"),
+    *[(PowerModelParams, name, -0.1, f"negative {name}")
+      for name in ("idle_power_per_drive", "rolling_resistance_coeff",
+                   "steering_hold_power", "steering_move_power",
+                   "speed_quadratic_coeff", "lateral_friction_coeff")],
+    (PowerModelParams, "drivetrain_efficiency", 0.0, "drivetrain_efficiency outside (0, 1]"),
+    (PowerModelParams, "drivetrain_efficiency", 1.5, "drivetrain_efficiency outside (0, 1]"),
+]
+# Fields without a range: a signed pull, and a seed that load_scenario checks
+UNCHECKED = {(PowerModelParams, "drawbar_force"), (TerrainParams, "rng_seed")}
+
+
+def test_every_field_has_a_range_but_the_unchecked_ones():
+    checked = {(cls, name) for cls, name, _, _ in OUT_OF_RANGE}
+    assert checked.isdisjoint(UNCHECKED)
+    assert checked | UNCHECKED == {
+        (cls, field.name)
+        for cls in (RoverConfig, TerrainParams, PowerModelParams)
+        for field in fields(cls)
+    }
+
+
+INVALID = [
+    *OUT_OF_RANGE,
+    *[(cls, name, math.nan, message) for (cls, name), message in
+      {(cls, name): message for cls, name, _, message in OUT_OF_RANGE}.items()],
+    *[(partial(Scenario, []), "step", step, "integration step outside (0, inf)")
+      for step in (0.0, -0.01, math.inf, math.nan)],
+    *[(partial(ProfileSegment, duration=1.0, twist=BodyTwist(), mode=LocomotionMode.CRAB),
+       "duration", duration, "segment duration outside (0, inf)")
+      for duration in (0.0, -1.0, math.inf, math.nan)],
+]
+
+
+@pytest.mark.parametrize(
+    "build, name, value, message", INVALID,
+    ids=[f"{getattr(build, 'func', build).__name__}.{name}={value}"
+         for build, name, value, _ in INVALID],
+)
+def test_invalid_value_rejected_when_built(build, name, value, message):
+    valid = build()
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(ConfigError, match=match):
+        build(**{name: value})
+    with pytest.raises(ConfigError, match=match):
+        replace(valid, **{name: value})
 
 
 def test_open_output_replaces_the_file_only_when_the_block_succeeds(tmp_path):

@@ -148,3 +148,16 @@ def test_steering_angles_become_rolling_directions_in_one_place():
              if where == "kinematics.inverse_kinematics"]
     assert in_ik.count("_normalize_steering") == 1
     assert in_ik.count("WheelCommand") == 1
+
+
+def test_value_types_check_themselves():
+    # a parameter type checks its own invariants in __post_init__, so no
+    # module has a separate check for callers to remember
+    checkers = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("validate_")
+    ]
+    assert checkers == []

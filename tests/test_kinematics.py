@@ -246,8 +246,10 @@ class TestPoseTrack:
         assert headings[-1] == 0.0
 
     def test_rejects_non_positive_duration(self):
-        profile = [ProfileSegment(-1.0, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)]
         with pytest.raises(Exception, match="duration"):
+            profile = [
+                ProfileSegment(-1.0, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)
+            ]
             slip_free_track(profile)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rovermotion.cli import EXIT_OK, PRESET_NAMES, ROTATION_PRESETS, main, preset_path
-from rovermotion.config import WHEEL_ORDER, BodyTwist, ConfigError, validate_config
+from rovermotion.config import WHEEL_ORDER, BodyTwist
 from rovermotion._track_py import integrate_track
 from rovermotion.telemetry import BUS_VOLTAGE, TELEMETRY_HEADER
 from rovermotion.terrain import (
@@ -25,8 +25,6 @@ from rovermotion.terrain import (
     inverse_kinematics,
     load_scenario,
     simulate_traverse,
-    validate_power,
-    validate_terrain,
 )
 
 
@@ -64,11 +62,7 @@ class _Phase:
 
 
 def reference_simulate(scenario: Scenario) -> list[list[float]]:
-    config = validate_config(scenario.config)
-    terrain = validate_terrain(scenario.terrain)
-    power = validate_power(scenario.power)
-    if scenario.step <= 0:
-        raise ConfigError("non-positive integration step")
+    config, terrain, power = scenario.config, scenario.terrain, scenario.power
     if not scenario.profile:
         return []
     rng = np.random.default_rng(terrain.rng_seed)

@@ -503,6 +503,30 @@ class TestWorkingMemory:
         assert abs(large - small) < 64 * 1024
         assert large < bound < path.stat().st_size  # the 20k-row file
 
+    def test_reader_keeps_its_chunk_temporaries(self, tmp_path, fast_only, monkeypatch):
+        # Beyond its result and the buffers its parser keeps from chunk to
+        # chunk, a 20,001-row read holds one more cell-sized array at most:
+        # the separator offsets np.flatnonzero makes for each chunk (and the
+        # buffers of 8192 elements in which numpy casts an operand).
+        parsers = []
+
+        class Recorded(telemetry_module._ChunkParser):
+            def __init__(self, values):
+                super().__init__(values)
+                parsers.append(self)
+
+        monkeypatch.setattr(telemetry_module, "_ChunkParser", Recorded)
+        path = tmp_path / "t.csv"
+        write_rows(path, np.random.default_rng(4).normal(0.0, 50.0, (20_001, 36)))
+        read_telemetry_csv(path)
+        telemetry, peak = traced_peak(read_telemetry_csv, path)
+        assert len(telemetry) == 20_001
+        parser = parsers[-1]
+        kept = parser.aligned.nbytes + sum(b.nbytes for b in parser._buffers.values())
+        # a cell is at least "0.000000,"
+        offsets = len(parser.buf) // len("0.000000,") * 8
+        assert peak - held(telemetry.values) - kept < offsets + 128 * 1024
+
     def test_writer_scratch_does_not_grow_with_the_rows(self, tmp_path):
         peaks = []
         for path, values in self.files(tmp_path):

@@ -23,8 +23,6 @@ from rovermotion.terrain import (
     reposition_between,
     simulate_traverse,
     steering_reposition_energy,
-    validate_power,
-    validate_terrain,
 )
 
 CFG = RoverConfig()
@@ -37,27 +35,27 @@ FLAT_ROWS = [(0.0, 0.03, 0.646), (0.0, 0.06, 1.10), (0.0, 0.08, 1.39)]
 
 class TestValidation:
     def test_defaults_valid(self):
-        validate_terrain(FLAT)
-        validate_power(POWER)
+        TerrainParams()
+        PowerModelParams()
 
     def test_steep_slope_rejected(self):
         with pytest.raises(ConfigError, match="slope"):
-            validate_terrain(TerrainParams(slope_deg=90.0))
+            TerrainParams(slope_deg=90.0)
 
     def test_zero_efficiency_rejected(self):
         with pytest.raises(ConfigError, match="point_turn_efficiency"):
-            validate_terrain(TerrainParams(point_turn_efficiency=0.0))
+            TerrainParams(point_turn_efficiency=0.0)
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ConfigError, match="rolling_resistance"):
-            validate_power(replace(POWER, rolling_resistance_coeff=-0.1))
+            replace(POWER, rolling_resistance_coeff=-0.1)
 
     @pytest.mark.parametrize("name", [
         "slope_deg", "skid_rotation_efficiency", "point_turn_efficiency",
         "longitudinal_slip_ratio", "noise_std"])
     def test_nan_terrain_rejected(self, name):
         with pytest.raises(ConfigError):
-            validate_terrain(replace(FLAT, **{name: math.nan}))
+            replace(FLAT, **{name: math.nan})
 
     @pytest.mark.parametrize("name", [
         "idle_power_per_drive", "rolling_resistance_coeff", "drivetrain_efficiency",
@@ -65,7 +63,7 @@ class TestValidation:
         "lateral_friction_coeff"])
     def test_nan_power_rejected(self, name):
         with pytest.raises(ConfigError):
-            validate_power(replace(POWER, **{name: math.nan}))
+            replace(POWER, **{name: math.nan})
 
 
 class TestApplySlip:
@@ -273,8 +271,11 @@ class TestSimulateTraverse:
     @pytest.mark.parametrize("step, duration", [
         (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.01, math.inf), (0.01, math.nan)])
     def test_step_and_duration_must_be_positive_and_finite(self, step, duration):
-        profile = [ProfileSegment(duration, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)]
+        # the segment and the scenario check themselves when built
         with pytest.raises(ConfigError, match=r"outside \(0, inf\)"):
+            profile = [
+                ProfileSegment(duration, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)
+            ]
             simulate_traverse(Scenario(profile=profile, step=step))
 
     def test_different_seed_diverges(self):
