@@ -119,14 +119,12 @@ def _cot_row(report: metrics.CotReport) -> list[str]:
             _fmt(report.mean_power), _fmt(report.cost_of_transport)]
 
 
-def _write_yaw_energy(
-    path: Path, telemetry: Telemetry, mode: str
-) -> metrics.YawEnergyCurve:
+def _write_yaw_energy(path: Path, telemetry: Telemetry) -> np.ndarray:
     from rovermotion import metrics
     from rovermotion.telemetry import write_fixed_csv
 
-    curve = metrics.energy_vs_yaw(telemetry, mode=mode)
-    write_fixed_csv(path, ["fig3_yaw_deg", "fig3_energy_j"], curve.points)
+    curve = metrics.energy_vs_yaw(telemetry)
+    write_fixed_csv(path, ["fig3_yaw_deg", "fig3_energy_j"], curve)
     return curve
 
 
@@ -253,8 +251,8 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
 
     if args.metric == "yaw-energy":
-        curve = _write_yaw_energy(path, telemetry, args.label)
-        total = curve.points[-1] if len(curve.points) else (0.0, 0.0)
+        curve = _write_yaw_energy(path, telemetry)
+        total = curve[-1] if len(curve) else (0.0, 0.0)
         print(f"yaw_deg={total[0]:.3f} energy_j={total[1]:.3f}")
         return EXIT_OK
 
@@ -404,7 +402,7 @@ def cmd_report(args) -> int:
         scenario = terrain.load_scenario(preset_path(name))
         telemetry = terrain.simulate_traverse(scenario)
         write_telemetry_csv(out / f"telemetry_{name}.csv", telemetry)
-        _write_yaw_energy(out / f"fig3_{name}.csv", telemetry, name)
+        _write_yaw_energy(out / f"fig3_{name}.csv", telemetry)
         _write_efficiency(out / f"fig4_{name}.csv", telemetry, 0.5)
 
     fixture = _data_dir("deflection")

@@ -8,7 +8,7 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from rovermotion.errors import ConfigError
@@ -34,6 +34,11 @@ class WheelId(enum.Enum):
     FR = "FR"
     RL = "RL"
     RR = "RR"
+
+    @property
+    def tag(self) -> str:
+        """The wheel's name in telemetry columns and power breakdown keys."""
+        return self.value.lower()
 
 
 WHEEL_ORDER = (WheelId.FL, WheelId.FR, WheelId.RL, WheelId.RR)
@@ -62,37 +67,36 @@ class WheelCommand:
 
 @dataclass(frozen=True)
 class RoverConfig:
-    """Breadboard mass, wheel layout and actuator ratings (SI units)."""
+    """Breadboard mass, wheel layout and steering actuators (SI units)."""
 
     mass: float = 84.0
     gravity: float = 9.81
     wheel_longitudinal_separation: float = 0.980
     wheel_lateral_separation: float = 0.830
     wheel_radius: float = 0.15
-    wheel_width: float = 0.12
-    ground_clearance: float = 0.250
-    drive_motor_rated_power: float = 13.0
-    steering_motor_rated_power: float = 16.0
     steering_rate: float = math.radians(10.0)
     steering_limit: float = math.radians(95.0)
 
     def __post_init__(self):
         """Raise ConfigError naming the first violated invariant; NaN violates all."""
-        if not self.mass > 0:
-            raise ConfigError("non-positive mass")
-        if not self.gravity > 0:
-            raise ConfigError("non-positive gravity")
-        for name in ("wheel_longitudinal_separation", "wheel_lateral_separation",
-                     "wheel_radius", "wheel_width", "ground_clearance"):
+        for name in ("mass", "gravity", "wheel_longitudinal_separation",
+                     "wheel_lateral_separation", "wheel_radius"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"non-positive {name}")
-        if not (self.drive_motor_rated_power > 0
-                and self.steering_motor_rated_power > 0):
-            raise ConfigError("non-positive motor rating")
         if not self.steering_rate > 0:
             raise ConfigError("non-positive steering rate")
         if not 0.0 < self.steering_limit <= math.pi:
             raise ConfigError("empty steering range")
+        check_finite(self)
+
+
+def check_finite(params) -> None:
+    """Raise ConfigError naming the first float field of the dataclass
+    `params` that is not finite. The types call it after their range checks,
+    so a NaN that a range check rejects raises that check's message."""
+    for field in fields(params):
+        if field.type == "float" and not math.isfinite(getattr(params, field.name)):
+            raise ConfigError(f"non-finite {field.name}")
 
 
 def wheel_positions(config: RoverConfig) -> dict[WheelId, tuple[float, float]]:

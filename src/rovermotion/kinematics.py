@@ -165,9 +165,10 @@ def parse_profile(
             if not 0.0 < duration < math.inf:
                 raise ConfigError(f"duration {row[0]!r} outside (0, inf)")
             mode = LocomotionMode.parse(row[4])
+            twist = BodyTwist(vx, vy, wz)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        segments.append(ProfileSegment(duration, BodyTwist(vx, vy, wz), mode))
+        segments.append(ProfileSegment(duration, twist, mode))
     return segments
 
 

@@ -12,6 +12,7 @@ from rovermotion.telemetry import Telemetry
 
 
 RATIO_CLAMP = 5.0  # reporting clamp for efficiency ratios near zero denominators
+WZ_THRESHOLD = 1e-3  # rad/s; an odometry yaw rate below it gives no efficiency ratio
 
 
 @dataclass(frozen=True)
@@ -21,12 +22,6 @@ class CotReport:
     mean_velocity: float  # m/s, encoder-derived
     mean_power: float  # W
     cost_of_transport: float
-
-
-@dataclass(frozen=True)
-class YawEnergyCurve:
-    mode: str
-    points: np.ndarray  # rows of (cumulative yaw deg, cumulative energy J)
 
 
 def cost_of_transport(power_w: float, mass: float, gravity: float, v: float) -> float:
@@ -84,20 +79,19 @@ def mean_cot(
     )
 
 
-def energy_vs_yaw(telemetry: Telemetry, mode: str = "") -> YawEnergyCurve:
-    """Cumulative electrical energy against cumulative ground-truth |yaw|.
+def energy_vs_yaw(telemetry: Telemetry) -> np.ndarray:
+    """Cumulative electrical energy against cumulative ground-truth |yaw|:
+    an (n, 2) array of rows (cumulative yaw deg, cumulative energy J).
 
     Steering reposition energy spent before the body rotates accumulates at
     yaw = 0, which is the point-turn basal offset.
     """
     if not telemetry:
-        return YawEnergyCurve(mode, np.empty((0, 2)))
+        return np.empty((0, 2))
     heading = np.unwrap(telemetry.column("heading"))
     yaw = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(heading)))))
     # np.degrees multiplies by the same 180 / pi as math.degrees
-    return YawEnergyCurve(
-        mode, np.column_stack((np.degrees(yaw), telemetry.cumulative_energy()))
-    )
+    return np.column_stack((np.degrees(yaw), telemetry.cumulative_energy()))
 
 
 def _smooth(values: np.ndarray, window: int) -> np.ndarray:
@@ -132,13 +126,12 @@ def angular_speed_efficiency(
     gt_heading: np.ndarray,
     odo_wz: np.ndarray,
     smoothing_window_s: float = 0.5,
-    wz_threshold: float = 1e-3,
 ) -> np.ndarray:
     """Pointwise ground-truth yaw rate over odometry yaw rate, per sample.
 
     The ground-truth rate comes from central differences of the heading
     series, smoothed with a centered moving average. Samples where the
-    odometry yaw rate is below wz_threshold are gaps (NaN).
+    odometry yaw rate is below WZ_THRESHOLD are gaps (NaN).
     """
     times = np.asarray(times, dtype=float)
     gt_heading = np.unwrap(np.asarray(gt_heading, dtype=float))
@@ -154,7 +147,7 @@ def angular_speed_efficiency(
         window += 1
     gt_rate = _smooth(gt_rate, window)
     ratio = np.full(len(times), np.nan)
-    np.divide(gt_rate, odo_wz, out=ratio, where=np.abs(odo_wz) >= wz_threshold)
+    np.divide(gt_rate, odo_wz, out=ratio, where=np.abs(odo_wz) >= WZ_THRESHOLD)
     return ratio
 
 
@@ -172,13 +165,12 @@ def longitudinal_slip(encoder_v: np.ndarray, mocap_v: np.ndarray) -> np.ndarray:
     return slip
 
 
-def clamp_ratio(
-    value: float | np.ndarray, limit: float = RATIO_CLAMP
-) -> float | np.ndarray:
-    """Clamp a ratio, or each of an array of ratios, into [-limit, limit]
-    for plot-friendly reporting.
+def clamp_ratio(value: float | np.ndarray) -> float | np.ndarray:
+    """Clamp a ratio, or each of an array of ratios, into
+    [-RATIO_CLAMP, RATIO_CLAMP] for plot-friendly reporting.
 
-    The result is max(-limit, min(limit, value)), so NaN clamps to limit.
+    The result is max(-RATIO_CLAMP, min(RATIO_CLAMP, value)), so NaN clamps
+    to RATIO_CLAMP.
     """
-    below = np.where(value < limit, value, limit)
-    return np.where(below > -limit, below, -limit)[()]
+    below = np.where(value < RATIO_CLAMP, value, RATIO_CLAMP)
+    return np.where(below > -RATIO_CLAMP, below, -RATIO_CLAMP)[()]

@@ -10,45 +10,41 @@ from pathlib import Path
 
 import numpy as np
 
-from rovermotion.config import open_output
+from rovermotion.config import WHEEL_ORDER, open_output
 from rovermotion.errors import TelemetryFormatError
 
 BUS_VOLTAGE = 24.0
 FLOAT_FORMAT = "%.6f"
 
-_WHEEL_TAGS = ("fl", "fr", "rl", "rr")
+
+def _per_wheel(prefix: str) -> list[str]:
+    return [f"{prefix}_{wheel.tag}" for wheel in WHEEL_ORDER]
 
 
-TELEMETRY_HEADER = (
-    ["t", "x", "y", "heading", "marker_x", "marker_y"]
-    + ["odo_vx", "odo_vy", "odo_wz", "cmd_vx", "cmd_vy", "cmd_wz"]
-    + [f"v_drive_{w}" for w in _WHEEL_TAGS]
-    + [f"i_drive_{w}" for w in _WHEEL_TAGS]
-    + [f"v_steer_{w}" for w in _WHEEL_TAGS]
-    + [f"i_steer_{w}" for w in _WHEEL_TAGS]
-    + [f"speed_{w}" for w in _WHEEL_TAGS]
-    + [f"steer_{w}" for w in _WHEEL_TAGS]
-)
-
+# The named groups of columns that follow the time column "t", in row order
+_GROUPS = {
+    "pose": ["x", "y", "heading"],
+    "marker": ["marker_x", "marker_y"],
+    "odo_twist": ["odo_vx", "odo_vy", "odo_wz"],
+    "commanded_twist": ["cmd_vx", "cmd_vy", "cmd_wz"],
+    "drive_voltage": _per_wheel("v_drive"),
+    "drive_current": _per_wheel("i_drive"),
+    "steer_voltage": _per_wheel("v_steer"),
+    "steer_current": _per_wheel("i_steer"),
+    "drive_speeds": _per_wheel("speed"),
+    "steering_angles": _per_wheel("steer"),
+}
+TELEMETRY_HEADER = ["t", *(name for names in _GROUPS.values() for name in names)]
+# Named groups of TELEMETRY_HEADER columns: group -> its slice of a row
+FIELD_COLUMNS = {
+    group: slice(TELEMETRY_HEADER.index(names[0]), TELEMETRY_HEADER.index(names[-1]) + 1)
+    for group, names in _GROUPS.items()
+}
 
 _HEADER_LINE = ",".join(TELEMETRY_HEADER)
 _COLUMN = {name: j for j, name in enumerate(TELEMETRY_HEADER)}
 # One row of a series, with a float64 field per TELEMETRY_HEADER name
 _RECORD = np.dtype((np.record, [(name, np.float64) for name in TELEMETRY_HEADER]))
-
-# Named groups of TELEMETRY_HEADER columns: group -> its slice of a row
-FIELD_COLUMNS = {
-    "pose": slice(1, 4),
-    "marker": slice(4, 6),
-    "odo_twist": slice(6, 9),
-    "commanded_twist": slice(9, 12),
-    "drive_voltage": slice(12, 16),
-    "drive_current": slice(16, 20),
-    "steer_voltage": slice(20, 24),
-    "steer_current": slice(24, 28),
-    "drive_speeds": slice(28, 32),
-    "steering_angles": slice(32, 36),
-}
 
 
 class Telemetry:

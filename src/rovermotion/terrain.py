@@ -14,6 +14,7 @@ from rovermotion.config import (
     LocomotionMode,
     RoverConfig,
     WheelCommand,
+    check_finite,
     parse_finite,
     parse_key_value_lines,
     read_text,
@@ -57,6 +58,9 @@ class TerrainParams:
             raise ConfigError("longitudinal_slip_ratio outside [0, 1)")
         if not self.noise_std >= 0.0:
             raise ConfigError("negative noise_std")
+        if not (isinstance(self.rng_seed, int) and self.rng_seed >= 0):
+            raise ConfigError("rng_seed is not a non-negative integer")
+        check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,9 @@ class PowerModelParams:
     steering_move_power: float = 8.0  # W per steering unit while repositioning
     speed_quadratic_coeff: float = 3069.549  # W s^2/m^2 per wheel
     lateral_friction_coeff: float = 0.4  # scrub drag during skid rotation
-    drawbar_force: float = 0.0  # N, payload/implement pull (excavator mode)
+    # N, a payload or implement pull (excavator mode). Negative is an
+    # assisting push: it lowers drive power, and each wheel stays clamped at 0 W.
+    drawbar_force: float = 0.0
 
     def __post_init__(self):
         for name in ("idle_power_per_drive", "rolling_resistance_coeff",
@@ -84,6 +90,7 @@ class PowerModelParams:
                 raise ConfigError(f"negative {name}")
         if not 0.0 < self.drivetrain_efficiency <= 1.0:
             raise ConfigError("drivetrain_efficiency outside (0, 1]")
+        check_finite(self)
 
 
 def apply_slip(cmd: BodyTwist, mode: LocomotionMode, terrain: TerrainParams) -> BodyTwist:
@@ -134,7 +141,7 @@ def drive_power(
         + power.lateral_friction_coeff * normal_per_wheel * lateral
         + (power.drawbar_force / 4.0) * v
     ) / power.drivetrain_efficiency
-    tags = [cmd.wheel_id.value.lower() for cmd in commands]
+    tags = [cmd.wheel_id.tag for cmd in commands]
     breakdown = {f"drive_{tag}": max(p_i, 0.0) for tag, p_i in zip(tags, drive)}
     breakdown.update((f"steer_{tag}", power.steering_hold_power) for tag in tags)
     return sum(breakdown.values()), breakdown
@@ -253,7 +260,6 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     if not scenario.profile:
         return Telemetry.empty()
     step = scenario.step
-    tags = [w.value.lower() for w in WHEEL_ORDER]
 
     # (samples, achieved twist or None while the body holds still,
     #  _phase_block's arguments) of each phase
@@ -282,8 +288,8 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
         _, breakdown = drive_power(commands, terrain, config, power)
         block = (
             (segment.twist.vx, segment.twist.vy, segment.twist.wz),
-            [breakdown[f"drive_{tag}"] / BUS_VOLTAGE for tag in tags],
-            [breakdown[f"steer_{tag}"] / BUS_VOLTAGE for tag in tags],
+            [breakdown[f"drive_{w.tag}"] / BUS_VOLTAGE for w in WHEEL_ORDER],
+            [breakdown[f"steer_{w.tag}"] / BUS_VOLTAGE for w in WHEEL_ORDER],
             [cmd.drive_speed for cmd in commands],
             targets,
         )

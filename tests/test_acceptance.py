@@ -136,8 +136,7 @@ def test_criterion_4_yaw_energy_crossover():
     for name in ("rotation_skid", "rotation_point_turn"):
         records = simulate_traverse(load_scenario(DATA / "presets" / f"{name}.scn"))
         curves[name] = energy_vs_yaw(records)
-    skid = np.array(curves["rotation_skid"].points)
-    point = np.array(curves["rotation_point_turn"].points)
+    skid, point = curves["rotation_skid"], curves["rotation_point_turn"]
     ok = skid[0][1] <= 1e-9  # skid curve starts from zero energy
     pt_basal = point[point[:, 0] <= 1e-9][:, 1].max()
     ok = ok and pt_basal > 0  # positive point-turn ordinate at yaw 0+

@@ -26,6 +26,11 @@ FIXTURE_DIR = (
 )
 
 
+# Former RoverConfig fields that no output read; a file that sets one is refused
+REMOVED_CONFIG_KEYS = ["wheel_width", "ground_clearance", "drive_motor_rated_power",
+                       "steering_motor_rated_power"]
+
+
 def run(args):
     return main(args)
 
@@ -81,8 +86,9 @@ class TestSimulate:
             ("1.0,abc,0,0,skid_steer", "could not convert string to float: 'abc'"),
             ("1.0,0.05,0", "expected 5 columns, got 3"),
             ("1.0,0.05,0,0,hover", "unknown locomotion mode 'hover'"),
+            ("1,inf,0,0,skid_steer", "non-finite twist component vx"),
         ],
-        ids=["non_numeric", "short_row", "unknown_mode"],
+        ids=["non_numeric", "short_row", "unknown_mode", "non_finite_twist"],
     )
     def test_malformed_profile_row_is_data_error(self, tmp_path, capsys, row, message):
         scn = tmp_path / "bad.scn"
@@ -110,10 +116,13 @@ class TestSimulate:
              ": terrain.rng_seed = 1.5 is not a non-negative integer"),
             ("terrain.slope_deg = 95", "", ": slope out of supported range"),
             ("step = 0", "", ": non-positive step 0.0"),
+            *[(f"config.{key} = 1", "", f": unknown scenario key 'config.{key}'")
+              for key in REMOVED_CONFIG_KEYS],
         ],
         ids=["step_nan", "duration_inf", "duration_nan", "duration_zero", "mass_nan",
              "steering_rate_inf", "marker_offset_inf", "rng_seed_negative",
-             "rng_seed_fractional", "slope_out_of_range", "step_zero"],
+             "rng_seed_fractional", "slope_out_of_range", "step_zero",
+             *(f"removed_{key}" for key in REMOVED_CONFIG_KEYS)],
     )
     def test_bad_scenario_number_names_the_file(self, tmp_path, capsys, setting, row,
                                                 message):
@@ -233,8 +242,11 @@ class TestAnalyze:
             ("mass = nan\n", "non-finite mass 'nan'"),
             ("steering_rate = inf\n", "non-finite steering_rate 'inf'"),
             ("mass = -1\n", "non-positive mass"),
+            *[(f"{key} = 1\n", f"unknown config keys: {key}")
+              for key in REMOVED_CONFIG_KEYS],
         ],
-        ids=["unknown_key", "non_numeric", "nan", "inf", "invalid"],
+        ids=["unknown_key", "non_numeric", "nan", "inf", "invalid",
+             *(f"removed_{key}" for key in REMOVED_CONFIG_KEYS)],
     )
     def test_bad_config_names_the_file(self, telemetry, tmp_path, capsys, text,
                                        message):

@@ -27,7 +27,7 @@ def test_breadboard_defaults_are_valid():
     assert cfg.mass == 84.0
     assert cfg.wheel_longitudinal_separation == 0.980
     assert cfg.wheel_lateral_separation == 0.830
-    assert cfg.ground_clearance == 0.250
+    assert cfg.wheel_radius == 0.15
 
 
 def test_zero_mass_rejected():
@@ -104,9 +104,7 @@ OUT_OF_RANGE = [
     (RoverConfig, "gravity", -9.81, "non-positive gravity"),
     *[(RoverConfig, name, 0.0, f"non-positive {name}")
       for name in ("wheel_longitudinal_separation", "wheel_lateral_separation",
-                   "wheel_radius", "wheel_width", "ground_clearance")],
-    (RoverConfig, "drive_motor_rated_power", 0.0, "non-positive motor rating"),
-    (RoverConfig, "steering_motor_rated_power", -1.0, "non-positive motor rating"),
+                   "wheel_radius")],
     (RoverConfig, "steering_rate", 0.0, "non-positive steering rate"),
     (RoverConfig, "steering_limit", 0.0, "empty steering range"),
     (RoverConfig, "steering_limit", 3.2, "empty steering range"),
@@ -118,15 +116,28 @@ OUT_OF_RANGE = [
     (TerrainParams, "longitudinal_slip_ratio", -0.1, "longitudinal_slip_ratio outside [0, 1)"),
     (TerrainParams, "longitudinal_slip_ratio", 1.0, "longitudinal_slip_ratio outside [0, 1)"),
     (TerrainParams, "noise_std", -0.01, "negative noise_std"),
+    *[(TerrainParams, "rng_seed", seed, "rng_seed is not a non-negative integer")
+      for seed in (-1, 1.5, 2.0)],
     *[(PowerModelParams, name, -0.1, f"negative {name}")
       for name in ("idle_power_per_drive", "rolling_resistance_coeff",
                    "steering_hold_power", "steering_move_power",
                    "speed_quadratic_coeff", "lateral_friction_coeff")],
     (PowerModelParams, "drivetrain_efficiency", 0.0, "drivetrain_efficiency outside (0, 1]"),
     (PowerModelParams, "drivetrain_efficiency", 1.5, "drivetrain_efficiency outside (0, 1]"),
+    # a float that passes its range check but is infinite
+    *[(cls, name, math.inf, f"non-finite {name}") for cls, names in [
+        (RoverConfig, ("mass", "gravity", "wheel_longitudinal_separation",
+                       "wheel_lateral_separation", "wheel_radius", "steering_rate")),
+        (TerrainParams, ("noise_std",)),
+        (PowerModelParams, ("idle_power_per_drive", "rolling_resistance_coeff",
+                            "steering_hold_power", "steering_move_power",
+                            "speed_quadratic_coeff", "lateral_friction_coeff",
+                            "drawbar_force")),
+    ] for name in names],
+    (PowerModelParams, "drawbar_force", -math.inf, "non-finite drawbar_force"),
 ]
-# Fields without a range: a signed pull, and a seed that load_scenario checks
-UNCHECKED = {(PowerModelParams, "drawbar_force"), (TerrainParams, "rng_seed")}
+# Fields without a range check: none, every field has one
+UNCHECKED = set()
 
 
 def test_every_field_has_a_range_but_the_unchecked_ones():
@@ -141,8 +152,9 @@ def test_every_field_has_a_range_but_the_unchecked_ones():
 
 INVALID = [
     *OUT_OF_RANGE,
+    # NaN raises the first message of its field
     *[(cls, name, math.nan, message) for (cls, name), message in
-      {(cls, name): message for cls, name, _, message in OUT_OF_RANGE}.items()],
+      {(cls, name): message for cls, name, _, message in reversed(OUT_OF_RANGE)}.items()],
     *[(partial(Scenario, []), "step", step, "integration step outside (0, inf)")
       for step in (0.0, -0.01, math.inf, math.nan)],
     *[(partial(ProfileSegment, duration=1.0, twist=BodyTwist(), mode=LocomotionMode.CRAB),

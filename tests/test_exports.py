@@ -1,7 +1,10 @@
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import rovermotion
+from rovermotion.config import RoverConfig
+from rovermotion.terrain import PowerModelParams, TerrainParams
 
 
 def test_every_export_resolves_by_attribute():
@@ -161,3 +164,27 @@ def test_value_types_check_themselves():
         and node.name.startswith("validate_")
     ]
     assert checkers == []
+
+
+def _attributes_read_outside(class_name: str) -> set[str]:
+    """The attribute names that package modules read, outside the body of
+    the class `class_name`."""
+    found, pending = set(), [ast.parse(path.read_text())
+                             for path in sorted(PACKAGE.glob("*.py"))]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_setting_is_read_by_the_model():
+    # a field that only its own checks read is a setting no output depends on
+    unread = [f"{cls.__name__}.{field.name}"
+              for cls in (RoverConfig, TerrainParams, PowerModelParams)
+              for field in fields(cls)
+              if field.name not in _attributes_read_outside(cls.__name__)]
+    assert unread == []

@@ -98,18 +98,18 @@ class TestMeanCot:
 
 class TestEnergyVsYaw:
     def test_empty(self):
-        assert energy_vs_yaw(Telemetry.empty()).points.tolist() == []
+        assert energy_vs_yaw(Telemetry.empty()).shape == (0, 2)
 
     def test_constant_rotation(self):
         # 10 W while yawing 0.1 rad/s: energy should be linear in yaw
         records = [
             make_record(0.1 * k, 10.0, 0.0, heading=0.01 * k) for k in range(101)
         ]
-        curve = energy_vs_yaw(Telemetry(records), mode="point_turn")
-        yaw_deg, energy = curve.points[-1]
+        curve = energy_vs_yaw(Telemetry(records))
+        yaw_deg, energy = curve[-1]
         assert yaw_deg == pytest.approx(math.degrees(1.0))
         assert energy == pytest.approx(100.0)
-        mid_yaw, mid_energy = curve.points[50]
+        mid_yaw, mid_energy = curve[50]
         assert mid_energy / energy == pytest.approx(mid_yaw / yaw_deg, abs=1e-9)
 
     def test_reposition_shows_as_basal_offset(self):
@@ -119,7 +119,7 @@ class TestEnergyVsYaw:
             ]
         )
         curve = energy_vs_yaw(simulate_traverse(scenario))
-        at_zero = max(e for yaw, e in curve.points if yaw < 1e-9)
+        at_zero = max(e for yaw, e in curve if yaw < 1e-9)
         assert at_zero == pytest.approx(159.2, abs=0.5)
 
     def test_yaw_accumulates_magnitude(self):
@@ -130,7 +130,7 @@ class TestEnergyVsYaw:
             for k, h in enumerate(headings)
         ]
         curve = energy_vs_yaw(Telemetry(records))
-        assert curve.points[-1][0] == pytest.approx(math.degrees(0.4))
+        assert curve[-1][0] == pytest.approx(math.degrees(0.4))
 
 
 class TestAngularSpeedEfficiency:

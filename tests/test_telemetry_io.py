@@ -14,6 +14,7 @@ from rovermotion import telemetry as telemetry_module
 from rovermotion.config import BodyTwist, LocomotionMode
 from rovermotion.kinematics import ProfileSegment
 from rovermotion.telemetry import (
+    FIELD_COLUMNS,
     TELEMETRY_HEADER,
     Telemetry,
     TelemetryFormatError,
@@ -534,6 +535,23 @@ class TestWorkingMemory:
             peaks.append(peak)
         small, large = peaks
         assert large < small + 64 * 1024
+
+
+def test_each_column_group_selects_its_header_names():
+    wheels = ("fl", "fr", "rl", "rr")
+    groups = {
+        "pose": ["x", "y", "heading"],
+        "marker": ["marker_x", "marker_y"],
+        "odo_twist": ["odo_vx", "odo_vy", "odo_wz"],
+        "commanded_twist": ["cmd_vx", "cmd_vy", "cmd_wz"],
+        **{group: [f"{prefix}_{w}" for w in wheels] for group, prefix in [
+            ("drive_voltage", "v_drive"), ("drive_current", "i_drive"),
+            ("steer_voltage", "v_steer"), ("steer_current", "i_steer"),
+            ("drive_speeds", "speed"), ("steering_angles", "steer")]},
+    }
+    assert {group: TELEMETRY_HEADER[columns]
+            for group, columns in FIELD_COLUMNS.items()} == groups
+    assert TELEMETRY_HEADER == ["t", *(name for names in groups.values() for name in names)]
 
 
 class TestTelemetrySeries:
