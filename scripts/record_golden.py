@@ -170,6 +170,10 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         cases.append((f"config-{name}",
                       ["analyze", "cot", *analyze, "--config", "{dir}/rover.cfg"],
                       {"t.csv": telemetry, "rover.cfg": text}))
+    # only cot reads the config, so yaw-energy succeeds with an invalid one
+    cases.append(("config-invalid_unread_by_yaw_energy",
+                  ["analyze", "yaw-energy", *analyze, "--config", "{dir}/rover.cfg"],
+                  {"t.csv": telemetry, "rover.cfg": "mass = -1\n"}))
     cases.append(("usage-bad_metric", ["analyze", "wrong", *analyze], {"t.csv": telemetry}))
     for metric, flag, value in [
         ("cot", "--slope", "nan"), ("cot", "--slope", "inf"), ("cot", "--slope", "abc"),
@@ -199,6 +203,10 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         ("model_key_missing", "model.txt", "hub_radius = 0.05\n", ""),
         ("loop_point_without_colon", "annotations.csv", ":", ";"),
         ("frame_not_an_integer", "annotations.csv", "\n1,", "\nx0,"),
+        ("loop_point_nan", "annotations.csv", "850.142652:406.666085", "nan:nan"),
+        ("chord_end_inf", "annotations.csv", "892.376577", "inf"),
+        ("hub_radius_too_large", "model.txt", "hub_radius = 0.05", "hub_radius = 0.5"),
+        ("principal_point_outside", "camera.txt", "cx = 640.0", "cx = 99999"),
     ]:
         flag = file.split(".")[0]
         cases.append((f"deflect-{name}", deflect(**{flag: f"{{dir}}/{file}"}),

@@ -114,8 +114,8 @@ def _write_series(
     write_fixed_csv(path, header, values, blank)
 
 
-def _cot_row(report: metrics.CotReport) -> list[str]:
-    return [report.mode, _fmt(report.slope_deg), _fmt(report.mean_velocity),
+def _cot_row(mode: str, slope_deg: float, report: metrics.CotReport) -> list[str]:
+    return [mode, _fmt(slope_deg), _fmt(report.mean_velocity),
             _fmt(report.mean_power), _fmt(report.cost_of_transport)]
 
 
@@ -184,18 +184,18 @@ def write_telemetry_csv(path: Path, series: Telemetry) -> None:
     telemetry.write_telemetry_csv(path, series)
 
 
-def _check_exists(error: type[Exception], *paths: str | Path) -> None:
-    """Raise `error` naming the first of `paths` that is not a file."""
+def _check_exists(*paths: str | Path) -> None:
+    """Raise ConfigError naming the first of `paths` that is not a file."""
     from pathlib import Path
 
     for path in paths:
         if not Path(path).is_file():
             problem = "not a file" if Path(path).exists() else "no such file"
-            raise error(f"{problem}: {path}")
+            raise ConfigError(f"{problem}: {path}")
 
 
 def cmd_simulate(args) -> int:
-    _check_exists(ConfigError, args.scenario)
+    _check_exists(args.scenario)
     _check_outputs(args.out, "telemetry.csv", "summary.txt")
     from rovermotion import terrain
     from rovermotion.config import write_key_value_file
@@ -222,7 +222,7 @@ def _config_from_args(args) -> RoverConfig:
     from rovermotion.config import RoverConfig, load_config
 
     if getattr(args, "config", None):
-        _check_exists(ConfigError, args.config)
+        _check_exists(args.config)
         return load_config(args.config)
     return RoverConfig()
 
@@ -232,10 +232,11 @@ _ANALYZE_OUTPUTS = {"cot": "cot.csv", "yaw-energy": "yaw_energy.csv",
 
 
 def cmd_analyze(args) -> int:
-    _check_exists(TelemetryFormatError, args.telemetry)
+    _check_exists(args.telemetry)
     _check_outputs(args.out, _ANALYZE_OUTPUTS[args.metric])
     telemetry = read_telemetry_csv(args.telemetry)
-    config = _config_from_args(args)
+    # only cot reads the rover; loaded before the output directory is made
+    config = _config_from_args(args) if args.metric == "cot" else None
     from rovermotion import metrics
     from rovermotion.config import write_csv
 
@@ -243,10 +244,8 @@ def cmd_analyze(args) -> int:
     path = out / _ANALYZE_OUTPUTS[args.metric]
 
     if args.metric == "cot":
-        report = metrics.mean_cot(
-            telemetry, config, mode=args.label, slope_deg=args.slope
-        )
-        write_csv(path, _COT_HEADER, [_cot_row(report)])
+        report = metrics.mean_cot(telemetry, config)
+        write_csv(path, _COT_HEADER, [_cot_row(args.label, args.slope, report)])
         print(f"cot={report.cost_of_transport:.3f}")
         return EXIT_OK
 
@@ -310,7 +309,7 @@ def cmd_deflect(args) -> int:
     # fit of every frame; a bad window fails here, before scipy loads.
     if args.window < 1 or args.window % 2 == 0:
         raise GeometryError("window must be odd and >= 1")
-    _check_exists(GeometryError, args.model, args.camera, args.annotations)
+    _check_exists(args.model, args.camera, args.annotations)
     _check_outputs(args.out, "deflection.csv",
                    *(["deflection_smoothed.csv"] if args.window != 1 else []))
     from rovermotion import deflection
@@ -334,7 +333,7 @@ def cmd_calibrate(args) -> int:
     from pathlib import Path
 
     path = Path(args.table)
-    _check_exists(ConfigError, path)
+    _check_exists(path)
     _check_outputs(args.out, "power_params.txt", "calibration_residuals.csv")
     from rovermotion.config import csv_rows, read_text, write_csv, write_key_value_file
 
@@ -389,13 +388,9 @@ def cmd_report(args) -> int:
         scenario = terrain.load_scenario(preset_path(name))
         telemetry = terrain.simulate_traverse(scenario)
         write_telemetry_csv(out / f"telemetry_{name}.csv", telemetry)
-        report = metrics.mean_cot(
-            telemetry,
-            scenario.config,
-            mode=name.split("_")[0],
-            slope_deg=scenario.terrain.slope_deg,
-        )
-        table_rows.append(_cot_row(report))
+        report = metrics.mean_cot(telemetry, scenario.config)
+        table_rows.append(
+            _cot_row(name.split("_")[0], scenario.terrain.slope_deg, report))
     write_csv(out / "table2.csv", _COT_HEADER, table_rows)
 
     for name in ROTATION_PRESETS:

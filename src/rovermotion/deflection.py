@@ -467,13 +467,21 @@ def _serialize_loop(loop: np.ndarray) -> str:
     return ";".join(f"{u:.6f}:{v:.6f}" for u, v in loop)
 
 
+def _finite(text: str) -> float:
+    """The annotation cell `text` as a finite float; else ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def _parse_loop(text: str) -> np.ndarray:
     points = []
     for pair in text.split(";"):
         uv = pair.split(":")
         if len(uv) != 2:
             raise ValueError(f"loop point {pair!r} is not u:v")
-        points.append((float(uv[0]), float(uv[1])))
+        points.append((_finite(uv[0]), _finite(uv[1])))
     return np.array(points)
 
 
@@ -515,9 +523,8 @@ def read_annotations_csv(path: str | Path) -> list[AnnotationFrame]:
         try:
             loops = [_parse_loop(cell) for cell in row[2:5]]
             if any(cell.strip() for cell in row[5:9]):
-                chord = ChordAnnotation(
-                    (float(row[5]), float(row[6])), (float(row[7]), float(row[8]))
-                )
+                x1, y1, x2, y2 = map(_finite, row[5:9])
+                chord = ChordAnnotation((x1, y1), (x2, y2))
             else:
                 chord = None
             frames.append(AnnotationFrame(int(row[0]), row[1], loops, chord))
@@ -599,7 +606,11 @@ def _load_numbers(path: str | Path, keys: tuple[str, ...]) -> dict[str, float]:
 
 
 def load_wheel_model(path: str | Path) -> WheelModel3D:
-    return WheelModel3D(**_load_numbers(path, ("radius", "width", "hub_radius")))
+    values = _load_numbers(path, ("radius", "width", "hub_radius"))
+    try:
+        return WheelModel3D(**values)
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: {exc}") from None
 
 
 def load_camera(path: str | Path) -> CameraIntrinsics:
@@ -608,4 +619,7 @@ def load_camera(path: str | Path) -> CameraIntrinsics:
         if not values[key].is_integer():
             raise GeometryError(f"{path}: {key} = {values[key]!r} is not an integer")
         values[key] = int(values[key])
-    return CameraIntrinsics(**values)
+    try:
+        return CameraIntrinsics(**values)
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: {exc}") from None

@@ -17,8 +17,6 @@ WZ_THRESHOLD = 1e-3  # rad/s; an odometry yaw rate below it gives no efficiency 
 
 @dataclass(frozen=True)
 class CotReport:
-    mode: str
-    slope_deg: float
     mean_velocity: float  # m/s, encoder-derived
     mean_power: float  # W
     cost_of_transport: float
@@ -48,12 +46,7 @@ def encoder_speed(telemetry: Telemetry) -> np.ndarray:
     return speed
 
 
-def mean_cot(
-    telemetry: Telemetry,
-    config: RoverConfig,
-    mode: str = "",
-    slope_deg: float = 0.0,
-) -> CotReport:
+def mean_cot(telemetry: Telemetry, config: RoverConfig) -> CotReport:
     """Mean cost of transport of a telemetry series.
 
     Power is the time-weighted mean of the summed voltage-current products;
@@ -69,8 +62,6 @@ def mean_cot(
     mean_power = float(np.trapezoid(p, t) / span)
     mean_velocity = float(np.trapezoid(v, t) / span)
     return CotReport(
-        mode=mode,
-        slope_deg=slope_deg,
         mean_velocity=mean_velocity,
         mean_power=mean_power,
         cost_of_transport=cost_of_transport(

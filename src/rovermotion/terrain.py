@@ -147,20 +147,6 @@ def drive_power(
     return sum(breakdown.values()), breakdown
 
 
-_MODE_REFERENCE_TWIST = {
-    LocomotionMode.SKID_STEER: BodyTwist(1.0, 0.0, 0.0),
-    LocomotionMode.CRAB: BodyTwist(1.0, 0.0, 0.0),
-    LocomotionMode.ACKERMANN: BodyTwist(1.0, 0.0, 0.0),
-    LocomotionMode.POINT_TURN: BodyTwist(0.0, 0.0, 1.0),
-}
-
-
-def mode_steering_angles(mode: LocomotionMode, config: RoverConfig) -> list[float]:
-    """Canonical steering angles a mode requires before motion starts."""
-    commands = inverse_kinematics(_MODE_REFERENCE_TWIST[mode], mode, config)
-    return [cmd.steering_angle for cmd in commands]
-
-
 def _slew(from_angles, to_angles, config: RoverConfig) -> tuple[np.ndarray, np.ndarray]:
     """(signed angle change, slew time) of each steering unit at the configured rate."""
     deltas = np.subtract(to_angles, from_angles)
@@ -188,21 +174,6 @@ def reposition_between(
     holding = len(times) * duration - moving
     energy = power.steering_move_power * moving + power.steering_hold_power * holding
     return energy, duration
-
-
-def steering_reposition_energy(
-    from_mode: LocomotionMode,
-    to_mode: LocomotionMode,
-    config: RoverConfig,
-    power: PowerModelParams,
-) -> tuple[float, float]:
-    """Energy and duration of the steering slew between two modes' poses."""
-    return reposition_between(
-        mode_steering_angles(from_mode, config),
-        mode_steering_angles(to_mode, config),
-        config,
-        power,
-    )
 
 
 @dataclass(frozen=True)

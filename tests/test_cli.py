@@ -257,6 +257,21 @@ class TestAnalyze:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
+    @pytest.mark.parametrize("metric, output", [
+        ("yaw-energy", "yaw_energy.csv"), ("efficiency", "efficiency.csv"),
+        ("slip", "slip.csv")])
+    def test_only_cot_reads_the_config(self, telemetry, tmp_path, capsys, metric, output):
+        config = tmp_path / "rover.cfg"
+        config.write_text("mass = -1\n")
+        written = []
+        for extra in ([], ["--config", str(config)]):
+            out = tmp_path / f"m{len(written)}"
+            code = run(["analyze", metric, "--telemetry", str(telemetry),
+                        "--out", str(out), *extra])
+            assert code == EXIT_OK
+            written.append(((out / output).read_bytes(), capsys.readouterr()))
+        assert written[0] == written[1]
+
     def test_bad_metric_is_usage_error(self, telemetry, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(["analyze", "wrong", "--telemetry", str(telemetry)])
@@ -356,10 +371,23 @@ class TestDeflect:
              "annotations.csv:2: loop point '850.142652' is not u:v"),
             ("annotations.csv", lambda text: text.replace("\n1,", "\nx0,", 1),
              "annotations.csv:3: invalid literal for int()"),
+            ("annotations.csv",
+             lambda text: text.replace("850.142652:406.666085", "nan:nan", 1),
+             "annotations.csv:2: non-finite number 'nan'"),
+            ("annotations.csv", lambda text: text.replace("892.376577", "inf", 1),
+             "annotations.csv:2: non-finite number 'inf'"),
+            ("model.txt", lambda text: text.replace("hub_radius = 0.05", "hub_radius = 0.5"),
+             "model.txt: hub radius must be in (0, radius)"),
+            ("camera.txt", lambda text: text.replace("cx = 640.0", "cx = 99999"),
+             "camera.txt: principal point outside image"),
         ],
         ids=["camera_value_not_a_number", "camera_size_not_an_integer",
-             "model_key_missing", "loop_point_without_colon", "frame_not_an_integer"],
+             "model_key_missing", "loop_point_without_colon", "frame_not_an_integer",
+             "loop_point_nan", "chord_end_inf", "hub_radius_too_large",
+             "principal_point_outside"],
     )
+    # a warning on the way to the error fails the test
+    @pytest.mark.filterwarnings("error")
     def test_bad_input_names_the_file(self, tmp_path, capsys, name, edit, where):
         paths = {}
         for fixture_name in ("annotations.csv", "model.txt", "camera.txt"):
@@ -694,9 +722,6 @@ for metric in ("cot", "yaw-energy", "efficiency", "slip"):
                  "--out", f"{out}/{metric}"]) == 0
     assert not simulator_loaded(), metric
 assert main(["simulate", "--scenario", scenario, "--out", f"{out}/simulate"]) == 0
-from rovermotion import simulate_traverse
-from rovermotion.terrain import simulate_traverse as defined
-assert simulate_traverse is defined
 assert simulator_loaded() == list(SIMULATOR)
 print("ok")
 """

@@ -69,11 +69,10 @@ class TestCostOfTransport:
 class TestMeanCot:
     def test_constant_series(self):
         records = [make_record(0.1 * k, 54.4, 0.06) for k in range(100)]
-        report = mean_cot(Telemetry(records), CFG, mode="nominal")
+        report = mean_cot(Telemetry(records), CFG)
         assert report.cost_of_transport == pytest.approx(1.100, abs=1e-9 + 0.001)
         assert report.mean_power == pytest.approx(54.4)
         assert report.mean_velocity == pytest.approx(0.06)
-        assert report.mode == "nominal"
 
     def test_time_weighting(self):
         # a long cheap stretch and a short expensive one, uneven sampling

@@ -18,11 +18,9 @@ from rovermotion.terrain import (
     calibrate_power,
     drive_power,
     load_scenario,
-    mode_steering_angles,
     model_cot,
     reposition_between,
     simulate_traverse,
-    steering_reposition_energy,
 )
 
 CFG = RoverConfig()
@@ -130,11 +128,18 @@ class TestDrivePower:
         assert hold["steer_fl"] == POWER.steering_hold_power
 
 
+def ik_angles(twist: BodyTwist, mode: LocomotionMode) -> list[float]:
+    """The steering angles a segment of `twist` in `mode` slews to."""
+    return [cmd.steering_angle for cmd in inverse_kinematics(twist, mode, CFG)]
+
+
+SKID = ik_angles(BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)
+POINT_TURN = ik_angles(BodyTwist(0, 0, 0.1), LocomotionMode.POINT_TURN)
+
+
 class TestReposition:
     def test_neutral_to_point_turn(self):
-        energy, duration = steering_reposition_energy(
-            LocomotionMode.SKID_STEER, LocomotionMode.POINT_TURN, CFG, POWER
-        )
+        energy, duration = reposition_between(SKID, POINT_TURN, CFG, POWER)
         # widest slew is the folded front-left angle, ~49.74 deg at 10 deg/s
         assert duration == pytest.approx(4.974, abs=0.001)
         assert energy == pytest.approx(4 * POWER.steering_move_power * duration)
@@ -153,12 +158,8 @@ class TestReposition:
         phase = still & (np.cumsum(~still) > 0)  # the still rows after the crab
         steer_power = telemetry.values[:, FIELD_COLUMNS["steer_current"]] * BUS_VOLTAGE
         simulated = steer_power[phase].sum() * 0.01  # each row holds for a step
-        commands = inverse_kinematics(crab, LocomotionMode.CRAB, CFG)
         energy, duration = reposition_between(
-            [cmd.steering_angle for cmd in commands],
-            mode_steering_angles(LocomotionMode.POINT_TURN, CFG),
-            CFG,
-            POWER,
+            ik_angles(crab, LocomotionMode.CRAB), POINT_TURN, CFG, POWER
         )
         assert energy == pytest.approx(159.16, abs=0.01)
         assert energy == pytest.approx(simulated, abs=4 * POWER.steering_move_power * 0.01)
@@ -177,17 +178,17 @@ class TestReposition:
         )
 
     def test_no_slew_no_energy(self):
-        energy, duration = steering_reposition_energy(
-            LocomotionMode.SKID_STEER, LocomotionMode.ACKERMANN, CFG, POWER
-        )
+        ackermann = ik_angles(BodyTwist(0.06, 0, 0), LocomotionMode.ACKERMANN)
+        energy, duration = reposition_between(SKID, ackermann, CFG, POWER)
         assert energy == 0.0
         assert duration == 0.0
 
-    def test_mode_angles_shapes(self):
-        angles = mode_steering_angles(LocomotionMode.CRAB, CFG)
-        assert angles == [0.0, 0.0, 0.0, 0.0]
-        pt = mode_steering_angles(LocomotionMode.POINT_TURN, CFG)
-        assert len(pt) == 4 and all(a != 0 for a in pt)
+    def test_crab_slews_to_its_heading(self):
+        # every unit turns to atan2(vy, vx), which the simulator charges too
+        crab = ik_angles(BodyTwist(0.05, 0.03, 0), LocomotionMode.CRAB)
+        energy, duration = reposition_between(SKID, crab, CFG, POWER)
+        assert duration == pytest.approx(math.atan2(0.03, 0.05) / CFG.steering_rate)
+        assert energy == pytest.approx(4 * POWER.steering_move_power * duration)
 
 
 class TestSimulateTraverse:
