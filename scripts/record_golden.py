@@ -2,7 +2,7 @@
 
 Usage: PYTHONPATH=src python scripts/record_golden.py
 
-The manifest holds the numpy and scipy versions and, for each invocation in
+The manifest holds the numpy version and, for each invocation in
 `invocations()`, its argv, the input files it needs, its exit code and the
 SHA-256 of its stdout, its stderr and each file it writes. tests/test_golden.py
 runs every invocation again through `cli.main` and compares the digests, so
@@ -24,7 +24,6 @@ from pathlib import Path
 from unittest import mock
 
 import numpy
-import scipy
 
 import rovermotion
 from rovermotion import cli
@@ -41,7 +40,7 @@ METRICS = ["cot", "yaw-energy", "efficiency", "slip"]
 
 
 def versions() -> dict[str, str]:
-    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    return {"numpy": numpy.__version__}
 
 
 def _sha256(data: bytes) -> str:

@@ -284,7 +284,7 @@ def _estimate_deflection(
     annotations: str, model: str, camera: str
 ) -> list[deflection.DeflectionEstimate]:
     """Load the model, camera and annotation files and estimate each frame."""
-    from rovermotion import deflection  # imports scipy
+    from rovermotion import deflection
 
     wheel = deflection.load_wheel_model(model)
     cam = deflection.load_camera(camera)
@@ -306,7 +306,7 @@ def _write_deflection(
 
 def cmd_deflect(args) -> int:
     # deflection.smooth_deflection_series checks this too, but only after the
-    # fit of every frame; a bad window fails here, before scipy loads.
+    # fit of every frame; a bad window fails here, before any frame is read.
     if args.window < 1 or args.window % 2 == 0:
         raise GeometryError("window must be odd and >= 1")
     _check_exists(args.model, args.camera, args.annotations)

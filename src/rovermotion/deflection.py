@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
-from scipy.spatial.transform import Rotation
 
 from rovermotion.errors import GeometryError, PoseFitError
 
@@ -73,14 +71,13 @@ class WheelPose:
 
     @classmethod
     def from_rotvec(cls, rotvec, translation) -> "WheelPose":
-        return cls(
-            Rotation.from_rotvec(np.asarray(rotvec, dtype=float)).as_matrix(),
-            np.asarray(translation, dtype=float),
-        )
-
-    @property
-    def rotvec(self) -> np.ndarray:
-        return Rotation.from_matrix(self.rotation).as_rotvec()
+        """The rotation by |rotvec| rad about rotvec, by Rodrigues' formula."""
+        rotvec = np.asarray(rotvec, dtype=float)
+        angle = float(np.linalg.norm(rotvec))
+        cross = np.cross(np.eye(3), rotvec / angle) if angle else np.zeros((3, 3))
+        rotation = (np.eye(3) + math.sin(angle) * cross
+                    + 2.0 * math.sin(angle / 2.0) ** 2 * cross @ cross)
+        return cls(rotation, np.asarray(translation, dtype=float))
 
     @property
     def axis(self) -> np.ndarray:
@@ -303,21 +300,49 @@ def fit_wheel_pose(
             return np.full(len(observed), 1e6)
 
     x0 = np.concatenate([_tilt_rotvec(initial_guess.axis), initial_guess.translation])
-    result = least_squares(
-        residuals,
-        x0,
-        method="lm",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        diff_step=1e-6,
-        max_nfev=max_iterations * (len(x0) + 1),
-    )
-    pose = pose_of(result.x)
-    rms = math.sqrt(float(np.mean(result.fun**2)))
-    if not result.success:
-        raise PoseFitError(pose, rms, result.nfev, result.message)
+    x, fun, nfev, failure = _levenberg_marquardt(
+        residuals, x0, max_iterations * (len(x0) + 1))
+    pose, rms = pose_of(x), math.sqrt(float(np.mean(fun**2)))
+    if failure:
+        raise PoseFitError(pose, rms, nfev, failure)
     return pose, rms
+
+
+def _levenberg_marquardt(fun, x, max_nfev: int):
+    """Minimise |fun(x)|^2 from x: (x, fun(x), evaluations, failure or None).
+
+    A step h solves (J^T J + mu D) h = -J^T f, with J the forward-difference
+    Jacobian (steps 1e-6 max(1, |x|)) and D the largest diag(J^T J) seen yet
+    (Marquardt's damping, scaled as in More 1978). The gain ratio rho, actual
+    over predicted reduction, accepts the step if positive and updates mu by
+    Nielsen's rule. The fit converges when the scaled step falls to 1e-14 of
+    the scaled x, or both reductions to 1e-14 of |f|^2; it fails if a column
+    of J is 0. Every call of `fun` counts against `max_nfev`, Jacobian columns
+    too.
+    """
+    f, nfev, mu, nu, scale, fresh = fun(x), 1, 1e-3, 2.0, np.zeros(len(x)), True
+    while nfev + len(x) * fresh < max_nfev:
+        if fresh:
+            dx = 1e-6 * np.maximum(1.0, np.abs(x))
+            jac = (np.column_stack([fun(x + h) for h in np.diag(dx)]) - f[:, None]) / dx
+            nfev, scale = nfev + len(x), np.maximum(scale, np.einsum("ij,ij->j", jac, jac))
+            if not scale.all():
+                return x, f, nfev, "a parameter moves no residual"
+        step = np.linalg.solve(jac.T @ jac + np.diag(mu * scale), -jac.T @ f)
+        trial, nfev = fun(x + step), nfev + 1
+        cost, actual, linear = f @ f, f @ f - trial @ trial, jac @ step
+        predicted = linear @ linear + 2.0 * mu * step @ (scale * step)
+        rho = actual / predicted if predicted > 0.0 else 0.0
+        done = (scale @ step**2 <= 1e-28 * (scale @ x**2)
+                or max(abs(actual), predicted) <= 1e-14 * cost and rho <= 2.0)
+        fresh = rho > 0.0
+        if fresh:
+            x, f, mu, nu = x + step, trial, mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+        if done:
+            return x, f, nfev, None
+    return x, f, nfev, f"no room for another step within {max_nfev} evaluations"
 
 
 def _chord_plane_line(
@@ -387,22 +412,11 @@ def smooth_deflection_series(
     """Centered moving average of fractions; edges use truncated windows."""
     if window < 1 or window % 2 == 0:
         raise GeometryError("window must be odd and >= 1")
-    if not raw:
-        return []
-    half = window // 2
-    out = []
+    half, out = window // 2, []
     for i, est in enumerate(raw):
-        lo = max(0, i - half)
-        hi = min(len(raw), i + half + 1)
-        fractions = [r.fraction for r in raw[lo:hi]]
-        volumes = [r.volume for r in raw[lo:hi]]
-        out.append(
-            DeflectionEstimate(
-                est.frame,
-                sum(volumes) / len(volumes),
-                sum(fractions) / len(fractions),
-            )
-        )
+        near = raw[max(0, i - half):i + half + 1]
+        out.append(DeflectionEstimate(est.frame, sum(r.volume for r in near) / len(near),
+                                      sum(r.fraction for r in near) / len(near)))
     return out
 
 
@@ -425,7 +439,11 @@ def depth_for_fraction(fraction: float) -> float:
         raise GeometryError("fraction outside [0, 0.5)")
     if fraction == 0.0:
         return 1.0
-    return brentq(lambda h: segment_fraction(h) - fraction, 0.0, 1.0, xtol=1e-14)
+    low, high = 0.0, 1.0  # segment_fraction falls from 0.5 at 0 to 0 at 1
+    while high - low > 1e-14:
+        middle = (low + high) / 2.0
+        low, high = (middle, high) if segment_fraction(middle) > fraction else (low, middle)
+    return (low + high) / 2.0
 
 
 def make_chord_annotation(

@@ -3,8 +3,8 @@
 They live apart from the modules that raise them, so that the CLI can catch
 them without loading those modules for every command: a usage error, or
 an input error that needs neither, fails before `config` and `telemetry`
-(numpy) load, `deflection` imports scipy, `analyze` does not use the simulator (`kinematics`,
-`terrain`) and `simulate` does not use `metrics`.
+(numpy) load, `analyze` does not use the simulator (`kinematics`, `terrain`)
+or `deflection`, and `simulate` does not use `metrics`.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ class PoseFitError(RuntimeError):
     """Pose optimization did not converge.
 
     Carries the best pose found, its RMS reprojection distance in pixels,
-    the number of residual evaluations, the solver's termination message
-    and, when raised by process_annotations, the frame number.
+    the number of residual evaluations (Jacobian columns included), why the
+    solver stopped and, when raised by process_annotations, the frame number.
     """
 
     def __init__(

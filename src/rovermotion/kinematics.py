@@ -21,16 +21,6 @@ from rovermotion.config import (
 from rovermotion.errors import KinematicsError
 
 
-@dataclass(frozen=True)
-class IcrResult:
-    """Instantaneous center of rotation: a body-frame point or at infinity."""
-
-    at_infinity: bool
-    point: tuple[float, float] | None = None
-
-
-AT_INFINITY = IcrResult(at_infinity=True)
-
 _PARALLEL_EIG_TOL = 1e-12
 _WZ_EPS = 1e-12  # below this yaw rate a step is integrated as a straight line
 
@@ -120,19 +110,19 @@ def _odometry_twist(commands, config: RoverConfig, u, p) -> np.ndarray:
 
 def icr_of(
     commands: list[WheelCommand], config: RoverConfig
-) -> tuple[IcrResult, float]:
-    """Least-squares intersection of the four wheel axes, and the RMS
+) -> tuple[tuple[float, float] | None, float]:
+    """Least-squares intersection of the four wheel axes (the ICR), and the RMS
     point-to-axis distance. A point x lies u . (x - p) off the axis of a wheel
     at p rolling along u, so the ICR solves (u^T u) x = u^T (u . p). Parallel
-    axes (straight driving) give AT_INFINITY with zero residual."""
+    axes (straight driving) give None, the ICR at infinity, and residual 0."""
     u, p = rolling_directions(commands, config)
     offsets = np.einsum("ij,ij->i", u, p)
     normal = u.T @ u
     if np.linalg.eigvalsh(normal)[0] < _PARALLEL_EIG_TOL:
-        return AT_INFINITY, 0.0
+        return None, 0.0
     point = np.linalg.solve(normal, u.T @ offsets)
     residual = math.sqrt(float(np.mean((u @ point - offsets) ** 2)))
-    return IcrResult(False, (float(point[0]), float(point[1]))), residual
+    return (float(point[0]), float(point[1])), residual
 
 
 @dataclass(frozen=True)

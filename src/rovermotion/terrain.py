@@ -332,10 +332,18 @@ def calibrate_power(
         theta = math.radians(slope_deg)
         design[i] = (4.0 / (mg * v), math.cos(theta), 4.0 * v / mg)
         target[i] = cot - math.sin(theta)
-    from scipy.optimize import nnls  # scipy stays off the CLI's start-up path
-
-    solution, _ = nnls(design, target)
-    idle, rolling, quad = (float(c) for c in solution)
+    # the non-negative fit is the least-squares fit on some set of free columns,
+    # the rest at 0: keep the best feasible one (Lawson and Hanson 1974, ch. 23).
+    # Unit columns keep lstsq's error at that of the column-scaled problem.
+    norms = np.linalg.norm(design, axis=0)
+    unit, solution, misfit = design / norms, np.zeros(3), float(target @ target)
+    for free in ([j for j in range(3) if subset >> j & 1] for subset in range(1, 8)):
+        trial = np.zeros(3)
+        trial[free] = np.linalg.lstsq(unit[:, free], target, rcond=None)[0]
+        trial_misfit = float(np.sum((unit @ trial - target) ** 2))
+        if trial.min() >= 0.0 and trial_misfit < misfit:
+            solution, misfit = trial, trial_misfit
+    idle, rolling, quad = (float(c) for c in solution / norms)
     params = PowerModelParams(
         idle_power_per_drive=idle, rolling_resistance_coeff=rolling,
         speed_quadratic_coeff=quad, drivetrain_efficiency=1.0)

@@ -652,22 +652,23 @@ def scipy_loaded():
     return any(name.split(".")[0] == "scipy" for name in sys.modules)
 
 out, fixture, table = (Path(arg) for arg in sys.argv[1:])
-assert not scipy_loaded(), "import rovermotion.cli"
 sim = out / "sim"
-assert main(["simulate", "--scenario", str(preset_path("nominal_0_6cm")),
-             "--out", str(sim)]) == 0
-for metric in ("cot", "yaw-energy", "efficiency", "slip"):
-    assert main(["analyze", metric, "--telemetry", str(sim / "telemetry.csv"),
-                 "--out", str(out / metric)]) == 0
-assert not scipy_loaded(), "simulate and analyze"
-assert main(["calibrate", "--table", str(table), "--out", str(out / "cal")]) == 0
 annotations = out / "annotations.csv"
 lines = (fixture / "annotations.csv").read_text().splitlines()
 annotations.write_text("\\n".join(lines[:3]) + "\\n")
-assert main(["deflect", "--annotations", str(annotations),
-             "--model", str(fixture / "model.txt"),
-             "--camera", str(fixture / "camera.txt"), "--out", str(out / "defl")]) == 0
-assert scipy_loaded()
+commands = [
+    ["simulate", "--scenario", str(preset_path("nominal_0_6cm")), "--out", str(sim)],
+    *(["analyze", metric, "--telemetry", str(sim / "telemetry.csv"),
+       "--out", str(out / metric)] for metric in ("cot", "yaw-energy", "efficiency", "slip")),
+    ["calibrate", "--table", str(table), "--out", str(out / "cal")],
+    ["deflect", "--annotations", str(annotations), "--model", str(fixture / "model.txt"),
+     "--camera", str(fixture / "camera.txt"), "--out", str(out / "defl")],
+    ["report", "--out", str(out / "report")],
+]
+assert not scipy_loaded(), "import rovermotion.cli"
+for argv in commands:
+    assert main(argv) == 0, argv
+    assert not scipy_loaded(), argv
 print("ok")
 """
 
@@ -698,7 +699,7 @@ def run_python(code, *args, **env):
     return result.stdout
 
 
-def test_scipy_loads_only_for_deflect_and_calibrate(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     stdout = run_python(SCIPY_GUARD, str(tmp_path), str(FIXTURE_DIR),
                         str(SRC / "rovermotion" / "data" / "cot_measurements.csv"))
     assert stdout.splitlines()[-1] == "ok"

@@ -183,7 +183,9 @@ class TestPoseFit:
         spin = WheelPose.from_rotvec([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]).rotation
         spun = WheelPose(unspun.rotation @ spin, unspun.translation)
         np.testing.assert_allclose(spun.axis, unspun.axis, atol=1e-15)
-        assert abs(spun.rotvec[2]) > 0.5
+        # spun differs from unspun by a 1-rad turn about the wheel axis
+        turn = unspun.rotation.T @ spun.rotation
+        assert math.atan2(turn[1, 0], turn[0, 0]) == pytest.approx(1.0, abs=1e-12)
         pose_a, _ = fit_wheel_pose(loops, MODEL, CAM, unspun)
         pose_b, _ = fit_wheel_pose(loops, MODEL, CAM, spun)
         np.testing.assert_allclose(pose_b.axis, pose_a.axis, atol=1e-8)
@@ -211,6 +213,28 @@ class TestPoseFit:
         message = str(exc)
         assert f"{exc.nfev} evaluations" in message and " px " in message
         assert exc.reason in message
+
+    def test_nfev_counts_every_residual_evaluation(self, monkeypatch):
+        # the Jacobian's columns count too: a budget of 18 holds the first
+        # evaluation and two steps of a 5-column Jacobian and one trial each
+        true = WheelPose.from_rotvec([0.12, -0.2, 0.07], [0.05, -0.02, 0.9])
+        loops = project_wheel(MODEL, true, CAM, samples_per_circle=24)
+        calls = []
+        distances = deflection._signed_curve_distances
+        monkeypatch.setattr(deflection, "_signed_curve_distances",
+                            lambda *args: calls.append(1) or distances(*args))
+        with pytest.raises(PoseFitError) as info:
+            fit_wheel_pose(loops, MODEL, CAM, initial_pose_guess(loops, MODEL, CAM),
+                           max_iterations=3)
+        assert info.value.nfev == len(calls) == 13
+
+    def test_guess_where_no_parameter_moves_a_residual_fails(self):
+        # 1 cm from the camera the wheel is behind it for every nearby pose,
+        # so every residual is the same penalty
+        loops = project_wheel(MODEL, frontal_pose(), CAM, samples_per_circle=16)
+        with pytest.raises(PoseFitError, match="moves no residual") as info:
+            fit_wheel_pose(loops, MODEL, CAM, frontal_pose(depth=0.01))
+        assert info.value.nfev == 6
 
     def test_behind_camera_guess_rejected(self):
         loops = project_wheel(MODEL, frontal_pose(), CAM, samples_per_circle=16)

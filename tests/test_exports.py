@@ -80,6 +80,20 @@ def _import_time_imports(path: Path) -> set[str]:
     return found
 
 
+def test_no_module_imports_scipy():
+    # numpy is the one runtime dependency; scipy is a test oracle only
+    imports = [
+        f"{path.stem}: {ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "scipy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module or "").split(".")[0] == "scipy"
+    ]
+    assert imports == []
+
+
 def test_cli_imports_only_what_parsing_needs():
     assert _import_time_imports(PACKAGE / "cli.py") <= CLI_IMPORTS
 

@@ -31,5 +31,5 @@ def test_every_invocation_matches_the_manifest(tmp_path):
         problems += [f"{invocation['name']} ({' '.join(invocation['argv'])}): {problem}"
                      for problem in _mismatches(invocation, got)]
     assert not problems, "\n".join(
-        problems + [f"recorded with {manifest['versions']}, "
-                    f"running {record_golden.versions()}"])
+        problems + [f"recorded with numpy {manifest['versions']['numpy']}, "
+                    f"running numpy {record_golden.versions()['numpy']}"])

@@ -174,21 +174,19 @@ class TestIcr:
     def test_ackermann_icr_location(self):
         cmds = inverse_kinematics(BodyTwist(0.06, 0, 0.1), LocomotionMode.ACKERMANN, CFG)
         icr, residual = icr_of(cmds, CFG)
-        assert not icr.at_infinity
-        assert icr.point[0] == pytest.approx(0.0, abs=1e-9)
-        assert icr.point[1] == pytest.approx(0.6, abs=1e-9)
+        assert icr == pytest.approx((0.0, 0.6), abs=1e-9)
         assert residual < 1e-9
 
     def test_straight_axes_at_infinity(self):
         cmds = [WheelCommand(w, 0.4, 0.0) for w in WHEEL_ORDER]
         icr, residual = icr_of(cmds, CFG)
-        assert icr.at_infinity
+        assert icr is None
         assert residual == 0.0
 
     def test_point_turn_icr_at_center(self):
         cmds = inverse_kinematics(BodyTwist(0, 0, 0.1), LocomotionMode.POINT_TURN, CFG)
         icr, residual = icr_of(cmds, CFG)
-        assert icr.point == pytest.approx((0.0, 0.0), abs=1e-9)
+        assert icr == pytest.approx((0.0, 0.0), abs=1e-9)
         assert residual < 1e-9
 
 

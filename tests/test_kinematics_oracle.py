@@ -29,8 +29,6 @@ from rovermotion.config import (
 from rovermotion.errors import KinematicsError
 from rovermotion.kinematics import (
     _PARALLEL_EIG_TOL,
-    AT_INFINITY,
-    IcrResult,
     forward_odometry,
     icr_of,
     inverse_kinematics,
@@ -57,8 +55,9 @@ EIG_ROUNDING = 1e-14
 
 
 def icr_tol(icr):
-    """The tolerance on a point or residual of `icr`, at its distance."""
-    return ICR_TOL * (1.0 if icr.at_infinity else max(1.0, math.hypot(*icr.point)))
+    """The tolerance on a point or residual of `icr` (None at infinity), at
+    its distance."""
+    return ICR_TOL * (1.0 if icr is None else max(1.0, math.hypot(*icr)))
 
 
 def on_the_parallel_threshold(commands, config):
@@ -163,14 +162,14 @@ def reference_icr_of(commands, config):
         axes.append((p, d))
     eigvals = np.linalg.eigvalsh(acc)
     if eigvals[0] < _PARALLEL_EIG_TOL:
-        return AT_INFINITY, 0.0
+        return None, 0.0
     point = np.linalg.solve(acc, vec)
     sq_sum = 0.0
     for p, d in axes:
         rel = point - p
         perp = rel - (rel @ d) * d
         sq_sum += float(perp @ perp)
-    return IcrResult(False, (float(point[0]), float(point[1]))), math.sqrt(
+    return (float(point[0]), float(point[1])), math.sqrt(
         sq_sum / len(axes)
     )
 
@@ -271,9 +270,9 @@ def test_kernels_match_the_per_wheel_loops(twist, mode, limit, errors, slope, po
     assert command_bits(commands) == command_bits(expected)
     icr, _ = icr_of(commands, config)
     expected_icr, _ = reference_icr_of(commands, config)
-    assert icr.at_infinity == expected_icr.at_infinity
-    if not icr.at_infinity:
-        assert (np.max(np.abs(np.subtract(icr.point, expected_icr.point)))
+    assert (icr is None) == (expected_icr is None)
+    if icr is not None:
+        assert (np.max(np.abs(np.subtract(icr, expected_icr)))
                 <= icr_tol(expected_icr))
 
     measured = [WheelCommand(c.wheel_id, c.drive_speed, c.steering_angle + e)
@@ -285,7 +284,7 @@ def test_kernels_match_the_per_wheel_loops(twist, mode, limit, errors, slope, po
         reference_drive_power(measured, terrain, config, power))
     icr, residual = icr_of(measured, config)
     expected_icr, expected_residual = reference_icr_of(measured, config)
-    if icr.at_infinity != expected_icr.at_infinity:
+    if (icr is None) != (expected_icr is None):
         assert on_the_parallel_threshold(measured, config)
     else:
         assert abs(residual - expected_residual) <= icr_tol(expected_icr)
