@@ -115,9 +115,10 @@ def _short_telemetry() -> str:
 
 
 def _error_cases() -> list[tuple[str, list[str], dict]]:
-    """(name, argv, inputs) of the error cases of tests/test_cli.py that run
-    the CLI alone: scenario, telemetry, config, table and deflection inputs,
-    usage errors and input and output paths."""
+    """(name, argv, inputs) of the error cases of tests/test_cli.py: scenario,
+    telemetry, config, table and deflection inputs, usage errors and input and
+    output paths. Each runs the CLI alone, but for one that reads a preset's
+    telemetry from the `simulate` invocation before it."""
     cases = []
     simulate = ["simulate", "--scenario", "{dir}/bad.scn", "--out", "{dir}/out"]
     for name, row in [("non_numeric", "1.0,abc,0,0,skid_steer"),
@@ -163,6 +164,16 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
     for rows in (0, 1):
         cases.append((f"telemetry-slip_{rows}_rows", ["analyze", "slip", *analyze],
                       {"t.csv": "".join(lines[: 1 + rows])}))
+    # a window of more samples than the series holds passes the parser
+    cases.append(("telemetry-window_longer_than_the_series",
+                  ["analyze", "efficiency", *analyze, "--window", "1e308"],
+                  {"t.csv": telemetry}))
+    # a rotation in place has no mean speed, so no cost of transport; this
+    # reads the telemetry that simulate-rotation_skid wrote
+    cases.append(("telemetry-cot_on_rotation_skid",
+                  ["analyze", "cot", "--telemetry",
+                   "{work}/simulate-rotation_skid/telemetry.csv", "--out", "{dir}/out"],
+                  {}))
     for name, text in [("unknown_key", "masss = 42\n"), ("non_numeric", "mass = heavy\n"),
                        ("nan", "mass = nan\n"), ("inf", "steering_rate = inf\n"),
                        ("invalid", "mass = -1\n")]:

@@ -96,21 +96,20 @@ def _out_dir(path: str) -> Path:
 
 _COT_HEADER = ["table2_mode", "table2_slope_deg", "table2_velocity_m_s",
               "table2_power_w", "table2_cot"]
+_YAW_ENERGY_HEADER = ["fig3_yaw_deg", "fig3_energy_j"]
+_EFFICIENCY_HEADER = ["fig4_t_s", "fig4_ratio", "fig4_ratio_clamped"]
 
 
-def _write_series(
-    path: Path, header: list[str], times: np.ndarray, gap: np.ndarray,
-    *columns: np.ndarray,
-) -> None:
-    """Write a time column and value columns; the value cells of the samples
-    where `gap` is true are written empty."""
+def _write_series(path: Path, header: list[str], *columns: np.ndarray) -> None:
+    """Write a time column, then value columns; the value cells of the samples
+    where the first value column is NaN are written empty."""
     import numpy as np
 
     from rovermotion.telemetry import write_fixed_csv
 
-    values = np.column_stack((times, *columns))
+    values = np.column_stack(columns)
     blank = np.zeros(values.shape, dtype=bool)
-    blank[:, 1:] = gap[:, None]
+    blank[:, 1:] = np.isnan(columns[1])[:, None]
     write_fixed_csv(path, header, values, blank)
 
 
@@ -119,39 +118,24 @@ def _cot_row(mode: str, slope_deg: float, report: metrics.CotReport) -> list[str
             _fmt(report.mean_power), _fmt(report.cost_of_transport)]
 
 
-def _write_yaw_energy(path: Path, telemetry: Telemetry) -> np.ndarray:
-    from rovermotion import metrics
-    from rovermotion.telemetry import write_fixed_csv
-
-    curve = metrics.energy_vs_yaw(telemetry)
-    write_fixed_csv(path, ["fig3_yaw_deg", "fig3_energy_j"], curve)
-    return curve
-
-
-def _write_efficiency(
-    path: Path, telemetry: Telemetry, window_s: float
-) -> list[float]:
-    """Write the angular-speed efficiency series; returns its defined ratios."""
+def _defined_mean(values: np.ndarray) -> float:
+    """The mean of the non-NaN `values`, summed left to right; NaN if none."""
     import numpy as np
 
+    valid = values[~np.isnan(values)].tolist()
+    return sum(valid) / len(valid) if valid else float("nan")
+
+
+def _efficiency(telemetry: Telemetry, window_s: float) -> tuple[np.ndarray, ...]:
+    """The angular-speed efficiency series: (times, ratio, clamped ratio)."""
     from rovermotion import metrics
 
+    times = telemetry.column("t")
     ratios = metrics.angular_speed_efficiency(
-        telemetry.column("t"),
-        telemetry.column("heading"),
-        telemetry.column("odo_wz"),
+        times, telemetry.column("heading"), telemetry.column("odo_wz"),
         smoothing_window_s=window_s,
     )
-    gap = np.isnan(ratios)
-    _write_series(
-        path,
-        ["fig4_t_s", "fig4_ratio", "fig4_ratio_clamped"],
-        telemetry.column("t"),
-        gap,
-        ratios,
-        metrics.clamp_ratio(ratios),
-    )
-    return ratios[~gap].tolist()
+    return times, ratios, metrics.clamp_ratio(ratios)
 
 
 def _data_dir(name: str) -> Path:
@@ -237,47 +221,39 @@ def cmd_analyze(args) -> int:
     telemetry = read_telemetry_csv(args.telemetry)
     # only cot reads the rover; loaded before the output directory is made
     config = _config_from_args(args) if args.metric == "cot" else None
+    import numpy as np
+
     from rovermotion import metrics
     from rovermotion.config import write_csv
+    from rovermotion.telemetry import write_fixed_csv
 
-    out = _out_dir(args.out)
-    path = out / _ANALYZE_OUTPUTS[args.metric]
-
+    # each metric gives its writer, the writer's arguments after the path
+    # and the line to print; the output directory is made only then
     if args.metric == "cot":
         report = metrics.mean_cot(telemetry, config)
-        write_csv(path, _COT_HEADER, [_cot_row(args.label, args.slope, report)])
-        print(f"cot={report.cost_of_transport:.3f}")
-        return EXIT_OK
-
-    if args.metric == "yaw-energy":
-        curve = _write_yaw_energy(path, telemetry)
+        write, data = write_csv, (_COT_HEADER, [_cot_row(args.label, args.slope, report)])
+        line = f"cot={report.cost_of_transport:.3f}"
+    elif args.metric == "yaw-energy":
+        curve = metrics.energy_vs_yaw(telemetry)
         total = curve[-1] if len(curve) else (0.0, 0.0)
-        print(f"yaw_deg={total[0]:.3f} energy_j={total[1]:.3f}")
-        return EXIT_OK
-
-    if args.metric == "efficiency":
-        valid = _write_efficiency(path, telemetry, args.window)
-        mean = sum(valid) / len(valid) if valid else float("nan")
-        print(f"mean_ratio={mean:.3f}")
-        return EXIT_OK
-
-    if args.metric == "slip":
-        import numpy as np
-
+        write, data = write_fixed_csv, (_YAW_ENERGY_HEADER, curve)
+        line = f"yaw_deg={total[0]:.3f} energy_j={total[1]:.3f}"
+    elif args.metric == "efficiency":
+        series = _efficiency(telemetry, args.window)
+        write, data = _write_series, (_EFFICIENCY_HEADER, *series)
+        line = f"mean_ratio={_defined_mean(series[1]):.3f}"
+    else:  # slip
         times = telemetry.column("t")
         if len(times) < 2:  # the ground-truth speed is a finite difference
             raise MetricsError("insufficient samples")
         xy = np.column_stack((telemetry.column("x"), telemetry.column("y")))
         gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
         slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
-        gap = np.isnan(slip)
-        _write_series(path, ["slip_t_s", "slip_ratio"], times, gap, slip)
-        valid = slip[~gap].tolist()
-        mean = sum(valid) / len(valid) if valid else float("nan")
-        print(f"mean_slip={mean:.3f}")
-        return EXIT_OK
-
-    raise ConfigError(f"unknown metric {args.metric!r}")
+        write, data = _write_series, (["slip_t_s", "slip_ratio"], times, slip)
+        line = f"mean_slip={_defined_mean(slip):.3f}"
+    write(_out_dir(args.out) / _ANALYZE_OUTPUTS[args.metric], *data)
+    print(line)
+    return EXIT_OK
 
 
 def _estimate_deflection(
@@ -380,25 +356,24 @@ def cmd_report(args) -> int:
     )
     from rovermotion import metrics, terrain
     from rovermotion.config import write_csv
+    from rovermotion.telemetry import write_fixed_csv
 
     out = _out_dir(args.out)
-
     table_rows = []
-    for name in PRESET_NAMES:
+    for name in PRESET_NAMES + ROTATION_PRESETS:
         scenario = terrain.load_scenario(preset_path(name))
         telemetry = terrain.simulate_traverse(scenario)
         write_telemetry_csv(out / f"telemetry_{name}.csv", telemetry)
-        report = metrics.mean_cot(telemetry, scenario.config)
-        table_rows.append(
-            _cot_row(name.split("_")[0], scenario.terrain.slope_deg, report))
+        if name in ROTATION_PRESETS:
+            write_fixed_csv(out / f"fig3_{name}.csv", _YAW_ENERGY_HEADER,
+                            metrics.energy_vs_yaw(telemetry))
+            _write_series(out / f"fig4_{name}.csv", _EFFICIENCY_HEADER,
+                          *_efficiency(telemetry, 0.5))
+        else:
+            report = metrics.mean_cot(telemetry, scenario.config)
+            table_rows.append(
+                _cot_row(name.split("_")[0], scenario.terrain.slope_deg, report))
     write_csv(out / "table2.csv", _COT_HEADER, table_rows)
-
-    for name in ROTATION_PRESETS:
-        scenario = terrain.load_scenario(preset_path(name))
-        telemetry = terrain.simulate_traverse(scenario)
-        write_telemetry_csv(out / f"telemetry_{name}.csv", telemetry)
-        _write_yaw_energy(out / f"fig3_{name}.csv", telemetry)
-        _write_efficiency(out / f"fig4_{name}.csv", telemetry, 0.5)
 
     fixture = _data_dir("deflection")
     estimates = _estimate_deflection(

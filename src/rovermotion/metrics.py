@@ -121,7 +121,8 @@ def angular_speed_efficiency(
     """Pointwise ground-truth yaw rate over odometry yaw rate, per sample.
 
     The ground-truth rate comes from central differences of the heading
-    series, smoothed with a centered moving average. Samples where the
+    series, smoothed with a centered moving average of `smoothing_window_s`,
+    which may not span more samples than the series holds. Samples where the
     odometry yaw rate is below WZ_THRESHOLD are gaps (NaN).
     """
     times = np.asarray(times, dtype=float)
@@ -133,6 +134,8 @@ def angular_speed_efficiency(
         raise MetricsError("insufficient samples")
     gt_rate = np.gradient(gt_heading, times)
     dt = _median(np.diff(times))
+    if smoothing_window_s / dt > len(times):  # before round(), which fails on inf
+        raise MetricsError("smoothing window longer than the series")
     window = max(1, int(round(smoothing_window_s / dt)))
     if window % 2 == 0:
         window += 1

@@ -122,7 +122,8 @@ def drive_power(
     as in skid rotation), and an optional drawbar pull, all divided by the
     drivetrain efficiency. Steering units hold their angles during motion
     and draw hold power; their move power is charged only while they slew,
-    by the reposition model (`reposition_between`, `simulate_traverse`).
+    by the reposition model (`reposition_between`, `simulate_traverse`),
+    which charges each drive its idle power for the slew as well.
     """
     theta = math.radians(terrain.slope_deg)
     weight_per_wheel = config.mass * config.gravity / 4.0
@@ -162,9 +163,10 @@ def reposition_between(
     """(energy J, duration s) to slew steering units between angle sets.
 
     This is the reposition phase `simulate_traverse` inserts: it lasts as
-    long as the widest slew, T = max t_i, and each unit draws move power for
-    its own slew time t_i and hold power for the rest, T - t_i. A slew no
-    longer than the simulator's tolerance inserts no phase and costs nothing.
+    long as the widest slew, T = max t_i, each unit draws move power for its
+    own slew time t_i and hold power for the rest, T - t_i, and each drive
+    draws its idle power for T. A slew no longer than the simulator's
+    tolerance inserts no phase and costs nothing.
     """
     _, times = _slew(from_angles, to_angles, config)
     duration = float(times.max())
@@ -172,7 +174,8 @@ def reposition_between(
         return 0.0, 0.0
     moving = float(times.sum())
     holding = len(times) * duration - moving
-    energy = power.steering_move_power * moving + power.steering_hold_power * holding
+    energy = (power.steering_move_power * moving + power.steering_hold_power * holding
+              + len(times) * power.idle_power_per_drive * duration)
     return energy, duration
 
 
@@ -218,7 +221,8 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     Before any segment whose steering pose differs from the current one, a
     reposition phase is inserted: the body holds still while the steering
     units slew at the configured rate, each drawing move power until it
-    arrives and hold power after (the energy `reposition_between` gives).
+    arrives and hold power after, while each drive draws its idle power (the
+    energy `reposition_between` gives).
     During motion, odometry reflects the commanded (pre-slip) wheel speeds
     while the ground-truth pose integrates the slip-reduced twist, so the
     odometry / ground-truth efficiency gap appears by construction. Noise

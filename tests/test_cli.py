@@ -218,21 +218,35 @@ class TestAnalyze:
         assert capsys.readouterr().err == f"error: {bad}:3: non-finite timestamp '{cell}'\n"
         assert not (tmp_path / "eff").exists()
 
-    def test_header_only_telemetry_is_data_error(self, telemetry, tmp_path, capsys):
-        bad = tmp_path / "header.csv"
-        bad.write_text(telemetry.read_text().splitlines()[0] + "\n")
-        code = run(["analyze", "cot", "--telemetry", str(bad), "--out", str(tmp_path)])
+    @pytest.mark.parametrize("source, message", [
+        ("header_only", "insufficient samples"),
+        ("rotation_skid", "undefined at zero velocity"),
+    ], ids=["header_only", "rotation_preset"])
+    def test_cot_undefined_on_the_telemetry_is_data_error(self, telemetry, tmp_path,
+                                                          capsys, source, message):
+        if source == "header_only":
+            bad = tmp_path / "header.csv"
+            bad.write_text(telemetry.read_text().splitlines()[0] + "\n")
+        else:  # a rotation in place has no mean speed to divide by
+            assert run(["simulate", "--scenario", str(preset_path(source)),
+                        "--out", str(tmp_path / "sim")]) == EXIT_OK
+            bad = tmp_path / "sim" / "telemetry.csv"
+        out = tmp_path / "out"
+        code = run(["analyze", "cot", "--telemetry", str(bad), "--out", str(out)])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err == "error: insufficient samples\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_slip_on_too_few_rows_is_data_error(self, telemetry, tmp_path, capsys,
                                                 rows):
         short = tmp_path / "short.csv"
         short.write_text("".join(telemetry.read_text().splitlines(True)[: 1 + rows]))
-        code = run(["analyze", "slip", "--telemetry", str(short), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = run(["analyze", "slip", "--telemetry", str(short), "--out", str(out)])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: insufficient samples\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -287,19 +301,28 @@ class TestAnalyze:
             ("efficiency", "--window", "inf", "finite positive"),
             ("efficiency", "--window", "0", "finite positive"),
             ("efficiency", "--window", "-3", "finite positive"),
+            # finite and positive, so the parser takes it, but longer than the
+            # series: the metric refuses it as a data error
+            ("efficiency", "--window", "1e308", None),
         ],
         ids=["nan_slope", "inf_slope", "non_numeric_slope", "nan_window",
-             "inf_window", "zero_window", "negative_window"],
+             "inf_window", "zero_window", "negative_window", "window_past_the_series"],
     )
     def test_bad_number_is_usage_error(self, telemetry, tmp_path, capsys, metric,
                                        flag, value, kind):
-        with pytest.raises(SystemExit) as excinfo:
-            run(["analyze", metric, "--telemetry", str(telemetry),
-                 "--out", str(tmp_path / "m"), flag, value])
-        assert excinfo.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        message = f"expected a {kind} number, got {value!r}"
-        assert err.endswith(f"error: argument {flag}: {message}\n")
+        argv = ["analyze", metric, "--telemetry", str(telemetry),
+                "--out", str(tmp_path / "m"), flag, value]
+        if kind is None:
+            assert run(argv) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err == "error: smoothing window longer than the series\n"
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                run(argv)
+            assert excinfo.value.code == EXIT_USAGE
+            err = capsys.readouterr().err
+            message = f"expected a {kind} number, got {value!r}"
+            assert err.endswith(f"error: argument {flag}: {message}\n")
         assert not (tmp_path / "m").exists()
 
 

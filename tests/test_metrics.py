@@ -164,6 +164,15 @@ class TestAngularSpeedEfficiency:
         with pytest.raises(MetricsError, match="insufficient"):
             angular_speed_efficiency(np.arange(2.0), np.arange(2.0), np.arange(2.0))
 
+    def test_window_longer_than_the_series(self):
+        t = np.arange(0.0, 1.0, 0.1)  # 10 samples 0.1 s apart
+        odo = np.full_like(t, 0.1)
+        series = angular_speed_efficiency(t, 0.075 * t, odo, smoothing_window_s=0.95)
+        assert np.mean(series) == pytest.approx(0.75)
+        for window in (1.05, 1e308):  # 1e308 / 0.1 overflows to inf
+            with pytest.raises(MetricsError, match="window longer than the series"):
+                angular_speed_efficiency(t, 0.075 * t, odo, smoothing_window_s=window)
+
 
 class TestLongitudinalSlip:
     def test_basic_ratio(self):

@@ -8,7 +8,7 @@ import pytest
 from rovermotion.cli import preset_path
 from rovermotion.config import BodyTwist, ConfigError, LocomotionMode, RoverConfig
 from rovermotion.kinematics import ProfileSegment, inverse_kinematics
-from rovermotion.telemetry import BUS_VOLTAGE, FIELD_COLUMNS
+from rovermotion.telemetry import FIELD_COLUMNS
 from rovermotion.terrain import (
     CalibrationError,
     PowerModelParams,
@@ -153,17 +153,22 @@ class TestReposition:
             ProfileSegment(2.0, crab, LocomotionMode.CRAB),
             ProfileSegment(2.0, BodyTwist(0, 0, 0.1), LocomotionMode.POINT_TURN),
         ]
-        telemetry = simulate_traverse(Scenario(profile=profile))
-        still = ~telemetry.values[:, FIELD_COLUMNS["commanded_twist"]].any(axis=1)
-        phase = still & (np.cumsum(~still) > 0)  # the still rows after the crab
-        steer_power = telemetry.values[:, FIELD_COLUMNS["steer_current"]] * BUS_VOLTAGE
-        simulated = steer_power[phase].sum() * 0.01  # each row holds for a step
-        energy, duration = reposition_between(
-            ik_angles(crab, LocomotionMode.CRAB), POINT_TURN, CFG, POWER
-        )
-        assert energy == pytest.approx(159.16, abs=0.01)
-        assert energy == pytest.approx(simulated, abs=4 * POWER.steering_move_power * 0.01)
-        assert duration == pytest.approx(phase.sum() * 0.01, abs=0.01)
+        # with idle power, each drive draws it for the whole phase, 4 * 5 W * 8.07 s
+        for idle, expected in [(0.0, 159.16), (5.0, 320.56)]:
+            power = replace(POWER, idle_power_per_drive=idle)
+            telemetry = simulate_traverse(Scenario(profile=profile, power=power))
+            still = ~telemetry.values[:, FIELD_COLUMNS["commanded_twist"]].any(axis=1)
+            phase = still & (np.cumsum(~still) > 0)  # the still rows after the crab
+            # each row holds for a step
+            simulated = telemetry.total_power[phase].sum() * 0.01
+            energy, duration = reposition_between(
+                ik_angles(crab, LocomotionMode.CRAB), POINT_TURN, CFG, power
+            )
+            assert energy == pytest.approx(expected, abs=0.01)
+            # the phase rounds up to whole steps: at most a step of every unit
+            assert energy == pytest.approx(
+                simulated, abs=4 * (power.steering_move_power + idle) * 0.01)
+            assert duration == pytest.approx(phase.sum() * 0.01, abs=0.01)
 
     def test_hold_power_for_the_rest_of_the_phase(self):
         power = replace(POWER, steering_hold_power=1.5)
