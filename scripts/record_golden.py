@@ -3,8 +3,9 @@
 Usage: PYTHONPATH=src python scripts/record_golden.py
 
 The manifest holds the numpy version and, for each invocation in
-`invocations()`, its argv, the input files it needs, its exit code and the
-SHA-256 of its stdout, its stderr and each file it writes. tests/test_golden.py
+`invocations()`, its argv, the input files it needs, its exit code, the
+SHA-256 of its stdout, its stderr and each file it writes, and the
+directories it leaves. tests/test_golden.py
 runs every invocation again through `cli.main` and compares the digests, so
 run this script only on a commit whose outputs are the reference, and list
 each digest that a re-recording changes.
@@ -50,9 +51,12 @@ def _sha256(data: bytes) -> str:
 def run(invocation: dict, work: Path) -> dict:
     """Run `invocation` through cli.main in the directory `work / name`, after
     writing its inputs there (text, or a directory for None), and return its
-    exit code and the digests of its stdout, its stderr and every other file
-    in that directory. Paths in stdout and stderr are written as "{work}",
-    "{data}" and "{tests}", so the digests do not depend on where it runs."""
+    exit code, the digests of its stdout, its stderr and every other file in
+    that directory, and the sorted relative paths of the directories in it,
+    so that a failing command that leaves an output directory behind does not
+    match a record without it. Paths in stdout and stderr are written as
+    "{work}", "{data}" and "{tests}", so the digests do not depend on where it
+    runs."""
     directory = work / invocation["name"]
     directory.mkdir()
     inputs = invocation.get("inputs", {})
@@ -81,15 +85,18 @@ def run(invocation: dict, work: Path) -> dict:
         if name != "dir":
             texts = [text.replace(str(path), f"{{{name}}}") for text in texts]
     stdout_text, stderr_text = (text.encode("utf-8", "surrogateescape") for text in texts)
+    left = sorted(directory.rglob("*"))
     return {
         "exit": code,
         "stdout": _sha256(stdout_text),
         "stderr": _sha256(stderr_text),
         "outputs": {
             path.relative_to(directory).as_posix(): _sha256(path.read_bytes())
-            for path in sorted(directory.rglob("*"))
+            for path in left
             if path.is_file() and path.relative_to(directory).as_posix() not in inputs
         },
+        "directories": [path.relative_to(directory).as_posix()
+                        for path in left if path.is_dir()],
     }
 
 
@@ -139,6 +146,10 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         ("slope_out_of_range", "terrain.slope_deg = 95", ""),
         ("step_zero", "step = 0", ""),
         ("unknown_key", "config.masss = 84", ""),
+        # row counts that overflow, or pass the ceiling, before any allocation
+        ("duration_1e308", "", "1e308,0.06,0,0,skid_steer"),
+        ("step_5e-324", "step = 5e-324", ""),
+        ("duration_1e20", "", "1e20,0.06,0,0,skid_steer"),
     ]:
         cases.append((f"scenario-{name}", simulate,
                       {"bad.scn": _scenario(setting, row)}))
@@ -176,7 +187,7 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
                   {}))
     for name, text in [("unknown_key", "masss = 42\n"), ("non_numeric", "mass = heavy\n"),
                        ("nan", "mass = nan\n"), ("inf", "steering_rate = inf\n"),
-                       ("invalid", "mass = -1\n")]:
+                       ("invalid", "mass = -1\n"), ("mass_5e-324", "mass = 5e-324\n")]:
         cases.append((f"config-{name}",
                       ["analyze", "cot", *analyze, "--config", "{dir}/rover.cfg"],
                       {"t.csv": telemetry, "rover.cfg": text}))
@@ -198,6 +209,7 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
     # the header and the first two frames, where the edits below fall
     fixture["annotations.csv"] = "".join(
         fixture["annotations.csv"].splitlines(keepends=True)[:3])
+    outboard = fixture["annotations.csv"].splitlines()[1].split(",")[3].split(";")[0]
 
     def deflect(**given: str) -> list[str]:
         paths = {name: given.get(name, f"{{data}}/deflection/{name}.{ext}") for name, ext
@@ -217,6 +229,9 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         ("chord_end_inf", "annotations.csv", "892.376577", "inf"),
         ("hub_radius_too_large", "model.txt", "hub_radius = 0.05", "hub_radius = 0.5"),
         ("principal_point_outside", "camera.txt", "cx = 640.0", "cx = 99999"),
+        # frame 0's residual overflows: a pose fit failure, not an answer
+        ("outboard_point_far_off", "annotations.csv", f",{outboard};",
+         f",-1e308:{outboard.split(':')[1]};"),
     ]:
         flag = file.split(".")[0]
         cases.append((f"deflect-{name}", deflect(**{flag: f"{{dir}}/{file}"}),
@@ -237,10 +252,16 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         ("flat_only_inf_cot", "nominal,0,0.06,-inf", True),
         ("zero_velocity", "nominal,0,0,1.1", False),
         ("flat_only_negative_velocity", "nominal,0,-0.06,1.1", True),
+        ("velocity_1e308", "nominal,0,1e308,1.1", False),
     ]:
         cases.append((f"table-{name}", ["calibrate", "--table", "{dir}/table.csv",
                                         "--out", "{dir}/out"] + ["--flat-only"] * flat_only,
                       {"table.csv": f"{table}{row}\nnominal,0,0.08,1.39\n"}))
+    cases.append(("table-config_mass_5e-324",
+                  ["calibrate", "--table", "{dir}/table.csv", "--config",
+                   "{dir}/rover.cfg", "--out", "{dir}/out"],
+                  {"table.csv": f"{table}nominal,0,0.08,1.39\n",
+                   "rover.cfg": "mass = 5e-324\n"}))
     cases.append(("table-underdetermined",
                   ["calibrate", "--table", "{dir}/table.csv", "--out", "{dir}/out"],
                   {"table.csv": "mode,slope_deg,velocity,cot\nnominal,0,0.06,1.1\n"}))

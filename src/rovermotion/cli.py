@@ -5,15 +5,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING
 
-from rovermotion.errors import (
-    CalibrationError,
-    ConfigError,
-    GeometryError,
-    KinematicsError,
-    MetricsError,
-    PoseFitError,
-    TelemetryFormatError,
-)
+from rovermotion.errors import DataError, PoseFitError, naming
 
 # Importing the CLI loads nothing else: each command imports numpy and the
 # modules it runs when it runs, after the input checks that need neither.
@@ -70,7 +62,7 @@ def _fmt(value: float) -> str:
 
 
 def _check_outputs(path: str, *names: str) -> None:
-    """Raise ConfigError naming the first of `names` in the output directory
+    """Raise DataError naming the first of `names` in the output directory
     `path`, or the `NAME.tmp` open_output writes it through, that is itself a
     directory, before the command does work whose result it could not write.
     Makes nothing, so an input error leaves no `path` behind."""
@@ -79,7 +71,7 @@ def _check_outputs(path: str, *names: str) -> None:
     for name in names:
         for target in (Path(path) / name, Path(path) / f"{name}.tmp"):
             if target.is_dir():
-                raise ConfigError(f"is a directory: {target}")
+                raise DataError(f"is a directory: {target}")
 
 
 def _out_dir(path: str) -> Path:
@@ -90,7 +82,7 @@ def _out_dir(path: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at `path` or above it, or no permission
-        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
+        raise DataError(f"cannot make output directory {path}: {exc.strerror}") from None
     return out
 
 
@@ -149,7 +141,7 @@ def _data_dir(name: str) -> Path:
 def preset_path(name: str) -> Path:
     path = _data_dir("presets") / f"{name}.scn"
     if not path.exists():
-        raise ConfigError(f"unknown preset {name!r}")
+        raise DataError(f"unknown preset {name!r}")
     return path
 
 
@@ -169,13 +161,13 @@ def write_telemetry_csv(path: Path, series: Telemetry) -> None:
 
 
 def _check_exists(*paths: str | Path) -> None:
-    """Raise ConfigError naming the first of `paths` that is not a file."""
+    """Raise DataError naming the first of `paths` that is not a file."""
     from pathlib import Path
 
     for path in paths:
         if not Path(path).is_file():
             problem = "not a file" if Path(path).exists() else "no such file"
-            raise ConfigError(f"{problem}: {path}")
+            raise DataError(f"{problem}: {path}")
 
 
 def cmd_simulate(args) -> int:
@@ -185,7 +177,8 @@ def cmd_simulate(args) -> int:
     from rovermotion.config import write_key_value_file
 
     scenario = terrain.load_scenario(args.scenario)
-    telemetry = terrain.simulate_traverse(scenario)
+    with naming(args.scenario):
+        telemetry = terrain.simulate_traverse(scenario)
     out = _out_dir(args.out)
     write_telemetry_csv(out / "telemetry.csv", telemetry)
     final = (telemetry[-1] if len(telemetry)
@@ -228,29 +221,32 @@ def cmd_analyze(args) -> int:
     from rovermotion.telemetry import write_fixed_csv
 
     # each metric gives its writer, the writer's arguments after the path
-    # and the line to print; the output directory is made only then
-    if args.metric == "cot":
-        report = metrics.mean_cot(telemetry, config)
-        write, data = write_csv, (_COT_HEADER, [_cot_row(args.label, args.slope, report)])
-        line = f"cot={report.cost_of_transport:.3f}"
-    elif args.metric == "yaw-energy":
-        curve = metrics.energy_vs_yaw(telemetry)
-        total = curve[-1] if len(curve) else (0.0, 0.0)
-        write, data = write_fixed_csv, (_YAW_ENERGY_HEADER, curve)
-        line = f"yaw_deg={total[0]:.3f} energy_j={total[1]:.3f}"
-    elif args.metric == "efficiency":
-        series = _efficiency(telemetry, args.window)
-        write, data = _write_series, (_EFFICIENCY_HEADER, *series)
-        line = f"mean_ratio={_defined_mean(series[1]):.3f}"
-    else:  # slip
-        times = telemetry.column("t")
-        if len(times) < 2:  # the ground-truth speed is a finite difference
-            raise MetricsError("insufficient samples")
-        xy = np.column_stack((telemetry.column("x"), telemetry.column("y")))
-        gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
-        slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
-        write, data = _write_series, (["slip_t_s", "slip_ratio"], times, slip)
-        line = f"mean_slip={_defined_mean(slip):.3f}"
+    # and the line to print; the output directory is made only then;
+    # a refusal names the telemetry file
+    with naming(args.telemetry):
+        if args.metric == "cot":
+            report = metrics.mean_cot(telemetry, config)
+            row = _cot_row(args.label, args.slope, report)
+            write, data = write_csv, (_COT_HEADER, [row])
+            line = f"cot={report.cost_of_transport:.3f}"
+        elif args.metric == "yaw-energy":
+            curve = metrics.energy_vs_yaw(telemetry)
+            total = curve[-1] if len(curve) else (0.0, 0.0)
+            write, data = write_fixed_csv, (_YAW_ENERGY_HEADER, curve)
+            line = f"yaw_deg={total[0]:.3f} energy_j={total[1]:.3f}"
+        elif args.metric == "efficiency":
+            series = _efficiency(telemetry, args.window)
+            write, data = _write_series, (_EFFICIENCY_HEADER, *series)
+            line = f"mean_ratio={_defined_mean(series[1]):.3f}"
+        else:  # slip
+            times = telemetry.column("t")
+            if len(times) < 2:  # the ground-truth speed is a finite difference
+                raise DataError("insufficient samples")
+            xy = np.column_stack((telemetry.column("x"), telemetry.column("y")))
+            gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
+            slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
+            write, data = _write_series, (["slip_t_s", "slip_ratio"], times, slip)
+            line = f"mean_slip={_defined_mean(slip):.3f}"
     write(_out_dir(args.out) / _ANALYZE_OUTPUTS[args.metric], *data)
     print(line)
     return EXIT_OK
@@ -284,7 +280,7 @@ def cmd_deflect(args) -> int:
     # deflection.smooth_deflection_series checks this too, but only after the
     # fit of every frame; a bad window fails here, before any frame is read.
     if args.window < 1 or args.window % 2 == 0:
-        raise GeometryError("window must be odd and >= 1")
+        raise DataError("window must be odd and >= 1")
     _check_exists(args.model, args.camera, args.annotations)
     _check_outputs(args.out, "deflection.csv",
                    *(["deflection_smoothed.csv"] if args.window != 1 else []))
@@ -305,33 +301,29 @@ def cmd_deflect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     import io
-    from math import isfinite
     from pathlib import Path
 
     path = Path(args.table)
     _check_exists(path)
     _check_outputs(args.out, "power_params.txt", "calibration_residuals.csv")
-    from rovermotion.config import csv_rows, read_text, write_csv, write_key_value_file
+    from rovermotion.config import (
+        csv_rows, parse_finite, read_text, write_csv, write_key_value_file)
 
     rows = []
     header = ["mode", "slope_deg", "velocity", "cot"]
     for where, row in csv_rows(io.StringIO(read_text(path)), header, path):
-        try:
-            slope, velocity, cot = values = [float(cell) for cell in row[1:]]
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        for name, cell, value in zip(header[1:], row[1:], values):
-            if not isfinite(value):
-                raise ConfigError(f"{where}: non-finite {name} {cell!r}")
+        slope, velocity, cot = (parse_finite(cell, name, where)
+                                for name, cell in zip(header[1:], row[1:]))
         if args.flat_only and (slope != 0.0 or row[0].lower() != "nominal"):
             continue
         if velocity <= 0.0:
-            raise ConfigError(f"{where}: non-positive velocity in calibration row")
+            raise DataError(f"{where}: non-positive velocity in calibration row")
         rows.append((slope, velocity, cot))
     config = _config_from_args(args)
     from rovermotion import terrain
 
-    params, residuals = terrain.calibrate_power(rows, config)
+    with naming(path):
+        params, residuals = terrain.calibrate_power(rows, config)
     out = _out_dir(args.out)
     write_key_value_file(out / "power_params.txt", [
         (name, _fmt(getattr(params, name))) for name in sorted(params.__dataclass_fields__)
@@ -444,8 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TelemetryFormatError, GeometryError, MetricsError,
-            KinematicsError, CalibrationError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PoseFitError as exc:

@@ -8,10 +8,10 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from rovermotion.errors import ConfigError
+from rovermotion.errors import DataError, naming
 
 
 class LocomotionMode(enum.Enum):
@@ -26,7 +26,7 @@ class LocomotionMode(enum.Enum):
         for mode in cls:
             if mode.value == key:
                 return mode
-        raise ConfigError(f"unknown locomotion mode {text!r}")
+        raise DataError(f"unknown locomotion mode {text!r}")
 
 
 class WheelId(enum.Enum):
@@ -55,7 +55,7 @@ class BodyTwist:
     def __post_init__(self):
         for name in ("vx", "vy", "wz"):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"non-finite twist component {name}")
+                raise DataError(f"non-finite twist component {name}")
 
 
 @dataclass(frozen=True)
@@ -78,25 +78,25 @@ class RoverConfig:
     steering_limit: float = math.radians(95.0)
 
     def __post_init__(self):
-        """Raise ConfigError naming the first violated invariant; NaN violates all."""
+        """Raise DataError naming the first violated invariant; NaN violates all."""
         for name in ("mass", "gravity", "wheel_longitudinal_separation",
                      "wheel_lateral_separation", "wheel_radius"):
             if not getattr(self, name) > 0:
-                raise ConfigError(f"non-positive {name}")
+                raise DataError(f"non-positive {name}")
         if not self.steering_rate > 0:
-            raise ConfigError("non-positive steering rate")
+            raise DataError("non-positive steering rate")
         if not 0.0 < self.steering_limit <= math.pi:
-            raise ConfigError("empty steering range")
+            raise DataError("empty steering range")
         check_finite(self)
 
 
 def check_finite(params) -> None:
-    """Raise ConfigError naming the first float field of the dataclass
+    """Raise DataError naming the first float field of the dataclass
     `params` that is not finite. The types call it after their range checks,
     so a NaN that a range check rejects raises that check's message."""
     for field in fields(params):
         if field.type == "float" and not math.isfinite(getattr(params, field.name)):
-            raise ConfigError(f"non-finite {field.name}")
+            raise DataError(f"non-finite {field.name}")
 
 
 def wheel_positions(config: RoverConfig) -> dict[WheelId, tuple[float, float]]:
@@ -111,13 +111,13 @@ def wheel_positions(config: RoverConfig) -> dict[WheelId, tuple[float, float]]:
     }
 
 
-def read_text(path: str | Path, error: type[ValueError] = ConfigError) -> str:
-    """The contents of file `path` decoded as UTF-8; `error`, naming the
+def read_text(path: str | Path) -> str:
+    """The contents of file `path` decoded as UTF-8; DataError, naming the
     file, if it is not UTF-8."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
-        raise error(f"{path}: not UTF-8 text") from None
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 @contextmanager
@@ -126,7 +126,7 @@ def open_output(path: str | Path) -> Iterator[io.BufferedWriter]:
     by os.replace when the block succeeds and removed when it does not, so
     `path` holds a previous run's bytes or this run's, never part of them.
     The package's one way to write a file: an OSError, on opening, writing
-    or replacing, is ConfigError naming `path`."""
+    or replacing, is DataError naming `path`."""
     tmp = f"{path}.tmp"
     try:
         handle = open(tmp, "wb")
@@ -138,7 +138,7 @@ def open_output(path: str | Path) -> Iterator[io.BufferedWriter]:
             os.remove(tmp)
             raise
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def write_output(path: str | Path, text: str) -> None:
@@ -161,16 +161,16 @@ def csv_rows(
 ) -> Iterator[tuple[str, list[str]]]:
     """The rows after `header` of the CSV `lines`, which start at line
     `first_lineno` of `path`, each with its `path:line`; blank rows are
-    skipped. ConfigError names the file for another header, and the line for
+    skipped. DataError names the file for another header, and the line for
     a row whose length differs from the header's."""
     reader = csv.reader(lines)
     if next(reader, None) != header:
-        raise ConfigError(f"{path}: expected header {','.join(header)}")
+        raise DataError(f"{path}: expected header {','.join(header)}")
     for row in reader:
         if row:
             where = f"{path}:{first_lineno - 1 + reader.line_num}"
             if len(row) != len(header):
-                raise ConfigError(
+                raise DataError(
                     f"{where}: expected {len(header)} columns, got {len(row)}"
                 )
             yield where, row
@@ -194,35 +194,59 @@ def parse_key_value_lines(lines: list[str], path: str | Path) -> dict[str, str]:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, value = stripped.split("=", 1)
         key = key.strip()
         if key in pairs:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
         pairs[key] = value.strip()
     return pairs
 
 
-def parse_finite(text: str, key: str, path: str | Path) -> float:
-    """The value of `key` in file `path` as a finite float; errors name both."""
+def parse_finite(text: str, name: str, where: str | Path) -> float:
+    """The value `text` of `name` at `where`, a file or its `path:line`, as a
+    finite float; DataError names all three. The package's one parser of a
+    number read from an input file, but for the cells of a telemetry file."""
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"{path}: non-numeric {key} {text!r}") from None
+        raise DataError(f"{where}: non-numeric {name} {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{path}: non-finite {key} {text!r}")
+        raise DataError(f"{where}: non-finite {name} {text!r}")
     return value
 
 
-def load_config(path: str | Path) -> RoverConfig:
-    """Load a RoverConfig from a key/value file; unknown keys are errors."""
-    pairs = parse_key_value_file(path)
-    known = set(RoverConfig.__dataclass_fields__)
-    unknown = sorted(set(pairs) - known)
+def parse_integer(text: str, name: str, where: str | Path) -> int:
+    """The value `text` of `name` at `where` as an int: parse_finite's
+    number, refused unless it is an integer."""
+    value = parse_finite(text, name, where)
+    if not value.is_integer():
+        raise DataError(f"{where}: {name} = {value!r} is not an integer")
+    return int(value)
+
+
+def from_pairs(cls, pairs: dict[str, str], path: str | Path, prefix: str = ""):
+    """An instance of the dataclass `cls`, whose fields are floats and ints,
+    built from the `key = value` `pairs` of file `path`, each key `prefix`
+    and a field name. DataError, naming `path`, refuses unknown keys, missing
+    keys (fields without a default), a value that parse_finite or, for an
+    int field, parse_integer refuses, and the value that breaks an
+    invariant of `cls`."""
+    known = {f"{prefix}{field.name}": field for field in fields(cls)}
+    unknown = sorted(set(pairs) - set(known))
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    values = {key: parse_finite(text, key, path) for key, text in pairs.items()}
-    try:
-        return RoverConfig(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: unknown keys: {', '.join(unknown)}")
+    missing = [key for key, field in known.items() if key not in pairs
+               and field.default is MISSING and field.default_factory is MISSING]
+    if missing:
+        raise DataError(f"{path}: missing keys: {', '.join(missing)}")
+    parse = {"float": parse_finite, "int": parse_integer}
+    values = {known[key].name: parse[known[key].type](text, key, path)
+              for key, text in pairs.items()}
+    with naming(path):
+        return cls(**values)
+
+
+def load_config(path: str | Path) -> RoverConfig:
+    """Load a RoverConfig from a `key = value` file."""
+    return from_pairs(RoverConfig, parse_key_value_file(path), path)

@@ -1,7 +1,6 @@
 """Wheel-deflection estimation: reprojection, pose fit, chord geometry, volume."""
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -9,7 +8,16 @@ from pathlib import Path
 
 import numpy as np
 
-from rovermotion.errors import GeometryError, PoseFitError
+from rovermotion.config import (
+    csv_rows,
+    from_pairs,
+    parse_finite,
+    parse_integer,
+    parse_key_value_file,
+    read_text,
+    write_csv,
+)
+from rovermotion.errors import DataError, PoseFitError, naming
 
 
 @dataclass(frozen=True)
@@ -27,9 +35,9 @@ class WheelModel3D:
 
     def __post_init__(self):
         if not 0 < self.hub_radius < self.radius:
-            raise GeometryError("hub radius must be in (0, radius)")
+            raise DataError("hub radius must be in (0, radius)")
         if self.width <= 0:
-            raise GeometryError("non-positive wheel width")
+            raise DataError("non-positive wheel width")
 
     @property
     def circles(self) -> list[tuple[float, float]]:
@@ -57,9 +65,9 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
-            raise GeometryError("non-positive focal length")
+            raise DataError("non-positive focal length")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
-            raise GeometryError("principal point outside image")
+            raise DataError("principal point outside image")
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ class ChordAnnotation:
 
     def __post_init__(self):
         if self.p1 == self.p2:
-            raise GeometryError("degenerate chord: identical endpoints")
+            raise DataError("degenerate chord: identical endpoints")
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,7 @@ def _pixels(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     """Pinhole image of camera-frame points."""
     z = cam_pts[..., 2]
     if np.any(z <= 0):
-        raise GeometryError("wheel behind camera")
+        raise DataError("wheel behind camera")
     return np.stack(
         [
             cam.fx * cam_pts[..., 0] / z + cam.cx,
@@ -187,7 +195,7 @@ def _signed_curve_distances(
     _CLOSEST_POINT_TOL_PX. The sign is positive where the ray passes outside
     the circle. A plane that holds the camera centre to within
     _EDGE_ON_REL_TOL, a ray parallel to the plane, or a curve point at or
-    behind the camera raises GeometryError.
+    behind the camera raises DataError.
 
     Limit: seen within ~6 degrees of edge-on, noise can move the ray-plane
     seed far along the thin projected ellipse, and Newton may settle on a
@@ -199,13 +207,13 @@ def _signed_curve_distances(
     centre = np.multiply.outer(z_offset, normal) + pose.translation
     offset = centre @ normal
     if np.any(np.abs(offset) <= _EDGE_ON_REL_TOL * np.linalg.norm(centre, axis=1)):
-        raise GeometryError("wheel plane seen edge-on: viewing rays parallel to it")
+        raise DataError("wheel plane seen edge-on: viewing rays parallel to it")
     focal = np.array([cam.fx, cam.fy])
     ray = np.column_stack([(observed - [cam.cx, cam.cy]) / focal, np.ones(len(observed))])
     with np.errstate(divide="ignore", invalid="ignore"):
         hit = ray * (offset / (ray @ normal))[:, None] - centre
     if not np.isfinite(hit).all():
-        raise GeometryError("viewing ray parallel to the wheel plane")
+        raise DataError("viewing ray parallel to the wheel plane")
     phi = np.arctan2(hit @ e2, hit @ e1)
     r = radius[:, None]
     converged = False
@@ -277,12 +285,12 @@ def fit_wheel_pose(
     non-convergence.
     """
     if len(loops) != len(model.circles):
-        raise GeometryError("expected one observed loop per model circle")
+        raise DataError("expected one observed loop per model circle")
     for loop in loops:
         if len(loop) < 8:
-            raise GeometryError("need at least 8 points per loop")
+            raise DataError("need at least 8 points per loop")
     if initial_guess.translation[2] <= 0:
-        raise GeometryError("wheel behind camera")
+        raise DataError("wheel behind camera")
 
     observed = np.concatenate([np.asarray(loop, dtype=float) for loop in loops])
     radius, z_offset = np.repeat(model.circles, [len(loop) for loop in loops], axis=0).T
@@ -296,13 +304,15 @@ def fit_wheel_pose(
             return np.full(len(observed), 1e6)
         try:
             return _signed_curve_distances(observed, radius, z_offset, pose, cam)
-        except GeometryError:
+        except DataError:
             return np.full(len(observed), 1e6)
 
     x0 = np.concatenate([_tilt_rotvec(initial_guess.axis), initial_guess.translation])
-    x, fun, nfev, failure = _levenberg_marquardt(
-        residuals, x0, max_iterations * (len(x0) + 1))
-    pose, rms = pose_of(x), math.sqrt(float(np.mean(fun**2)))
+    # a residual that overflows is inf, which the solver refuses by name
+    with np.errstate(over="ignore"):
+        x, fun, nfev, failure = _levenberg_marquardt(
+            residuals, x0, max_iterations * (len(x0) + 1))
+        pose, rms = pose_of(x), math.sqrt(float(np.mean(fun**2)))
     if failure:
         raise PoseFitError(pose, rms, nfev, failure)
     return pose, rms
@@ -316,11 +326,14 @@ def _levenberg_marquardt(fun, x, max_nfev: int):
     (Marquardt's damping, scaled as in More 1978). The gain ratio rho, actual
     over predicted reduction, accepts the step if positive and updates mu by
     Nielsen's rule. The fit converges when the scaled step falls to 1e-14 of
-    the scaled x, or both reductions to 1e-14 of |f|^2; it fails if a column
-    of J is 0. Every call of `fun` counts against `max_nfev`, Jacobian columns
-    too.
+    the scaled x, or both reductions to 1e-14 of |f|^2; it fails if |f(x)|^2
+    is not finite (an accepted step lowers it, so the answer's is finite when
+    the start's is) or a column of J is 0. Every call of `fun` counts against
+    `max_nfev`, Jacobian columns too.
     """
     f, nfev, mu, nu, scale, fresh = fun(x), 1, 1e-3, 2.0, np.zeros(len(x)), True
+    if not np.isfinite(f @ f):
+        return x, f, nfev, "residual not finite"
     while nfev + len(x) * fresh < max_nfev:
         if fresh:
             dx = 1e-6 * np.maximum(1.0, np.abs(x))
@@ -411,7 +424,7 @@ def smooth_deflection_series(
 ) -> list[DeflectionEstimate]:
     """Centered moving average of fractions; edges use truncated windows."""
     if window < 1 or window % 2 == 0:
-        raise GeometryError("window must be odd and >= 1")
+        raise DataError("window must be odd and >= 1")
     half, out = window // 2, []
     for i, est in enumerate(raw):
         near = raw[max(0, i - half):i + half + 1]
@@ -427,7 +440,7 @@ def segment_fraction(depth_ratio: float) -> float:
     width, so the fraction is (acos(h/r) - (h/r) sqrt(1 - (h/r)^2)) / pi.
     """
     if not 0.0 <= depth_ratio <= 1.0:
-        raise GeometryError("depth ratio outside [0, 1]")
+        raise DataError("depth ratio outside [0, 1]")
     return (
         math.acos(depth_ratio) - depth_ratio * math.sqrt(1.0 - depth_ratio**2)
     ) / math.pi
@@ -436,7 +449,7 @@ def segment_fraction(depth_ratio: float) -> float:
 def depth_for_fraction(fraction: float) -> float:
     """Invert segment_fraction: chord distance ratio for a target fraction."""
     if not 0.0 <= fraction < 0.5:
-        raise GeometryError("fraction outside [0, 0.5)")
+        raise DataError("fraction outside [0, 0.5)")
     if fraction == 0.0:
         return 1.0
     low, high = 0.0, 1.0  # segment_fraction falls from 0.5 at 0 to 0 at 1
@@ -485,21 +498,13 @@ def _serialize_loop(loop: np.ndarray) -> str:
     return ";".join(f"{u:.6f}:{v:.6f}" for u, v in loop)
 
 
-def _finite(text: str) -> float:
-    """The annotation cell `text` as a finite float; else ValueError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text!r}")
-    return value
-
-
-def _parse_loop(text: str) -> np.ndarray:
+def _parse_loop(text: str, name: str, where: str) -> np.ndarray:
     points = []
     for pair in text.split(";"):
         uv = pair.split(":")
         if len(uv) != 2:
-            raise ValueError(f"loop point {pair!r} is not u:v")
-        points.append((_finite(uv[0]), _finite(uv[1])))
+            raise DataError(f"{where}: loop point {pair!r} is not u:v")
+        points.append([parse_finite(cell, name, where) for cell in uv])
     return np.array(points)
 
 
@@ -517,8 +522,6 @@ ANNOTATION_HEADER = [
 
 
 def write_annotations_csv(path: str | Path, frames: list[AnnotationFrame]) -> None:
-    from rovermotion.config import write_csv
-
     rows = []
     for item in frames:
         chord = ([""] * 4 if item.chord is None
@@ -528,26 +531,18 @@ def write_annotations_csv(path: str | Path, frames: list[AnnotationFrame]) -> No
 
 
 def read_annotations_csv(path: str | Path) -> list[AnnotationFrame]:
-    from rovermotion.config import read_text
-
     frames = []
-    reader = csv.reader(io.StringIO(read_text(path, GeometryError)))
-    header = next(reader, None)
-    if header != ANNOTATION_HEADER:
-        raise GeometryError(f"{path}: unexpected annotation header")
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(ANNOTATION_HEADER):
-            raise GeometryError(f"{path}:{lineno}: wrong column count")
-        try:
-            loops = [_parse_loop(cell) for cell in row[2:5]]
-            if any(cell.strip() for cell in row[5:9]):
-                x1, y1, x2, y2 = map(_finite, row[5:9])
+    for where, row in csv_rows(io.StringIO(read_text(path)), ANNOTATION_HEADER, path):
+        cells = list(zip(ANNOTATION_HEADER, row))
+        loops = [_parse_loop(cell, name, where) for name, cell in cells[2:5]]
+        chord = None  # while the wheel is airborne
+        if any(cell.strip() for cell in row[5:9]):
+            x1, y1, x2, y2 = (parse_finite(cell, name, where)
+                              for name, cell in cells[5:9])
+            with naming(where):
                 chord = ChordAnnotation((x1, y1), (x2, y2))
-            else:
-                chord = None
-            frames.append(AnnotationFrame(int(row[0]), row[1], loops, chord))
-        except ValueError as exc:  # GeometryError is one too
-            raise GeometryError(f"{path}:{lineno}: {exc}") from None
+        frame = parse_integer(row[0], "frame", where)
+        frames.append(AnnotationFrame(frame, row[1], loops, chord))
     return frames
 
 
@@ -564,7 +559,7 @@ def initial_pose_guess(
     centroid = inboard.mean(axis=0)
     apparent = float(np.mean(np.linalg.norm(inboard - centroid, axis=1)))
     if apparent <= 0:
-        raise GeometryError("degenerate loop")
+        raise DataError("degenerate loop")
     depth = cam.fx * model.radius / apparent
     x = (centroid[0] - cam.cx) / cam.fx * depth
     y = (centroid[1] - cam.cy) / cam.fy * depth
@@ -601,43 +596,9 @@ def process_annotations(
     return estimates
 
 
-def _load_numbers(path: str | Path, keys: tuple[str, ...]) -> dict[str, float]:
-    """The numeric `key = value` pairs of a file that holds exactly `keys`."""
-    from rovermotion.config import parse_key_value_file
-
-    pairs = parse_key_value_file(path)
-    unknown = sorted(set(pairs) - set(keys))
-    if unknown:
-        raise GeometryError(f"{path}: unknown keys: {', '.join(unknown)}")
-    missing = [key for key in keys if key not in pairs]
-    if missing:
-        raise GeometryError(f"{path}: missing keys: {', '.join(missing)}")
-    values = {}
-    for key, text in pairs.items():
-        try:
-            values[key] = float(text)
-        except ValueError:
-            values[key] = math.nan
-        if not math.isfinite(values[key]):
-            raise GeometryError(f"{path}: {key} = {text!r} is not a finite number")
-    return values
-
-
 def load_wheel_model(path: str | Path) -> WheelModel3D:
-    values = _load_numbers(path, ("radius", "width", "hub_radius"))
-    try:
-        return WheelModel3D(**values)
-    except GeometryError as exc:
-        raise GeometryError(f"{path}: {exc}") from None
+    return from_pairs(WheelModel3D, parse_key_value_file(path), path)
 
 
 def load_camera(path: str | Path) -> CameraIntrinsics:
-    values = _load_numbers(path, ("fx", "fy", "cx", "cy", "width", "height"))
-    for key in ("width", "height"):
-        if not values[key].is_integer():
-            raise GeometryError(f"{path}: {key} = {values[key]!r} is not an integer")
-        values[key] = int(values[key])
-    try:
-        return CameraIntrinsics(**values)
-    except GeometryError as exc:
-        raise GeometryError(f"{path}: {exc}") from None
+    return from_pairs(CameraIntrinsics, parse_key_value_file(path), path)

@@ -8,34 +8,29 @@ or `deflection`, and `simulate` does not use `metrics`.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from rovermotion.deflection import WheelPose
 
 
-class ConfigError(ValueError):
-    """Raised when a rover configuration violates an invariant."""
+class DataError(ValueError):
+    """An input the package refuses, or an output it cannot write: a file it
+    cannot read, a value it cannot parse, one that breaks an invariant of the
+    type built from it, or one for which a result is undefined. The CLI
+    prints it and exits 2."""
 
 
-class TelemetryFormatError(ValueError):
-    """Raised for malformed telemetry files."""
-
-
-class KinematicsError(ValueError):
-    """Raised for mode/twist combinations the steering geometry cannot realize."""
-
-
-class MetricsError(ValueError):
-    """Raised when a metric is undefined for the given input."""
-
-
-class CalibrationError(ValueError):
-    """Raised when the power-model calibration problem is ill-posed."""
-
-
-class GeometryError(ValueError):
-    """Raised for geometrically invalid deflection inputs."""
+@contextmanager
+def naming(where: object) -> Iterator[None]:
+    """Put `where`, an input's path or `path:line`, in front of the message
+    of a DataError raised in the block."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 class PoseFitError(RuntimeError):

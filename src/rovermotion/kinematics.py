@@ -11,14 +11,14 @@ import numpy as np
 from rovermotion.config import (
     WHEEL_ORDER,
     BodyTwist,
-    ConfigError,
     LocomotionMode,
     RoverConfig,
     WheelCommand,
     csv_rows,
+    parse_finite,
     wheel_positions,
 )
-from rovermotion.errors import KinematicsError
+from rovermotion.errors import DataError, naming
 
 
 _PARALLEL_EIG_TOL = 1e-12
@@ -30,7 +30,7 @@ def _normalize_steering(angle: float, speed: float, limit: float) -> tuple[float
     if abs(angle) > limit:
         angle, speed = angle - math.copysign(math.pi, angle), -speed
     if not -limit <= angle <= limit:
-        raise KinematicsError("steering limit exceeded")
+        raise DataError("steering limit exceeded")
     return angle, speed
 
 
@@ -52,12 +52,12 @@ def inverse_kinematics(
                   for _, y in points]
     elif mode is LocomotionMode.CRAB:
         if twist.wz != 0.0:
-            raise KinematicsError("yaw rate unsupported in crab mode")
+            raise DataError("yaw rate unsupported in crab mode")
         speed = math.hypot(twist.vx, twist.vy)
         angle = math.atan2(twist.vy, twist.vx) if speed > 0 else 0.0
         wheels = [(angle, speed)] * len(points)
     elif mode is LocomotionMode.ACKERMANN and twist.vy != 0.0:
-        raise KinematicsError("lateral velocity unsupported in Ackermann")
+        raise DataError("lateral velocity unsupported in Ackermann")
     elif mode is LocomotionMode.ACKERMANN and twist.wz == 0.0:
         wheels = [(0.0, twist.vx)] * len(points)  # ICR at infinity: straight line
     elif mode is LocomotionMode.POINT_TURN or mode is LocomotionMode.ACKERMANN:
@@ -67,7 +67,7 @@ def inverse_kinematics(
         rels = [(px, py - icr_y) for px, py in points]
         wheels = [(math.atan2(rx, -ry), twist.wz * math.hypot(rx, ry)) for rx, ry in rels]
     else:
-        raise KinematicsError(f"unsupported mode {mode}")
+        raise DataError(f"unsupported mode {mode}")
     commands = []
     for wheel, (angle, speed) in zip(WHEEL_ORDER, wheels):
         angle, drive_speed = _normalize_steering(
@@ -133,7 +133,7 @@ class ProfileSegment:
 
     def __post_init__(self):
         if not 0.0 < self.duration < math.inf:
-            raise ConfigError("segment duration outside (0, inf)")
+            raise DataError("segment duration outside (0, inf)")
 
 
 PROFILE_HEADER = ["duration_s", "vx", "vy", "wz", "mode"]
@@ -145,20 +145,16 @@ def parse_profile(
     """Parse a twist profile CSV: the header duration_s,vx,vy,wz,mode, then rows.
 
     `lines` starts at the header, which is line `first_lineno` of `path`.
-    Blank rows are skipped; any other malformed row raises ConfigError
+    Blank rows are skipped; any other malformed row raises DataError
     naming `path:line`.
     """
     segments = []
     for where, row in csv_rows(lines, PROFILE_HEADER, path, first_lineno):
-        try:
-            duration, vx, vy, wz = (float(cell) for cell in row[:4])
-            if not 0.0 < duration < math.inf:
-                raise ConfigError(f"duration {row[0]!r} outside (0, inf)")
+        duration, vx, vy, wz = (parse_finite(cell, name, where)
+                                for name, cell in zip(PROFILE_HEADER, row[:4]))
+        with naming(where):
             mode = LocomotionMode.parse(row[4])
-            twist = BodyTwist(vx, vy, wz)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        segments.append(ProfileSegment(duration, twist, mode))
+            segments.append(ProfileSegment(duration, BodyTwist(vx, vy, wz), mode))
     return segments
 
 

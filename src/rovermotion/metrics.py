@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rovermotion.config import RoverConfig
-from rovermotion.errors import MetricsError
+from rovermotion.errors import DataError
 from rovermotion.telemetry import Telemetry
 
 
@@ -23,12 +23,16 @@ class CotReport:
 
 
 def cost_of_transport(power_w: float, mass: float, gravity: float, v: float) -> float:
-    """Dimensionless energy cost of moving mass at speed v: P / (m g v)."""
-    if mass <= 0 or gravity <= 0:
-        raise MetricsError("non-positive mass or gravity")
+    """Dimensionless energy cost of moving mass at speed v: P / (m g v),
+    refused unless m g v is a positive finite number (so not a product of
+    positive numbers that rounds to 0) and the quotient is finite."""
     if v <= 0:
-        raise MetricsError("undefined at zero velocity")
-    return power_w / (mass * gravity * v)
+        raise DataError("undefined at zero velocity")
+    weight_speed = mass * gravity * v
+    cot = power_w / weight_speed if 0.0 < weight_speed < math.inf else math.nan
+    if not math.isfinite(cot):
+        raise DataError(f"P / (m g v) = {power_w!r} / {weight_speed!r} is not finite")
+    return cot
 
 
 def encoder_speed(telemetry: Telemetry) -> np.ndarray:
@@ -54,7 +58,7 @@ def mean_cot(telemetry: Telemetry, config: RoverConfig) -> CotReport:
     the odometry twist), matching how the test campaign computed the table.
     """
     if len(telemetry) < 2:
-        raise MetricsError("insufficient samples")
+        raise DataError("insufficient samples")
     t = telemetry.column("t")
     p = telemetry.total_power
     v = encoder_speed(telemetry)
@@ -129,13 +133,13 @@ def angular_speed_efficiency(
     gt_heading = np.unwrap(np.asarray(gt_heading, dtype=float))
     odo_wz = np.asarray(odo_wz, dtype=float)
     if not len(times) == len(gt_heading) == len(odo_wz):
-        raise MetricsError("series must be time-aligned")
+        raise DataError("series must be time-aligned")
     if len(times) < 3:
-        raise MetricsError("insufficient samples")
+        raise DataError("insufficient samples")
     gt_rate = np.gradient(gt_heading, times)
     dt = _median(np.diff(times))
     if smoothing_window_s / dt > len(times):  # before round(), which fails on inf
-        raise MetricsError("smoothing window longer than the series")
+        raise DataError("smoothing window longer than the series")
     window = max(1, int(round(smoothing_window_s / dt)))
     if window % 2 == 0:
         window += 1
@@ -151,7 +155,7 @@ def longitudinal_slip(encoder_v: np.ndarray, mocap_v: np.ndarray) -> np.ndarray:
     encoder_v = np.asarray(encoder_v, dtype=float)
     mocap_v = np.asarray(mocap_v, dtype=float)
     if len(encoder_v) != len(mocap_v):
-        raise MetricsError("series must be time-aligned")
+        raise DataError("series must be time-aligned")
     moving = encoder_v > 0
     slip = np.full(len(encoder_v), np.nan)
     np.subtract(encoder_v, mocap_v, out=slip, where=moving)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from rovermotion.config import WHEEL_ORDER, open_output
-from rovermotion.errors import TelemetryFormatError
+from rovermotion.errors import DataError
 
 BUS_VOLTAGE = 24.0
 FLOAT_FORMAT = "%.6f"
@@ -299,11 +299,11 @@ def read_telemetry_csv(path: str | Path) -> Telemetry:
         try:
             return _read_rows(path)
         except UnicodeDecodeError:
-            raise TelemetryFormatError(f"{path}: not UTF-8 text") from None
+            raise DataError(f"{path}: not UTF-8 text") from None
     t = values[:, 0]
     late = np.flatnonzero(t[1:] <= t[:-1])
     if late.size:
-        raise TelemetryFormatError(f"{path}:{late[0] + 3}: non-increasing timestamp")
+        raise DataError(f"{path}:{late[0] + 3}: non-increasing timestamp")
     return Telemetry(values)
 
 
@@ -513,22 +513,22 @@ def _read_rows(path: str | Path) -> Telemetry:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != TELEMETRY_HEADER:
-            raise TelemetryFormatError(f"{path}: unexpected telemetry header")
+            raise DataError(f"{path}: unexpected telemetry header")
         previous_t = None
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(TELEMETRY_HEADER):
-                raise TelemetryFormatError(f"{path}:{lineno}: wrong column count")
+                raise DataError(f"{path}:{lineno}: wrong column count")
             try:
                 v = [float(cell) for cell in row]
             except ValueError as exc:
-                raise TelemetryFormatError(f"{path}:{lineno}: {exc}") from exc
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
             # nan fails every comparison, so the order check below lets it by
             if not math.isfinite(v[0]):
-                raise TelemetryFormatError(
+                raise DataError(
                     f"{path}:{lineno}: non-finite timestamp {row[0]!r}"
                 )
             if previous_t is not None and v[0] <= previous_t:
-                raise TelemetryFormatError(
+                raise DataError(
                     f"{path}:{lineno}: non-increasing timestamp"
                 )
             previous_t = v[0]

@@ -10,16 +10,16 @@ import numpy as np
 from rovermotion.config import (
     WHEEL_ORDER,
     BodyTwist,
-    ConfigError,
     LocomotionMode,
     RoverConfig,
     WheelCommand,
     check_finite,
+    from_pairs,
     parse_finite,
     parse_key_value_lines,
     read_text,
 )
-from rovermotion.errors import CalibrationError
+from rovermotion.errors import DataError, naming
 from rovermotion.kinematics import (
     ProfileSegment,
     integrate_track,
@@ -38,6 +38,10 @@ from rovermotion.telemetry import (
 
 _ANGLE_TOL = 1e-9
 
+# The most telemetry rows one simulation plans, the final sample's included:
+# 10**7 rows of 36 float64 columns take 2.9 GB.
+MAX_ROWS = 10**7
+
 
 @dataclass(frozen=True)
 class TerrainParams:
@@ -50,16 +54,16 @@ class TerrainParams:
 
     def __post_init__(self):
         if not 0.0 <= self.slope_deg < 90.0:
-            raise ConfigError("slope out of supported range")
+            raise DataError("slope out of supported range")
         for name in ("skid_rotation_efficiency", "point_turn_efficiency"):
             if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} outside (0, 1]")
+                raise DataError(f"{name} outside (0, 1]")
         if not 0.0 <= self.longitudinal_slip_ratio < 1.0:
-            raise ConfigError("longitudinal_slip_ratio outside [0, 1)")
+            raise DataError("longitudinal_slip_ratio outside [0, 1)")
         if not self.noise_std >= 0.0:
-            raise ConfigError("negative noise_std")
+            raise DataError("negative noise_std")
         if not (isinstance(self.rng_seed, int) and self.rng_seed >= 0):
-            raise ConfigError("rng_seed is not a non-negative integer")
+            raise DataError("rng_seed is not a non-negative integer")
         check_finite(self)
 
 
@@ -87,9 +91,9 @@ class PowerModelParams:
                      "steering_hold_power", "steering_move_power",
                      "speed_quadratic_coeff", "lateral_friction_coeff"):
             if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"negative {name}")
+                raise DataError(f"negative {name}")
         if not 0.0 < self.drivetrain_efficiency <= 1.0:
-            raise ConfigError("drivetrain_efficiency outside (0, 1]")
+            raise DataError("drivetrain_efficiency outside (0, 1]")
         check_finite(self)
 
 
@@ -191,7 +195,7 @@ class Scenario:
 
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:
-            raise ConfigError("integration step outside (0, inf)")
+            raise DataError("integration step outside (0, inf)")
 
 
 def _phase_block(
@@ -215,6 +219,15 @@ def _phase_block(
         block[:, FIELD_COLUMNS[name]] = value
 
 
+def _within_ceiling(planned: int, samples: float) -> float:
+    """The row count `samples` of the next phase, before rounding up to at
+    most `samples` + 1, refused (as are inf and nan) unless the `planned`
+    rows and those stay within MAX_ROWS."""
+    if not planned + samples < MAX_ROWS:
+        raise DataError(f"the profile plans more than {MAX_ROWS} telemetry rows")
+    return samples
+
+
 def simulate_traverse(scenario: Scenario) -> Telemetry:
     """Simulate a scenario into synthetic telemetry.
 
@@ -229,7 +242,9 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     scales each step's vx, vy and wz by 1 + N(0, noise_std), in that order.
 
     The phases are planned first and then written into one telemetry array,
-    so the working memory is that array and a few of its columns.
+    so the working memory is that array and a few of its columns. A profile
+    whose phases would hold more than MAX_ROWS rows is refused before any of
+    them is allocated.
     """
     config, terrain, power = scenario.config, scenario.terrain, scenario.power
     if not scenario.profile:
@@ -239,13 +254,15 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     # (samples, achieved twist or None while the body holds still,
     #  _phase_block's arguments) of each phase
     phases: list[tuple[int, BodyTwist | None, tuple]] = []
+    planned = 1  # the final sample
     current_angles = np.zeros(4)
     for segment in scenario.profile:
         commands = inverse_kinematics(segment.twist, segment.mode, config)
         targets = np.array([cmd.steering_angle for cmd in commands])
         deltas, move_times = _slew(current_angles, targets, config)
         if move_times.max() > _ANGLE_TOL:
-            n = math.ceil(move_times.max() / step - 1e-9)
+            n = math.ceil(_within_ceiling(planned, move_times.max() / step) - 1e-9)
+            planned += n
             tau = (np.arange(n) * step)[:, None]
             angles = current_angles + np.copysign(
                 np.minimum(tau * config.steering_rate, np.abs(deltas)), deltas
@@ -259,7 +276,8 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
                      steer_power / BUS_VOLTAGE, 0.0, angles)
             phases.append((n, None, block))
             current_angles = targets
-        n = max(1, round(segment.duration / step))
+        n = max(1, round(_within_ceiling(planned, segment.duration / step)))
+        planned += n
         _, breakdown = drive_power(commands, terrain, config, power)
         block = (
             (segment.twist.vx, segment.twist.vy, segment.twist.wz),
@@ -270,8 +288,8 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
         )
         phases.append((n, apply_slip(segment.twist, segment.mode, terrain), block))
 
-    steps = sum(n for n, _, _ in phases)
-    values = np.empty((steps + 1, len(TELEMETRY_HEADER)))
+    steps = planned - 1
+    values = np.empty((planned, len(TELEMETRY_HEADER)))
     achieved = np.zeros((steps, 3))  # (vx, vy, wz) of each step
     # the generator, and numpy.random with it, only when there is noise to draw
     rng = np.random.default_rng(terrain.rng_seed) if terrain.noise_std > 0.0 else None
@@ -323,23 +341,29 @@ def calibrate_power(
     squared CoT residuals subject to non-negative parameters; the slope
     gravity term is fixed by the physics, not fitted. Returns the fitted
     params (drivetrain efficiency pinned at 1) and per-row residuals
-    (predicted minus measured).
+    (predicted minus measured). Refused where a column of the fit's design
+    matrix is not finite, or is 0: where a velocity is so large, or m g v
+    so small, that a term overflows.
     """
     if len(rows) < 3:
-        raise CalibrationError("underdetermined calibration")
-    mg = config.mass * config.gravity
+        raise DataError("underdetermined calibration")
+    # a numpy float, so that a product m g v that rounds to 0 divides to inf
+    mg = np.float64(config.mass * config.gravity)
     design = np.zeros((len(rows), 3))
     target = np.zeros(len(rows))
-    for i, (slope_deg, v, cot) in enumerate(rows):
-        if v <= 0:
-            raise CalibrationError("non-positive velocity in calibration row")
-        theta = math.radians(slope_deg)
-        design[i] = (4.0 / (mg * v), math.cos(theta), 4.0 * v / mg)
-        target[i] = cot - math.sin(theta)
+    with np.errstate(divide="ignore", over="ignore"):
+        for i, (slope_deg, v, cot) in enumerate(rows):
+            if v <= 0:
+                raise DataError("non-positive velocity in calibration row")
+            theta = math.radians(slope_deg)
+            design[i] = (4.0 / (mg * v), math.cos(theta), 4.0 * v / mg)
+            target[i] = cot - math.sin(theta)
+        norms = np.linalg.norm(design, axis=0)
+    if not ((norms > 0.0) & (norms < np.inf)).all():
+        raise DataError("calibration terms out of floating-point range")
     # the non-negative fit is the least-squares fit on some set of free columns,
     # the rest at 0: keep the best feasible one (Lawson and Hanson 1974, ch. 23).
     # Unit columns keep lstsq's error at that of the column-scaled problem.
-    norms = np.linalg.norm(design, axis=0)
     unit, solution, misfit = design / norms, np.zeros(3), float(target @ target)
     for free in ([j for j in range(3) if subset >> j & 1] for subset in range(1, 8)):
         trial = np.zeros(3)
@@ -358,38 +382,33 @@ def calibrate_power(
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load a scenario file: `key = value` lines, then a [profile] CSV block."""
+    """Load a scenario file: `key = value` lines, then a [profile] CSV block.
+
+    Besides `name`, `step` and `marker_offset_x`/`_y`, each key is a section,
+    `terrain`, `config` or `power`, a dot and a field of the section's type."""
     lines = read_text(path).splitlines()
     try:
         split = lines.index("[profile]")
     except ValueError:
-        raise ConfigError(f"{path}: missing [profile] section") from None
+        raise DataError(f"{path}: missing [profile] section") from None
     pairs = parse_key_value_lines(lines[:split], path)
 
     def number(key: str, default: str) -> float:
         return parse_finite(pairs.pop(key, default), key, path)
 
-    sections = {"terrain": TerrainParams, "config": RoverConfig, "power": PowerModelParams}
-    kwargs: dict[str, dict[str, float]] = {section: {} for section in sections}
     name = pairs.pop("name", Path(path).stem)
     step = number("step", "0.01")
     marker = (number("marker_offset_x", "0"), number("marker_offset_y", "0"))
-    for key in list(pairs):
-        section, _, field_name = key.partition(".")
-        known = sections[section].__dataclass_fields__ if section in sections else {}
-        if field_name not in known:
-            raise ConfigError(f"{path}: unknown scenario key {key!r}")
-        kwargs[section][field_name] = number(key, "")
+    sections = {"terrain": TerrainParams, "config": RoverConfig, "power": PowerModelParams}
+    unknown = sorted(key for key in pairs if key.partition(".")[0] not in sections)
+    if unknown:
+        raise DataError(f"{path}: unknown keys: {', '.join(unknown)}")
+    # built in the order of `sections`, which names the first invalid one
+    params = {
+        section: from_pairs(cls, {key: text for key, text in pairs.items()
+                                  if key.startswith(f"{section}.")}, path, f"{section}.")
+        for section, cls in sections.items()
+    }
     profile = parse_profile(lines[split + 1 :], path, first_lineno=split + 2)
-    seed = kwargs["terrain"].pop("rng_seed", 0.0)
-    try:  # each error below is prefixed with the file name
-        if not step > 0:
-            raise ConfigError(f"non-positive step {step!r}")
-        if not (seed.is_integer() and seed >= 0):
-            raise ConfigError(f"terrain.rng_seed = {seed!r} is not a non-negative integer")
-        kwargs["terrain"]["rng_seed"] = int(seed)
-        # built in the order of `sections`, which names the first invalid one
-        params = {section: cls(**kwargs[section]) for section, cls in sections.items()}
+    with naming(path):
         return Scenario(profile, **params, marker_offset=marker, step=step, name=name)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None

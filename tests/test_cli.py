@@ -83,10 +83,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("1.0,abc,0,0,skid_steer", "could not convert string to float: 'abc'"),
+            ("1.0,abc,0,0,skid_steer", "non-numeric vx 'abc'"),
             ("1.0,0.05,0", "expected 5 columns, got 3"),
             ("1.0,0.05,0,0,hover", "unknown locomotion mode 'hover'"),
-            ("1,inf,0,0,skid_steer", "non-finite twist component vx"),
+            ("1,inf,0,0,skid_steer", "non-finite vx 'inf'"),
         ],
         ids=["non_numeric", "short_row", "unknown_mode", "non_finite_twist"],
     )
@@ -104,24 +104,29 @@ class TestSimulate:
         "setting, row, message",
         [
             ("step = nan", "", ": non-finite step 'nan'"),
-            ("", "inf,0.06,0,0,skid_steer", ":6: duration 'inf' outside (0, inf)"),
-            ("", "nan,0.06,0,0,skid_steer", ":6: duration 'nan' outside (0, inf)"),
-            ("", "0,0.06,0,0,skid_steer", ":6: duration '0' outside (0, inf)"),
+            ("", "inf,0.06,0,0,skid_steer", ":6: non-finite duration_s 'inf'"),
+            ("", "nan,0.06,0,0,skid_steer", ":6: non-finite duration_s 'nan'"),
+            ("", "0,0.06,0,0,skid_steer", ":6: segment duration outside (0, inf)"),
             ("config.mass = nan", "", ": non-finite config.mass 'nan'"),
             ("config.steering_rate = inf", "", ": non-finite config.steering_rate 'inf'"),
             ("marker_offset_x = inf", "", ": non-finite marker_offset_x 'inf'"),
             ("terrain.noise_std = 0.05\nterrain.rng_seed = -1", "",
-             ": terrain.rng_seed = -1.0 is not a non-negative integer"),
+             ": rng_seed is not a non-negative integer"),
             ("terrain.rng_seed = 1.5", "",
-             ": terrain.rng_seed = 1.5 is not a non-negative integer"),
+             ": terrain.rng_seed = 1.5 is not an integer"),
             ("terrain.slope_deg = 95", "", ": slope out of supported range"),
-            ("step = 0", "", ": non-positive step 0.0"),
-            *[(f"config.{key} = 1", "", f": unknown scenario key 'config.{key}'")
+            ("step = 0", "", ": integration step outside (0, inf)"),
+            *[(setting, row, ": the profile plans more than 10000000 telemetry rows")
+              for setting, row in [("", "1e308,0.06,0,0,skid_steer"),
+                                   ("step = 5e-324", ""),
+                                   ("", "1e20,0.06,0,0,skid_steer")]],
+            *[(f"config.{key} = 1", "", f": unknown keys: config.{key}")
               for key in REMOVED_CONFIG_KEYS],
         ],
         ids=["step_nan", "duration_inf", "duration_nan", "duration_zero", "mass_nan",
              "steering_rate_inf", "marker_offset_inf", "rng_seed_negative",
              "rng_seed_fractional", "slope_out_of_range", "step_zero",
+             "duration_1e308", "step_5e-324", "duration_1e20",
              *(f"removed_{key}" for key in REMOVED_CONFIG_KEYS)],
     )
     def test_bad_scenario_number_names_the_file(self, tmp_path, capsys, setting, row,
@@ -221,7 +226,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("source, message", [
         ("header_only", "insufficient samples"),
         ("rotation_skid", "undefined at zero velocity"),
-    ], ids=["header_only", "rotation_preset"])
+        ("rotation_point_turn", "undefined at zero velocity"),
+    ], ids=["header_only", "rotation_preset", "rotation_point_turn_preset"])
     def test_cot_undefined_on_the_telemetry_is_data_error(self, telemetry, tmp_path,
                                                           capsys, source, message):
         if source == "header_only":
@@ -234,7 +240,7 @@ class TestAnalyze:
         out = tmp_path / "out"
         code = run(["analyze", "cot", "--telemetry", str(bad), "--out", str(out)])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("rows", [0, 1])
@@ -245,18 +251,18 @@ class TestAnalyze:
         out = tmp_path / "out"
         code = run(["analyze", "slip", "--telemetry", str(short), "--out", str(out)])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err == "error: insufficient samples\n"
+        assert capsys.readouterr().err == f"error: {short}: insufficient samples\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("masss = 42\n", "unknown config keys: masss"),
+            ("masss = 42\n", "unknown keys: masss"),
             ("mass = heavy\n", "non-numeric mass 'heavy'"),
             ("mass = nan\n", "non-finite mass 'nan'"),
             ("steering_rate = inf\n", "non-finite steering_rate 'inf'"),
             ("mass = -1\n", "non-positive mass"),
-            *[(f"{key} = 1\n", f"unknown config keys: {key}")
+            *[(f"{key} = 1\n", f"unknown keys: {key}")
               for key in REMOVED_CONFIG_KEYS],
         ],
         ids=["unknown_key", "non_numeric", "nan", "inf", "invalid",
@@ -270,6 +276,20 @@ class TestAnalyze:
                     "--config", str(config), "--out", str(tmp_path / "m")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+    def test_cot_of_a_vanishing_mass_names_the_telemetry(self, telemetry, tmp_path,
+                                                         capsys):
+        # m g v of the 5e-324 kg rover is 5e-324, so P / (m g v) overflows
+        config = tmp_path / "rover.cfg"
+        config.write_text("mass = 5e-324\n")
+        out = tmp_path / "out"
+        code = run(["analyze", "cot", "--telemetry", str(telemetry),
+                    "--config", str(config), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {telemetry}: P / (m g v) = ")
+        assert err.endswith(" / 5e-324 is not finite\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("metric, output", [
         ("yaw-energy", "yaw_energy.csv"), ("efficiency", "efficiency.csv"),
@@ -315,7 +335,7 @@ class TestAnalyze:
         if kind is None:
             assert run(argv) == EXIT_DATA
             err = capsys.readouterr().err
-            assert err == "error: smoothing window longer than the series\n"
+            assert err == f"error: {telemetry}: smoothing window longer than the series\n"
         else:
             with pytest.raises(SystemExit) as excinfo:
                 run(argv)
@@ -385,7 +405,7 @@ class TestDeflect:
         "name, edit, where",
         [
             ("camera.txt", lambda text: text.replace("fx = 800.0", "fx = eight"),
-             "camera.txt: fx = 'eight' is not a finite number"),
+             "camera.txt: non-numeric fx 'eight'"),
             ("camera.txt", lambda text: text.replace("width = 1280", "width = 1280.9"),
              "camera.txt: width = 1280.9 is not an integer"),
             ("model.txt", lambda text: text.replace("hub_radius = 0.05\n", ""),
@@ -393,12 +413,12 @@ class TestDeflect:
             ("annotations.csv", lambda text: text.replace(":", ";", 1),
              "annotations.csv:2: loop point '850.142652' is not u:v"),
             ("annotations.csv", lambda text: text.replace("\n1,", "\nx0,", 1),
-             "annotations.csv:3: invalid literal for int()"),
+             "annotations.csv:3: non-numeric frame 'x0'"),
             ("annotations.csv",
              lambda text: text.replace("850.142652:406.666085", "nan:nan", 1),
-             "annotations.csv:2: non-finite number 'nan'"),
+             "annotations.csv:2: non-finite inboard_loop 'nan'"),
             ("annotations.csv", lambda text: text.replace("892.376577", "inf", 1),
-             "annotations.csv:2: non-finite number 'inf'"),
+             "annotations.csv:2: non-finite chord_x2 'inf'"),
             ("model.txt", lambda text: text.replace("hub_radius = 0.05", "hub_radius = 0.5"),
              "model.txt: hub radius must be in (0, radius)"),
             ("camera.txt", lambda text: text.replace("cx = 640.0", "cx = 99999"),
@@ -453,6 +473,24 @@ class TestDeflect:
         )
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: no such file: {paths[named]}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_point_far_outside_the_image_fails_its_frame(self, tmp_path, capsys):
+        lines = (FIXTURE_DIR / "annotations.csv").read_text().splitlines()[:3]
+        row = lines[1].split(",")
+        loop = row[3].split(";")
+        loop[0] = "-1e308:" + loop[0].split(":")[1]
+        row[3] = ";".join(loop)
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text("\n".join([lines[0], ",".join(row), lines[2]]) + "\n")
+        code = run(["deflect", "--annotations", str(annotations),
+                    "--model", str(FIXTURE_DIR / "model.txt"),
+                    "--camera", str(FIXTURE_DIR / "camera.txt"),
+                    "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: frame 0: pose fit did not converge: rms inf px "
+            "after 1 evaluations (residual not finite)\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("window", ["0", "-3", "2"])
@@ -515,9 +553,9 @@ class TestCalibrate:
     @pytest.mark.parametrize(
         "row, flat_only, message",
         [
-            ("nominal,0,fast,1.1", False, "could not convert string to float: 'fast'"),
+            ("nominal,0,fast,1.1", False, "non-numeric velocity 'fast'"),
             ("nominal,0,0.06", False, "expected 4 columns, got 3"),
-            ("nominal,flat,0.06,1.1", True, "could not convert string to float: 'flat'"),
+            ("nominal,flat,0.06,1.1", True, "non-numeric slope_deg 'flat'"),
             ("nominal,nan,0.06,1.1", False, "non-finite slope_deg 'nan'"),
             ("nominal,0,inf,1.1", False, "non-finite velocity 'inf'"),
             ("nominal,0,0.06,-inf", True, "non-finite cot '-inf'"),
@@ -540,11 +578,28 @@ class TestCalibrate:
         assert capsys.readouterr().err == f"error: {table}:4: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("row, config", [
+        ("nominal,0,1e308,1.1", ""), ("nominal,0,0.08,1.39", "mass = 5e-324\n")],
+        ids=["velocity_1e308", "config_mass_5e-324"])
+    def test_terms_out_of_range_name_the_table(self, tmp_path, capsys, row, config):
+        table = tmp_path / "table.csv"
+        table.write_text("mode,slope_deg,velocity,cot\nnominal,0,0.03,0.646\n"
+                         f"nominal,0,0.06,1.10\n{row}\n")
+        args = ["calibrate", "--table", str(table), "--out", str(tmp_path / "out")]
+        if config:
+            (tmp_path / "rover.cfg").write_text(config)
+            args += ["--config", str(tmp_path / "rover.cfg")]
+        assert run(args) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {table}: calibration terms out of floating-point range\n")
+        assert not (tmp_path / "out").exists()
+
     def test_underdetermined_is_data_error(self, tmp_path, capsys):
         table = tmp_path / "short.csv"
         table.write_text("mode,slope_deg,velocity,cot\nnominal,0,0.06,1.1\n")
         code = run(["calibrate", "--table", str(table), "--out", str(tmp_path)])
         assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {table}: underdetermined calibration\n"
 
 
 class TestInputAndOutputPaths:

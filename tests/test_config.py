@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rovermotion.config import (
     BodyTwist,
-    ConfigError,
     LocomotionMode,
     RoverConfig,
     WheelId,
@@ -18,6 +17,7 @@ from rovermotion.config import (
     open_output,
     wheel_positions,
 )
+from rovermotion.errors import DataError
 from rovermotion.kinematics import ProfileSegment
 from rovermotion.terrain import PowerModelParams, Scenario, TerrainParams
 
@@ -31,12 +31,12 @@ def test_breadboard_defaults_are_valid():
 
 
 def test_zero_mass_rejected():
-    with pytest.raises(ConfigError, match="non-positive mass"):
+    with pytest.raises(DataError, match="non-positive mass"):
         RoverConfig(mass=0.0)
 
 
 def test_zero_steering_limit_rejected():
-    with pytest.raises(ConfigError, match="empty steering range"):
+    with pytest.raises(DataError, match="empty steering range"):
         RoverConfig(steering_limit=0.0)
 
 
@@ -87,13 +87,13 @@ def test_load_config_file(tmp_path):
 def test_load_config_unknown_key(tmp_path):
     path = tmp_path / "rover.cfg"
     path.write_text("masss = 42\n")
-    with pytest.raises(ConfigError, match="unknown config keys: masss"):
+    with pytest.raises(DataError, match="unknown keys: masss"):
         load_config(path)
 
 
 @pytest.mark.parametrize("name", sorted(RoverConfig.__dataclass_fields__))
 def test_nan_field_rejected(name):
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         replace(RoverConfig(), **{name: math.nan})
 
 
@@ -171,9 +171,9 @@ INVALID = [
 def test_invalid_value_rejected_when_built(build, name, value, message):
     valid = build()
     match = f"^{re.escape(message)}$"
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(DataError, match=match):
         build(**{name: value})
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(DataError, match=match):
         replace(valid, **{name: value})
 
 
@@ -193,7 +193,7 @@ def test_open_output_replaces_the_file_only_when_the_block_succeeds(tmp_path):
 
 def test_open_output_names_the_file_it_cannot_write(tmp_path):
     path = tmp_path / "missing" / "out.csv"
-    with pytest.raises(ConfigError) as info:
+    with pytest.raises(DataError) as info:
         with open_output(path):
             pass
     assert str(info.value) == f"cannot write {path}: No such file or directory"
@@ -203,7 +203,7 @@ def test_csv_rows_skips_blank_rows_and_names_lines():
     lines = ["a,b\n", "1,2\n", "\n", "3,4\n"]
     assert list(csv_rows(lines, ["a", "b"], "t.csv", first_lineno=5)) == [
         ("t.csv:6", ["1", "2"]), ("t.csv:8", ["3", "4"])]
-    with pytest.raises(ConfigError, match=r"^t.csv: expected header a,b$"):
+    with pytest.raises(DataError, match=r"^t.csv: expected header a,b$"):
         list(csv_rows(["a\n"], ["a", "b"], "t.csv"))
-    with pytest.raises(ConfigError, match=r"^t.csv:3: expected 2 columns, got 3$"):
+    with pytest.raises(DataError, match=r"^t.csv:3: expected 2 columns, got 3$"):
         list(csv_rows(["a,b\n", "1,2\n", "1,2,3\n"], ["a", "b"], "t.csv"))

@@ -13,7 +13,6 @@ from rovermotion.deflection import (
     CameraIntrinsics,
     ChordAnnotation,
     DeflectionEstimate,
-    GeometryError,
     PoseFitError,
     WheelModel3D,
     WheelPose,
@@ -31,6 +30,7 @@ from rovermotion.deflection import (
     write_annotations_csv,
 )
 from rovermotion import deflection
+from rovermotion.errors import DataError
 
 MODEL = WheelModel3D(radius=0.15, width=0.12, hub_radius=0.05)
 CAM = CameraIntrinsics(fx=800.0, fy=800.0, cx=640.0, cy=360.0, width=1280, height=720)
@@ -53,7 +53,7 @@ class TestModel:
         assert MODEL.volume == pytest.approx(math.pi * 0.15**2 * 0.12)
 
     def test_invalid_hub(self):
-        with pytest.raises(GeometryError, match="hub radius"):
+        with pytest.raises(DataError, match="hub radius"):
             WheelModel3D(radius=0.15, width=0.12, hub_radius=0.2)
 
 
@@ -66,7 +66,7 @@ class TestProjection:
         assert radii == pytest.approx(800.0 * 0.15 / (1.0 - 0.06))
 
     def test_behind_camera_raises(self):
-        with pytest.raises(GeometryError, match="behind camera"):
+        with pytest.raises(DataError, match="behind camera"):
             project_wheel(MODEL, frontal_pose(-1.0), CAM)
 
     def test_loop_count_and_shape(self):
@@ -87,9 +87,9 @@ class TestSegmentFraction:
             )
 
     def test_out_of_range(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(DataError):
             segment_fraction(1.5)
-        with pytest.raises(GeometryError):
+        with pytest.raises(DataError):
             depth_for_fraction(0.6)
 
 
@@ -146,7 +146,7 @@ class TestSmoothing:
         assert all(e.fraction == pytest.approx(1.0) for e in smoothed)
 
     def test_even_window_rejected(self):
-        with pytest.raises(GeometryError, match="odd"):
+        with pytest.raises(DataError, match="odd"):
             smooth_deflection_series([], 2)
 
 
@@ -236,15 +236,33 @@ class TestPoseFit:
             fit_wheel_pose(loops, MODEL, CAM, frontal_pose(depth=0.01))
         assert info.value.nfev == 6
 
+    @pytest.mark.parametrize("value", [1e308, math.inf, math.nan])
+    def test_non_finite_residual_at_the_start_fails(self, value):
+        def fun(x):  # at 1e308 each entry is finite, but |f|^2 is not
+            return np.array([value, 1.0]) + x[0]
+
+        with np.errstate(over="ignore"):
+            x, f, nfev, failure = deflection._levenberg_marquardt(fun, np.zeros(2), 100)
+        assert (failure, nfev) == ("residual not finite", 1)
+
+    def test_a_point_far_outside_the_image_fails_its_frame(self):
+        # its distance to the curve is finite, its square is not: the fit
+        # once stopped there as converged, with an RMS of inf px
+        frames = read_annotations_csv(FIXTURE_DIR / "annotations.csv")[:2]
+        frames[0].loops[1][0, 0] = -1e308
+        with pytest.raises(PoseFitError, match="residual not finite") as info:
+            deflection.process_annotations(frames, MODEL, CAM)
+        assert info.value.frame == 0 and str(info.value).startswith("frame 0: ")
+
     def test_behind_camera_guess_rejected(self):
         loops = project_wheel(MODEL, frontal_pose(), CAM, samples_per_circle=16)
         bad = WheelPose(np.eye(3), np.array([0.0, 0.0, -1.0]))
-        with pytest.raises(GeometryError, match="behind camera"):
+        with pytest.raises(DataError, match="behind camera"):
             fit_wheel_pose(loops, MODEL, CAM, bad)
 
     def test_too_few_points_rejected(self):
         loops = project_wheel(MODEL, frontal_pose(), CAM, samples_per_circle=4)
-        with pytest.raises(GeometryError, match="at least 8 points"):
+        with pytest.raises(DataError, match="at least 8 points"):
             fit_wheel_pose(loops, MODEL, CAM, frontal_pose())
 
 
@@ -359,7 +377,7 @@ class TestCurveDistances:
         circle = deflection._circle_points_3d(0.15, 0.0, phi)
         observed = deflection._project(circle, pose, CAM)
         np.testing.assert_allclose(observed[:, 0], CAM.cx)
-        with pytest.raises(GeometryError, match="parallel"):
+        with pytest.raises(DataError, match="parallel"):
             deflection._signed_curve_distances(
                 observed, np.full(12, 0.15), np.zeros(12), pose, CAM
             )
@@ -373,7 +391,7 @@ class TestCurveDistances:
         phi = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
         circle = deflection._circle_points_3d(0.15, 0.0, phi)
         observed = deflection._project(circle, pose, CAM)
-        with pytest.raises(GeometryError, match="edge-on"):
+        with pytest.raises(DataError, match="edge-on"):
             deflection._signed_curve_distances(
                 observed, np.full(12, 0.15), np.zeros(12), pose, CAM
             )
@@ -411,7 +429,7 @@ class TestAnnotationsCsv:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("frame,oops\n")
-        with pytest.raises(GeometryError, match="annotation header"):
+        with pytest.raises(DataError, match="expected header frame,cam_id,"):
             read_annotations_csv(path)
 
 

@@ -1,5 +1,6 @@
 """Every invocation in tests/golden.json gives its recorded exit code, stdout,
-stderr and output files, byte for byte (scripts/record_golden.py records them)."""
+stderr and output files, byte for byte, and leaves the recorded directories
+(scripts/record_golden.py records them)."""
 import importlib.util
 import json
 from pathlib import Path
@@ -14,7 +15,8 @@ _spec.loader.exec_module(record_golden)
 def _mismatches(want: dict, got: dict) -> list[str]:
     """What differs between a recorded invocation and a run of it."""
     found = [f"{key}: recorded {want[key]}, got {got[key]}"
-             for key in ("exit", "stdout", "stderr") if got[key] != want[key]]
+             for key in ("exit", "stdout", "stderr", "directories")
+             if got[key] != want[key]]
     for name in sorted(want["outputs"].keys() | got["outputs"].keys()):
         recorded, written = want["outputs"].get(name), got["outputs"].get(name)
         if recorded != written:

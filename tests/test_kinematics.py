@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from rovermotion.config import (
     WHEEL_ORDER,
     BodyTwist,
-    ConfigError,
     LocomotionMode,
     RoverConfig,
     WheelCommand,
     WheelId,
 )
+from rovermotion.errors import DataError
 from rovermotion.kinematics import (
-    KinematicsError,
     ProfileSegment,
     forward_odometry,
     icr_of,
@@ -78,7 +77,7 @@ class TestInverseKinematics:
         assert angles[WheelId.RL] == pytest.approx(-expected)
 
     def test_ackermann_rejects_lateral_velocity(self):
-        with pytest.raises(KinematicsError, match="lateral velocity"):
+        with pytest.raises(DataError, match="lateral velocity"):
             inverse_kinematics(BodyTwist(0.06, 0.01, 0.1), LocomotionMode.ACKERMANN, CFG)
 
     def test_ackermann_straight_degrades_gracefully(self):
@@ -107,7 +106,7 @@ class TestInverseKinematics:
 
     def test_steering_limit_exceeded(self):
         tight = RoverConfig(steering_limit=math.radians(30))
-        with pytest.raises(KinematicsError, match="steering limit exceeded"):
+        with pytest.raises(DataError, match="steering limit exceeded"):
             inverse_kinematics(BodyTwist(0, 0, 0.1), LocomotionMode.POINT_TURN, tight)
 
     def test_steering_angle_invariant_to_magnitude(self):
@@ -265,5 +264,5 @@ def test_load_twist_profile_names_bad_row(tmp_path):
     path.write_text(
         "duration_s,vx,vy,wz,mode\n10,0.06,0,0,skid_steer\n\n5,0,x,0.1,point_turn\n"
     )
-    with pytest.raises(ConfigError, match=f"^{path}:4: could not convert"):
+    with pytest.raises(DataError, match=f"^{path}:4: non-numeric vy 'x'$"):
         parse_profile(path.read_text().splitlines(), path)

@@ -26,7 +26,7 @@ from rovermotion.config import (
     WheelCommand,
     wheel_positions,
 )
-from rovermotion.errors import KinematicsError
+from rovermotion.errors import DataError
 from rovermotion.kinematics import (
     _PARALLEL_EIG_TOL,
     forward_odometry,
@@ -74,7 +74,7 @@ def reference_normalize_steering(angle, speed, limit):
         angle += math.pi
         speed = -speed
     if not -limit <= angle <= limit:
-        raise KinematicsError("steering limit exceeded")
+        raise DataError("steering limit exceeded")
     return angle, speed
 
 
@@ -94,7 +94,7 @@ def reference_inverse_kinematics(twist, mode, config):
 
     if mode is LocomotionMode.CRAB:
         if twist.wz != 0.0:
-            raise KinematicsError("yaw rate unsupported in crab mode")
+            raise DataError("yaw rate unsupported in crab mode")
         speed = math.hypot(twist.vx, twist.vy)
         angle = math.atan2(twist.vy, twist.vx) if speed > 0 else 0.0
         for wheel in WHEEL_ORDER:
@@ -113,7 +113,7 @@ def reference_inverse_kinematics(twist, mode, config):
 
     if mode is LocomotionMode.ACKERMANN:
         if twist.vy != 0.0:
-            raise KinematicsError("lateral velocity unsupported in Ackermann")
+            raise DataError("lateral velocity unsupported in Ackermann")
         if twist.wz == 0.0:
             for wheel in WHEEL_ORDER:
                 commands.append(WheelCommand(wheel, twist.vx / r, 0.0))
@@ -128,7 +128,7 @@ def reference_inverse_kinematics(twist, mode, config):
             commands.append(WheelCommand(wheel, s, a))
         return commands
 
-    raise KinematicsError(f"unsupported mode {mode}")
+    raise DataError(f"unsupported mode {mode}")
 
 
 def reference_forward_odometry(commands, config):
@@ -261,8 +261,8 @@ def test_kernels_match_the_per_wheel_loops(twist, mode, limit, errors, slope, po
     config = replace(RoverConfig(), steering_limit=limit)
     try:
         expected = reference_inverse_kinematics(twist, mode, config)
-    except KinematicsError as exc:
-        with pytest.raises(KinematicsError) as raised:
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
             inverse_kinematics(twist, mode, config)
         assert str(raised.value) == str(exc)
         return

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from rovermotion.cli import PRESET_NAMES, ROTATION_PRESETS, preset_path
 from rovermotion.config import BodyTwist, LocomotionMode, RoverConfig
+from rovermotion.errors import DataError
 from rovermotion.kinematics import ProfileSegment
 from rovermotion.metrics import (
     RATIO_CLAMP,
-    MetricsError,
     _median,
     angular_speed_efficiency,
     clamp_ratio,
@@ -58,11 +58,21 @@ class TestCostOfTransport:
         assert cost_of_transport(100.0, 84.0, 9.81, 0.12) == pytest.approx(base / 2)
 
     def test_zero_velocity_undefined(self):
-        with pytest.raises(MetricsError, match="undefined at zero velocity"):
+        with pytest.raises(DataError, match="undefined at zero velocity"):
             cost_of_transport(10.0, 84.0, 9.81, 0.0)
 
+    @pytest.mark.parametrize("mass, v, product", [
+        (5e-324, 0.03, "0.0"),  # m g v rounds to 0
+        (5e-324, 0.06, "5e-324"),  # P / (m g v) overflows
+        (1e308, 0.06, "inf"),
+    ])
+    def test_m_g_v_must_be_a_positive_finite_number(self, mass, v, product):
+        message = rf"^P / \(m g v\) = 10.0 / {product} is not finite$"
+        with pytest.raises(DataError, match=message):
+            cost_of_transport(10.0, mass, 9.81, v)
+
     def test_non_positive_mass_rejected(self):
-        with pytest.raises(MetricsError, match="mass or gravity"):
+        with pytest.raises(DataError, match=r"^P / \(m g v\) = 10.0 / 0.0 is not finite"):
             cost_of_transport(10.0, 0.0, 9.81, 0.06)
 
 
@@ -86,12 +96,12 @@ class TestMeanCot:
         assert report.mean_power == pytest.approx(19.0, abs=1e-3)
 
     def test_insufficient_samples(self):
-        with pytest.raises(MetricsError, match="insufficient samples"):
+        with pytest.raises(DataError, match="insufficient samples"):
             mean_cot(Telemetry([make_record(0.0, 10.0, 0.05)]), CFG)
 
     def test_stationary_series_undefined(self):
         records = [make_record(0.1 * k, 5.0, 0.0) for k in range(10)]
-        with pytest.raises(MetricsError, match="zero velocity"):
+        with pytest.raises(DataError, match="zero velocity"):
             mean_cot(Telemetry(records), CFG)
 
 
@@ -157,11 +167,11 @@ class TestAngularSpeedEfficiency:
         assert np.mean(ratios) == pytest.approx(1.0, abs=1e-6)
 
     def test_length_mismatch(self):
-        with pytest.raises(MetricsError, match="time-aligned"):
+        with pytest.raises(DataError, match="time-aligned"):
             angular_speed_efficiency(np.arange(4.0), np.arange(4.0), np.arange(3.0))
 
     def test_too_short(self):
-        with pytest.raises(MetricsError, match="insufficient"):
+        with pytest.raises(DataError, match="insufficient"):
             angular_speed_efficiency(np.arange(2.0), np.arange(2.0), np.arange(2.0))
 
     def test_window_longer_than_the_series(self):
@@ -170,7 +180,7 @@ class TestAngularSpeedEfficiency:
         series = angular_speed_efficiency(t, 0.075 * t, odo, smoothing_window_s=0.95)
         assert np.mean(series) == pytest.approx(0.75)
         for window in (1.05, 1e308):  # 1e308 / 0.1 overflows to inf
-            with pytest.raises(MetricsError, match="window longer than the series"):
+            with pytest.raises(DataError, match="window longer than the series"):
                 angular_speed_efficiency(t, 0.075 * t, odo, smoothing_window_s=window)
 
 
@@ -190,7 +200,7 @@ class TestLongitudinalSlip:
         assert out[1] == pytest.approx(0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(MetricsError, match="time-aligned"):
+        with pytest.raises(DataError, match="time-aligned"):
             longitudinal_slip(np.arange(3.0), np.arange(4.0))
 
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from rovermotion import telemetry as telemetry_module
 from rovermotion.config import BodyTwist, LocomotionMode
+from rovermotion.errors import DataError
 from rovermotion.kinematics import ProfileSegment
 from rovermotion.telemetry import (
     FIELD_COLUMNS,
     TELEMETRY_HEADER,
     Telemetry,
-    TelemetryFormatError,
     _CHUNK_ROWS,
     _parse_fixed,
     _read_rows,
@@ -60,7 +60,7 @@ class TestTelemetryCsv:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "telemetry.csv"
         path.write_text("t,x,y\n0,0,0\n")
-        with pytest.raises(TelemetryFormatError, match="header"):
+        with pytest.raises(DataError, match="header"):
             read_telemetry_csv(path)
 
     def test_non_increasing_time_rejected(self, tmp_path):
@@ -74,7 +74,7 @@ class TestTelemetryCsv:
         lines = path.read_text().splitlines()
         lines.append(lines[1])  # duplicate t=0 row at the end
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TelemetryFormatError, match="non-increasing timestamp"):
+        with pytest.raises(DataError, match="non-increasing timestamp"):
             read_telemetry_csv(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -86,7 +86,7 @@ class TestTelemetryCsv:
         lines = path.read_text().splitlines(keepends=True)
         lines[row + 1] = cell + lines[row + 1][lines[row + 1].index(","):]
         path.write_text("".join(lines))
-        with pytest.raises(TelemetryFormatError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             read_telemetry_csv(path)
         assert str(excinfo.value) == f"{path}:{row + 2}: non-finite timestamp '{cell}'"
 
@@ -203,7 +203,7 @@ def read_result(read, path):
     """What `read(path)` returns: its values, or the error it raises."""
     try:
         return bits(read(path).values)
-    except TelemetryFormatError as exc:
+    except DataError as exc:
         return str(exc)
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from rovermotion.cli import preset_path
-from rovermotion.config import BodyTwist, ConfigError, LocomotionMode, RoverConfig
+from rovermotion.config import BodyTwist, LocomotionMode, RoverConfig
+from rovermotion.errors import DataError
 from rovermotion.kinematics import ProfileSegment, inverse_kinematics
 from rovermotion.telemetry import FIELD_COLUMNS
 from rovermotion.terrain import (
-    CalibrationError,
+    MAX_ROWS,
     PowerModelParams,
     Scenario,
     TerrainParams,
@@ -37,22 +38,22 @@ class TestValidation:
         PowerModelParams()
 
     def test_steep_slope_rejected(self):
-        with pytest.raises(ConfigError, match="slope"):
+        with pytest.raises(DataError, match="slope"):
             TerrainParams(slope_deg=90.0)
 
     def test_zero_efficiency_rejected(self):
-        with pytest.raises(ConfigError, match="point_turn_efficiency"):
+        with pytest.raises(DataError, match="point_turn_efficiency"):
             TerrainParams(point_turn_efficiency=0.0)
 
     def test_negative_coefficient_rejected(self):
-        with pytest.raises(ConfigError, match="rolling_resistance"):
+        with pytest.raises(DataError, match="rolling_resistance"):
             replace(POWER, rolling_resistance_coeff=-0.1)
 
     @pytest.mark.parametrize("name", [
         "slope_deg", "skid_rotation_efficiency", "point_turn_efficiency",
         "longitudinal_slip_ratio", "noise_std"])
     def test_nan_terrain_rejected(self, name):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             replace(FLAT, **{name: math.nan})
 
     @pytest.mark.parametrize("name", [
@@ -60,7 +61,7 @@ class TestValidation:
         "steering_hold_power", "steering_move_power", "speed_quadratic_coeff",
         "lateral_friction_coeff"])
     def test_nan_power_rejected(self, name):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             replace(POWER, **{name: math.nan})
 
 
@@ -278,10 +279,21 @@ class TestSimulateTraverse:
         (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.01, math.inf), (0.01, math.nan)])
     def test_step_and_duration_must_be_positive_and_finite(self, step, duration):
         # the segment and the scenario check themselves when built
-        with pytest.raises(ConfigError, match=r"outside \(0, inf\)"):
+        with pytest.raises(DataError, match=r"outside \(0, inf\)"):
             profile = [
                 ProfileSegment(duration, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)
             ]
+            simulate_traverse(Scenario(profile=profile, step=step))
+
+    @pytest.mark.parametrize("step, duration", [
+        (0.01, 1e308), (5e-324, 2.0), (0.01, 1e20)],
+        ids=["duration_1e308", "step_5e-324", "duration_1e20"])
+    def test_row_count_is_refused_before_it_is_allocated(self, step, duration):
+        # 1e308 / 0.01 and 2 / 5e-324 are inf, 1e20 / 0.01 is past MAX_ROWS
+        profile = [
+            ProfileSegment(duration, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)
+        ]
+        with pytest.raises(DataError, match=f"^the profile plans more than {MAX_ROWS} "):
             simulate_traverse(Scenario(profile=profile, step=step))
 
     def test_different_seed_diverges(self):
@@ -335,12 +347,20 @@ class TestCalibration:
         assert fitted.speed_quadratic_coeff == pytest.approx(2500.0, abs=1e-5)
 
     def test_underdetermined_rejected(self):
-        with pytest.raises(CalibrationError, match="underdetermined"):
+        with pytest.raises(DataError, match="underdetermined"):
             calibrate_power(FLAT_ROWS[:2], CFG)
 
     def test_zero_velocity_rejected(self):
-        with pytest.raises(CalibrationError, match="velocity"):
+        with pytest.raises(DataError, match="velocity"):
             calibrate_power([(0, 0.0, 1.0)] + FLAT_ROWS, CFG)
+
+    @pytest.mark.parametrize("rows, config", [
+        (FLAT_ROWS + [(0.0, 1e308, 1.39)], CFG),  # 4 v / (m g) overflows
+        (FLAT_ROWS, RoverConfig(mass=5e-324)),  # m g v rounds to 0
+    ], ids=["velocity_1e308", "mass_5e-324"])
+    def test_terms_out_of_range_are_refused_before_the_fit(self, rows, config):
+        with pytest.raises(DataError, match="^calibration terms out of floating-point"):
+            calibrate_power(rows, config)
 
 
 class TestScenarioFiles:
@@ -369,7 +389,7 @@ class TestScenarioFiles:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
         path.write_text("terrain.slope = 10\n[profile]\nduration_s,vx,vy,wz,mode\n")
-        with pytest.raises(ConfigError, match="unknown scenario key"):
+        with pytest.raises(DataError, match="unknown keys: terrain.slope$"):
             load_scenario(path)
 
     def test_rng_seed_loads_as_an_integer(self, tmp_path):
@@ -383,7 +403,7 @@ class TestScenarioFiles:
         path.write_text(
             "terrain.slope_deg = steep\n[profile]\nduration_s,vx,vy,wz,mode\n"
         )
-        with pytest.raises(ConfigError, match="non-numeric terrain.slope_deg 'steep'"):
+        with pytest.raises(DataError, match="non-numeric terrain.slope_deg 'steep'"):
             load_scenario(path)
 
     def test_profile_errors_name_the_file_line(self, tmp_path):
@@ -392,11 +412,11 @@ class TestScenarioFiles:
             "name = x\n# comment\n[profile]\nduration_s,vx,vy,wz,mode\n"
             "1,0.06,0,0,skid_steer\n1,0.06,0,0\n"
         )
-        with pytest.raises(ConfigError, match=f"^{path}:6: expected 5 columns, got 4$"):
+        with pytest.raises(DataError, match=f"^{path}:6: expected 5 columns, got 4$"):
             load_scenario(path)
 
     def test_missing_profile_rejected(self, tmp_path):
         path = tmp_path / "bad.scn"
         path.write_text("name = x\n")
-        with pytest.raises(ConfigError, match="profile"):
+        with pytest.raises(DataError, match="profile"):
             load_scenario(path)
