@@ -12,6 +12,7 @@ each digest that a re-recording changes.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -110,8 +111,9 @@ def _scenario(setting: str = "", row: str = "", duration: str = "2") -> str:
             f"{duration},0.06,0,0,skid_steer\n{row}\n")
 
 
+@functools.cache
 def _short_telemetry() -> str:
-    """The telemetry.csv of a 6-row simulated run, for the analyze error cases."""
+    """The telemetry.csv of a 6-row simulated run, for the analyze cases."""
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "run.scn"
         scenario.write_text(_scenario(duration="0.05"))
@@ -153,16 +155,27 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
     ]:
         cases.append((f"scenario-{name}", simulate,
                       {"bad.scn": _scenario(setting, row)}))
+    # a finite profile whose telemetry and energy are not: refused as written
+    cases.append(("scenario-velocity_1e308", simulate,
+                  {"bad.scn": _scenario(duration="0.05").replace(",0.06,", ",1e308,")}))
     cases.append(("scenario-missing", simulate, {}))
 
     telemetry = _short_telemetry()
     lines = telemetry.splitlines(keepends=True)
     analyze = ["--telemetry", "{dir}/t.csv", "--out", "{dir}/out"]
+    columns = lines[0].rstrip("\n").split(",")
+
+    def with_cell(line: str, column: str, text: str) -> str:
+        cells = line.split(",")
+        cells[columns.index(column)] = text
+        return ",".join(cells)
+
     damaged = {
         "short_row": lines[:2] + [lines[2].rsplit(",", 1)[0] + "\n"] + lines[3:],
         "non_numeric": lines[:3] + ["abc" + lines[3][lines[3].index(","):]] + lines[4:],
-        "blank_line": lines[:4] + ["\n"] + lines[4:],
         "non_increasing_time": lines + [lines[1]],
+        # the blank row is skipped; the late row is named at its own line
+        "blank_row_then_non_increasing_time": lines[:4] + ["\n"] + lines[4:] + [lines[1]],
         "header_only": lines[:1],
         **{f"timestamp_{cell}": lines[:2] + [cell + lines[2][lines[2].index(","):]]
            + lines[3:] for cell in ("nan", "inf", "-inf")},
@@ -171,6 +184,13 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         metric = "efficiency" if name.startswith("timestamp") else "cot"
         cases.append((f"telemetry-{name}", ["analyze", metric, *analyze],
                       {"t.csv": "".join(text)}))
+    cases.append(("telemetry-odo_vx_nan", ["analyze", "slip", *analyze],
+                  {"t.csv": "".join(lines[:3] + [with_cell(lines[3], "odo_vx", "nan")]
+                                    + lines[4:])}))
+    # a finite cell whose energy is not: refused as the curve is written
+    cases.append(("telemetry-i_drive_fl_1e308", ["analyze", "yaw-energy", *analyze],
+                  {"t.csv": "".join(lines[:2] + [with_cell(lines[2], "i_drive_fl", "1e308")]
+                                    + lines[3:])}))
     cases.append(("telemetry-missing", ["analyze", "cot", *analyze], {}))
     for rows in (0, 1):
         cases.append((f"telemetry-slip_{rows}_rows", ["analyze", "slip", *analyze],
@@ -209,7 +229,8 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
     # the header and the first two frames, where the edits below fall
     fixture["annotations.csv"] = "".join(
         fixture["annotations.csv"].splitlines(keepends=True)[:3])
-    outboard = fixture["annotations.csv"].splitlines()[1].split(",")[3].split(";")[0]
+    inboard, outboard = (loop.split(";")[0] for loop in
+                         fixture["annotations.csv"].splitlines()[1].split(",")[2:4])
 
     def deflect(**given: str) -> list[str]:
         paths = {name: given.get(name, f"{{data}}/deflection/{name}.{ext}") for name, ext
@@ -232,6 +253,9 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         # frame 0's residual overflows: a pose fit failure, not an answer
         ("outboard_point_far_off", "annotations.csv", f",{outboard};",
          f",-1e308:{outboard.split(':')[1]};"),
+        # frame 0's pose guess puts the wheel behind the camera
+        ("inboard_point_far_off", "annotations.csv", f",{inboard};",
+         f",-1e308:{inboard.split(':')[1]};"),
     ]:
         flag = file.split(".")[0]
         cases.append((f"deflect-{name}", deflect(**{flag: f"{{dir}}/{file}"}),
@@ -346,6 +370,12 @@ def invocations() -> list[dict]:
     result.append({"name": "report", "argv": ["report", "--out", "{dir}"]})
     for name, argv, inputs in _error_cases():
         result.append({"name": f"error-{name}", "argv": argv, "inputs": inputs})
+    # a blank row is skipped, as in every input CSV
+    lines = _short_telemetry().splitlines(keepends=True)
+    result.append({"name": "cot-blank_row",
+                   "argv": ["analyze", "cot", "--telemetry", "{dir}/t.csv",
+                            "--out", "{dir}/out"],
+                   "inputs": {"t.csv": "".join(lines[:4] + ["\n"] + lines[4:])}})
     return result
 
 

@@ -58,6 +58,11 @@ def _number_arg(text: str, positive: bool = False) -> float:
 
 
 def _fmt(value: float) -> str:
+    """`value` written with six decimals; DataError if it is not finite."""
+    from math import isfinite
+
+    if not isfinite(value):
+        raise DataError(f"non-finite output {value!r}")
     return f"{value:.6f}"
 
 
@@ -82,7 +87,7 @@ def _out_dir(path: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at `path` or above it, or no permission
-        raise DataError(f"cannot make output directory {path}: {exc.strerror}") from None
+        raise DataError(f"cannot make output directory {path}: {exc.strerror}") from exc
     return out
 
 
@@ -179,19 +184,19 @@ def cmd_simulate(args) -> int:
     scenario = terrain.load_scenario(args.scenario)
     with naming(args.scenario):
         telemetry = terrain.simulate_traverse(scenario)
-    out = _out_dir(args.out)
-    write_telemetry_csv(out / "telemetry.csv", telemetry)
-    final = (telemetry[-1] if len(telemetry)
-             else dict.fromkeys(["t", "x", "y", "heading"], 0.0))
-    write_key_value_file(out / "summary.txt", [
-        ("scenario", scenario.name),
-        ("records", len(telemetry)),
-        ("duration_s", _fmt(final["t"])),
-        ("final_x_m", _fmt(final["x"])),
-        ("final_y_m", _fmt(final["y"])),
-        ("final_heading_rad", _fmt(final["heading"])),
-        ("energy_j", _fmt(telemetry.cumulative_energy()[-1])),
-    ])
+        out = _out_dir(args.out)
+        write_telemetry_csv(out / "telemetry.csv", telemetry)
+        final = (telemetry[-1] if len(telemetry)
+                 else dict.fromkeys(["t", "x", "y", "heading"], 0.0))
+        write_key_value_file(out / "summary.txt", [
+            ("scenario", scenario.name),
+            ("records", len(telemetry)),
+            ("duration_s", _fmt(final["t"])),
+            ("final_x_m", _fmt(final["x"])),
+            ("final_y_m", _fmt(final["y"])),
+            ("final_heading_rad", _fmt(final["heading"])),
+            ("energy_j", _fmt(telemetry.cumulative_energy()[-1])),
+        ])
     return EXIT_OK
 
 
@@ -247,7 +252,7 @@ def cmd_analyze(args) -> int:
             slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
             write, data = _write_series, (["slip_t_s", "slip_ratio"], times, slip)
             line = f"mean_slip={_defined_mean(slip):.3f}"
-    write(_out_dir(args.out) / _ANALYZE_OUTPUTS[args.metric], *data)
+        write(_out_dir(args.out) / _ANALYZE_OUTPUTS[args.metric], *data)
     print(line)
     return EXIT_OK
 
@@ -261,7 +266,8 @@ def _estimate_deflection(
     wheel = deflection.load_wheel_model(model)
     cam = deflection.load_camera(camera)
     frames = deflection.read_annotations_csv(annotations)
-    return deflection.process_annotations(frames, wheel, cam)
+    with naming(annotations):
+        return deflection.process_annotations(frames, wheel, cam)
 
 
 def _write_deflection(

@@ -138,7 +138,7 @@ def open_output(path: str | Path) -> Iterator[io.BufferedWriter]:
             os.remove(tmp)
             raise
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_output(path: str | Path, text: str) -> None:

@@ -574,25 +574,26 @@ def process_annotations(
     """Full per-frame pipeline: pose fit, then the closed-form deflected
     volume fraction of the frame's chord (0 for a frame without one).
 
-    Stops at the first frame whose pose fit fails, raising PoseFitError
-    with that frame's number.
+    Stops at the first frame that fails, raising PoseFitError with that
+    frame's number, or DataError with `frame N: ` in front of its message.
     """
     estimates = []
     for item in frames:
-        try:
-            pose, _ = fit_wheel_pose(
-                item.loops, model, cam, initial_pose_guess(item.loops, model, cam)
-            )
-        except PoseFitError as exc:
-            raise PoseFitError(
-                exc.pose, exc.rms, exc.nfev, exc.reason, frame=item.frame
-            ) from None
-        if item.chord is None:
-            estimates.append(DeflectionEstimate(item.frame, 0.0, 0.0))
-        else:
-            estimates.append(
-                deflected_volume_fraction(model, pose, cam, item.chord, item.frame)
-            )
+        with naming(f"frame {item.frame}"):
+            try:
+                pose, _ = fit_wheel_pose(
+                    item.loops, model, cam, initial_pose_guess(item.loops, model, cam)
+                )
+            except PoseFitError as exc:
+                raise PoseFitError(
+                    exc.pose, exc.rms, exc.nfev, exc.reason, frame=item.frame
+                ) from None
+            if item.chord is None:
+                estimates.append(DeflectionEstimate(item.frame, 0.0, 0.0))
+            else:
+                estimates.append(
+                    deflected_volume_fraction(model, pose, cam, item.chord, item.frame)
+                )
     return estimates
 
 

@@ -26,10 +26,13 @@ class DataError(ValueError):
 @contextmanager
 def naming(where: object) -> Iterator[None]:
     """Put `where`, an input's path or `path:line`, in front of the message
-    of a DataError raised in the block."""
+    of a DataError raised in the block, but for one raised from an OSError,
+    which names the output it could not write."""
     try:
         yield
     except DataError as exc:
+        if isinstance(exc.__cause__, OSError):
+            raise
         raise DataError(f"{where}: {exc}") from None
 
 

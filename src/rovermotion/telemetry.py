@@ -1,16 +1,15 @@
 """Telemetry series and their CSV serialization."""
 from __future__ import annotations
 
-import csv
+import io
 import math
 import operator
 import os
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-from rovermotion.config import WHEEL_ORDER, open_output
+from rovermotion.config import WHEEL_ORDER, csv_rows, open_output, parse_finite, read_text
 from rovermotion.errors import DataError
 
 BUS_VOLTAGE = 24.0
@@ -41,7 +40,6 @@ FIELD_COLUMNS = {
     for group, names in _GROUPS.items()
 }
 
-_HEADER_LINE = ",".join(TELEMETRY_HEADER)
 _COLUMN = {name: j for j, name in enumerate(TELEMETRY_HEADER)}
 # One row of a series, with a float64 field per TELEMETRY_HEADER name
 _RECORD = np.dtype((np.record, [(name, np.float64) for name in TELEMETRY_HEADER]))
@@ -83,14 +81,14 @@ class Telemetry:
     @property
     def total_power(self) -> np.ndarray:
         """Per-sample electrical power: drive plus steering power, each the
-        sum of its four units' V * I, added left to right as sum() adds."""
-        return _sum_left(
+        sum() of its four units' V * I columns, so added left to right from 0."""
+        return sum((
             self.values[:, FIELD_COLUMNS["drive_voltage"]]
             * self.values[:, FIELD_COLUMNS["drive_current"]]
-        ) + _sum_left(
+        ).T) + sum((
             self.values[:, FIELD_COLUMNS["steer_voltage"]]
             * self.values[:, FIELD_COLUMNS["steer_current"]]
-        )
+        ).T)
 
     def cumulative_energy(self) -> np.ndarray:
         """Trapezoidal energy (J) from the first sample to each sample.
@@ -102,14 +100,6 @@ class Telemetry:
         return np.concatenate(
             ([0.0], np.cumsum(np.diff(t) * (p[1:] + p[:-1]) / 2.0))
         )
-
-
-def _sum_left(products: np.ndarray) -> np.ndarray:
-    """Each row's sum, added left to right from 0 as Python's sum() does."""
-    total = np.zeros(len(products))
-    for j in range(products.shape[1]):
-        total = total + products[:, j]
-    return total
 
 
 class _Scratch:
@@ -160,7 +150,7 @@ _FAST_LIMIT = 2.0**52
 
 def write_fixed_csv(
     path: str | Path,
-    header: Iterable[str],
+    header: list[str],
     values: np.ndarray,
     blank: np.ndarray | None = None,
 ) -> None:
@@ -168,10 +158,10 @@ def write_fixed_csv(
 
     The bytes are those of np.savetxt(fmt="%.6f", delimiter=",") under
     the header line. Cells where the boolean array `blank` is true are
-    written as empty cells.
+    written as empty cells; DataError names the column of any other nan or inf.
     """
     values = np.asarray(values, dtype=np.float64)
-    formatter = _ChunkFormatter()
+    formatter = _ChunkFormatter(header)
     with open_output(path) as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(values), _CHUNK_ROWS):
@@ -183,6 +173,10 @@ def write_fixed_csv(
 
 class _ChunkFormatter(_Scratch):
     """Formats chunks of rows for write_fixed_csv in arrays it keeps."""
+
+    def __init__(self, header: list[str]):
+        super().__init__()
+        self.header = header
 
     def write(self, handle, values: np.ndarray, blank: np.ndarray | None) -> None:
         """Write the CSV text of `values`, byte for byte as "%.6f" % x
@@ -274,7 +268,10 @@ class _ChunkFormatter(_Scratch):
         for i in slow.tolist():
             handle.write(out[done : ends[i - 1] if i else 0])
             empty = [False] * cols if blank is None else blank[i]
-            cells = zip(values[i].tolist(), empty)
+            cells = list(zip(values[i].tolist(), empty))
+            for name, (x, b) in zip(self.header, cells):
+                if not (b or math.isfinite(x)):
+                    raise DataError(f"non-finite output {name} = {x!r}")
             row = ",".join("" if b else FLOAT_FORMAT % x for x, b in cells) + "\n"
             handle.write(row.encode())
             done = ends[i]
@@ -291,23 +288,20 @@ def read_telemetry_csv(path: str | Path) -> Telemetry:
     A file in exactly the layout write_fixed_csv emits is parsed as
     fixed-point numbers (see _parse_fixed). Any other file, or one that
     layout cannot hold (such as a value of ten or more integer digits), is
-    read row by row by _read_rows, which gives the same values and names the
-    line of a malformed row.
+    read by _read_rows, which gives the same values. DataError names the
+    line of a malformed row or of one whose `t` does not follow the last.
     """
-    values = _parse_fixed(path)
+    values, lines = _parse_fixed(path), None
     if values is None:
-        try:
-            return _read_rows(path)
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not UTF-8 text") from None
-    t = values[:, 0]
-    late = np.flatnonzero(t[1:] <= t[:-1])
+        values, lines = _read_rows(path)
+    late = np.flatnonzero(values[1:, 0] <= values[:-1, 0])
     if late.size:
-        raise DataError(f"{path}:{late[0] + 3}: non-increasing timestamp")
+        where = lines[late[0] + 1] if lines else f"{path}:{late[0] + 3}"
+        raise DataError(f"{where}: non-increasing timestamp")
     return Telemetry(values)
 
 
-_HEADER_BYTES = (_HEADER_LINE + "\n").encode()
+_HEADER_BYTES = (",".join(TELEMETRY_HEADER) + "\n").encode()
 
 # Bytes per chunk of _parse_fixed, which completes each chunk to a line end.
 # On a 20,001-row file, 256 KiB chunks read faster than 64 KiB ones (more
@@ -507,30 +501,18 @@ class _ChunkParser(_Scratch):
         return lines
 
 
-def _read_rows(path: str | Path) -> Telemetry:
-    rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != TELEMETRY_HEADER:
-            raise DataError(f"{path}: unexpected telemetry header")
-        previous_t = None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(TELEMETRY_HEADER):
-                raise DataError(f"{path}:{lineno}: wrong column count")
-            try:
-                v = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            # nan fails every comparison, so the order check below lets it by
-            if not math.isfinite(v[0]):
-                raise DataError(
-                    f"{path}:{lineno}: non-finite timestamp {row[0]!r}"
-                )
-            if previous_t is not None and v[0] <= previous_t:
-                raise DataError(
-                    f"{path}:{lineno}: non-increasing timestamp"
-                )
-            previous_t = v[0]
-            rows.append(v)
-    return Telemetry(np.array(rows).reshape(-1, len(TELEMETRY_HEADER)))
+def _read_rows(path: str | Path) -> tuple[np.ndarray, list[str]]:
+    """The rows of a telemetry CSV as config.csv_rows reads a CSV, each cell
+    a number config.parse_finite accepts, and each row's `path:line`."""
+    rows, lines = [], []
+    for where, row in csv_rows(io.StringIO(read_text(path)), TELEMETRY_HEADER, path):
+        try:
+            values = list(map(float, row))
+            finite = math.isfinite(sum(values))
+        except ValueError:
+            finite = False
+        if not finite:  # a cell to refuse by name, or a sum that overflowed
+            values = [parse_finite(c, n, where) for n, c in zip(TELEMETRY_HEADER, row)]
+        rows.append(values)
+        lines.append(where)
+    return np.array(rows).reshape(-1, len(TELEMETRY_HEADER)), lines

@@ -1,5 +1,6 @@
 import csv
 import errno
+import math
 import os
 import shutil
 import subprocess
@@ -16,9 +17,12 @@ from rovermotion.cli import (
     EXIT_USAGE,
     PRESET_NAMES,
     ROTATION_PRESETS,
+    _fmt,
     main,
     preset_path,
 )
+from rovermotion.errors import DataError
+from rovermotion.telemetry import TELEMETRY_HEADER
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURE_DIR = (
@@ -141,6 +145,25 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {scn}{message}")
         assert not (tmp_path / "out" / "telemetry.csv").exists()
 
+    def test_non_finite_output_names_the_scenario(self, tmp_path, capsys):
+        # a finite velocity whose drive current and energy are not
+        scn = tmp_path / "bad.scn"
+        write_scenario(scn, duration=0.05, vx=1e308)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            code = run(["simulate", "--scenario", str(scn), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {scn}: non-finite output i_drive_fl = nan\n")
+        assert list(out.iterdir()) == []
+
+
+def test_fmt_refuses_a_non_finite_number():
+    assert _fmt(-0.0) == "-0.000000"
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DataError, match=f"^non-finite output {value!r}$"):
+            _fmt(value)
+
 
 class TestAnalyze:
     @pytest.fixture
@@ -194,10 +217,12 @@ class TestAnalyze:
         "damage, message",
         [
             (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
-             "3: wrong column count"),
+             "3: expected 36 columns, got 35"),
             (lambda lines: lines[:3] + ["abc" + lines[3][lines[3].index(","):]]
-             + lines[4:], "4: could not convert string to float: 'abc'"),
-            (lambda lines: lines[:4] + [""] + lines[4:], "5: wrong column count"),
+             + lines[4:], "4: non-numeric t 'abc'"),
+            # the blank row is skipped, and the late row named at its own line
+            (lambda lines: lines[:4] + [""] + lines[4:] + [lines[1]],
+             "3004: non-increasing timestamp"),
             (lambda lines: lines + [lines[1]], "3003: non-increasing timestamp"),
         ],
         ids=["short_row", "non_numeric", "blank_line", "non_increasing_time"],
@@ -220,8 +245,49 @@ class TestAnalyze:
         code = run(["analyze", "efficiency", "--telemetry", str(bad),
                     "--out", str(tmp_path / "eff")])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {bad}:3: non-finite timestamp '{cell}'\n"
+        assert capsys.readouterr().err == f"error: {bad}:3: non-finite t '{cell}'\n"
         assert not (tmp_path / "eff").exists()
+
+    @staticmethod
+    def with_cell(telemetry, rows, line, column, text):
+        """A copy of the first `rows` rows of `telemetry` whose `column` at
+        `line` is `text`: a fixed-layout file but for that cell, which sends
+        it to the row reader."""
+        lines = telemetry.read_text().splitlines(keepends=True)[: rows + 1]
+        cells = lines[line - 1].split(",")
+        cells[TELEMETRY_HEADER.index(column)] = text
+        lines[line - 1] = ",".join(cells)
+        bad = telemetry.parent.parent / "bad.csv"
+        bad.write_text("".join(lines))
+        return bad
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_data_error(self, telemetry, tmp_path, capsys, cell):
+        bad = self.with_cell(telemetry, 3001, 4, "odo_vx", cell)
+        out = tmp_path / "out"
+        code = run(["analyze", "slip", "--telemetry", str(bad), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}:4: non-finite odo_vx '{cell}'\n"
+        assert not out.exists()
+
+    def test_a_huge_finite_cell_is_read(self, telemetry, tmp_path, capsys):
+        bad = self.with_cell(telemetry, 3001, 4, "odo_vx", "1e308")
+        out = tmp_path / "out"
+        code = run(["analyze", "slip", "--telemetry", str(bad), "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("mean_slip=")
+
+    def test_non_finite_output_names_the_telemetry(self, telemetry, tmp_path, capsys):
+        # a finite drive current whose power, and so energy, is not
+        bad = self.with_cell(telemetry, 6, 3, "i_drive_fl", "1e308")
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run(["analyze", "yaw-energy", "--telemetry", str(bad),
+                        "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr() == (
+            "", f"error: {bad}: non-finite output fig3_energy_j = inf\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("source, message", [
         ("header_only", "insufficient samples"),
@@ -491,6 +557,25 @@ class TestDeflect:
         assert capsys.readouterr().err == (
             "numerical failure: frame 0: pose fit did not converge: rms inf px "
             "after 1 evaluations (residual not finite)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_refusal_inside_a_frame_names_the_file_and_frame(self, tmp_path, capsys):
+        # an inboard point far off puts the pose guess behind the camera
+        lines = (FIXTURE_DIR / "annotations.csv").read_text().splitlines()[:3]
+        row = lines[1].split(",")
+        loop = row[2].split(";")
+        loop[0] = "-1e308:" + loop[0].split(":")[1]
+        row[2] = ";".join(loop)
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text("\n".join([lines[0], ",".join(row), lines[2]]) + "\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run(["deflect", "--annotations", str(annotations),
+                        "--model", str(FIXTURE_DIR / "model.txt"),
+                        "--camera", str(FIXTURE_DIR / "camera.txt"),
+                        "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {annotations}: frame 0: wheel behind camera\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("window", ["0", "-3", "2"])

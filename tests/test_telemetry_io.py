@@ -20,7 +20,6 @@ from rovermotion.telemetry import (
     Telemetry,
     _CHUNK_ROWS,
     _parse_fixed,
-    _read_rows,
     read_telemetry_csv,
     write_fixed_csv,
     write_telemetry_csv,
@@ -88,7 +87,44 @@ class TestTelemetryCsv:
         path.write_text("".join(lines))
         with pytest.raises(DataError) as excinfo:
             read_telemetry_csv(path)
-        assert str(excinfo.value) == f"{path}:{row + 2}: non-finite timestamp '{cell}'"
+        assert str(excinfo.value) == f"{path}:{row + 2}: non-finite t '{cell}'"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", " -Infinity"])
+    @pytest.mark.parametrize("column", ["x", "odo_vx", "steer_rr"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell, column):
+        path = tmp_path / "telemetry.csv"
+        write_rows(path, np.ones((4, 36)))
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[3].rstrip("\n").split(",")
+        cells[TELEMETRY_HEADER.index(column)] = cell
+        lines[3] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError) as excinfo:
+            read_telemetry_csv(path)
+        assert str(excinfo.value) == f"{path}:4: non-finite {column} {cell!r}"
+
+    def test_huge_finite_cells_read(self, tmp_path):
+        # a row whose sum overflows is read cell by cell, and kept
+        path = tmp_path / "telemetry.csv"
+        write_rows(path, np.ones((4, 36)))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].split(",", 1)[0] + ",1e308" * 35 + "\n"
+        path.write_text("".join(lines))
+        values = read_telemetry_csv(path).values
+        assert values[2, 1:].tolist() == [1e308] * 35
+        assert np.array_equal(np.delete(values, 2, axis=0)[:, 1:], np.ones((3, 35)))
+
+    def test_blank_rows_skipped_and_lines_kept(self, tmp_path):
+        path = tmp_path / "telemetry.csv"
+        written = write_rows(path, np.ones((4, 36)))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + ["\n", "\n"] + lines[2:]))
+        assert np.array_equal(read_telemetry_csv(path).values, written)
+        # the late row is named at its line in the file, past the blank ones
+        path.write_text("".join(lines[:2] + ["\n", "\n"] + lines[2:] + [lines[2]]))
+        with pytest.raises(DataError) as excinfo:
+            read_telemetry_csv(path)
+        assert str(excinfo.value) == f"{path}:8: non-increasing timestamp"
 
     def test_header_only_reads_as_empty(self, tmp_path):
         path = tmp_path / "telemetry.csv"
@@ -139,6 +175,8 @@ cells = st.one_of(
     st.floats(-1e9, 1e9).map(lambda x: round(x, 6) + 5e-7),
     st.sampled_from(SPECIALS),
 )
+# the cells write_fixed_csv writes as numbers; it refuses the others unless blank
+finite_cells = cells.filter(math.isfinite)
 
 
 class TestFixedPointWriter:
@@ -150,26 +188,56 @@ class TestFixedPointWriter:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        data=st.lists(cells, min_size=1, max_size=120),
+        data=st.lists(finite_cells, min_size=1, max_size=120),
         width=st.integers(1, 7),
         blanks=st.lists(st.booleans(), min_size=120, max_size=120),
+        non_finite=st.sampled_from([math.nan, math.inf, -math.inf]),
+        at=st.integers(0, 119),
     )
-    def test_cells_match_percent_format(self, tmp_path_factory, data, width, blanks):
+    def test_cells_match_percent_format(self, tmp_path_factory, data, width, blanks,
+                                        non_finite, at):
         rows = max(1, len(data) // width)
         values = np.resize(np.array(data), (rows, width))
         blank = np.array(blanks[: rows * width]).reshape(rows, width)
         path = tmp_path_factory.getbasetemp() / "fixed.csv"
         assert self.write(path, values) == percent_rows(values, np.zeros_like(blank))
         assert self.write(path, values, blank) == percent_rows(values, blank)
+        # a non-finite cell is written only as a blank one
+        row, column = divmod(at % values.size, width)
+        values[row, column] = non_finite
+        with pytest.raises(DataError) as excinfo:
+            self.write(path, values)
+        assert str(excinfo.value) == f"non-finite output c{column} = {non_finite!r}"
+        blank[row, column] = True
+        assert self.write(path, values, blank) == percent_rows(values, blank)
 
     def test_ties_and_specials(self, tmp_path):
         values = np.array([TIES + SPECIALS])
-        written = self.write(tmp_path / "s.csv", values).decode()[:-1].split(",")
-        assert written == ["%.6f" % x for x in TIES + SPECIALS]
+        finite = np.isfinite(values)
+        written = self.write(tmp_path / "s.csv", values, ~finite).decode()[:-1].split(",")
+        assert written == ["%.6f" % x if math.isfinite(x) else ""
+                           for x in TIES + SPECIALS]
         assert written[:4] == ["-0.070312", "-0.054688", "-0.039062", "-0.023438"]
         assert written[len(TIES):][:4] == [
             "0.000000", "-0.000000", "-0.000000", "0.000000"]
-        assert written[len(TIES):][4:7] == ["nan", "inf", "-inf"]
+        assert written[len(TIES):][4:7] == ["", "", ""]
+        for j in np.flatnonzero(~finite[0]):
+            others = ~finite & (np.arange(values.size) != j)
+            with pytest.raises(DataError, match=f"^non-finite output c{j} = "):
+                self.write(tmp_path / "s.csv", values, others)
+
+    def test_a_refused_cell_leaves_no_file(self, tmp_path):
+        # past the first chunk, so the rows before it were already written
+        path = tmp_path / "t.csv"
+        write_rows(path, np.ones((3, 36)))
+        before = path.read_bytes()
+        values = np.ones((_CHUNK_ROWS + 2, 36))
+        values[_CHUNK_ROWS + 1, 20] = math.inf
+        with pytest.raises(DataError) as excinfo:
+            write_telemetry_csv(path, Telemetry(values))
+        assert str(excinfo.value) == f"non-finite output {TELEMETRY_HEADER[20]} = inf"
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     @pytest.mark.parametrize(
         "rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]
@@ -197,6 +265,13 @@ class TestFixedPointWriter:
 def bits(values):
     """The bit patterns of a float64 array, so that -0.0 and NaNs compare exactly."""
     return np.ascontiguousarray(values).view(np.int64)
+
+
+def read_rows(path):
+    """read_telemetry_csv(path) with every file read by the row reader, the
+    oracle of the fixed-point parser."""
+    with mock.patch.object(telemetry_module, "_parse_fixed", lambda path: None):
+        return read_telemetry_csv(path)
 
 
 def read_result(read, path):
@@ -231,7 +306,7 @@ def fast_only(monkeypatch):
 
 
 class TestFixedPointReader:
-    """read_telemetry_csv gives _read_rows's values bit for bit, or its error."""
+    """read_telemetry_csv gives the row reader's values bit for bit, or its error."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -245,7 +320,7 @@ class TestFixedPointReader:
             max_size=400,
         ),
         # a cell "%.6f" writes in another layout sends the file to _read_rows
-        other=st.lists(cells, max_size=2),
+        other=st.lists(finite_cells, max_size=2),
         chunk_bytes=st.integers(1, 3000),
     )
     def test_written_cells_read_back_bit_identical(
@@ -259,7 +334,7 @@ class TestFixedPointReader:
         with mock.patch.object(telemetry_module, "_READ_CHUNK_BYTES", chunk_bytes):
             values = read_telemetry_csv(path).values
         assert np.array_equal(bits(values), bits(expected))
-        assert np.array_equal(bits(values), bits(_read_rows(path).values))
+        assert np.array_equal(bits(values), bits(read_rows(path).values))
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_few_rows(self, tmp_path, fast_only, rows):
@@ -279,7 +354,7 @@ class TestFixedPointReader:
         write_rows(path, values)
         lines = path.read_bytes().splitlines(keepends=True)[1:]
         assert len({len(line) for line in lines}) == 1
-        expected = _read_rows(path).values
+        expected = read_rows(path).values
         parsed = []
         parse = telemetry_module._ChunkParser.parse
 
@@ -315,7 +390,7 @@ class TestFixedPointReader:
         rng = np.random.default_rng(4)
         path = tmp_path / "t.csv"
         write_rows(path, rng.normal(0.0, 100.0, (300, 36)))
-        expected = bits(_read_rows(path).values)
+        expected = bits(read_rows(path).values)
         parsed = {}  # id of each read's array -> (the array, the rows parsed into it)
         lock = threading.Lock()
         parse = telemetry_module._ChunkParser.parse
@@ -398,7 +473,7 @@ class TestFixedPointReader:
         if change == "late timestamp":
             # the layout holds, so the fast path reports it
             assert _parse_fixed(path) is not None
-            assert read_result(read_telemetry_csv, path) == read_result(_read_rows, path)
+            assert read_result(read_telemetry_csv, path) == read_result(read_rows, path)
         else:
             self.check_falls_back(path)
 
@@ -406,7 +481,7 @@ class TestFixedPointReader:
     def check_falls_back(path):
         assert _parse_fixed(path) is None
         assert same_result(
-            read_result(read_telemetry_csv, path), read_result(_read_rows, path)
+            read_result(read_telemetry_csv, path), read_result(read_rows, path)
         )
 
 
@@ -444,7 +519,7 @@ class TestStreamedReader:
         fast = _parse_fixed(path)
         assert (fast is not None) == (change in ("none", "header only"))
         assert same_result(
-            read_result(read_telemetry_csv, path), read_result(_read_rows, path)
+            read_result(read_telemetry_csv, path), read_result(read_rows, path)
         )
 
     def test_lines_past_the_size_bound_fall_back(self, tmp_path):
@@ -461,7 +536,7 @@ class TestStreamedReader:
             assert parser.parse(*chunk, row) is None
             assert np.isnan(values).all()
         assert parser.parse(*chunk, 0) == 3
-        assert np.array_equal(bits(values), bits(_read_rows(path).values))
+        assert np.array_equal(bits(values), bits(read_rows(path).values))
 
 
 def held(values):
