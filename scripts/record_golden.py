@@ -155,7 +155,7 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
     ]:
         cases.append((f"scenario-{name}", simulate,
                       {"bad.scn": _scenario(setting, row)}))
-    # a finite profile whose telemetry and energy are not: refused as written
+    # a finite profile whose telemetry and energy are not: refused before --out is made
     cases.append(("scenario-velocity_1e308", simulate,
                   {"bad.scn": _scenario(duration="0.05").replace(",0.06,", ",1e308,")}))
     cases.append(("scenario-missing", simulate, {}))
@@ -187,7 +187,7 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
     cases.append(("telemetry-odo_vx_nan", ["analyze", "slip", *analyze],
                   {"t.csv": "".join(lines[:3] + [with_cell(lines[3], "odo_vx", "nan")]
                                     + lines[4:])}))
-    # a finite cell whose energy is not: refused as the curve is written
+    # a finite cell whose energy is not: refused before --out is made
     cases.append(("telemetry-i_drive_fl_1e308", ["analyze", "yaw-energy", *analyze],
                   {"t.csv": "".join(lines[:2] + [with_cell(lines[2], "i_drive_fl", "1e308")]
                                     + lines[3:])}))

@@ -62,32 +62,23 @@ def _fmt(value: float) -> str:
     from math import isfinite
 
     if not isfinite(value):
-        raise DataError(f"non-finite output {value!r}")
+        raise DataError(f"non-finite output {float(value)!r}")  # not np.float64(inf)
     return f"{value:.6f}"
 
 
-def _check_outputs(path: str, *names: str) -> None:
-    """Raise DataError naming the first of `names` in the output directory
-    `path`, or the `NAME.tmp` open_output writes it through, that is itself a
+def _check_outputs(path: str, *names: str) -> Path:
+    """The output directory `path`, after DataError names the first of `names`
+    in it, or the `NAME.tmp` open_output writes it through, that is itself a
     directory, before the command does work whose result it could not write.
-    Makes nothing, so an input error leaves no `path` behind."""
-    from pathlib import Path
-
-    for name in names:
-        for target in (Path(path) / name, Path(path) / f"{name}.tmp"):
-            if target.is_dir():
-                raise DataError(f"is a directory: {target}")
-
-
-def _out_dir(path: str) -> Path:
-    """The directory `path`, made with its parents if it does not exist."""
+    Makes nothing: open_output makes `path` with the first file written into
+    it, so a command refused before that leaves no `path` behind."""
     from pathlib import Path
 
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file at `path` or above it, or no permission
-        raise DataError(f"cannot make output directory {path}: {exc.strerror}") from exc
+    for name in names:
+        for target in (out / name, out / f"{name}.tmp"):
+            if target.is_dir():
+                raise DataError(f"is a directory: {target}")
     return out
 
 
@@ -177,14 +168,13 @@ def _check_exists(*paths: str | Path) -> None:
 
 def cmd_simulate(args) -> int:
     _check_exists(args.scenario)
-    _check_outputs(args.out, "telemetry.csv", "summary.txt")
+    out = _check_outputs(args.out, "telemetry.csv", "summary.txt")
     from rovermotion import terrain
     from rovermotion.config import write_key_value_file
 
     scenario = terrain.load_scenario(args.scenario)
     with naming(args.scenario):
         telemetry = terrain.simulate_traverse(scenario)
-        out = _out_dir(args.out)
         write_telemetry_csv(out / "telemetry.csv", telemetry)
         final = (telemetry[-1] if len(telemetry)
                  else dict.fromkeys(["t", "x", "y", "heading"], 0.0))
@@ -215,7 +205,7 @@ _ANALYZE_OUTPUTS = {"cot": "cot.csv", "yaw-energy": "yaw_energy.csv",
 
 def cmd_analyze(args) -> int:
     _check_exists(args.telemetry)
-    _check_outputs(args.out, _ANALYZE_OUTPUTS[args.metric])
+    out = _check_outputs(args.out, _ANALYZE_OUTPUTS[args.metric])
     telemetry = read_telemetry_csv(args.telemetry)
     # only cot reads the rover; loaded before the output directory is made
     config = _config_from_args(args) if args.metric == "cot" else None
@@ -252,7 +242,7 @@ def cmd_analyze(args) -> int:
             slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
             write, data = _write_series, (["slip_t_s", "slip_ratio"], times, slip)
             line = f"mean_slip={_defined_mean(slip):.3f}"
-        write(_out_dir(args.out) / _ANALYZE_OUTPUTS[args.metric], *data)
+        write(out / _ANALYZE_OUTPUTS[args.metric], *data)
     print(line)
     return EXIT_OK
 
@@ -288,12 +278,11 @@ def cmd_deflect(args) -> int:
     if args.window < 1 or args.window % 2 == 0:
         raise DataError("window must be odd and >= 1")
     _check_exists(args.model, args.camera, args.annotations)
-    _check_outputs(args.out, "deflection.csv",
-                   *(["deflection_smoothed.csv"] if args.window != 1 else []))
+    out = _check_outputs(args.out, "deflection.csv",
+                         *(["deflection_smoothed.csv"] if args.window != 1 else []))
     from rovermotion import deflection
 
     estimates = _estimate_deflection(args.annotations, args.model, args.camera)
-    out = _out_dir(args.out)
     _write_deflection(out / "deflection.csv", estimates)
     if args.window != 1:
         _write_deflection(
@@ -311,7 +300,7 @@ def cmd_calibrate(args) -> int:
 
     path = Path(args.table)
     _check_exists(path)
-    _check_outputs(args.out, "power_params.txt", "calibration_residuals.csv")
+    out = _check_outputs(args.out, "power_params.txt", "calibration_residuals.csv")
     from rovermotion.config import (
         csv_rows, parse_finite, read_text, write_csv, write_key_value_file)
 
@@ -330,7 +319,6 @@ def cmd_calibrate(args) -> int:
 
     with naming(path):
         params, residuals = terrain.calibrate_power(rows, config)
-    out = _out_dir(args.out)
     write_key_value_file(out / "power_params.txt", [
         (name, _fmt(getattr(params, name))) for name in sorted(params.__dataclass_fields__)
     ])
@@ -347,7 +335,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _check_outputs(
+    out = _check_outputs(
         args.out, "table2.csv", "fig6.csv",
         *(f"telemetry_{name}.csv" for name in PRESET_NAMES + ROTATION_PRESETS),
         *(f"fig{n}_{name}.csv" for name in ROTATION_PRESETS for n in (3, 4)),
@@ -356,7 +344,6 @@ def cmd_report(args) -> int:
     from rovermotion.config import write_csv
     from rovermotion.telemetry import write_fixed_csv
 
-    out = _out_dir(args.out)
     table_rows = []
     for name in PRESET_NAMES + ROTATION_PRESETS:
         scenario = terrain.load_scenario(preset_path(name))

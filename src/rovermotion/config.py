@@ -125,8 +125,16 @@ def open_output(path: str | Path) -> Iterator[io.BufferedWriter]:
     """A binary handle on `NAME.tmp` beside the file `path`, moved onto `path`
     by os.replace when the block succeeds and removed when it does not, so
     `path` holds a previous run's bytes or this run's, never part of them.
-    The package's one way to write a file: an OSError, on opening, writing
-    or replacing, is DataError naming `path`."""
+    The directory of `path` is made first, with its parents, if it is missing.
+    The package's one way to write a file: an OSError, on making the
+    directory, opening, writing or replacing, is DataError naming the
+    directory or `path`."""
+    directory = Path(path).parent
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at `directory` or above it, or no permission
+        raise DataError(
+            f"cannot make output directory {directory}: {exc.strerror}") from exc
     tmp = f"{path}.tmp"
     try:
         handle = open(tmp, "wb")

@@ -82,7 +82,9 @@ class WheelPose:
         """The rotation by |rotvec| rad about rotvec, by Rodrigues' formula."""
         rotvec = np.asarray(rotvec, dtype=float)
         angle = float(np.linalg.norm(rotvec))
-        cross = np.cross(np.eye(3), rotvec / angle) if angle else np.zeros((3, 3))
+        # the matrix of v -> k x v for the unit axis k, written out: np.cross costs more
+        x, y, z = (rotvec / angle).tolist() if angle else (0.0, 0.0, 0.0)
+        cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
         rotation = (np.eye(3) + math.sin(angle) * cross
                     + 2.0 * math.sin(angle / 2.0) ** 2 * cross @ cross)
         return cls(rotation, np.asarray(translation, dtype=float))

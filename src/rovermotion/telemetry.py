@@ -81,14 +81,16 @@ class Telemetry:
     @property
     def total_power(self) -> np.ndarray:
         """Per-sample electrical power: drive plus steering power, each the
-        sum() of its four units' V * I columns, so added left to right from 0."""
-        return sum((
-            self.values[:, FIELD_COLUMNS["drive_voltage"]]
-            * self.values[:, FIELD_COLUMNS["drive_current"]]
-        ).T) + sum((
-            self.values[:, FIELD_COLUMNS["steer_voltage"]]
-            * self.values[:, FIELD_COLUMNS["steer_current"]]
-        ).T)
+        sum() of its four units' V * I columns, so added left to right from 0.
+        A product that overflows is inf, for the writer to refuse, unwarned."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sum((
+                self.values[:, FIELD_COLUMNS["drive_voltage"]]
+                * self.values[:, FIELD_COLUMNS["drive_current"]]
+            ).T) + sum((
+                self.values[:, FIELD_COLUMNS["steer_voltage"]]
+                * self.values[:, FIELD_COLUMNS["steer_current"]]
+            ).T)
 
     def cumulative_energy(self) -> np.ndarray:
         """Trapezoidal energy (J) from the first sample to each sample.
@@ -125,24 +127,26 @@ class _Scratch:
 
 
 # Rows per vectorised formatting pass. It bounds the (rows, columns, width)
-# byte buffer and its mask; 4096 rows raised a simulate's peak RSS by ~10 MB.
+# byte buffer and its bytes copy; 4096 rows raised a simulate's peak RSS by ~10 MB.
 _CHUNK_ROWS = 1024
 
 
-def _words(prefix: str, suffix: str) -> np.ndarray:
-    """Entry k: the four bytes prefix + the three digits of k + suffix."""
-    k = np.arange(1000)[:, None]
-    digits = k // np.array([100, 10, 1]) % 10 + ord("0")
-    columns = [np.full((1000, 1), ord(c)) for c in prefix]
-    columns += [digits] + [np.full((1000, 1), ord(c)) for c in suffix]
-    return np.hstack(columns).astype(np.uint8).view(np.uint32).ravel()
+def _words(cells: list[str]) -> np.ndarray:
+    """The four-character `cells` as four-byte words, in memory order."""
+    return np.frombuffer("".join(cells).encode(), np.uint32)
 
 
-# Each cell is laid out in four-byte words: "-ddd" per group of three
-# integer digits, ".ddd" and "ddd," for the six decimals.
-_GROUP_WORDS = _words("-", "")
-_POINT_WORDS = _words(".", "")
-_TAIL_WORDS = _words("", ",")
+# Each cell is laid out in four-byte words: a sign slot and three integer
+# digits per group of three, ".ddd" and "ddd," for the six decimals. Every
+# byte "%.6f" does not write is NUL. Entry k < 1000 of a group table is the
+# leading group k, with its leading zeros NUL; entry 1000 + k is a later
+# group. A leading 0 is all NUL but in the last group, where it writes "0".
+_LEAD = [str(k).rjust(4, "\0") for k in range(1000)]
+_LATER = [f"\0{k:03}" for k in range(1000)]
+_GROUP_WORDS = _words(["\0" * 4] + _LEAD[1:] + _LATER)
+_LAST_GROUP_WORDS = _words(_LEAD + _LATER)
+_POINT_WORDS = _words([f".{k:03}" for k in range(1000)])
+_TAIL_WORDS = _words([f"{k:03}," for k in range(1000)])
 
 # |x| * 1e6 below this is an exact float64 integer plus fraction
 _FAST_LIMIT = 2.0**52
@@ -158,34 +162,38 @@ def write_fixed_csv(
 
     The bytes are those of np.savetxt(fmt="%.6f", delimiter=",") under
     the header line. Cells where the boolean array `blank` is true are
-    written as empty cells; DataError names the column of any other nan or inf.
+    written as empty cells. DataError names the column of the first other
+    nan or inf, before the file or its directory is made.
     """
     values = np.asarray(values, dtype=np.float64)
-    formatter = _ChunkFormatter(header)
+    chunks = [slice(start, start + _CHUNK_ROWS)
+              for start in range(0, len(values), _CHUNK_ROWS)]
+    for chunk in chunks:  # a chunk at a time, so as not to hold a mask of all cells
+        bad = ~np.isfinite(values[chunk])
+        if blank is not None:
+            bad &= ~blank[chunk]
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            x = values[chunk][row, col].item()
+            raise DataError(f"non-finite output {header[col]} = {x!r}")
+    formatter = _ChunkFormatter()
     with open_output(path) as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, len(values), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            formatter.write(
-                handle, values[start:stop], None if blank is None else blank[start:stop]
-            )
+        for chunk in chunks:
+            formatter.write(handle, values[chunk], None if blank is None else blank[chunk])
 
 
 class _ChunkFormatter(_Scratch):
     """Formats chunks of rows for write_fixed_csv in arrays it keeps."""
 
-    def __init__(self, header: list[str]):
-        super().__init__()
-        self.header = header
-
     def write(self, handle, values: np.ndarray, blank: np.ndarray | None) -> None:
         """Write the CSV text of `values`, byte for byte as "%.6f" % x
-        writes each cell.
+        writes each cell; every cell that is not blank is finite.
 
         Each cell is rounded to q = round(|x| * 1e6) and written in a fixed
-        layout of four-byte words, whose unused sign, group-padding and
-        leading-zero bytes one boolean mask drops. A row with a cell this
-        rounding may get wrong is formatted by Python instead.
+        layout of four-byte words, whose unwritten bytes are NUL and are
+        dropped by one bytes.translate. A row with a cell this rounding may
+        get wrong is formatted by Python instead.
         """
         rows, cols = shape = values.shape
         # three float64 buffers; once the rounding is known, their memory
@@ -224,54 +232,42 @@ class _ChunkFormatter(_Scratch):
         # each word is looked up into a contiguous array first: take() copies
         # a strided `out` to a temporary
         word = self._scratch("word", shape, np.uint32)
-        for g in range(groups):
-            group = int_part
-            if g < groups - 1:
-                group = np.floor_divide(group, 1000 ** (groups - 1 - g), out=q)
-            if g:
-                group = np.remainder(group, 1000, out=q)
-            words[..., g] = np.take(_GROUP_WORDS, group, out=word, mode="clip")
         np.floor_divide(decimals, 1000, out=q)
         words[..., groups] = np.take(_POINT_WORDS, q, out=word, mode="clip")
         q *= 1000
         decimals -= q
         words[..., groups + 1] = np.take(_TAIL_WORDS, decimals, out=word, mode="clip")
+        for g in range(groups):
+            # groups 0 to g as one number, looked up as itself while below
+            # 1000 (the leading group), else as 1000 + its last three digits
+            last = g == groups - 1
+            index = prefix = (int_part if last else
+                              np.floor_divide(int_part, 1000 ** (groups - 1 - g), out=q))
+            if g:
+                index = np.remainder(prefix, 1000, out=decimals)
+                index += 1000
+                np.minimum(prefix, index, out=index)
+            table = _LAST_GROUP_WORDS if last else _GROUP_WORDS
+            words[..., g] = np.take(table, index, out=word, mode="clip")
         text = words.view(np.uint8).reshape(rows, cols, -1)
         text[:, -1, -1] = ord("\n")
-
-        keep = self._scratch("keep", text.shape, bool)
-        # four flags at a time: the decimals' two words are kept, the padding
-        # byte of a later group word is not
-        keep.view(np.uint32)[..., groups:] = 0x01010101
-        keep.view(np.uint32)[..., 1:groups] = 0
         # through a contiguous array: numpy 2.4's signbit writes wrong values
         # into a strided `out`
-        keep[..., 0] = np.signbit(values, out=flags)
-        # the digit of place 10**p sits at byte 4 * g + 1 + j, with
-        # p = 3 * (groups - 1 - g) + 2 - j; it is kept from the leading digit on
-        for g in range(groups):
-            for j in range(3):
-                p = 3 * (groups - 1 - g) + 2 - j
-                keep[..., 4 * g + 1 + j] = (
-                    np.greater_equal(int_part, 10**p, out=flags) if p else True
-                )
+        np.copyto(text[..., 0], ord("-"), where=np.signbit(values, out=flags))
         if blank is not None:
-            keep[blank, :-1] = False
-        out = text[keep]
+            text[blank, :-1] = 0
+        out = text.tobytes().translate(None, b"\0")
 
         slow = np.flatnonzero(~fast.all(axis=1))
         if slow.size == 0:
             handle.write(out)
             return
-        ends = np.cumsum(keep.sum(axis=(1, 2))).tolist()
+        ends = np.cumsum(np.count_nonzero(text.reshape(rows, -1), axis=1)).tolist()
         done = 0
         for i in slow.tolist():
             handle.write(out[done : ends[i - 1] if i else 0])
             empty = [False] * cols if blank is None else blank[i]
-            cells = list(zip(values[i].tolist(), empty))
-            for name, (x, b) in zip(self.header, cells):
-                if not (b or math.isfinite(x)):
-                    raise DataError(f"non-finite output {name} = {x!r}")
+            cells = zip(values[i].tolist(), empty)
             row = ",".join("" if b else FLOAT_FORMAT % x for x, b in cells) + "\n"
             handle.write(row.encode())
             done = ends[i]

@@ -140,12 +140,15 @@ def drive_power(
     v = np.abs([cmd.drive_speed for cmd in commands]) * config.wheel_radius
     cx, cy = vx - wz * p[:, 1], vy + wz * p[:, 0]
     lateral = np.abs(-u[:, 1] * cx + u[:, 0] * cy)
-    drive = power.idle_power_per_drive + (
-        tractive_coeff * v
-        + power.speed_quadratic_coeff * v * v
-        + power.lateral_friction_coeff * normal_per_wheel * lateral
-        + (power.drawbar_force / 4.0) * v
-    ) / power.drivetrain_efficiency
+    # a speed so large that the power is not finite is refused when the
+    # telemetry is written, without a warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = power.idle_power_per_drive + (
+            tractive_coeff * v
+            + power.speed_quadratic_coeff * v * v
+            + power.lateral_friction_coeff * normal_per_wheel * lateral
+            + (power.drawbar_force / 4.0) * v
+        ) / power.drivetrain_efficiency
     tags = [cmd.wheel_id.tag for cmd in commands]
     breakdown = {f"drive_{tag}": max(p_i, 0.0) for tag, p_i in zip(tags, drive)}
     breakdown.update((f"steer_{tag}", power.steering_hold_power) for tag in tags)

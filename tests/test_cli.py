@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -146,23 +147,31 @@ class TestSimulate:
         assert not (tmp_path / "out" / "telemetry.csv").exists()
 
     def test_non_finite_output_names_the_scenario(self, tmp_path, capsys):
-        # a finite velocity whose drive current and energy are not
-        scn = tmp_path / "bad.scn"
-        write_scenario(scn, duration=0.05, vx=1e308)
-        out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            code = run(["simulate", "--scenario", str(scn), "--out", str(out)])
-        assert code == EXIT_DATA
-        assert capsys.readouterr().err == (
-            f"error: {scn}: non-finite output i_drive_fl = nan\n")
-        assert list(out.iterdir()) == []
+        # finite velocities whose drive current and energy are not: refused
+        # before --out is made, with no numpy warning first
+        for vx, value in [(1e308, "nan"), (1e300, "inf")]:
+            scn = tmp_path / "bad.scn"
+            write_scenario(scn, duration=0.05, vx=vx)
+            out = tmp_path / "out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(["simulate", "--scenario", str(scn), "--out", str(out)])
+            assert code == EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"error: {scn}: non-finite output i_drive_fl = {value}\n")
+            assert not out.exists()
 
 
 def test_fmt_refuses_a_non_finite_number():
+    import numpy as np
+
     assert _fmt(-0.0) == "-0.000000"
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(DataError, match=f"^non-finite output {value!r}$"):
             _fmt(value)
+        # a numpy scalar is named as the Python float, not as np.float64(inf)
+        with pytest.raises(DataError, match=f"^non-finite output {value!r}$"):
+            _fmt(np.float64(value))
 
 
 class TestAnalyze:
@@ -281,13 +290,14 @@ class TestAnalyze:
         # a finite drive current whose power, and so energy, is not
         bad = self.with_cell(telemetry, 6, 3, "i_drive_fl", "1e308")
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = run(["analyze", "yaw-energy", "--telemetry", str(bad),
                         "--out", str(out)])
         assert code == EXIT_DATA
         assert capsys.readouterr() == (
             "", f"error: {bad}: non-finite output fig3_energy_j = inf\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("source, message", [
         ("header_only", "insufficient samples"),

@@ -192,11 +192,32 @@ def test_open_output_replaces_the_file_only_when_the_block_succeeds(tmp_path):
 
 
 def test_open_output_names_the_file_it_cannot_write(tmp_path):
-    path = tmp_path / "missing" / "out.csv"
+    path = tmp_path / "out.csv"
+    (tmp_path / "out.csv.tmp").mkdir()
     with pytest.raises(DataError) as info:
         with open_output(path):
             pass
-    assert str(info.value) == f"cannot write {path}: No such file or directory"
+    assert str(info.value) == f"cannot write {path}: Is a directory"
+    assert not path.exists()
+
+
+def test_open_output_makes_a_missing_directory(tmp_path):
+    path = tmp_path / "missing" / "sub" / "out.csv"
+    with open_output(path) as handle:
+        handle.write(b"new\n")
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
+
+
+def test_open_output_names_the_directory_it_cannot_make(tmp_path):
+    (tmp_path / "file").write_text("a file\n")
+    for directory, reason in [(tmp_path / "file", "File exists"),
+                              (tmp_path / "file" / "sub", "Not a directory")]:
+        with pytest.raises(DataError) as info:
+            with open_output(directory / "out.csv"):
+                pass
+        assert str(info.value) == f"cannot make output directory {directory}: {reason}"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_csv_rows_skips_blank_rows_and_names_lines():
