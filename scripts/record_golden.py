@@ -155,9 +155,12 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
     ]:
         cases.append((f"scenario-{name}", simulate,
                       {"bad.scn": _scenario(setting, row)}))
-    # a finite profile whose telemetry and energy are not: refused before --out is made
-    cases.append(("scenario-velocity_1e308", simulate,
-                  {"bad.scn": _scenario(duration="0.05").replace(",0.06,", ",1e308,")}))
+    # finite profiles whose energy is not: refused before --out is made; at
+    # 1e152 every telemetry cell is finite and only the energy's sum overflows
+    for velocity in ("1e308", "1e152"):
+        cases.append((f"scenario-velocity_{velocity}", simulate,
+                      {"bad.scn": _scenario(duration="0.05").replace(",0.06,",
+                                                                     f",{velocity},")}))
     cases.append(("scenario-missing", simulate, {}))
 
     telemetry = _short_telemetry()
@@ -253,7 +256,7 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         # frame 0's residual overflows: a pose fit failure, not an answer
         ("outboard_point_far_off", "annotations.csv", f",{outboard};",
          f",-1e308:{outboard.split(':')[1]};"),
-        # frame 0's pose guess puts the wheel behind the camera
+        # frame 0's apparent inboard radius overflows: a degenerate loop
         ("inboard_point_far_off", "annotations.csv", f",{inboard};",
          f",-1e308:{inboard.split(':')[1]};"),
     ]:

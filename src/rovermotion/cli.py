@@ -57,15 +57,6 @@ def _number_arg(text: str, positive: bool = False) -> float:
     return value
 
 
-def _fmt(value: float) -> str:
-    """`value` written with six decimals; DataError if it is not finite."""
-    from math import isfinite
-
-    if not isfinite(value):
-        raise DataError(f"non-finite output {float(value)!r}")  # not np.float64(inf)
-    return f"{value:.6f}"
-
-
 def _check_outputs(path: str, *names: str) -> Path:
     """The output directory `path`, after DataError names the first of `names`
     in it, or the `NAME.tmp` open_output writes it through, that is itself a
@@ -101,9 +92,9 @@ def _write_series(path: Path, header: list[str], *columns: np.ndarray) -> None:
     write_fixed_csv(path, header, values, blank)
 
 
-def _cot_row(mode: str, slope_deg: float, report: metrics.CotReport) -> list[str]:
-    return [mode, _fmt(slope_deg), _fmt(report.mean_velocity),
-            _fmt(report.mean_power), _fmt(report.cost_of_transport)]
+def _cot_row(mode: str, slope_deg: float, report: metrics.CotReport) -> list:
+    return [mode, slope_deg, report.mean_velocity, report.mean_power,
+            report.cost_of_transport]
 
 
 def _defined_mean(values: np.ndarray) -> float:
@@ -170,23 +161,25 @@ def cmd_simulate(args) -> int:
     _check_exists(args.scenario)
     out = _check_outputs(args.out, "telemetry.csv", "summary.txt")
     from rovermotion import terrain
-    from rovermotion.config import write_key_value_file
+    from rovermotion.config import key_value_text, write_output
 
     scenario = terrain.load_scenario(args.scenario)
+    # the summary is rendered, and so refused, before the telemetry is written
     with naming(args.scenario):
         telemetry = terrain.simulate_traverse(scenario)
-        write_telemetry_csv(out / "telemetry.csv", telemetry)
         final = (telemetry[-1] if len(telemetry)
                  else dict.fromkeys(["t", "x", "y", "heading"], 0.0))
-        write_key_value_file(out / "summary.txt", [
+        summary = key_value_text([
             ("scenario", scenario.name),
             ("records", len(telemetry)),
-            ("duration_s", _fmt(final["t"])),
-            ("final_x_m", _fmt(final["x"])),
-            ("final_y_m", _fmt(final["y"])),
-            ("final_heading_rad", _fmt(final["heading"])),
-            ("energy_j", _fmt(telemetry.cumulative_energy()[-1])),
+            ("duration_s", final["t"]),
+            ("final_x_m", final["x"]),
+            ("final_y_m", final["y"]),
+            ("final_heading_rad", final["heading"]),
+            ("energy_j", telemetry.cumulative_energy()[-1]),
         ])
+        write_telemetry_csv(out / "telemetry.csv", telemetry)
+    write_output(out / "summary.txt", summary)
     return EXIT_OK
 
 
@@ -212,17 +205,18 @@ def cmd_analyze(args) -> int:
     import numpy as np
 
     from rovermotion import metrics
-    from rovermotion.config import write_csv
+    from rovermotion.config import csv_text, write_output
     from rovermotion.telemetry import write_fixed_csv
 
     # each metric gives its writer, the writer's arguments after the path
     # and the line to print; the output directory is made only then;
-    # a refusal names the telemetry file
-    with naming(args.telemetry):
+    # a refusal names the telemetry file, and a value that overflows is inf
+    # or nan, unwarned, for the writer to refuse
+    with naming(args.telemetry), np.errstate(all="ignore"):
         if args.metric == "cot":
             report = metrics.mean_cot(telemetry, config)
             row = _cot_row(args.label, args.slope, report)
-            write, data = write_csv, (_COT_HEADER, [row])
+            write, data = write_output, (csv_text(_COT_HEADER, [row]),)
             line = f"cot={report.cost_of_transport:.3f}"
         elif args.metric == "yaw-energy":
             curve = metrics.energy_vs_yaw(telemetry)
@@ -260,16 +254,11 @@ def _estimate_deflection(
         return deflection.process_annotations(frames, wheel, cam)
 
 
-def _write_deflection(
-    path: Path, estimates: list[deflection.DeflectionEstimate]
-) -> None:
-    from rovermotion.config import write_csv
+def _deflection_text(estimates: list[deflection.DeflectionEstimate]) -> str:
+    from rovermotion.config import csv_text
 
-    write_csv(
-        path,
-        ["frame", "volume_m3", "fraction"],
-        [[str(e.frame), f"{e.volume:.9f}", _fmt(e.fraction)] for e in estimates],
-    )
+    return csv_text(["frame", "volume_m3", "fraction"],
+                    [[e.frame, f"{e.volume:.9f}", e.fraction] for e in estimates])
 
 
 def cmd_deflect(args) -> int:
@@ -281,14 +270,15 @@ def cmd_deflect(args) -> int:
     out = _check_outputs(args.out, "deflection.csv",
                          *(["deflection_smoothed.csv"] if args.window != 1 else []))
     from rovermotion import deflection
+    from rovermotion.config import write_output
 
     estimates = _estimate_deflection(args.annotations, args.model, args.camera)
-    _write_deflection(out / "deflection.csv", estimates)
+    texts = {"deflection.csv": _deflection_text(estimates)}
     if args.window != 1:
-        _write_deflection(
-            out / "deflection_smoothed.csv",
-            deflection.smooth_deflection_series(estimates, args.window),
-        )
+        texts["deflection_smoothed.csv"] = _deflection_text(
+            deflection.smooth_deflection_series(estimates, args.window))
+    for name, text in texts.items():
+        write_output(out / name, text)
     peak = max((e.fraction for e in estimates), default=0.0)
     print(f"frames={len(estimates)} max_fraction={peak:.4f}")
     return EXIT_OK
@@ -302,7 +292,7 @@ def cmd_calibrate(args) -> int:
     _check_exists(path)
     out = _check_outputs(args.out, "power_params.txt", "calibration_residuals.csv")
     from rovermotion.config import (
-        csv_rows, parse_finite, read_text, write_csv, write_key_value_file)
+        csv_rows, csv_text, key_value_text, parse_finite, read_text, write_output)
 
     rows = []
     header = ["mode", "slope_deg", "velocity", "cot"]
@@ -319,17 +309,12 @@ def cmd_calibrate(args) -> int:
 
     with naming(path):
         params, residuals = terrain.calibrate_power(rows, config)
-    write_key_value_file(out / "power_params.txt", [
-        (name, _fmt(getattr(params, name))) for name in sorted(params.__dataclass_fields__)
-    ])
-    write_csv(
-        out / "calibration_residuals.csv",
-        ["slope_deg", "velocity_m_s", "cot_measured", "cot_residual"],
-        [
-            [_fmt(s), _fmt(v), _fmt(c), _fmt(res)]
-            for (s, v, c), res in zip(rows, residuals)
-        ],
-    )
+        params_text = key_value_text(sorted(vars(params).items()))
+        residuals_text = csv_text(
+            ["slope_deg", "velocity_m_s", "cot_measured", "cot_residual"],
+            [[*row, res] for row, res in zip(rows, residuals)])
+    write_output(out / "power_params.txt", params_text)
+    write_output(out / "calibration_residuals.csv", residuals_text)
     print(f"rows={len(rows)} max_abs_residual={max(abs(r) for r in residuals):.4f}")
     return EXIT_OK
 
@@ -341,7 +326,7 @@ def cmd_report(args) -> int:
         *(f"fig{n}_{name}.csv" for name in ROTATION_PRESETS for n in (3, 4)),
     )
     from rovermotion import metrics, terrain
-    from rovermotion.config import write_csv
+    from rovermotion.config import csv_text, write_output
     from rovermotion.telemetry import write_fixed_csv
 
     table_rows = []
@@ -358,7 +343,7 @@ def cmd_report(args) -> int:
             report = metrics.mean_cot(telemetry, scenario.config)
             table_rows.append(
                 _cot_row(name.split("_")[0], scenario.terrain.slope_deg, report))
-    write_csv(out / "table2.csv", _COT_HEADER, table_rows)
+    write_output(out / "table2.csv", csv_text(_COT_HEADER, table_rows))
 
     fixture = _data_dir("deflection")
     estimates = _estimate_deflection(
@@ -366,11 +351,8 @@ def cmd_report(args) -> int:
         str(fixture / "model.txt"),
         str(fixture / "camera.txt"),
     )
-    write_csv(
-        out / "fig6.csv",
-        ["fig6_frame", "fig6_fraction"],
-        [[str(e.frame), _fmt(e.fraction)] for e in estimates],
-    )
+    write_output(out / "fig6.csv", csv_text(["fig6_frame", "fig6_fraction"],
+                                            [[e.frame, e.fraction] for e in estimates]))
     print(f"report written to {out}")
     return EXIT_OK
 

@@ -155,13 +155,25 @@ def write_output(path: str | Path, text: str) -> None:
         handle.write(text.encode("utf-8", "surrogateescape"))
 
 
-def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
-    """Write `header` and `rows` as CSV lines ending in "\n"."""
+def _cell(value: object, name: str) -> str:
+    """`value`, the output named `name`, as text: a float with six decimals,
+    any other value by str. DataError refuses a float that is not finite."""
+    if not isinstance(value, float):
+        return str(value)
+    if not math.isfinite(value):  # named as a Python float, not as np.float64(inf)
+        raise DataError(f"non-finite output {name} = {float(value)!r}")
+    return f"{value:.6f}"
+
+
+def csv_text(header: list[str], rows: Iterable[list]) -> str:
+    """`header` and `rows` as CSV lines ending in "\n", each cell as _cell
+    writes it under its column's name."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    write_output(path, text.getvalue())
+    writer.writerows([_cell(value, name) for name, value in zip(header, row, strict=True)]
+                     for row in rows)
+    return text.getvalue()
 
 
 def csv_rows(
@@ -184,9 +196,10 @@ def csv_rows(
             yield where, row
 
 
-def write_key_value_file(path: str | Path, pairs: Iterable[tuple[str, object]]) -> None:
-    """Write `key = value` lines that parse_key_value_file reads back."""
-    write_output(path, "".join(f"{key} = {value}\n" for key, value in pairs))
+def key_value_text(pairs: Iterable[tuple[str, object]]) -> str:
+    """`key = value` lines that parse_key_value_file reads back, each value
+    as _cell writes it under its key."""
+    return "".join(f"{key} = {_cell(value, key)}\n" for key, value in pairs)
 
 
 def parse_key_value_file(path: str | Path) -> dict[str, str]:

@@ -10,12 +10,13 @@ import numpy as np
 
 from rovermotion.config import (
     csv_rows,
+    csv_text,
     from_pairs,
     parse_finite,
     parse_integer,
     parse_key_value_file,
     read_text,
-    write_csv,
+    write_output,
 )
 from rovermotion.errors import DataError, PoseFitError, naming
 
@@ -310,8 +311,8 @@ def fit_wheel_pose(
             return np.full(len(observed), 1e6)
 
     x0 = np.concatenate([_tilt_rotvec(initial_guess.axis), initial_guess.translation])
-    # a residual that overflows is inf, which the solver refuses by name
-    with np.errstate(over="ignore"):
+    # a residual that overflows is inf or nan, which the solver refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
         x, fun, nfev, failure = _levenberg_marquardt(
             residuals, x0, max_iterations * (len(x0) + 1))
         pose, rms = pose_of(x), math.sqrt(float(np.mean(fun**2)))
@@ -529,7 +530,7 @@ def write_annotations_csv(path: str | Path, frames: list[AnnotationFrame]) -> No
         chord = ([""] * 4 if item.chord is None
                  else [f"{c:.6f}" for c in (*item.chord.p1, *item.chord.p2)])
         rows.append([item.frame, item.cam_id, *map(_serialize_loop, item.loops), *chord])
-    write_csv(path, ANNOTATION_HEADER, rows)
+    write_output(path, csv_text(ANNOTATION_HEADER, rows))
 
 
 def read_annotations_csv(path: str | Path) -> list[AnnotationFrame]:
@@ -558,13 +559,17 @@ def initial_pose_guess(
     wheels viewed within the documented convergence basin.
     """
     inboard = np.asarray(loops[0], dtype=float)
-    centroid = inboard.mean(axis=0)
-    apparent = float(np.mean(np.linalg.norm(inboard - centroid, axis=1)))
-    if apparent <= 0:
+    # a radius that overflows is inf, refused as one of 0 is
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroid = inboard.mean(axis=0)
+        apparent = float(np.mean(np.linalg.norm(inboard - centroid, axis=1)))
+    if not 0.0 < apparent < math.inf:
         raise DataError("degenerate loop")
+    # Python floats: a position that overflows is inf, for the fit to refuse
+    u, v = centroid.tolist()
     depth = cam.fx * model.radius / apparent
-    x = (centroid[0] - cam.cx) / cam.fx * depth
-    y = (centroid[1] - cam.cy) / cam.fy * depth
+    x = (u - cam.cx) / cam.fx * depth
+    y = (v - cam.cy) / cam.fy * depth
     return WheelPose(np.eye(3), np.array([x, y, depth]))
 
 
@@ -576,20 +581,14 @@ def process_annotations(
     """Full per-frame pipeline: pose fit, then the closed-form deflected
     volume fraction of the frame's chord (0 for a frame without one).
 
-    Stops at the first frame that fails, raising PoseFitError with that
-    frame's number, or DataError with `frame N: ` in front of its message.
+    Stops at the first frame that fails, raising its PoseFitError or
+    DataError with `frame N: ` in front of the message.
     """
     estimates = []
     for item in frames:
         with naming(f"frame {item.frame}"):
-            try:
-                pose, _ = fit_wheel_pose(
-                    item.loops, model, cam, initial_pose_guess(item.loops, model, cam)
-                )
-            except PoseFitError as exc:
-                raise PoseFitError(
-                    exc.pose, exc.rms, exc.nfev, exc.reason, frame=item.frame
-                ) from None
+            guess = initial_pose_guess(item.loops, model, cam)
+            pose, _ = fit_wheel_pose(item.loops, model, cam, guess)
             if item.chord is None:
                 estimates.append(DeflectionEstimate(item.frame, 0.0, 0.0))
             else:

@@ -25,40 +25,35 @@ class DataError(ValueError):
 
 @contextmanager
 def naming(where: object) -> Iterator[None]:
-    """Put `where`, an input's path or `path:line`, in front of the message
-    of a DataError raised in the block, but for one raised from an OSError,
-    which names the output it could not write."""
+    """The package's one way to say where a failure happened: put `where`,
+    an input's path, its `path:line` or `frame N`, in front of the message of
+    a DataError or PoseFitError raised in the block, in place, so a
+    PoseFitError keeps its diagnostics; but not for a DataError raised from
+    an OSError, which names the output it could not write."""
     try:
         yield
-    except DataError as exc:
+    except (DataError, PoseFitError) as exc:
         if isinstance(exc.__cause__, OSError):
             raise
-        raise DataError(f"{where}: {exc}") from None
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 class PoseFitError(RuntimeError):
     """Pose optimization did not converge.
 
     Carries the best pose found, its RMS reprojection distance in pixels,
-    the number of residual evaluations (Jacobian columns included), why the
-    solver stopped and, when raised by process_annotations, the frame number.
+    the number of residual evaluations (Jacobian columns included) and why
+    the solver stopped. process_annotations names the frame, and the CLI
+    the annotation file, in front of its message.
     """
 
-    def __init__(
-        self,
-        pose: "WheelPose",
-        rms: float,
-        nfev: int,
-        reason: str,
-        frame: int | None = None,
-    ):
-        where = "" if frame is None else f"frame {frame}: "
+    def __init__(self, pose: "WheelPose", rms: float, nfev: int, reason: str):
         super().__init__(
-            f"{where}pose fit did not converge: rms {rms:.3g} px after "
+            f"pose fit did not converge: rms {rms:.3g} px after "
             f"{nfev} evaluations ({reason})"
         )
         self.pose = pose
         self.rms = rms
         self.nfev = nfev
         self.reason = reason
-        self.frame = frame

@@ -96,12 +96,14 @@ class Telemetry:
         """Trapezoidal energy (J) from the first sample to each sample.
 
         The intervals are accumulated one after another, so the last entry
-        equals a sequential sum over the series.
+        equals a sequential sum over the series. A sum that overflows is
+        inf, as in total_power.
         """
         t, p = self.column("t"), self.total_power
-        return np.concatenate(
-            ([0.0], np.cumsum(np.diff(t) * (p[1:] + p[:-1]) / 2.0))
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.concatenate(
+                ([0.0], np.cumsum(np.diff(t) * (p[1:] + p[:-1]) / 2.0))
+            )
 
 
 class _Scratch:

@@ -150,15 +150,18 @@ def drive_power(
             + (power.drawbar_force / 4.0) * v
         ) / power.drivetrain_efficiency
     tags = [cmd.wheel_id.tag for cmd in commands]
-    breakdown = {f"drive_{tag}": max(p_i, 0.0) for tag, p_i in zip(tags, drive)}
+    # Python floats, whose sum is inf, unwarned, where it overflows
+    breakdown = {f"drive_{tag}": max(p_i, 0.0) for tag, p_i in zip(tags, drive.tolist())}
     breakdown.update((f"steer_{tag}", power.steering_hold_power) for tag in tags)
     return sum(breakdown.values()), breakdown
 
 
 def _slew(from_angles, to_angles, config: RoverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(signed angle change, slew time) of each steering unit at the configured rate."""
+    """(signed angle change, slew time) of each steering unit at the configured
+    rate; a time that overflows is inf, for the row ceiling to refuse."""
     deltas = np.subtract(to_angles, from_angles)
-    return deltas, np.abs(deltas) / config.steering_rate
+    with np.errstate(over="ignore"):
+        return deltas, np.abs(deltas) / config.steering_rate
 
 
 def reposition_between(
@@ -303,17 +306,20 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
         if slip is not None:
             achieved[start:stop] = (slip.vx, slip.vy, slip.wz)
             if rng is not None:
-                # row-major, so the draws land in apply_slip's per-step order
-                achieved[start:stop] *= 1.0 + rng.normal(
-                    0.0, terrain.noise_std, size=(n, 3)
-                )
+                # row-major, so the draws land in apply_slip's per-step order;
+                # a product that overflows is refused when the telemetry is written
+                with np.errstate(over="ignore", invalid="ignore"):
+                    achieved[start:stop] *= 1.0 + rng.normal(
+                        0.0, terrain.noise_std, size=(n, 3)
+                    )
         start = stop
     # the final sample carries the end state of the last phase, which is a
     # motion phase and so constant
     _phase_block(values[-1:], *phases[-1][2])
 
     telemetry = Telemetry(values)
-    np.multiply(np.arange(len(values)), step, out=telemetry.column("t"))
+    with np.errstate(over="ignore"):  # a time that overflows is refused when written
+        np.multiply(np.arange(len(values)), step, out=telemetry.column("t"))
     pose = integrate_track(*achieved.T, step)
     for name, column in zip(["x", "y", "heading", "marker_x", "marker_y"],
                             [*pose, *marker_positions(*pose, scenario.marker_offset)]):
@@ -354,7 +360,8 @@ def calibrate_power(
     mg = np.float64(config.mass * config.gravity)
     design = np.zeros((len(rows), 3))
     target = np.zeros(len(rows))
-    with np.errstate(divide="ignore", over="ignore"):
+    # a term or a misfit that overflows is inf, unwarned
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, (slope_deg, v, cot) in enumerate(rows):
             if v <= 0:
                 raise DataError("non-positive velocity in calibration row")
@@ -362,18 +369,18 @@ def calibrate_power(
             design[i] = (4.0 / (mg * v), math.cos(theta), 4.0 * v / mg)
             target[i] = cot - math.sin(theta)
         norms = np.linalg.norm(design, axis=0)
-    if not ((norms > 0.0) & (norms < np.inf)).all():
-        raise DataError("calibration terms out of floating-point range")
-    # the non-negative fit is the least-squares fit on some set of free columns,
-    # the rest at 0: keep the best feasible one (Lawson and Hanson 1974, ch. 23).
-    # Unit columns keep lstsq's error at that of the column-scaled problem.
-    unit, solution, misfit = design / norms, np.zeros(3), float(target @ target)
-    for free in ([j for j in range(3) if subset >> j & 1] for subset in range(1, 8)):
-        trial = np.zeros(3)
-        trial[free] = np.linalg.lstsq(unit[:, free], target, rcond=None)[0]
-        trial_misfit = float(np.sum((unit @ trial - target) ** 2))
-        if trial.min() >= 0.0 and trial_misfit < misfit:
-            solution, misfit = trial, trial_misfit
+        if not ((norms > 0.0) & (norms < np.inf)).all():
+            raise DataError("calibration terms out of floating-point range")
+        # the non-negative fit is the least-squares fit on some set of free columns,
+        # the rest at 0: keep the best feasible one (Lawson and Hanson 1974, ch. 23).
+        # Unit columns keep lstsq's error at that of the column-scaled problem.
+        unit, solution, misfit = design / norms, np.zeros(3), float(target @ target)
+        for free in ([j for j in range(3) if subset >> j & 1] for subset in range(1, 8)):
+            trial = np.zeros(3)
+            trial[free] = np.linalg.lstsq(unit[:, free], target, rcond=None)[0]
+            trial_misfit = float(np.sum((unit @ trial - target) ** 2))
+            if trial.min() >= 0.0 and trial_misfit < misfit:
+                solution, misfit = trial, trial_misfit
     idle, rolling, quad = (float(c) for c in solution / norms)
     params = PowerModelParams(
         idle_power_per_drive=idle, rolling_resistance_coeff=rolling,

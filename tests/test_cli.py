@@ -1,6 +1,5 @@
 import csv
 import errno
-import math
 import os
 import shutil
 import subprocess
@@ -18,11 +17,9 @@ from rovermotion.cli import (
     EXIT_USAGE,
     PRESET_NAMES,
     ROTATION_PRESETS,
-    _fmt,
     main,
     preset_path,
 )
-from rovermotion.errors import DataError
 from rovermotion.telemetry import TELEMETRY_HEADER
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -147,9 +144,10 @@ class TestSimulate:
         assert not (tmp_path / "out" / "telemetry.csv").exists()
 
     def test_non_finite_output_names_the_scenario(self, tmp_path, capsys):
-        # finite velocities whose drive current and energy are not: refused
-        # before --out is made, with no numpy warning first
-        for vx, value in [(1e308, "nan"), (1e300, "inf")]:
+        # finite velocities whose energy is not: the summary is refused
+        # before --out is made, with no numpy warning first; at 1e152 every
+        # telemetry cell is finite and only the energy's sum overflows
+        for vx, value in [(1e308, "nan"), (1e300, "inf"), (1e152, "inf")]:
             scn = tmp_path / "bad.scn"
             write_scenario(scn, duration=0.05, vx=vx)
             out = tmp_path / "out"
@@ -158,20 +156,8 @@ class TestSimulate:
                 code = run(["simulate", "--scenario", str(scn), "--out", str(out)])
             assert code == EXIT_DATA
             assert capsys.readouterr().err == (
-                f"error: {scn}: non-finite output i_drive_fl = {value}\n")
+                f"error: {scn}: non-finite output energy_j = {value}\n")
             assert not out.exists()
-
-
-def test_fmt_refuses_a_non_finite_number():
-    import numpy as np
-
-    assert _fmt(-0.0) == "-0.000000"
-    for value in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DataError, match=f"^non-finite output {value!r}$"):
-            _fmt(value)
-        # a numpy scalar is named as the Python float, not as np.float64(inf)
-        with pytest.raises(DataError, match=f"^non-finite output {value!r}$"):
-            _fmt(np.float64(value))
 
 
 class TestAnalyze:
@@ -565,12 +551,12 @@ class TestDeflect:
                     "--out", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
-            "numerical failure: frame 0: pose fit did not converge: rms inf px "
-            "after 1 evaluations (residual not finite)\n")
+            f"numerical failure: {annotations}: frame 0: pose fit did not converge: "
+            "rms inf px after 1 evaluations (residual not finite)\n")
         assert not (tmp_path / "out").exists()
 
     def test_refusal_inside_a_frame_names_the_file_and_frame(self, tmp_path, capsys):
-        # an inboard point far off puts the pose guess behind the camera
+        # an inboard point far off makes the loop's apparent radius overflow
         lines = (FIXTURE_DIR / "annotations.csv").read_text().splitlines()[:3]
         row = lines[1].split(",")
         loop = row[2].split(";")
@@ -578,14 +564,15 @@ class TestDeflect:
         row[2] = ";".join(loop)
         annotations = tmp_path / "annotations.csv"
         annotations.write_text("\n".join([lines[0], ",".join(row), lines[2]]) + "\n")
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = run(["deflect", "--annotations", str(annotations),
                         "--model", str(FIXTURE_DIR / "model.txt"),
                         "--camera", str(FIXTURE_DIR / "camera.txt"),
                         "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"error: {annotations}: frame 0: wheel behind camera\n")
+            f"error: {annotations}: frame 0: degenerate loop\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("window", ["0", "-3", "2"])
@@ -624,7 +611,8 @@ class TestDeflect:
         )
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: frame 0: pose fit did not converge")
+        assert err.startswith(f"numerical failure: {FIXTURE_DIR / 'annotations.csv'}: "
+                              "frame 0: pose fit did not converge")
         assert "rms 8.8 px after 1200 evaluations (max_nfev reached)" in err
         assert not (tmp_path / "deflection.csv").exists()
 

@@ -13,6 +13,8 @@ from rovermotion.config import (
     RoverConfig,
     WheelId,
     csv_rows,
+    csv_text,
+    key_value_text,
     load_config,
     open_output,
     wheel_positions,
@@ -218,6 +220,28 @@ def test_open_output_names_the_directory_it_cannot_make(tmp_path):
                 pass
         assert str(info.value) == f"cannot make output directory {directory}: {reason}"
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_renderers_write_six_decimals_and_pass_other_values_through():
+    import numpy as np
+
+    assert csv_text(["a", "b", "c"], [[-0.0, 3, "x,y"], [np.float64(1.5), 0, ""]]) == (
+        'a,b,c\n-0.000000,3,"x,y"\n1.500000,0,\n')
+    assert key_value_text([("a", -0.0), ("b", 3), ("c", "x y")]) == (
+        "a = -0.000000\nb = 3\nc = x y\n")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_renderers_refuse_a_non_finite_float_by_name(value):
+    import numpy as np
+
+    # a numpy scalar is named as the Python float, not as np.float64(inf)
+    message = f"^non-finite output b = {re.escape(repr(value))}$"
+    for number in (value, np.float64(value)):
+        with pytest.raises(DataError, match=message):
+            csv_text(["a", "b"], [[1.0, 2.0], [3.0, number]])
+        with pytest.raises(DataError, match=message):
+            key_value_text([("a", 1.0), ("b", number)])
 
 
 def test_csv_rows_skips_blank_rows_and_names_lines():
