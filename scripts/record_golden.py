@@ -148,16 +148,20 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         ("slope_out_of_range", "terrain.slope_deg = 95", ""),
         ("step_zero", "step = 0", ""),
         ("unknown_key", "config.masss = 84", ""),
-        # row counts that overflow, or pass the ceiling, before any allocation
+        # durations past the declared range, and row counts that overflow or
+        # pass the ceiling, refused at the segment's line before any allocation
         ("duration_1e308", "", "1e308,0.06,0,0,skid_steer"),
         ("step_5e-324", "step = 5e-324", ""),
         ("duration_1e20", "", "1e20,0.06,0,0,skid_steer"),
+        ("duration_1e6", "", "1e6,0.06,0,0,skid_steer"),
+        ("crab_yaw_rate", "", "0.05,0,0,0.01,crab"),
+        # a drive speed of 0.06 / 1e-300 rad/s, past the output limit
+        ("wheel_radius_1e-300", "config.wheel_radius = 1e-300", ""),
     ]:
         cases.append((f"scenario-{name}", simulate,
                       {"bad.scn": _scenario(setting, row)}))
-    # finite profiles whose energy is not: refused before --out is made; at
-    # 1e152 every telemetry cell is finite and only the energy's sum overflows
-    for velocity in ("1e308", "1e152"):
+    # profile velocities past the declared range, refused at their line
+    for velocity in ("1e308", "1e152", "1e150"):
         cases.append((f"scenario-velocity_{velocity}", simulate,
                       {"bad.scn": _scenario(duration="0.05").replace(",0.06,",
                                                                      f",{velocity},")}))
@@ -194,6 +198,11 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
     cases.append(("telemetry-i_drive_fl_1e308", ["analyze", "yaw-energy", *analyze],
                   {"t.csv": "".join(lines[:2] + [with_cell(lines[2], "i_drive_fl", "1e308")]
                                     + lines[3:])}))
+    # a heading whose rate overflows, not a gap in the ratios
+    cases.append(("telemetry-efficiency_heading_1e308",
+                  ["analyze", "efficiency", *analyze, "--window", "0.02"],
+                  {"t.csv": "".join(lines[:1] + [with_cell(lines[1], "heading", "1e308")]
+                                    + lines[2:])}))
     cases.append(("telemetry-missing", ["analyze", "cot", *analyze], {}))
     for rows in (0, 1):
         cases.append((f"telemetry-slip_{rows}_rows", ["analyze", "slip", *analyze],
@@ -280,6 +289,7 @@ def _error_cases() -> list[tuple[str, list[str], dict]]:
         ("zero_velocity", "nominal,0,0,1.1", False),
         ("flat_only_negative_velocity", "nominal,0,-0.06,1.1", True),
         ("velocity_1e308", "nominal,0,1e308,1.1", False),
+        ("cot_1e308", "nominal,0,0.06,1e308", False),
     ]:
         cases.append((f"table-{name}", ["calibrate", "--table", "{dir}/table.csv",
                                         "--out", "{dir}/out"] + ["--flat-only"] * flat_only,

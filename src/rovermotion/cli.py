@@ -164,9 +164,9 @@ def cmd_simulate(args) -> int:
     from rovermotion.config import key_value_text, write_output
 
     scenario = terrain.load_scenario(args.scenario)
+    telemetry = terrain.simulate_traverse(scenario)  # a refusal names its profile row
     # the summary is rendered, and so refused, before the telemetry is written
     with naming(args.scenario):
-        telemetry = terrain.simulate_traverse(scenario)
         final = (telemetry[-1] if len(telemetry)
                  else dict.fromkeys(["t", "x", "y", "heading"], 0.0))
         summary = key_value_text([
@@ -291,21 +291,18 @@ def cmd_calibrate(args) -> int:
     path = Path(args.table)
     _check_exists(path)
     out = _check_outputs(args.out, "power_params.txt", "calibration_residuals.csv")
+    from rovermotion import terrain
     from rovermotion.config import (
-        csv_rows, csv_text, key_value_text, parse_finite, read_text, write_output)
+        csv_rows, csv_text, from_pairs, key_value_text, read_text, write_output)
 
     rows = []
     header = ["mode", "slope_deg", "velocity", "cot"]
     for where, row in csv_rows(io.StringIO(read_text(path)), header, path):
-        slope, velocity, cot = (parse_finite(cell, name, where)
-                                for name, cell in zip(header[1:], row[1:]))
-        if args.flat_only and (slope != 0.0 or row[0].lower() != "nominal"):
+        entry = from_pairs(terrain.CalibrationRow, dict(zip(header[1:], row[1:])), where)
+        if args.flat_only and (entry.slope_deg != 0.0 or row[0].lower() != "nominal"):
             continue
-        if velocity <= 0.0:
-            raise DataError(f"{where}: non-positive velocity in calibration row")
-        rows.append((slope, velocity, cot))
+        rows.append((entry.slope_deg, entry.velocity, entry.cot))
     config = _config_from_args(args)
-    from rovermotion import terrain
 
     with naming(path):
         params, residuals = terrain.calibrate_power(rows, config)

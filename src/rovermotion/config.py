@@ -8,7 +8,7 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from rovermotion.errors import DataError, naming
@@ -44,18 +44,49 @@ class WheelId(enum.Enum):
 WHEEL_ORDER = (WheelId.FL, WheelId.FR, WheelId.RL, WheelId.RR)
 
 
+# Every number a command writes lies in this interval, as `within` writes one;
+# README shows that the declared input ranges keep the outputs far inside it.
+OUTPUT_RANGE = "[-1e12, 1e12]"
+OUTPUT_LIMIT = float(OUTPUT_RANGE[1:-1].split(",")[1])
+
+
+def within(interval: str, default=MISSING):
+    """A dataclass field that check_fields holds to `interval`, "[low, high]"
+    with "(" or ")" for an end it excludes; a tuple's every number."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    low = math.nextafter(low, math.inf) if interval[0] == "(" else low
+    high = math.nextafter(high, -math.inf) if interval[-1] == ")" else high
+    return field(default=default, metadata={"range": (interval, low, high)})
+
+
+def check_fields(obj) -> None:
+    """Raise DataError naming the first field of the dataclass `obj` outside
+    the interval it declares by `within` (NaN is outside every interval), or
+    declared an int and holding another type: the one range check."""
+    for item in fields(obj):
+        if "range" in item.metadata:
+            interval, low, high = item.metadata["range"]
+            value = getattr(obj, item.name)
+            if item.type == "int" and not isinstance(value, int):
+                raise DataError(f"{item.name} = {value!r} is not an integer")
+            numbers = value if isinstance(value, tuple) else (value,)
+            if not all(low <= x <= high for x in numbers):
+                raise DataError(f"{item.name} = {value!r} outside {interval}")
+
+
+def output_error(name: str, value: object) -> DataError:
+    """The refusal of `value`, the output named `name`, outside OUTPUT_RANGE."""
+    return DataError(f"output {name} = {value!r} outside {OUTPUT_RANGE}")
+
+
 @dataclass(frozen=True)
 class BodyTwist:
-    """Planar body velocity: x forward, y left, z up (yaw)."""
+    """Planar body velocity: x forward, y left, z up (yaw). A profile segment
+    holds its twist to these ranges (m/s, rad/s); an odometry estimate is not held."""
 
-    vx: float = 0.0
-    vy: float = 0.0
-    wz: float = 0.0
-
-    def __post_init__(self):
-        for name in ("vx", "vy", "wz"):
-            if not math.isfinite(getattr(self, name)):
-                raise DataError(f"non-finite twist component {name}")
+    vx: float = within("[-10, 10]", 0.0)
+    vy: float = within("[-10, 10]", 0.0)
+    wz: float = within("[-10, 10]", 0.0)
 
 
 @dataclass(frozen=True)
@@ -67,36 +98,18 @@ class WheelCommand:
 
 @dataclass(frozen=True)
 class RoverConfig:
-    """Breadboard mass, wheel layout and steering actuators (SI units)."""
+    """Breadboard mass, wheel layout and steering actuators (SI units). Each
+    type's ranges and their bases are tabulated in README."""
 
-    mass: float = 84.0
-    gravity: float = 9.81
-    wheel_longitudinal_separation: float = 0.980
-    wheel_lateral_separation: float = 0.830
-    wheel_radius: float = 0.15
-    steering_rate: float = math.radians(10.0)
-    steering_limit: float = math.radians(95.0)
+    mass: float = within("(0, 10000]", 84.0)
+    gravity: float = within("(0, 30]", 9.81)
+    wheel_longitudinal_separation: float = within("(0, 100]", 0.980)
+    wheel_lateral_separation: float = within("(0, 100]", 0.830)
+    wheel_radius: float = within("(0, 10]", 0.15)
+    steering_rate: float = within("(0, 100]", math.radians(10.0))
+    steering_limit: float = within("(0, 3.141592653589793]", math.radians(95.0))
 
-    def __post_init__(self):
-        """Raise DataError naming the first violated invariant; NaN violates all."""
-        for name in ("mass", "gravity", "wheel_longitudinal_separation",
-                     "wheel_lateral_separation", "wheel_radius"):
-            if not getattr(self, name) > 0:
-                raise DataError(f"non-positive {name}")
-        if not self.steering_rate > 0:
-            raise DataError("non-positive steering rate")
-        if not 0.0 < self.steering_limit <= math.pi:
-            raise DataError("empty steering range")
-        check_finite(self)
-
-
-def check_finite(params) -> None:
-    """Raise DataError naming the first float field of the dataclass
-    `params` that is not finite. The types call it after their range checks,
-    so a NaN that a range check rejects raises that check's message."""
-    for field in fields(params):
-        if field.type == "float" and not math.isfinite(getattr(params, field.name)):
-            raise DataError(f"non-finite {field.name}")
+    __post_init__ = check_fields
 
 
 def wheel_positions(config: RoverConfig) -> dict[WheelId, tuple[float, float]]:
@@ -156,13 +169,13 @@ def write_output(path: str | Path, text: str) -> None:
 
 
 def _cell(value: object, name: str) -> str:
-    """`value`, the output named `name`, as text: a float with six decimals,
-    any other value by str. DataError refuses a float that is not finite."""
-    if not isinstance(value, float):
-        return str(value)
-    if not math.isfinite(value):  # named as a Python float, not as np.float64(inf)
-        raise DataError(f"non-finite output {name} = {float(value)!r}")
-    return f"{value:.6f}"
+    """`value`, the output named `name`, as text: a str as it is, a float
+    with six decimals, an int by str; DataError refuses a number outside OUTPUT_RANGE."""
+    if isinstance(value, str):
+        return value
+    if not -OUTPUT_LIMIT <= value <= OUTPUT_LIMIT:
+        raise output_error(name, float(value) if isinstance(value, float) else value)
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def csv_text(header: list[str], rows: Iterable[list]) -> str:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from rovermotion.config import (
+    check_fields,
     csv_rows,
     csv_text,
     from_pairs,
@@ -16,6 +17,7 @@ from rovermotion.config import (
     parse_integer,
     parse_key_value_file,
     read_text,
+    within,
     write_output,
 )
 from rovermotion.errors import DataError, PoseFitError, naming
@@ -30,15 +32,14 @@ class WheelModel3D:
     and the outboard face at z = +w/2.
     """
 
-    radius: float
-    width: float
-    hub_radius: float
+    radius: float = within("(0, 10]")  # m
+    width: float = within("(0, 10]")
+    hub_radius: float = within("(0, 10]")
 
     def __post_init__(self):
-        if not 0 < self.hub_radius < self.radius:
+        check_fields(self)
+        if not self.hub_radius < self.radius:
             raise DataError("hub radius must be in (0, radius)")
-        if self.width <= 0:
-            raise DataError("non-positive wheel width")
 
     @property
     def circles(self) -> list[tuple[float, float]]:
@@ -57,17 +58,16 @@ class WheelModel3D:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    width: int
-    height: int
+    fx: float = within("(0, 1000000]")  # px
+    fy: float = within("(0, 1000000]")
+    cx: float = within("[0, 100000]")
+    cy: float = within("[0, 100000]")
+    width: int = within("[1, 100000]")
+    height: int = within("[1, 100000]")
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise DataError("non-positive focal length")
-        if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):
+        check_fields(self)
+        if not (self.cx <= self.width and self.cy <= self.height):
             raise DataError("principal point outside image")
 
 

@@ -25,17 +25,16 @@ class DataError(ValueError):
 
 @contextmanager
 def naming(where: object) -> Iterator[None]:
-    """The package's one way to say where a failure happened: put `where`,
-    an input's path, its `path:line` or `frame N`, in front of the message of
-    a DataError or PoseFitError raised in the block, in place, so a
-    PoseFitError keeps its diagnostics; but not for a DataError raised from
-    an OSError, which names the output it could not write."""
+    """The package's one way to say where a failure happened: put `where`
+    (an input's path, its `path:line` or `frame N`; None names nothing) in
+    front of the message of a DataError or PoseFitError raised in the block,
+    in place, so a PoseFitError keeps its diagnostics; but not for a
+    DataError raised from an OSError, which names the output it could not write."""
     try:
         yield
     except (DataError, PoseFitError) as exc:
-        if isinstance(exc.__cause__, OSError):
-            raise
-        exc.args = (f"{where}: {exc}",)
+        if where is not None and not isinstance(exc.__cause__, OSError):
+            exc.args = (f"{where}: {exc}",)
         raise
 
 

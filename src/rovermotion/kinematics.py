@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +14,11 @@ from rovermotion.config import (
     LocomotionMode,
     RoverConfig,
     WheelCommand,
+    check_fields,
     csv_rows,
     parse_finite,
     wheel_positions,
+    within,
 )
 from rovermotion.errors import DataError, naming
 
@@ -127,13 +129,14 @@ def icr_of(
 
 @dataclass(frozen=True)
 class ProfileSegment:
-    duration: float  # s
+    duration: float = within("(0, 10000000]")  # s
     twist: BodyTwist
     mode: LocomotionMode
+    where: str | None = field(default=None, compare=False, repr=False)  # its path:line
 
     def __post_init__(self):
-        if not 0.0 < self.duration < math.inf:
-            raise DataError("segment duration outside (0, inf)")
+        check_fields(self)
+        check_fields(self.twist)
 
 
 PROFILE_HEADER = ["duration_s", "vx", "vy", "wz", "mode"]
@@ -154,7 +157,7 @@ def parse_profile(
                                 for name, cell in zip(PROFILE_HEADER, row[:4]))
         with naming(where):
             mode = LocomotionMode.parse(row[4])
-            segments.append(ProfileSegment(duration, BodyTwist(vx, vy, wz), mode))
+            segments.append(ProfileSegment(duration, BodyTwist(vx, vy, wz), mode, where))
     return segments
 
 

@@ -144,6 +144,8 @@ def angular_speed_efficiency(
     if window % 2 == 0:
         window += 1
     gt_rate = _smooth(gt_rate, window)
+    if not np.isfinite(gt_rate).all():  # an overflow, which a gap (NaN) would hide
+        raise DataError("ground-truth yaw rate is not finite")
     ratio = np.full(len(times), np.nan)
     np.divide(gt_rate, odo_wz, out=ratio, where=np.abs(odo_wz) >= WZ_THRESHOLD)
     return ratio

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rovermotion.config import WHEEL_ORDER, csv_rows, open_output, parse_finite, read_text
+from rovermotion.config import (
+    OUTPUT_LIMIT, WHEEL_ORDER, csv_rows, open_output, output_error, parse_finite, read_text)
 from rovermotion.errors import DataError
 
 BUS_VOLTAGE = 24.0
@@ -165,19 +166,18 @@ def write_fixed_csv(
     The bytes are those of np.savetxt(fmt="%.6f", delimiter=",") under
     the header line. Cells where the boolean array `blank` is true are
     written as empty cells. DataError names the column of the first other
-    nan or inf, before the file or its directory is made.
+    cell outside OUTPUT_RANGE, before the file or its directory is made.
     """
     values = np.asarray(values, dtype=np.float64)
     chunks = [slice(start, start + _CHUNK_ROWS)
               for start in range(0, len(values), _CHUNK_ROWS)]
     for chunk in chunks:  # a chunk at a time, so as not to hold a mask of all cells
-        bad = ~np.isfinite(values[chunk])
+        bad = ~(np.abs(values[chunk]) <= OUTPUT_LIMIT)  # nan included
         if blank is not None:
             bad &= ~blank[chunk]
         if bad.any():
             row, col = np.argwhere(bad)[0]
-            x = values[chunk][row, col].item()
-            raise DataError(f"non-finite output {header[col]} = {x!r}")
+            raise output_error(header[col], values[chunk][row, col].item())
     formatter = _ChunkFormatter()
     with open_output(path) as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))

@@ -13,11 +13,12 @@ from rovermotion.config import (
     LocomotionMode,
     RoverConfig,
     WheelCommand,
-    check_finite,
+    check_fields,
     from_pairs,
     parse_finite,
     parse_key_value_lines,
     read_text,
+    within,
 )
 from rovermotion.errors import DataError, naming
 from rovermotion.kinematics import (
@@ -45,26 +46,14 @@ MAX_ROWS = 10**7
 
 @dataclass(frozen=True)
 class TerrainParams:
-    slope_deg: float = 0.0
-    skid_rotation_efficiency: float = 0.75
-    point_turn_efficiency: float = 1.0
-    longitudinal_slip_ratio: float = 0.05
-    noise_std: float = 0.0
-    rng_seed: int = 0
+    slope_deg: float = within("[0, 90)", 0.0)
+    skid_rotation_efficiency: float = within("(0, 1]", 0.75)
+    point_turn_efficiency: float = within("(0, 1]", 1.0)
+    longitudinal_slip_ratio: float = within("[0, 1)", 0.05)
+    noise_std: float = within("[0, 1]", 0.0)
+    rng_seed: int = within("[0, 9007199254740992]", 0)
 
-    def __post_init__(self):
-        if not 0.0 <= self.slope_deg < 90.0:
-            raise DataError("slope out of supported range")
-        for name in ("skid_rotation_efficiency", "point_turn_efficiency"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise DataError(f"{name} outside (0, 1]")
-        if not 0.0 <= self.longitudinal_slip_ratio < 1.0:
-            raise DataError("longitudinal_slip_ratio outside [0, 1)")
-        if not self.noise_std >= 0.0:
-            raise DataError("negative noise_std")
-        if not (isinstance(self.rng_seed, int) and self.rng_seed >= 0):
-            raise DataError("rng_seed is not a non-negative integer")
-        check_finite(self)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -75,26 +64,18 @@ class PowerModelParams:
     flat-ground calibration result for the breadboard configuration.
     """
 
-    idle_power_per_drive: float = 0.0  # W
-    rolling_resistance_coeff: float = 0.201
-    drivetrain_efficiency: float = 1.0
-    steering_hold_power: float = 0.0  # W per steering unit at rest
-    steering_move_power: float = 8.0  # W per steering unit while repositioning
-    speed_quadratic_coeff: float = 3069.549  # W s^2/m^2 per wheel
-    lateral_friction_coeff: float = 0.4  # scrub drag during skid rotation
+    idle_power_per_drive: float = within("[0, 10000]", 0.0)  # W
+    rolling_resistance_coeff: float = within("[0, 1]", 0.201)
+    drivetrain_efficiency: float = within("(0, 1]", 1.0)
+    steering_hold_power: float = within("[0, 10000]", 0.0)  # W per steering unit at rest
+    steering_move_power: float = within("[0, 10000]", 8.0)  # W per unit while it slews
+    speed_quadratic_coeff: float = within("[0, 1000000]", 3069.549)  # W s^2/m^2 per wheel
+    lateral_friction_coeff: float = within("[0, 2]", 0.4)  # scrub drag in skid rotation
     # N, a payload or implement pull (excavator mode). Negative is an
     # assisting push: it lowers drive power, and each wheel stays clamped at 0 W.
-    drawbar_force: float = 0.0
+    drawbar_force: float = within("[-1000000, 1000000]", 0.0)
 
-    def __post_init__(self):
-        for name in ("idle_power_per_drive", "rolling_resistance_coeff",
-                     "steering_hold_power", "steering_move_power",
-                     "speed_quadratic_coeff", "lateral_friction_coeff"):
-            if not getattr(self, name) >= 0.0:
-                raise DataError(f"negative {name}")
-        if not 0.0 < self.drivetrain_efficiency <= 1.0:
-            raise DataError("drivetrain_efficiency outside (0, 1]")
-        check_finite(self)
+    __post_init__ = check_fields
 
 
 def apply_slip(cmd: BodyTwist, mode: LocomotionMode, terrain: TerrainParams) -> BodyTwist:
@@ -140,8 +121,7 @@ def drive_power(
     v = np.abs([cmd.drive_speed for cmd in commands]) * config.wheel_radius
     cx, cy = vx - wz * p[:, 1], vy + wz * p[:, 0]
     lateral = np.abs(-u[:, 1] * cx + u[:, 0] * cy)
-    # a speed so large that the power is not finite is refused when the
-    # telemetry is written, without a warning first
+    # a power that overflows is refused as an output, without a warning first
     with np.errstate(over="ignore", invalid="ignore"):
         drive = power.idle_power_per_drive + (
             tractive_coeff * v
@@ -195,13 +175,11 @@ class Scenario:
     terrain: TerrainParams = field(default_factory=TerrainParams)
     config: RoverConfig = field(default_factory=RoverConfig)
     power: PowerModelParams = field(default_factory=PowerModelParams)
-    marker_offset: tuple[float, float] = (0.0, 0.0)
-    step: float = 0.01
+    marker_offset: tuple[float, float] = within("[-100, 100]", (0.0, 0.0))
+    step: float = within("(0, 1]", 0.01)
     name: str = "scenario"
 
-    def __post_init__(self):
-        if not 0.0 < self.step < math.inf:
-            raise DataError("integration step outside (0, inf)")
+    __post_init__ = check_fields
 
 
 def _phase_block(
@@ -250,7 +228,7 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     The phases are planned first and then written into one telemetry array,
     so the working memory is that array and a few of its columns. A profile
     whose phases would hold more than MAX_ROWS rows is refused before any of
-    them is allocated.
+    them is allocated. A refusal names the `where` of the segment it plans.
     """
     config, terrain, power = scenario.config, scenario.terrain, scenario.power
     if not scenario.profile:
@@ -263,36 +241,37 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     planned = 1  # the final sample
     current_angles = np.zeros(4)
     for segment in scenario.profile:
-        commands = inverse_kinematics(segment.twist, segment.mode, config)
-        targets = np.array([cmd.steering_angle for cmd in commands])
-        deltas, move_times = _slew(current_angles, targets, config)
-        if move_times.max() > _ANGLE_TOL:
-            n = math.ceil(_within_ceiling(planned, move_times.max() / step) - 1e-9)
+        with naming(segment.where):
+            commands = inverse_kinematics(segment.twist, segment.mode, config)
+            targets = np.array([cmd.steering_angle for cmd in commands])
+            deltas, move_times = _slew(current_angles, targets, config)
+            if move_times.max() > _ANGLE_TOL:
+                n = math.ceil(_within_ceiling(planned, move_times.max() / step) - 1e-9)
+                planned += n
+                tau = (np.arange(n) * step)[:, None]
+                angles = current_angles + np.copysign(
+                    np.minimum(tau * config.steering_rate, np.abs(deltas)), deltas
+                )
+                steer_power = np.where(
+                    tau < move_times - 1e-12,
+                    power.steering_move_power,
+                    power.steering_hold_power,
+                )
+                block = (0.0, power.idle_power_per_drive / BUS_VOLTAGE,
+                         steer_power / BUS_VOLTAGE, 0.0, angles)
+                phases.append((n, None, block))
+                current_angles = targets
+            n = max(1, round(_within_ceiling(planned, segment.duration / step)))
             planned += n
-            tau = (np.arange(n) * step)[:, None]
-            angles = current_angles + np.copysign(
-                np.minimum(tau * config.steering_rate, np.abs(deltas)), deltas
+            _, breakdown = drive_power(commands, terrain, config, power)
+            block = (
+                (segment.twist.vx, segment.twist.vy, segment.twist.wz),
+                [breakdown[f"drive_{w.tag}"] / BUS_VOLTAGE for w in WHEEL_ORDER],
+                [breakdown[f"steer_{w.tag}"] / BUS_VOLTAGE for w in WHEEL_ORDER],
+                [cmd.drive_speed for cmd in commands],
+                targets,
             )
-            steer_power = np.where(
-                tau < move_times - 1e-12,
-                power.steering_move_power,
-                power.steering_hold_power,
-            )
-            block = (0.0, power.idle_power_per_drive / BUS_VOLTAGE,
-                     steer_power / BUS_VOLTAGE, 0.0, angles)
-            phases.append((n, None, block))
-            current_angles = targets
-        n = max(1, round(_within_ceiling(planned, segment.duration / step)))
-        planned += n
-        _, breakdown = drive_power(commands, terrain, config, power)
-        block = (
-            (segment.twist.vx, segment.twist.vy, segment.twist.wz),
-            [breakdown[f"drive_{w.tag}"] / BUS_VOLTAGE for w in WHEEL_ORDER],
-            [breakdown[f"steer_{w.tag}"] / BUS_VOLTAGE for w in WHEEL_ORDER],
-            [cmd.drive_speed for cmd in commands],
-            targets,
-        )
-        phases.append((n, apply_slip(segment.twist, segment.mode, terrain), block))
+            phases.append((n, apply_slip(segment.twist, segment.mode, terrain), block))
 
     steps = planned - 1
     values = np.empty((planned, len(TELEMETRY_HEADER)))
@@ -306,20 +285,17 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
         if slip is not None:
             achieved[start:stop] = (slip.vx, slip.vy, slip.wz)
             if rng is not None:
-                # row-major, so the draws land in apply_slip's per-step order;
-                # a product that overflows is refused when the telemetry is written
-                with np.errstate(over="ignore", invalid="ignore"):
-                    achieved[start:stop] *= 1.0 + rng.normal(
-                        0.0, terrain.noise_std, size=(n, 3)
-                    )
+                # row-major, so the draws land in apply_slip's per-step order
+                achieved[start:stop] *= 1.0 + rng.normal(
+                    0.0, terrain.noise_std, size=(n, 3)
+                )
         start = stop
     # the final sample carries the end state of the last phase, which is a
     # motion phase and so constant
     _phase_block(values[-1:], *phases[-1][2])
 
     telemetry = Telemetry(values)
-    with np.errstate(over="ignore"):  # a time that overflows is refused when written
-        np.multiply(np.arange(len(values)), step, out=telemetry.column("t"))
+    np.multiply(np.arange(len(values)), step, out=telemetry.column("t"))
     pose = integrate_track(*achieved.T, step)
     for name, column in zip(["x", "y", "heading", "marker_x", "marker_y"],
                             [*pose, *marker_positions(*pose, scenario.marker_offset)]):
@@ -341,6 +317,17 @@ def model_cot(
     return total / (mg * v)
 
 
+@dataclass(frozen=True)
+class CalibrationRow:
+    """A calibration-table row: the measured cost of transport at a speed (m/s)."""
+
+    slope_deg: float = within("(-90, 90)")
+    velocity: float = within("(0, 10]")
+    cot: float = within("[0, 100]")
+
+    __post_init__ = check_fields
+
+
 def calibrate_power(
     rows: list[tuple[float, float, float]], config: RoverConfig
 ) -> tuple[PowerModelParams, list[float]]:
@@ -350,9 +337,9 @@ def calibrate_power(
     squared CoT residuals subject to non-negative parameters; the slope
     gravity term is fixed by the physics, not fitted. Returns the fitted
     params (drivetrain efficiency pinned at 1) and per-row residuals
-    (predicted minus measured). Refused where a column of the fit's design
-    matrix is not finite, or is 0: where a velocity is so large, or m g v
-    so small, that a term overflows.
+    (predicted minus measured). Refused where a term or the misfit of the
+    all-zero start (which no fit could then improve on) overflows, or m g v
+    rounds to 0, and where a fitted parameter lies outside its declared range.
     """
     if len(rows) < 3:
         raise DataError("underdetermined calibration")
@@ -363,18 +350,16 @@ def calibrate_power(
     # a term or a misfit that overflows is inf, unwarned
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, (slope_deg, v, cot) in enumerate(rows):
-            if v <= 0:
-                raise DataError("non-positive velocity in calibration row")
             theta = math.radians(slope_deg)
             design[i] = (4.0 / (mg * v), math.cos(theta), 4.0 * v / mg)
             target[i] = cot - math.sin(theta)
-        norms = np.linalg.norm(design, axis=0)
-        if not ((norms > 0.0) & (norms < np.inf)).all():
+        norms, misfit = np.linalg.norm(design, axis=0), float(target @ target)
+        if not (((norms > 0.0) & (norms < np.inf)).all() and misfit < math.inf):
             raise DataError("calibration terms out of floating-point range")
         # the non-negative fit is the least-squares fit on some set of free columns,
         # the rest at 0: keep the best feasible one (Lawson and Hanson 1974, ch. 23).
         # Unit columns keep lstsq's error at that of the column-scaled problem.
-        unit, solution, misfit = design / norms, np.zeros(3), float(target @ target)
+        unit, solution = design / norms, np.zeros(3)
         for free in ([j for j in range(3) if subset >> j & 1] for subset in range(1, 8)):
             trial = np.zeros(3)
             trial[free] = np.linalg.lstsq(unit[:, free], target, rcond=None)[0]

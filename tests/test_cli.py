@@ -108,27 +108,32 @@ class TestSimulate:
             ("step = nan", "", ": non-finite step 'nan'"),
             ("", "inf,0.06,0,0,skid_steer", ":6: non-finite duration_s 'inf'"),
             ("", "nan,0.06,0,0,skid_steer", ":6: non-finite duration_s 'nan'"),
-            ("", "0,0.06,0,0,skid_steer", ":6: segment duration outside (0, inf)"),
+            ("", "0,0.06,0,0,skid_steer", ":6: duration = 0.0 outside (0, 10000000]"),
             ("config.mass = nan", "", ": non-finite config.mass 'nan'"),
             ("config.steering_rate = inf", "", ": non-finite config.steering_rate 'inf'"),
             ("marker_offset_x = inf", "", ": non-finite marker_offset_x 'inf'"),
             ("terrain.noise_std = 0.05\nterrain.rng_seed = -1", "",
-             ": rng_seed is not a non-negative integer"),
+             ": rng_seed = -1 outside [0, 9007199254740992]"),
             ("terrain.rng_seed = 1.5", "",
              ": terrain.rng_seed = 1.5 is not an integer"),
-            ("terrain.slope_deg = 95", "", ": slope out of supported range"),
-            ("step = 0", "", ": integration step outside (0, inf)"),
-            *[(setting, row, ": the profile plans more than 10000000 telemetry rows")
-              for setting, row in [("", "1e308,0.06,0,0,skid_steer"),
-                                   ("step = 5e-324", ""),
-                                   ("", "1e20,0.06,0,0,skid_steer")]],
+            ("terrain.slope_deg = 95", "", ": slope_deg = 95.0 outside [0, 90)"),
+            ("step = 0", "", ": step = 0.0 outside (0, 1]"),
+            ("", "1e308,0.06,0,0,skid_steer", ":6: duration = 1e+308 outside (0, 10000000]"),
+            # the segment whose rows pass the ceiling, before any allocation
+            ("step = 5e-324", "", ":5: the profile plans more than 10000000 telemetry rows"),
+            ("", "1e20,0.06,0,0,skid_steer", ":6: duration = 1e+20 outside (0, 10000000]"),
+            ("", "1e6,0.06,0,0,skid_steer",
+             ":6: the profile plans more than 10000000 telemetry rows"),
+            ("", "0.05,1e150,0,0,skid_steer", ":6: vx = 1e+150 outside [-10, 10]"),
+            ("", "0.05,0,0,0.01,crab", ":6: yaw rate unsupported in crab mode"),
             *[(f"config.{key} = 1", "", f": unknown keys: config.{key}")
               for key in REMOVED_CONFIG_KEYS],
         ],
         ids=["step_nan", "duration_inf", "duration_nan", "duration_zero", "mass_nan",
              "steering_rate_inf", "marker_offset_inf", "rng_seed_negative",
              "rng_seed_fractional", "slope_out_of_range", "step_zero",
-             "duration_1e308", "step_5e-324", "duration_1e20",
+             "duration_1e308", "step_5e-324", "duration_1e20", "duration_1e6",
+             "velocity_1e150", "crab_yaw_rate",
              *(f"removed_{key}" for key in REMOVED_CONFIG_KEYS)],
     )
     def test_bad_scenario_number_names_the_file(self, tmp_path, capsys, setting, row,
@@ -144,10 +149,9 @@ class TestSimulate:
         assert not (tmp_path / "out" / "telemetry.csv").exists()
 
     def test_non_finite_output_names_the_scenario(self, tmp_path, capsys):
-        # finite velocities whose energy is not: the summary is refused
-        # before --out is made, with no numpy warning first; at 1e152 every
-        # telemetry cell is finite and only the energy's sum overflows
-        for vx, value in [(1e308, "nan"), (1e300, "inf"), (1e152, "inf")]:
+        # velocities whose energy is not finite are refused as inputs, at
+        # their line, with no numpy warning first and before --out is made
+        for vx, value in [(1e308, "1e+308"), (1e300, "1e+300"), (1e152, "1e+152")]:
             scn = tmp_path / "bad.scn"
             write_scenario(scn, duration=0.05, vx=vx)
             out = tmp_path / "out"
@@ -156,8 +160,27 @@ class TestSimulate:
                 code = run(["simulate", "--scenario", str(scn), "--out", str(out)])
             assert code == EXIT_DATA
             assert capsys.readouterr().err == (
-                f"error: {scn}: non-finite output energy_j = {value}\n")
+                f"error: {scn}:4: vx = {value} outside [-10, 10]\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("radius, message", [
+        # a drive speed of 0.06 / 1e-300 rad/s: the telemetry is refused
+        ("1e-300", "output speed_fl = 6e+298 outside [-1e12, 1e12]"),
+        # a drive speed that overflows: the summary is refused first
+        ("1e-320", "output energy_j = nan outside [-1e12, 1e12]"),
+    ], ids=["radius_1e-300", "radius_1e-320"])
+    def test_output_beyond_the_limit_names_the_scenario(self, tmp_path, capsys,
+                                                         radius, message):
+        scn = tmp_path / "bad.scn"
+        write_scenario(scn, duration=0.05)
+        scn.write_text(f"config.wheel_radius = {radius}\n" + scn.read_text())
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["simulate", "--scenario", str(scn), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {scn}: {message}\n"
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -282,7 +305,7 @@ class TestAnalyze:
                         "--out", str(out)])
         assert code == EXIT_DATA
         assert capsys.readouterr() == (
-            "", f"error: {bad}: non-finite output fig3_energy_j = inf\n")
+            "", f"error: {bad}: output fig3_energy_j = inf outside [-1e12, 1e12]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("source, message", [
@@ -323,7 +346,7 @@ class TestAnalyze:
             ("mass = heavy\n", "non-numeric mass 'heavy'"),
             ("mass = nan\n", "non-finite mass 'nan'"),
             ("steering_rate = inf\n", "non-finite steering_rate 'inf'"),
-            ("mass = -1\n", "non-positive mass"),
+            ("mass = -1\n", "mass = -1.0 outside (0, 10000]"),
             *[(f"{key} = 1\n", f"unknown keys: {key}")
               for key in REMOVED_CONFIG_KEYS],
         ],
@@ -642,12 +665,15 @@ class TestCalibrate:
             ("nominal,nan,0.06,1.1", False, "non-finite slope_deg 'nan'"),
             ("nominal,0,inf,1.1", False, "non-finite velocity 'inf'"),
             ("nominal,0,0.06,-inf", True, "non-finite cot '-inf'"),
-            ("nominal,0,0,1.1", False, "non-positive velocity in calibration row"),
-            ("nominal,0,-0.06,1.1", True, "non-positive velocity in calibration row"),
+            ("nominal,0,0,1.1", False, "velocity = 0.0 outside (0, 10]"),
+            ("nominal,0,-0.06,1.1", True, "velocity = -0.06 outside (0, 10]"),
+            ("nominal,0,0.06,1e308", False, "cot = 1e+308 outside [0, 100]"),
+            # checked whether or not --flat-only would fit the row
+            ("slope_up,95,0.06,1.1", True, "slope_deg = 95.0 outside (-90, 90)"),
         ],
         ids=["non_numeric", "short_row", "flat_only_non_numeric_slope", "nan_slope",
              "inf_velocity", "flat_only_inf_cot", "zero_velocity",
-             "flat_only_negative_velocity"],
+             "flat_only_negative_velocity", "cot_1e308", "flat_only_slope_95"],
     )
     def test_bad_row_names_the_line(self, tmp_path, capsys, row, flat_only, message):
         table = tmp_path / "table.csv"
@@ -661,10 +687,13 @@ class TestCalibrate:
         assert capsys.readouterr().err == f"error: {table}:4: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("row, config", [
-        ("nominal,0,1e308,1.1", ""), ("nominal,0,0.08,1.39", "mass = 5e-324\n")],
+    @pytest.mark.parametrize("row, config, message", [
+        ("nominal,0,1e308,1.1", "", ":4: velocity = 1e+308 outside (0, 10]"),
+        ("nominal,0,0.08,1.39", "mass = 5e-324\n",
+         ": calibration terms out of floating-point range")],
         ids=["velocity_1e308", "config_mass_5e-324"])
-    def test_terms_out_of_range_name_the_table(self, tmp_path, capsys, row, config):
+    def test_terms_out_of_range_name_the_table(self, tmp_path, capsys, row, config,
+                                               message):
         table = tmp_path / "table.csv"
         table.write_text("mode,slope_deg,velocity,cot\nnominal,0,0.03,0.646\n"
                          f"nominal,0,0.06,1.10\n{row}\n")
@@ -673,8 +702,7 @@ class TestCalibrate:
             (tmp_path / "rover.cfg").write_text(config)
             args += ["--config", str(tmp_path / "rover.cfg")]
         assert run(args) == EXIT_DATA
-        assert capsys.readouterr().err == (
-            f"error: {table}: calibration terms out of floating-point range\n")
+        assert capsys.readouterr().err == f"error: {table}{message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_underdetermined_is_data_error(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rovermotion.config import (
+    OUTPUT_LIMIT,
     BodyTwist,
     LocomotionMode,
     RoverConfig,
@@ -19,9 +20,10 @@ from rovermotion.config import (
     open_output,
     wheel_positions,
 )
+from rovermotion.deflection import CameraIntrinsics, WheelModel3D
 from rovermotion.errors import DataError
 from rovermotion.kinematics import ProfileSegment
-from rovermotion.terrain import PowerModelParams, Scenario, TerrainParams
+from rovermotion.terrain import CalibrationRow, PowerModelParams, Scenario, TerrainParams
 
 
 def test_breadboard_defaults_are_valid():
@@ -33,12 +35,12 @@ def test_breadboard_defaults_are_valid():
 
 
 def test_zero_mass_rejected():
-    with pytest.raises(DataError, match="non-positive mass"):
+    with pytest.raises(DataError, match=r"^mass = 0\.0 outside \(0, 10000\]$"):
         RoverConfig(mass=0.0)
 
 
 def test_zero_steering_limit_rejected():
-    with pytest.raises(DataError, match="empty steering range"):
+    with pytest.raises(DataError, match=r"^steering_limit = 0\.0 outside \(0, 3\.14"):
         RoverConfig(steering_limit=0.0)
 
 
@@ -99,35 +101,87 @@ def test_nan_field_rejected(name):
         replace(RoverConfig(), **{name: math.nan})
 
 
-# A value outside each range of the parameter types, and the message it
-# raises. NaN is outside every range, so it raises its field's message.
+# The interval each field of the input types declares: the one range check,
+# whose message is "{field} = {value!r} outside {interval}"
+RANGES = {
+    RoverConfig: {"mass": "(0, 10000]", "gravity": "(0, 30]",
+                  "wheel_longitudinal_separation": "(0, 100]",
+                  "wheel_lateral_separation": "(0, 100]", "wheel_radius": "(0, 10]",
+                  "steering_rate": "(0, 100]", "steering_limit": "(0, 3.141592653589793]"},
+    TerrainParams: {"slope_deg": "[0, 90)", "skid_rotation_efficiency": "(0, 1]",
+                    "point_turn_efficiency": "(0, 1]", "longitudinal_slip_ratio": "[0, 1)",
+                    "noise_std": "[0, 1]", "rng_seed": "[0, 9007199254740992]"},
+    PowerModelParams: {"idle_power_per_drive": "[0, 10000]",
+                       "rolling_resistance_coeff": "[0, 1]",
+                       "drivetrain_efficiency": "(0, 1]",
+                       "steering_hold_power": "[0, 10000]",
+                       "steering_move_power": "[0, 10000]",
+                       "speed_quadratic_coeff": "[0, 1000000]",
+                       "lateral_friction_coeff": "[0, 2]",
+                       "drawbar_force": "[-1000000, 1000000]"},
+    Scenario: {"marker_offset": "[-100, 100]", "step": "(0, 1]"},
+    ProfileSegment: {"duration": "(0, 10000000]"},
+    BodyTwist: {"vx": "[-10, 10]", "vy": "[-10, 10]", "wz": "[-10, 10]"},
+    WheelModel3D: {"radius": "(0, 10]", "width": "(0, 10]", "hub_radius": "(0, 10]"},
+    CameraIntrinsics: {"fx": "(0, 1000000]", "fy": "(0, 1000000]", "cx": "[0, 100000]",
+                       "cy": "[0, 100000]", "width": "[1, 100000]",
+                       "height": "[1, 100000]"},
+    CalibrationRow: {"slope_deg": "(-90, 90)", "velocity": "(0, 10]", "cot": "[0, 100]"},
+}
+# A valid instance of each type, built with keyword arguments
+BUILD = {
+    **{cls: cls for cls in (RoverConfig, TerrainParams, PowerModelParams, BodyTwist)},
+    Scenario: partial(Scenario, []),
+    ProfileSegment: partial(ProfileSegment, duration=1.0, twist=BodyTwist(),
+                            mode=LocomotionMode.CRAB),
+    WheelModel3D: partial(WheelModel3D, radius=0.15, width=0.12, hub_radius=0.05),
+    CameraIntrinsics: partial(CameraIntrinsics, fx=800.0, fy=800.0, cx=640.0, cy=360.0,
+                              width=1280, height=720),
+    CalibrationRow: partial(CalibrationRow, slope_deg=0.0, velocity=0.06, cot=1.1),
+}
+
+
+def test_every_numeric_field_declares_a_range():
+    # so that a new number cannot land unchecked
+    numeric = {"float", "int", "tuple[float, float]"}
+    assert {cls: {field.name: field.metadata["range"][0] for field in fields(cls)
+                  if field.type in numeric}
+            for cls in RANGES} == RANGES
+    assert all(field.type in numeric or "range" not in field.metadata
+               for cls in RANGES for field in fields(cls))
+
+
+INTEGERS = {(TerrainParams, "rng_seed"), (CameraIntrinsics, "width"),
+            (CameraIntrinsics, "height")}
+
+
+def _outside(cls, name, value):
+    return f"{name} = {value!r} outside {RANGES[cls][name]}"
+
+
+# (type, field, a value outside its range, the message it raises): below and
+# above each range, inf and nan, an int field's non-integers
 OUT_OF_RANGE = [
-    (RoverConfig, "mass", 0.0, "non-positive mass"),
-    (RoverConfig, "gravity", -9.81, "non-positive gravity"),
-    *[(RoverConfig, name, 0.0, f"non-positive {name}")
-      for name in ("wheel_longitudinal_separation", "wheel_lateral_separation",
-                   "wheel_radius")],
-    (RoverConfig, "steering_rate", 0.0, "non-positive steering rate"),
-    (RoverConfig, "steering_limit", 0.0, "empty steering range"),
-    (RoverConfig, "steering_limit", 3.2, "empty steering range"),
-    (TerrainParams, "slope_deg", -1.0, "slope out of supported range"),
-    (TerrainParams, "slope_deg", 90.0, "slope out of supported range"),
-    *[(TerrainParams, name, value, f"{name} outside (0, 1]")
-      for name in ("skid_rotation_efficiency", "point_turn_efficiency")
-      for value in (0.0, 1.01)],
-    (TerrainParams, "longitudinal_slip_ratio", -0.1, "longitudinal_slip_ratio outside [0, 1)"),
-    (TerrainParams, "longitudinal_slip_ratio", 1.0, "longitudinal_slip_ratio outside [0, 1)"),
-    (TerrainParams, "noise_std", -0.01, "negative noise_std"),
-    *[(TerrainParams, "rng_seed", seed, "rng_seed is not a non-negative integer")
-      for seed in (-1, 1.5, 2.0)],
-    *[(PowerModelParams, name, -0.1, f"negative {name}")
-      for name in ("idle_power_per_drive", "rolling_resistance_coeff",
-                   "steering_hold_power", "steering_move_power",
-                   "speed_quadratic_coeff", "lateral_friction_coeff")],
-    (PowerModelParams, "drivetrain_efficiency", 0.0, "drivetrain_efficiency outside (0, 1]"),
-    (PowerModelParams, "drivetrain_efficiency", 1.5, "drivetrain_efficiency outside (0, 1]"),
-    # a float that passes its range check but is infinite
-    *[(cls, name, math.inf, f"non-finite {name}") for cls, names in [
+    *[(RoverConfig, name, value) for name, values in [
+        ("mass", (0.0, 10001.0)), ("gravity", (-9.81, 31.0)),
+        ("wheel_longitudinal_separation", (0.0, 101.0)),
+        ("wheel_lateral_separation", (0.0, 101.0)), ("wheel_radius", (0.0, 11.0)),
+        ("steering_rate", (0.0, 101.0)), ("steering_limit", (0.0, 3.2))]
+      for value in values],
+    *[(TerrainParams, name, value) for name, values in [
+        ("slope_deg", (-1.0, 90.0)), ("skid_rotation_efficiency", (0.0, 1.01)),
+        ("point_turn_efficiency", (0.0, 1.01)), ("longitudinal_slip_ratio", (-0.1, 1.0)),
+        ("noise_std", (-0.01, 1.5)), ("rng_seed", (-1, 2**53 + 1))]
+      for value in values],
+    *[(PowerModelParams, name, value) for name in (
+        "idle_power_per_drive", "rolling_resistance_coeff", "steering_hold_power",
+        "steering_move_power", "speed_quadratic_coeff", "lateral_friction_coeff")
+      for value in (-0.1, 2e6)],
+    (PowerModelParams, "drivetrain_efficiency", 0.0),
+    (PowerModelParams, "drivetrain_efficiency", 1.5),
+    (PowerModelParams, "drawbar_force", -2e6),
+    (PowerModelParams, "drawbar_force", 2e6),
+    *[(cls, name, math.inf) for cls, names in [
         (RoverConfig, ("mass", "gravity", "wheel_longitudinal_separation",
                        "wheel_lateral_separation", "wheel_radius", "steering_rate")),
         (TerrainParams, ("noise_std",)),
@@ -136,32 +190,60 @@ OUT_OF_RANGE = [
                             "speed_quadratic_coeff", "lateral_friction_coeff",
                             "drawbar_force")),
     ] for name in names],
-    (PowerModelParams, "drawbar_force", -math.inf, "non-finite drawbar_force"),
+    (PowerModelParams, "drawbar_force", -math.inf),
+    *[(Scenario, "step", step) for step in (0.0, -0.01, 2.0, math.inf)],
+    (Scenario, "marker_offset", (0.4, 100.5)),
+    *[(ProfileSegment, "duration", duration) for duration in (0.0, -1.0, 2e7, math.inf)],
+    *[(WheelModel3D, name, value) for name in ("radius", "width") for value in (0.0, 11.0)],
+    (WheelModel3D, "hub_radius", 0.0),
+    *[(CameraIntrinsics, name, value) for name in ("fx", "fy") for value in (0.0, 2e6)],
+    (CameraIntrinsics, "cx", -1.0),
+    (CameraIntrinsics, "cy", 100001.0),
+    (CameraIntrinsics, "width", 0),
+    (CameraIntrinsics, "height", 100001),
+    *[(CalibrationRow, "slope_deg", value) for value in (-90.0, 90.0)],
+    *[(CalibrationRow, "velocity", value) for value in (0.0, -0.06, 11.0)],
+    *[(CalibrationRow, "cot", value) for value in (-0.1, 101.0)],
 ]
-# Fields without a range check: none, every field has one
+# A twist is held to its ranges as a profile segment's: (component, value)
+TWISTS_OUT_OF_RANGE = [(name, value) for name in ("vx", "vy", "wz")
+                       for value in (-11.0, 11.0, math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("name, value", TWISTS_OUT_OF_RANGE)
+def test_a_segment_holds_its_twist_to_the_ranges(name, value):
+    segment = BUILD[ProfileSegment]()
+    with pytest.raises(DataError, match=f"^{re.escape(_outside(BodyTwist, name, value))}$"):
+        BUILD[ProfileSegment](twist=BodyTwist(**{name: value}))
+    with pytest.raises(DataError, match=f"^{re.escape(_outside(BodyTwist, name, value))}$"):
+        replace(segment, twist=BodyTwist(**{name: value}))
+
+
+# Fields without an out-of-range case: none, every field has one
 UNCHECKED = set()
 
 
 def test_every_field_has_a_range_but_the_unchecked_ones():
-    checked = {(cls, name) for cls, name, _, _ in OUT_OF_RANGE}
+    checked = {(cls, name) for cls, name, _ in OUT_OF_RANGE} | {
+        (BodyTwist, name) for name, _ in TWISTS_OUT_OF_RANGE}
     assert checked.isdisjoint(UNCHECKED)
-    assert checked | UNCHECKED == {
-        (cls, field.name)
-        for cls in (RoverConfig, TerrainParams, PowerModelParams)
-        for field in fields(cls)
-    }
+    assert checked | UNCHECKED == {(cls, name) for cls in RANGES for name in RANGES[cls]}
 
 
 INVALID = [
-    *OUT_OF_RANGE,
-    # NaN raises the first message of its field
-    *[(cls, name, math.nan, message) for (cls, name), message in
-      {(cls, name): message for cls, name, _, message in reversed(OUT_OF_RANGE)}.items()],
-    *[(partial(Scenario, []), "step", step, "integration step outside (0, inf)")
-      for step in (0.0, -0.01, math.inf, math.nan)],
-    *[(partial(ProfileSegment, duration=1.0, twist=BodyTwist(), mode=LocomotionMode.CRAB),
-       "duration", duration, "segment duration outside (0, inf)")
-      for duration in (0.0, -1.0, math.inf, math.nan)],
+    *[(BUILD[cls], name, value, _outside(cls, name, value))
+      for cls, name, value in OUT_OF_RANGE],
+    # NaN lies outside every range, and is not an int
+    *[(BUILD[cls], name, math.nan, f"{name} = nan is not an integer"
+       if (cls, name) in INTEGERS else _outside(cls, name, math.nan))
+      for cls in RANGES for name in RANGES[cls]
+      if name != "marker_offset" and cls is not BodyTwist],
+    (BUILD[Scenario], "marker_offset", (math.nan, 0.0),
+     _outside(Scenario, "marker_offset", (math.nan, 0.0))),
+    *[(BUILD[cls], name, value, f"{name} = {value!r} is not an integer")
+      for cls, name, value in [(TerrainParams, "rng_seed", 1.5),
+                               (TerrainParams, "rng_seed", 2.0),
+                               (CameraIntrinsics, "width", 1280.0)]],
 ]
 
 
@@ -236,10 +318,25 @@ def test_renderers_refuse_a_non_finite_float_by_name(value):
     import numpy as np
 
     # a numpy scalar is named as the Python float, not as np.float64(inf)
-    message = f"^non-finite output b = {re.escape(repr(value))}$"
+    message = f"^output b = {re.escape(repr(value))} outside \\[-1e12, 1e12\\]$"
     for number in (value, np.float64(value)):
         with pytest.raises(DataError, match=message):
             csv_text(["a", "b"], [[1.0, 2.0], [3.0, number]])
+        with pytest.raises(DataError, match=message):
+            key_value_text([("a", 1.0), ("b", number)])
+
+
+def test_renderers_refuse_a_number_beyond_the_output_limit():
+    import numpy as np
+
+    assert OUTPUT_LIMIT == 1e12
+    assert csv_text(["a"], [[-1e12], [10**12]]) == "a\n-1000000000000.000000\n1000000000000\n"
+    for number, shown in [(math.nextafter(1e12, math.inf), "1000000000000.0001"),
+                          (-1e13, "-10000000000000.0"), (np.float64(1e300), "1e+300"),
+                          (10**12 + 1, "1000000000001")]:
+        message = f"^output b = {re.escape(shown)} outside \\[-1e12, 1e12\\]$"
+        with pytest.raises(DataError, match=message):
+            csv_text(["a", "b"], [[1.0, number]])
         with pytest.raises(DataError, match=message):
             key_value_text([("a", 1.0), ("b", number)])
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rovermotion import telemetry as telemetry_module
-from rovermotion.config import BodyTwist, LocomotionMode
+from rovermotion.config import OUTPUT_LIMIT, BodyTwist, LocomotionMode
 from rovermotion.errors import DataError
 from rovermotion.kinematics import ProfileSegment
 from rovermotion.telemetry import (
@@ -170,13 +170,16 @@ SPECIALS = [0.0, -0.0, -4e-7, 4e-7, math.nan, math.inf, -math.inf, 1e300, -1e300
             0.9999995, -999.9999995, 2.0**52 / 1e6, 123456789012.5]
 
 cells = st.one_of(
-    st.floats(),
+    st.floats(-OUTPUT_LIMIT, OUTPUT_LIMIT),
     st.integers(-(2**40), 2**40).map(lambda k: k / 128),
     st.floats(-1e9, 1e9).map(lambda x: round(x, 6) + 5e-7),
     st.sampled_from(SPECIALS),
 )
 # the cells write_fixed_csv writes as numbers; it refuses the others unless blank
-finite_cells = cells.filter(math.isfinite)
+writable_cells = cells.filter(lambda x: abs(x) <= OUTPUT_LIMIT)
+# cells outside [-OUTPUT_LIMIT, OUTPUT_LIMIT]
+UNWRITABLE = [math.nan, math.inf, -math.inf, 1e300, -1e300,
+              math.nextafter(OUTPUT_LIMIT, math.inf)]
 
 
 class TestFixedPointWriter:
@@ -188,10 +191,10 @@ class TestFixedPointWriter:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        data=st.lists(finite_cells, min_size=1, max_size=120),
+        data=st.lists(writable_cells, min_size=1, max_size=120),
         width=st.integers(1, 7),
         blanks=st.lists(st.booleans(), min_size=120, max_size=120),
-        non_finite=st.sampled_from([math.nan, math.inf, -math.inf]),
+        non_finite=st.sampled_from(UNWRITABLE),
         at=st.integers(0, 119),
     )
     def test_cells_match_percent_format(self, tmp_path_factory, data, width, blanks,
@@ -202,28 +205,29 @@ class TestFixedPointWriter:
         path = tmp_path_factory.getbasetemp() / "fixed.csv"
         assert self.write(path, values) == percent_rows(values, np.zeros_like(blank))
         assert self.write(path, values, blank) == percent_rows(values, blank)
-        # a non-finite cell is written only as a blank one
+        # a cell outside the output range is written only as a blank one
         row, column = divmod(at % values.size, width)
         values[row, column] = non_finite
         with pytest.raises(DataError) as excinfo:
             self.write(path, values)
-        assert str(excinfo.value) == f"non-finite output c{column} = {non_finite!r}"
+        assert str(excinfo.value) == (
+            f"output c{column} = {non_finite!r} outside [-1e12, 1e12]")
         blank[row, column] = True
         assert self.write(path, values, blank) == percent_rows(values, blank)
 
     def test_ties_and_specials(self, tmp_path):
         values = np.array([TIES + SPECIALS])
-        finite = np.isfinite(values)
-        written = self.write(tmp_path / "s.csv", values, ~finite).decode()[:-1].split(",")
-        assert written == ["%.6f" % x if math.isfinite(x) else ""
+        writable = np.abs(values) <= OUTPUT_LIMIT
+        written = self.write(tmp_path / "s.csv", values, ~writable).decode()[:-1].split(",")
+        assert written == ["%.6f" % x if abs(x) <= OUTPUT_LIMIT else ""
                            for x in TIES + SPECIALS]
         assert written[:4] == ["-0.070312", "-0.054688", "-0.039062", "-0.023438"]
         assert written[len(TIES):][:4] == [
             "0.000000", "-0.000000", "-0.000000", "0.000000"]
         assert written[len(TIES):][4:7] == ["", "", ""]
-        for j in np.flatnonzero(~finite[0]):
-            others = ~finite & (np.arange(values.size) != j)
-            with pytest.raises(DataError, match=f"^non-finite output c{j} = "):
+        for j in np.flatnonzero(~writable[0]):
+            others = ~writable & (np.arange(values.size) != j)
+            with pytest.raises(DataError, match=f"^output c{j} = .* outside "):
                 self.write(tmp_path / "s.csv", values, others)
 
     def test_a_refused_cell_leaves_no_file(self, tmp_path):
@@ -235,7 +239,8 @@ class TestFixedPointWriter:
         values[_CHUNK_ROWS + 1, 20] = math.inf
         with pytest.raises(DataError) as excinfo:
             write_telemetry_csv(path, Telemetry(values))
-        assert str(excinfo.value) == f"non-finite output {TELEMETRY_HEADER[20]} = inf"
+        assert str(excinfo.value) == (
+            f"output {TELEMETRY_HEADER[20]} = inf outside [-1e12, 1e12]")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
@@ -320,7 +325,7 @@ class TestFixedPointReader:
             max_size=400,
         ),
         # a cell "%.6f" writes in another layout sends the file to _read_rows
-        other=st.lists(finite_cells, max_size=2),
+        other=st.lists(writable_cells, max_size=2),
         chunk_bytes=st.integers(1, 3000),
     )
     def test_written_cells_read_back_bit_identical(

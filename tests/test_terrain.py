@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -278,23 +279,40 @@ class TestSimulateTraverse:
     @pytest.mark.parametrize("step, duration", [
         (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.01, math.inf), (0.01, math.nan)])
     def test_step_and_duration_must_be_positive_and_finite(self, step, duration):
-        # the segment and the scenario check themselves when built
-        with pytest.raises(DataError, match=r"outside \(0, inf\)"):
+        # the segment and the scenario check themselves when built, the segment first
+        message = (f"duration = {duration!r} outside (0, 10000000]" if step == 0.01
+                   else f"step = {step!r} outside (0, 1]")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             profile = [
                 ProfileSegment(duration, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)
             ]
             simulate_traverse(Scenario(profile=profile, step=step))
 
-    @pytest.mark.parametrize("step, duration", [
-        (0.01, 1e308), (5e-324, 2.0), (0.01, 1e20)],
-        ids=["duration_1e308", "step_5e-324", "duration_1e20"])
-    def test_row_count_is_refused_before_it_is_allocated(self, step, duration):
-        # 1e308 / 0.01 and 2 / 5e-324 are inf, 1e20 / 0.01 is past MAX_ROWS
-        profile = [
-            ProfileSegment(duration, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)
-        ]
-        with pytest.raises(DataError, match=f"^the profile plans more than {MAX_ROWS} "):
+    @pytest.mark.parametrize("step, duration, message", [
+        (0.01, 1e308, "duration = 1e+308 outside (0, 10000000]"),
+        (5e-324, 2.0, f"the profile plans more than {MAX_ROWS} telemetry rows"),
+        (0.01, 1e20, "duration = 1e+20 outside (0, 10000000]"),
+        (0.01, 1e6, f"the profile plans more than {MAX_ROWS} telemetry rows")],
+        ids=["duration_1e308", "step_5e-324", "duration_1e20", "duration_1e6"])
+    def test_row_count_is_refused_before_it_is_allocated(self, step, duration, message):
+        # a duration past the declared range is refused as the segment is
+        # built; 2 / 5e-324 is inf, and 1e6 / 0.01 is past MAX_ROWS
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            profile = [
+                ProfileSegment(duration, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)
+            ]
             simulate_traverse(Scenario(profile=profile, step=step))
+
+    def test_a_refusal_names_the_segment_it_plans(self):
+        profile = [
+            ProfileSegment(0.05, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER, "a:5"),
+            ProfileSegment(1e6, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER, "a:6"),
+        ]
+        with pytest.raises(DataError, match=f"^a:6: the profile plans more than {MAX_ROWS} "):
+            simulate_traverse(Scenario(profile=profile))
+        profile[1] = ProfileSegment(1.0, BodyTwist(0, 0, 0.1), LocomotionMode.CRAB, "a:6")
+        with pytest.raises(DataError, match="^a:6: yaw rate unsupported in crab mode$"):
+            simulate_traverse(Scenario(profile=profile))
 
     def test_different_seed_diverges(self):
         base = dict(
@@ -351,13 +369,24 @@ class TestCalibration:
             calibrate_power(FLAT_ROWS[:2], CFG)
 
     def test_zero_velocity_rejected(self):
-        with pytest.raises(DataError, match="velocity"):
+        # CalibrationRow's declared range refuses it in a table; here 4 / (m g v)
+        # is inf
+        with pytest.raises(DataError, match="^calibration terms out of floating-point"):
             calibrate_power([(0, 0.0, 1.0)] + FLAT_ROWS, CFG)
+
+    def test_a_fit_outside_the_declared_ranges_is_refused(self):
+        # a quadratic coefficient of 2e6 W s^2/m^2
+        mg = CFG.mass * CFG.gravity
+        rows = [(0.0, v, 0.2 + 4.0 * 2e6 * v / mg) for v in (0.03, 0.06, 0.08)]
+        with pytest.raises(DataError, match=r"^speed_quadratic_coeff = .* outside "):
+            calibrate_power(rows, CFG)
 
     @pytest.mark.parametrize("rows, config", [
         (FLAT_ROWS + [(0.0, 1e308, 1.39)], CFG),  # 4 v / (m g) overflows
         (FLAT_ROWS, RoverConfig(mass=5e-324)),  # m g v rounds to 0
-    ], ids=["velocity_1e308", "mass_5e-324"])
+        # the all-zero start's misfit is inf, so no fit could improve on it
+        ([(0.0, 0.03, 1e308)] + FLAT_ROWS, CFG),
+    ], ids=["velocity_1e308", "mass_5e-324", "cot_1e308"])
     def test_terms_out_of_range_are_refused_before_the_fit(self, rows, config):
         with pytest.raises(DataError, match="^calibration terms out of floating-point"):
             calibrate_power(rows, config)
