@@ -389,6 +389,10 @@ def invocations() -> list[dict]:
                    "argv": ["analyze", "cot", "--telemetry", "{dir}/t.csv",
                             "--out", "{dir}/out"],
                    "inputs": {"t.csv": "".join(lines[:4] + ["\n"] + lines[4:])}})
+    # Ackermann at a subnormal yaw rate drives straight, not through an ICR at inf
+    result.append({"name": "simulate-ackermann_wz_1e-320",
+                   "argv": ["simulate", "--scenario", "{dir}/run.scn", "--out", "{dir}/out"],
+                   "inputs": {"run.scn": _scenario(row="0.05,0.06,0,1e-320,ackermann")}})
     return result
 
 

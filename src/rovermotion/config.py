@@ -29,19 +29,9 @@ class LocomotionMode(enum.Enum):
         raise DataError(f"unknown locomotion mode {text!r}")
 
 
-class WheelId(enum.Enum):
-    FL = "FL"
-    FR = "FR"
-    RL = "RL"
-    RR = "RR"
-
-    @property
-    def tag(self) -> str:
-        """The wheel's name in telemetry columns and power breakdown keys."""
-        return self.value.lower()
-
-
-WHEEL_ORDER = (WheelId.FL, WheelId.FR, WheelId.RL, WheelId.RR)
+# The four wheels, front left, front right, rear left, rear right: the order
+# of every per-wheel array and of the telemetry's per-wheel columns
+WHEELS = ("fl", "fr", "rl", "rr")
 
 
 # Every number a command writes lies in this interval, as `within` writes one;
@@ -81,19 +71,13 @@ def output_error(name: str, value: object) -> DataError:
 
 @dataclass(frozen=True)
 class BodyTwist:
-    """Planar body velocity: x forward, y left, z up (yaw). A profile segment
-    holds its twist to these ranges (m/s, rad/s); an odometry estimate is not held."""
+    """Planar body velocity: x forward, y left, z up (yaw), in m/s and rad/s."""
 
     vx: float = within("[-10, 10]", 0.0)
     vy: float = within("[-10, 10]", 0.0)
     wz: float = within("[-10, 10]", 0.0)
 
-
-@dataclass(frozen=True)
-class WheelCommand:
-    wheel_id: WheelId
-    drive_speed: float  # rad/s at the wheel hub
-    steering_angle: float  # rad, CCW positive about the wheel vertical axis
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -112,16 +96,12 @@ class RoverConfig:
     __post_init__ = check_fields
 
 
-def wheel_positions(config: RoverConfig) -> dict[WheelId, tuple[float, float]]:
-    """Planar wheel contact positions in the body frame, origin at center."""
+def wheel_positions(config: RoverConfig) -> tuple[tuple[float, float], ...]:
+    """Planar wheel contact positions (x, y) in the body frame, origin at
+    center, in WHEELS order."""
     half_l = config.wheel_longitudinal_separation / 2.0
     half_w = config.wheel_lateral_separation / 2.0
-    return {
-        WheelId.FL: (half_l, half_w),
-        WheelId.FR: (half_l, -half_w),
-        WheelId.RL: (-half_l, half_w),
-        WheelId.RR: (-half_l, -half_w),
-    }
+    return (half_l, half_w), (half_l, -half_w), (-half_l, half_w), (-half_l, -half_w)
 
 
 def read_text(path: str | Path) -> str:

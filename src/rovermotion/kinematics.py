@@ -9,11 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from rovermotion.config import (
-    WHEEL_ORDER,
     BodyTwist,
     LocomotionMode,
     RoverConfig,
-    WheelCommand,
     check_fields,
     csv_rows,
     parse_finite,
@@ -23,7 +21,6 @@ from rovermotion.config import (
 from rovermotion.errors import DataError, naming
 
 
-_PARALLEL_EIG_TOL = 1e-12
 _WZ_EPS = 1e-12  # below this yaw rate a step is integrated as a straight line
 
 
@@ -38,16 +35,17 @@ def _normalize_steering(angle: float, speed: float, limit: float) -> tuple[float
 
 def inverse_kinematics(
     twist: BodyTwist, mode: LocomotionMode, config: RoverConfig
-) -> list[WheelCommand]:
-    """Map a body twist to four wheel commands for the given mode.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map a body twist to the wheels' (drive speeds rad/s, steering angles
+    rad), each in WHEELS order, for the given mode.
 
     Skid steering realizes (vx, wz) by differential side speeds with zero
     steering; crab translates along (vx, vy) without commanding yaw; point
     turn steers every wheel tangent to a circle around the body center;
-    Ackermann steers all wheel axes through a common ICR at (0, vx/wz).
+    Ackermann steers all wheel axes through a common ICR at (0, vx/wz), and
+    drives straight at a yaw rate below _WZ_EPS.
     """
-    positions = wheel_positions(config)
-    points = [positions[wheel] for wheel in WHEEL_ORDER]
+    points = wheel_positions(config)
     if mode is LocomotionMode.SKID_STEER:
         half_w = config.wheel_lateral_separation / 2.0
         wheels = [(0.0, twist.vx - twist.wz * (half_w if y > 0 else -half_w))
@@ -60,7 +58,7 @@ def inverse_kinematics(
         wheels = [(angle, speed)] * len(points)
     elif mode is LocomotionMode.ACKERMANN and twist.vy != 0.0:
         raise DataError("lateral velocity unsupported in Ackermann")
-    elif mode is LocomotionMode.ACKERMANN and twist.wz == 0.0:
+    elif mode is LocomotionMode.ACKERMANN and abs(twist.wz) < _WZ_EPS:
         wheels = [(0.0, twist.vx)] * len(points)  # ICR at infinity: straight line
     elif mode is LocomotionMode.POINT_TURN or mode is LocomotionMode.ACKERMANN:
         # wheel axes through the ICR (0, icr_y), the center for a point turn;
@@ -70,61 +68,32 @@ def inverse_kinematics(
         wheels = [(math.atan2(rx, -ry), twist.wz * math.hypot(rx, ry)) for rx, ry in rels]
     else:
         raise DataError(f"unsupported mode {mode}")
-    commands = []
-    for wheel, (angle, speed) in zip(WHEEL_ORDER, wheels):
-        angle, drive_speed = _normalize_steering(
-            angle, speed / config.wheel_radius, config.steering_limit
-        )
-        commands.append(WheelCommand(wheel, drive_speed, angle))
-    return commands
+    angles, speeds = zip(*(
+        _normalize_steering(angle, speed / config.wheel_radius, config.steering_limit)
+        for angle, speed in wheels))
+    return np.array(speeds), np.array(angles)
 
 
-def rolling_directions(
-    commands: list[WheelCommand], config: RoverConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(u, p): each command's unit rolling direction (cos, sin) of its
-    steering angle, and its wheel's contact position, as (wheels, 2) arrays."""
-    positions = wheel_positions(config)
-    u = np.array([(math.cos(cmd.steering_angle), math.sin(cmd.steering_angle))
-                  for cmd in commands])
-    return u, np.array([positions[cmd.wheel_id] for cmd in commands])
+def rolling_directions(angles, config: RoverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(u, p): each wheel's unit rolling direction (cos, sin) of its steering
+    angle in `angles`, and its contact position, as (4, 2) arrays in WHEELS order."""
+    u = np.array([(math.cos(angle), math.sin(angle)) for angle in angles])
+    return u, np.array(wheel_positions(config))
 
 
-def forward_odometry(commands: list[WheelCommand], config: RoverConfig) -> BodyTwist:
-    """Least-squares body twist explaining the wheel rolling speeds.
+def _odometry_twist(speeds, config: RoverConfig, u, p) -> np.ndarray:
+    """The least-squares body twist (vx, vy, wz) that explains the wheels'
+    drive speeds `speeds`, given their rolling_directions (u, p).
 
     Only the rolling-direction projection of each contact velocity is
     constrained, so skid steering (lateral scrub by design) and noisy
     measured steering angles are handled uniformly. Unobservable twist
     components come out as the minimum-norm solution (zero).
     """
-    u, p = rolling_directions(commands, config)
-    return BodyTwist(*_odometry_twist(commands, config, u, p))
-
-
-def _odometry_twist(commands, config: RoverConfig, u, p) -> np.ndarray:
-    """forward_odometry's (vx, vy, wz), given the commands' rolling_directions."""
     # u . (v + wz x p) = drive_speed * r
     rows = np.column_stack((u, u[:, 1] * p[:, 0] - u[:, 0] * p[:, 1]))
-    rhs = np.array([cmd.drive_speed for cmd in commands]) * config.wheel_radius
+    rhs = np.asarray(speeds) * config.wheel_radius
     return np.linalg.lstsq(rows, rhs, rcond=None)[0]
-
-
-def icr_of(
-    commands: list[WheelCommand], config: RoverConfig
-) -> tuple[tuple[float, float] | None, float]:
-    """Least-squares intersection of the four wheel axes (the ICR), and the RMS
-    point-to-axis distance. A point x lies u . (x - p) off the axis of a wheel
-    at p rolling along u, so the ICR solves (u^T u) x = u^T (u . p). Parallel
-    axes (straight driving) give None, the ICR at infinity, and residual 0."""
-    u, p = rolling_directions(commands, config)
-    offsets = np.einsum("ij,ij->i", u, p)
-    normal = u.T @ u
-    if np.linalg.eigvalsh(normal)[0] < _PARALLEL_EIG_TOL:
-        return None, 0.0
-    point = np.linalg.solve(normal, u.T @ offsets)
-    residual = math.sqrt(float(np.mean((u @ point - offsets) ** 2)))
-    return (float(point[0]), float(point[1])), residual
 
 
 @dataclass(frozen=True)
@@ -134,9 +103,7 @@ class ProfileSegment:
     mode: LocomotionMode
     where: str | None = field(default=None, compare=False, repr=False)  # its path:line
 
-    def __post_init__(self):
-        check_fields(self)
-        check_fields(self.twist)
+    __post_init__ = check_fields
 
 
 PROFILE_HEADER = ["duration_s", "vx", "vy", "wz", "mode"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from rovermotion.config import (
-    OUTPUT_LIMIT, WHEEL_ORDER, csv_rows, open_output, output_error, parse_finite, read_text)
+    OUTPUT_LIMIT, WHEELS, csv_rows, open_output, output_error, parse_finite, read_text)
 from rovermotion.errors import DataError
 
 BUS_VOLTAGE = 24.0
@@ -18,7 +18,7 @@ FLOAT_FORMAT = "%.6f"
 
 
 def _per_wheel(prefix: str) -> list[str]:
-    return [f"{prefix}_{wheel.tag}" for wheel in WHEEL_ORDER]
+    return [f"{prefix}_{wheel}" for wheel in WHEELS]
 
 
 # The named groups of columns that follow the time column "t", in row order

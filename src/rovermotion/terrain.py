@@ -8,11 +8,9 @@ from pathlib import Path
 import numpy as np
 
 from rovermotion.config import (
-    WHEEL_ORDER,
     BodyTwist,
     LocomotionMode,
     RoverConfig,
-    WheelCommand,
     check_fields,
     from_pairs,
     parse_finite,
@@ -94,21 +92,24 @@ def apply_slip(cmd: BodyTwist, mode: LocomotionMode, terrain: TerrainParams) -> 
 
 
 def drive_power(
-    commands: list[WheelCommand],
+    speeds: np.ndarray,
+    angles: np.ndarray,
     terrain: TerrainParams,
     config: RoverConfig,
     power: PowerModelParams,
-) -> tuple[float, dict[str, float]]:
-    """Total electrical power and per-actuator breakdown for a command set.
+) -> np.ndarray:
+    """Each drive's electrical power (W), in WHEELS order, at the wheels'
+    drive speeds `speeds` and steering angles `angles`.
 
     Per drive: idle power plus slope/rolling-resistance tractive power, a
     quadratic speed term, lateral scrub drag (nonzero only when a wheel's
     no-slip contact velocity has a component across its rolling direction,
     as in skid rotation), and an optional drawbar pull, all divided by the
-    drivetrain efficiency. Steering units hold their angles during motion
-    and draw hold power; their move power is charged only while they slew,
-    by the reposition model (`reposition_between`, `simulate_traverse`),
-    which charges each drive its idle power for the slew as well.
+    drivetrain efficiency, and at least 0 W. The steering units hold their
+    angles during motion and draw hold power; their move power is charged
+    only while they slew, by the reposition model (`reposition_between`,
+    `simulate_traverse`), which charges each drive its idle power for the
+    slew as well.
     """
     theta = math.radians(terrain.slope_deg)
     weight_per_wheel = config.mass * config.gravity / 4.0
@@ -116,9 +117,9 @@ def drive_power(
         power.rolling_resistance_coeff * math.cos(theta) + math.sin(theta)
     ) * weight_per_wheel
     normal_per_wheel = weight_per_wheel * math.cos(theta)
-    u, p = rolling_directions(commands, config)
-    vx, vy, wz = _odometry_twist(commands, config, u, p)
-    v = np.abs([cmd.drive_speed for cmd in commands]) * config.wheel_radius
+    u, p = rolling_directions(angles, config)
+    vx, vy, wz = _odometry_twist(speeds, config, u, p)
+    v = np.abs(speeds) * config.wheel_radius
     cx, cy = vx - wz * p[:, 1], vy + wz * p[:, 0]
     lateral = np.abs(-u[:, 1] * cx + u[:, 0] * cy)
     # a power that overflows is refused as an output, without a warning first
@@ -129,11 +130,8 @@ def drive_power(
             + power.lateral_friction_coeff * normal_per_wheel * lateral
             + (power.drawbar_force / 4.0) * v
         ) / power.drivetrain_efficiency
-    tags = [cmd.wheel_id.tag for cmd in commands]
-    # Python floats, whose sum is inf, unwarned, where it overflows
-    breakdown = {f"drive_{tag}": max(p_i, 0.0) for tag, p_i in zip(tags, drive.tolist())}
-    breakdown.update((f"steer_{tag}", power.steering_hold_power) for tag in tags)
-    return sum(breakdown.values()), breakdown
+    # the builtin max keeps a power of -0.0 (at an idle power of -0.0), np.maximum not
+    return np.array([max(p_i, 0.0) for p_i in drive.tolist()])
 
 
 def _slew(from_angles, to_angles, config: RoverConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -242,8 +240,7 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     current_angles = np.zeros(4)
     for segment in scenario.profile:
         with naming(segment.where):
-            commands = inverse_kinematics(segment.twist, segment.mode, config)
-            targets = np.array([cmd.steering_angle for cmd in commands])
+            speeds, targets = inverse_kinematics(segment.twist, segment.mode, config)
             deltas, move_times = _slew(current_angles, targets, config)
             if move_times.max() > _ANGLE_TOL:
                 n = math.ceil(_within_ceiling(planned, move_times.max() / step) - 1e-9)
@@ -263,12 +260,11 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
                 current_angles = targets
             n = max(1, round(_within_ceiling(planned, segment.duration / step)))
             planned += n
-            _, breakdown = drive_power(commands, terrain, config, power)
             block = (
                 (segment.twist.vx, segment.twist.vy, segment.twist.wz),
-                [breakdown[f"drive_{w.tag}"] / BUS_VOLTAGE for w in WHEEL_ORDER],
-                [breakdown[f"steer_{w.tag}"] / BUS_VOLTAGE for w in WHEEL_ORDER],
-                [cmd.drive_speed for cmd in commands],
+                drive_power(speeds, targets, terrain, config, power) / BUS_VOLTAGE,
+                power.steering_hold_power / BUS_VOLTAGE,
+                speeds,
                 targets,
             )
             phases.append((n, apply_slip(segment.twist, segment.mode, terrain), block))

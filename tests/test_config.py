@@ -11,8 +11,8 @@ from rovermotion.config import (
     OUTPUT_LIMIT,
     BodyTwist,
     LocomotionMode,
+    WHEELS,
     RoverConfig,
-    WheelId,
     csv_rows,
     csv_text,
     key_value_text,
@@ -49,18 +49,23 @@ def test_lunar_gravity_override():
     assert cfg.gravity == 1.62
 
 
+def positions(config: RoverConfig) -> dict[str, tuple[float, float]]:
+    """wheel_positions by wheel name."""
+    return dict(zip(WHEELS, wheel_positions(config), strict=True))
+
+
 def test_wheel_positions_breadboard():
-    pos = wheel_positions(RoverConfig())
-    assert pos[WheelId.FL] == pytest.approx((0.490, 0.415))
-    assert pos[WheelId.FR] == pytest.approx((0.490, -0.415))
-    assert pos[WheelId.RR] == pytest.approx((-0.490, -0.415))
+    pos = positions(RoverConfig())
+    assert pos["fl"] == pytest.approx((0.490, 0.415))
+    assert pos["fr"] == pytest.approx((0.490, -0.415))
+    assert pos["rr"] == pytest.approx((-0.490, -0.415))
 
 
 def test_wheel_positions_unit_square():
     pos = wheel_positions(
         RoverConfig(wheel_longitudinal_separation=2.0, wheel_lateral_separation=2.0)
     )
-    assert sorted(pos.values()) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert sorted(pos) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
 @given(
@@ -68,15 +73,15 @@ def test_wheel_positions_unit_square():
     width=st.floats(0.1, 10.0),
 )
 def test_wheel_positions_reflection_symmetry(length, width):
-    pos = wheel_positions(
+    pos = positions(
         RoverConfig(
             wheel_longitudinal_separation=length, wheel_lateral_separation=width
         )
     )
     # mirror across the x axis swaps left/right, across y swaps front/rear
-    assert pos[WheelId.FL] == (pos[WheelId.FR][0], -pos[WheelId.FR][1])
-    assert pos[WheelId.FL] == (-pos[WheelId.RL][0], pos[WheelId.RL][1])
-    assert pos[WheelId.FL] == (-pos[WheelId.RR][0], -pos[WheelId.RR][1])
+    assert pos["fl"] == (pos["fr"][0], -pos["fr"][1])
+    assert pos["fl"] == (-pos["rl"][0], pos["rl"][1])
+    assert pos["fl"] == (-pos["rr"][0], -pos["rr"][1])
 
 
 def test_load_config_file(tmp_path):
@@ -204,19 +209,9 @@ OUT_OF_RANGE = [
     *[(CalibrationRow, "slope_deg", value) for value in (-90.0, 90.0)],
     *[(CalibrationRow, "velocity", value) for value in (0.0, -0.06, 11.0)],
     *[(CalibrationRow, "cot", value) for value in (-0.1, 101.0)],
+    *[(BodyTwist, name, value) for name in ("vx", "vy", "wz")
+      for value in (-11.0, 11.0, math.inf)],
 ]
-# A twist is held to its ranges as a profile segment's: (component, value)
-TWISTS_OUT_OF_RANGE = [(name, value) for name in ("vx", "vy", "wz")
-                       for value in (-11.0, 11.0, math.inf, math.nan)]
-
-
-@pytest.mark.parametrize("name, value", TWISTS_OUT_OF_RANGE)
-def test_a_segment_holds_its_twist_to_the_ranges(name, value):
-    segment = BUILD[ProfileSegment]()
-    with pytest.raises(DataError, match=f"^{re.escape(_outside(BodyTwist, name, value))}$"):
-        BUILD[ProfileSegment](twist=BodyTwist(**{name: value}))
-    with pytest.raises(DataError, match=f"^{re.escape(_outside(BodyTwist, name, value))}$"):
-        replace(segment, twist=BodyTwist(**{name: value}))
 
 
 # Fields without an out-of-range case: none, every field has one
@@ -224,8 +219,7 @@ UNCHECKED = set()
 
 
 def test_every_field_has_a_range_but_the_unchecked_ones():
-    checked = {(cls, name) for cls, name, _ in OUT_OF_RANGE} | {
-        (BodyTwist, name) for name, _ in TWISTS_OUT_OF_RANGE}
+    checked = {(cls, name) for cls, name, _ in OUT_OF_RANGE}
     assert checked.isdisjoint(UNCHECKED)
     assert checked | UNCHECKED == {(cls, name) for cls in RANGES for name in RANGES[cls]}
 
@@ -237,7 +231,7 @@ INVALID = [
     *[(BUILD[cls], name, math.nan, f"{name} = nan is not an integer"
        if (cls, name) in INTEGERS else _outside(cls, name, math.nan))
       for cls in RANGES for name in RANGES[cls]
-      if name != "marker_offset" and cls is not BodyTwist],
+      if name != "marker_offset"],
     (BUILD[Scenario], "marker_offset", (math.nan, 0.0),
      _outside(Scenario, "marker_offset", (math.nan, 0.0))),
     *[(BUILD[cls], name, value, f"{name} = {value!r} is not an integer")
@@ -259,6 +253,18 @@ def test_invalid_value_rejected_when_built(build, name, value, message):
         build(**{name: value})
     with pytest.raises(DataError, match=match):
         replace(valid, **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [(name, value) for build, name, value, _ in INVALID
+                                         if build is BodyTwist])
+def test_a_segment_holds_its_twist_to_the_ranges(name, value):
+    # a twist checks itself, so no segment holds one outside the ranges
+    segment = BUILD[ProfileSegment]()
+    message = f"^{re.escape(_outside(BodyTwist, name, value))}$"
+    with pytest.raises(DataError, match=message):
+        BUILD[ProfileSegment](twist=BodyTwist(**{name: value}))
+    with pytest.raises(DataError, match=message):
+        replace(segment, twist=replace(segment.twist, **{name: value}))
 
 
 def test_open_output_replaces_the_file_only_when_the_block_succeeds(tmp_path):

@@ -10,9 +10,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rovermotion"
 # The names the package re-exported until it bound only __version__: each has
 # one import path, from the module that defines it.
 FORMER_EXPORTS = {
-    "config": ["BodyTwist", "LocomotionMode", "RoverConfig", "WheelCommand",
-               "WheelId", "load_config", "wheel_positions"],
-    "kinematics": ["forward_odometry", "icr_of", "inverse_kinematics"],
+    "config": ["BodyTwist", "LocomotionMode", "RoverConfig", "load_config",
+               "wheel_positions"],
+    "kinematics": ["inverse_kinematics"],
     "metrics": ["cost_of_transport", "energy_vs_yaw", "mean_cot"],
     "terrain": ["PowerModelParams", "Scenario", "TerrainParams", "apply_slip",
                 "calibrate_power", "drive_power", "simulate_traverse"],
@@ -30,12 +30,30 @@ def test_the_package_binds_only_its_version():
         assert set(names) <= set(namespace), module
 
 
-# Modules that no command imports, each with the reason it stays.
+_TRACK_PY = ("the step-by-step track integrator, a test oracle for "
+             "kinematics.integrate_track that perfbench imports; it leaves the "
+             "package when the benchmark moves it under the tests")
+_SYNTHETIC = ("generates synthetic annotated frames for the tests, "
+              "scripts/make_deflection_fixture.py and perfbench/workloads.py; it "
+              "leaves the package when the benchmark imports it from elsewhere")
+_FIXTURE = "writes the bundled annotations.csv in scripts/make_deflection_fixture.py"
+# What no command reaches, each with the reason it stays: the modules that no
+# command imports, and the top-level functions and classes, `module.name`,
+# that no command calls.
 UNREACHED = {
-    # The step-by-step track integrator: a test oracle for
-    # kinematics.integrate_track that perfbench imports. It leaves the
-    # package when the benchmark moves it under the tests.
-    "_track_py",
+    "_track_py": _TRACK_PY,
+    "_track_py.integrate_track": _TRACK_PY,
+    "deflection.project_wheel": _SYNTHETIC,
+    "deflection._project": _SYNTHETIC,
+    "deflection._circle_points_3d": _SYNTHETIC,
+    "deflection.make_chord_annotation": _SYNTHETIC,
+    "deflection.depth_for_fraction": _SYNTHETIC,
+    "deflection.write_annotations_csv": _FIXTURE,
+    "deflection._serialize_loop": _FIXTURE,
+    "terrain.reposition_between": (
+        "the closed form of the reposition phase's energy and duration, which "
+        "the tests hold simulate_traverse to; a summary.txt energy balance would "
+        "make a command call it"),
 }
 
 
@@ -98,15 +116,80 @@ def test_cli_imports_only_what_parsing_needs():
     assert _import_time_imports(PACKAGE / "cli.py") <= CLI_IMPORTS
 
 
+def _reached(roots: list[str], edges) -> set[str]:
+    """The nodes that `roots` reach along `edges(node)`, the roots included."""
+    reached, pending = set(), list(roots)
+    while pending:
+        node = pending.pop()
+        if node not in reached:
+            reached.add(node)
+            pending.extend(edges(node))
+    return reached
+
+
 def test_every_module_is_reached_from_the_cli():
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
-    reached, pending = set(), ["cli"]
-    while pending:
-        module = pending.pop()
-        if module not in reached:
-            reached.add(module)
-            pending.extend(_imported_modules(PACKAGE / f"{module}.py", modules))
-    assert sorted(modules - reached) == sorted(UNREACHED)
+    reached = _reached(["cli"], lambda module: _imported_modules(
+        PACKAGE / f"{module}.py", modules))
+    assert sorted(modules - reached) == sorted(name for name in UNREACHED if "." not in name)
+
+
+def _annotation_nodes(tree: ast.AST) -> set[int]:
+    """The ids of the nodes in the type annotations of `tree`."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.returns]
+    return {id(sub) for annotation in annotations for sub in ast.walk(annotation)}
+
+
+def _call_graph() -> tuple[set[str], dict[str, set[str]]]:
+    """The package's top-level functions and classes, `module.name`, and what
+    each names outside its type annotations: a definition of its own module
+    by name, another module's through a `from rovermotion.module import` or
+    as an attribute of the module. The code a module runs when it is
+    imported is the node `module`."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = {f"{module}.{node.name}" for module, tree in trees.items()
+               for node in tree.body if isinstance(node, kinds)}
+    edges = {}
+    for module, tree in trees.items():
+        names = {name.partition(".")[2]: name for name in defined
+                 if name.startswith(f"{module}.")}
+        modules = {}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("rovermotion")):
+                continue
+            for alias in node.names:
+                target = f"{node.module}.{alias.name}".removeprefix("rovermotion.")
+                bound = names if target in defined else modules
+                bound[alias.asname or alias.name] = target
+        annotations = _annotation_nodes(tree)
+        for node in tree.body:
+            named = edges.setdefault(
+                f"{module}.{node.name}" if isinstance(node, kinds) else module, set())
+            for sub in ast.walk(node):
+                if id(sub) in annotations:
+                    continue
+                if isinstance(sub, ast.Name) and sub.id in names:
+                    named.add(names[sub.id])
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                    attribute = f"{modules.get(sub.value.id)}.{sub.attr}"
+                    if attribute in defined:
+                        named.add(attribute)
+    return defined, edges
+
+
+def test_every_function_and_class_is_reached_from_a_command():
+    # from each command, the console entry point and the import-time code
+    defined, edges = _call_graph()
+    roots = [name for name in edges if name.startswith("cli.cmd_") or "." not in name]
+    reached = _reached([*roots, "cli.run"], lambda name: edges.get(name, ()))
+    assert sorted(defined - reached) == sorted(name for name in UNREACHED if "." in name)
+    assert all(UNREACHED.values())
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
@@ -167,14 +250,23 @@ def _called_name(call: ast.Call) -> str:
 def test_steering_angles_become_rolling_directions_in_one_place():
     calls = [(where, call) for path in sorted(PACKAGE.glob("*.py"))
              for where, call in _function_calls(path)]
+    # cos and sin of an angle: a wheel pose's rotation angle in from_rotvec,
+    # and the steering angles only where they become rolling directions
     trig = {where for where, call in calls if _called_name(call) in ("cos", "sin")
-            and any(isinstance(node, ast.Attribute) and node.attr == "steering_angle"
+            and any(isinstance(node, ast.Name) and "angle" in node.id
                     for arg in call.args for node in ast.walk(arg))}
-    assert trig == {"kinematics.rolling_directions"}
+    assert trig == {"kinematics.rolling_directions", "deflection.from_rotvec"}
     in_ik = [_called_name(call) for where, call in calls
              if where == "kinematics.inverse_kinematics"]
     assert in_ik.count("_normalize_steering") == 1
-    assert in_ik.count("WheelCommand") == 1
+    # a wheel is a position in config.WHEELS order, not a key: no code
+    # formats a per-wheel power key, "drive_fl" or "steer_fl"
+    keys = [ast.unparse(node) for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.JoinedStr) and node.values
+            and isinstance(node.values[0], ast.Constant)
+            and node.values[0].value.startswith(("drive_", "steer_"))]
+    assert keys == []
 
 
 def test_value_types_check_themselves():

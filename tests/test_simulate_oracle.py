@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rovermotion.cli import EXIT_OK, PRESET_NAMES, ROTATION_PRESETS, main, preset_path
-from rovermotion.config import WHEEL_ORDER, BodyTwist
+from rovermotion.config import BodyTwist
 from rovermotion._track_py import integrate_track
 from rovermotion.telemetry import BUS_VOLTAGE, TELEMETRY_HEADER
 from rovermotion.terrain import (
@@ -28,15 +28,13 @@ from rovermotion.terrain import (
 )
 
 
-def _record(t, pose, marker_offset, odo, cmd, breakdown, speeds, angles) -> list[float]:
-    """One sample's row, in TELEMETRY_HEADER order."""
+def _record(t, pose, marker_offset, odo, cmd, drive_p, steer_p, speeds, angles) -> list[float]:
+    """One sample's row, in TELEMETRY_HEADER order: `drive_p` and `steer_p`
+    are each wheel's drive and steering power, in WHEELS order."""
     x, y, heading = pose
     mx, my = marker_offset
     cos_t, sin_t = math.cos(heading), math.sin(heading)
     marker = (x + cos_t * mx - sin_t * my, y + sin_t * mx + cos_t * my)
-    tags = [w.value.lower() for w in WHEEL_ORDER]
-    drive_p = [breakdown[f"drive_{tag}"] for tag in tags]
-    steer_p = [breakdown[f"steer_{tag}"] for tag in tags]
     return [
         t, *pose, *marker,
         odo.vx, odo.vy, odo.wz, cmd.vx, cmd.vy, cmd.wz,
@@ -58,7 +56,7 @@ class _Phase:
     start_angles: tuple
     deltas: tuple
     move_times: tuple
-    motion: tuple | None  # (odo, cmd, breakdown, speeds, angles) or None
+    motion: tuple | None  # (odo, cmd, drive_p, steer_p, speeds, angles) or None
 
 
 def reference_simulate(scenario: Scenario) -> list[list[float]]:
@@ -72,8 +70,8 @@ def reference_simulate(scenario: Scenario) -> list[list[float]]:
     current_angles = (0.0, 0.0, 0.0, 0.0)
     vx_steps, vy_steps, wz_steps = [], [], []
     for segment in scenario.profile:
-        commands = inverse_kinematics(segment.twist, segment.mode, config)
-        targets = tuple(cmd.steering_angle for cmd in commands)
+        speeds, angles = inverse_kinematics(segment.twist, segment.mode, config)
+        targets = tuple(angles.tolist())
         deltas = tuple(b - a for a, b in zip(current_angles, targets))
         move_times = tuple(abs(d) / config.steering_rate for d in deltas)
         if max(move_times) > _ANGLE_TOL:
@@ -84,11 +82,12 @@ def reference_simulate(scenario: Scenario) -> list[list[float]]:
             wz_steps.extend([0.0] * n)
             current_angles = targets
         n = max(1, round(segment.duration / step))
-        _, breakdown = drive_power(commands, terrain, config, power)
-        speeds = tuple(cmd.drive_speed for cmd in commands)
+        drive_p = drive_power(speeds, angles, terrain, config, power).tolist()
+        steer_p = [power.steering_hold_power] * 4
         phases.append(
             _Phase(n, targets, (0.0,) * 4, (0.0,) * 4,
-                   (segment.twist, segment.twist, breakdown, speeds, targets))
+                   (segment.twist, segment.twist, drive_p, steer_p,
+                    tuple(speeds.tolist()), targets))
         )
         slip = apply_slip(segment.twist, segment.mode, terrain)
         for _ in range(n):
@@ -105,20 +104,16 @@ def reference_simulate(scenario: Scenario) -> list[list[float]]:
         np.array(vx_steps), np.array(vy_steps), np.array(wz_steps), step
     )
     zero = BodyTwist()
-    idle = {f"drive_{w.value.lower()}": power.idle_power_per_drive for w in WHEEL_ORDER}
+    idle = [power.idle_power_per_drive] * 4
 
     def reposition_sample(phase, tau):
         angles = tuple(
             a + math.copysign(min(tau * config.steering_rate, abs(d)), d)
             for a, d in zip(phase.start_angles, phase.deltas)
         )
-        breakdown = dict(idle)
-        for wheel, mt in zip(WHEEL_ORDER, phase.move_times):
-            breakdown[f"steer_{wheel.value.lower()}"] = (
-                power.steering_move_power if tau < mt - 1e-12
-                else power.steering_hold_power
-            )
-        return zero, zero, breakdown, (0.0,) * 4, angles
+        steer_p = [power.steering_move_power if tau < mt - 1e-12
+                   else power.steering_hold_power for mt in phase.move_times]
+        return zero, zero, idle, steer_p, (0.0,) * 4, angles
 
     records = []
     k = 0

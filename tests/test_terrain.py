@@ -10,7 +10,7 @@ from rovermotion.cli import preset_path
 from rovermotion.config import BodyTwist, LocomotionMode, RoverConfig
 from rovermotion.errors import DataError
 from rovermotion.kinematics import ProfileSegment, inverse_kinematics
-from rovermotion.telemetry import FIELD_COLUMNS
+from rovermotion.telemetry import BUS_VOLTAGE, FIELD_COLUMNS
 from rovermotion.terrain import (
     MAX_ROWS,
     PowerModelParams,
@@ -77,38 +77,34 @@ class TestApplySlip:
         assert out.wz == pytest.approx(0.1)
 
 
+def ik_power(twist: BodyTwist, mode: LocomotionMode, terrain=FLAT, power=POWER) -> float:
+    """The four drives' power, in W, for a segment of `twist` in `mode`."""
+    return float(drive_power(*inverse_kinematics(twist, mode, CFG), terrain, CFG, power).sum())
+
+
 class TestDrivePower:
     def test_flat_straight_matches_campaign(self):
         # the calibrated model reproduces ~54.4 W at 6 cm/s on flat ground
-        cmds = inverse_kinematics(
-            BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER, CFG
-        )
-        total, breakdown = drive_power(cmds, FLAT, CFG, POWER)
-        assert total == pytest.approx(54.14, abs=0.01)
-        assert total == pytest.approx(54.4, abs=0.5)
-        drives = [v for k, v in breakdown.items() if k.startswith("drive_")]
-        assert len(drives) == 4
+        drives = drive_power(
+            *inverse_kinematics(BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER, CFG),
+            FLAT, CFG, POWER)
+        assert drives.sum() == pytest.approx(54.14, abs=0.01)
+        assert drives.sum() == pytest.approx(54.4, abs=0.5)
+        assert drives.shape == (4,)
         assert max(drives) == pytest.approx(min(drives))
 
     def test_consistent_with_model_cot(self):
         mg = CFG.mass * CFG.gravity
         for v in (0.03, 0.06, 0.08):
-            cmds = inverse_kinematics(
-                BodyTwist(v, 0, 0), LocomotionMode.SKID_STEER, CFG
-            )
-            total, _ = drive_power(cmds, FLAT, CFG, POWER)
+            total = ik_power(BodyTwist(v, 0, 0), LocomotionMode.SKID_STEER)
             assert total / (mg * v) == pytest.approx(model_cot(POWER, CFG, 0.0, v))
 
     def test_gravity_term_is_exact_slope_increment(self):
         # with rolling resistance off, slope adds exactly mg v sin(theta) / eta
         power = replace(POWER, rolling_resistance_coeff=0.0)
-        cmds = inverse_kinematics(
-            BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER, CFG
-        )
-        flat_total, _ = drive_power(cmds, FLAT, CFG, power)
-        slope_total, _ = drive_power(
-            cmds, TerrainParams(slope_deg=15.0), CFG, power
-        )
+        straight = BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER
+        flat_total = ik_power(*straight, power=power)
+        slope_total = ik_power(*straight, TerrainParams(slope_deg=15.0), power)
         expected = (
             CFG.mass * CFG.gravity * 0.06 * math.sin(math.radians(15.0))
         )
@@ -116,23 +112,24 @@ class TestDrivePower:
 
     def test_skid_rotation_costs_more_per_achieved_yaw(self):
         # scrub drag plus the yaw deficit make skid rotation the steeper slope
-        skid = inverse_kinematics(BodyTwist(0, 0, 0.05), LocomotionMode.SKID_STEER, CFG)
-        pt = inverse_kinematics(BodyTwist(0, 0, 0.05), LocomotionMode.POINT_TURN, CFG)
-        skid_total, _ = drive_power(skid, FLAT, CFG, POWER)
-        pt_total, _ = drive_power(pt, FLAT, CFG, POWER)
+        skid_total = ik_power(BodyTwist(0, 0, 0.05), LocomotionMode.SKID_STEER)
+        pt_total = ik_power(BodyTwist(0, 0, 0.05), LocomotionMode.POINT_TURN)
         skid_rate = 0.05 * FLAT.skid_rotation_efficiency
         pt_rate = 0.05 * FLAT.point_turn_efficiency
         assert skid_total / skid_rate > pt_total / pt_rate
 
     def test_steering_power_states(self):
-        cmds = inverse_kinematics(BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER, CFG)
-        _, hold = drive_power(cmds, FLAT, CFG, POWER)
-        assert hold["steer_fl"] == POWER.steering_hold_power
+        # the steering units draw hold power while the rover drives
+        power = replace(POWER, steering_hold_power=1.5)
+        profile = [ProfileSegment(0.1, BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)]
+        telemetry = simulate_traverse(Scenario(profile=profile, power=power))
+        steer = telemetry.values[:, FIELD_COLUMNS["steer_current"]]
+        assert (steer == 1.5 / BUS_VOLTAGE).all()
 
 
 def ik_angles(twist: BodyTwist, mode: LocomotionMode) -> list[float]:
     """The steering angles a segment of `twist` in `mode` slews to."""
-    return [cmd.steering_angle for cmd in inverse_kinematics(twist, mode, CFG)]
+    return inverse_kinematics(twist, mode, CFG)[1].tolist()
 
 
 SKID = ik_angles(BodyTwist(0.06, 0, 0), LocomotionMode.SKID_STEER)
