@@ -4,7 +4,6 @@ from __future__ import annotations
 import io
 import math
 import operator
-import os
 from pathlib import Path
 
 import numpy as np
@@ -107,28 +106,6 @@ class Telemetry:
             )
 
 
-class _Scratch:
-    """Named buffers kept from chunk to chunk, grown when a chunk needs more.
-
-    Allocated afresh, each chunk-sized temporary got new pages from malloc,
-    whose page faults made the first pass in a process about half again as
-    slow. A buffer holds bytes, so an array whose values are no longer
-    needed can lend its memory to one of another dtype.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def _scratch(self, name: str, shape, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        size = int(np.prod(shape)) * dtype.itemsize
-        buffer = self._buffers.get(name)
-        if buffer is None or len(buffer) < size:
-            # room for the next chunk, which may be a little larger
-            buffer = self._buffers[name] = np.empty(size * 9 // 8, np.uint8)
-        return buffer[:size].view(dtype).reshape(shape)
-
-
 # Rows per vectorised formatting pass. It bounds the (rows, columns, width)
 # byte buffer and its bytes copy; 4096 rows raised a simulate's peak RSS by ~10 MB.
 _CHUNK_ROWS = 1024
@@ -185,8 +162,27 @@ def write_fixed_csv(
             formatter.write(handle, values[chunk], None if blank is None else blank[chunk])
 
 
-class _ChunkFormatter(_Scratch):
-    """Formats chunks of rows for write_fixed_csv in arrays it keeps."""
+class _ChunkFormatter:
+    """Formats chunks of rows for write_fixed_csv in named buffers it keeps
+    from chunk to chunk, grown when a chunk needs more.
+
+    Allocated afresh, each chunk-sized temporary got new pages from malloc,
+    whose page faults made the first pass in a process about half again as
+    slow. A buffer holds bytes, so an array whose values are no longer
+    needed can lend its memory to one of another dtype.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _scratch(self, name: str, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = int(np.prod(shape)) * dtype.itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < size:
+            # room for the next chunk, which may be a little larger
+            buffer = self._buffers[name] = np.empty(size * 9 // 8, np.uint8)
+        return buffer[:size].view(dtype).reshape(shape)
 
     def write(self, handle, values: np.ndarray, blank: np.ndarray | None) -> None:
         """Write the CSV text of `values`, byte for byte as "%.6f" % x
@@ -280,223 +276,45 @@ def write_telemetry_csv(path: str | Path, telemetry: Telemetry) -> None:
     write_fixed_csv(path, TELEMETRY_HEADER, telemetry.values)
 
 
+_HEADER_BYTES = (",".join(TELEMETRY_HEADER) + "\n").encode()
+# The bytes np.loadtxt strips from around a number as spaces, where float()
+# refuses the cell
+_LOADTXT_SPACES = [b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
+
+
 def read_telemetry_csv(path: str | Path) -> Telemetry:
     """Read a telemetry CSV written by write_telemetry_csv.
 
-    A file in exactly the layout write_fixed_csv emits is parsed as
-    fixed-point numbers (see _parse_fixed). Any other file, or one that
-    layout cannot hold (such as a value of ten or more integer digits), is
-    read by _read_rows, which gives the same values. DataError names the
-    line of a malformed row or of one whose `t` does not follow the last.
-    """
-    values, lines = _parse_fixed(path), None
-    if values is None:
-        values, lines = _read_rows(path)
-    late = np.flatnonzero(values[1:, 0] <= values[:-1, 0])
-    if late.size:
-        where = lines[late[0] + 1] if lines else f"{path}:{late[0] + 3}"
-        raise DataError(f"{where}: non-increasing timestamp")
-    return Telemetry(values)
-
-
-_HEADER_BYTES = (",".join(TELEMETRY_HEADER) + "\n").encode()
-
-# Bytes per chunk of _parse_fixed, which completes each chunk to a line end.
-# On a 20,001-row file, 256 KiB chunks read faster than 64 KiB ones (more
-# numpy calls per byte) and than 1 MiB ones (temporaries beyond the CPU
-# caches).
-_READ_CHUNK_BYTES = 1 << 18
-
-# The shortest and the longest line in the layout of _parse_fixed: 36 cells
-# of "0.000000" or "-123456789.123456" and their separators
-_MIN_LINE_BYTES = len(TELEMETRY_HEADER) * len("0.000000,")
-_MAX_LINE_BYTES = len(TELEMETRY_HEADER) * len("-123456789.123456,")
-
-# Bytes in front of a chunk in a parser's buffer, where the eight-byte word
-# before the chunk's first cell starts (see _ChunkParser.parse)
-_PAD = 8
-
-# The bytes that end a cell, in order, on each line
-_SEPARATORS = np.array([ord(",")] * (len(TELEMETRY_HEADER) - 1) + [ord("\n")], np.uint8)
-
-_ZEROS = np.uint64(0x3030303030303030)  # eight "0" bytes
-# Entry k: a mask of the top k - 1 bytes of a word, which hold the integer
-# digits but the last of a cell with k of them (see _ChunkParser.parse)
-_HIGH_BYTES = np.array(
-    [0] + [(2**64 - 1) >> 8 * (9 - k) << 8 * (9 - k) for k in range(1, 10)],
-    dtype=np.uint64,
-)
-
-
-def _eight_digits(words: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """The number written by the eight ASCII digits of each little-endian
-    word, computed in the place of `words`; `spare` is overwritten."""
-    v = words
-    v -= _ZEROS
-    pairs = np.right_shift(v, np.uint64(8), out=spare)
-    v *= np.uint64(10)
-    v += pairs  # each even byte holds two digits
-    lanes = np.uint64(0x000000FF000000FF)
-    np.right_shift(v, np.uint64(16), out=pairs)
-    pairs &= lanes
-    pairs *= np.uint64(1 + (10_000 << 32))
-    v &= lanes
-    v *= np.uint64(100 + (1_000_000 << 32))
-    v += pairs
-    v >>= np.uint64(32)
-    return v
-
-
-def _parse_fixed(path: str | Path) -> np.ndarray | None:
-    """The rows of a telemetry CSV in write_fixed_csv's layout, else None.
-
-    The layout is the header line, then lines of 36 cells "-?D+.DDDDDD"
-    (at most nine integer digits) separated by "," and ended by "\n".
-    Each cell is read as the integer q = |x| * 1e6 and returned as q / 1e6,
-    negated after a "-". q and 1e6 are exact doubles, so the division gives
-    the correctly rounded value, which is float(cell) bit for bit.
-
-    The file is read in chunks of _READ_CHUNK_BYTES completed to a line end,
-    each parsed in turn straight into one array sized for the most lines the
-    file can hold, of which the filled rows are returned; pages never written
-    are never resident.
+    A file that starts with exactly the header line and a row, and holds
+    none of _LOADTXT_SPACES, is read by np.loadtxt, whose rows are kept if
+    they have the header's columns, every cell is finite and `t` increases.
+    Any other file, or one those checks refuse, is read again by _read_rows,
+    which gives the same values for every file both accept. DataError names
+    the line of a malformed row, or of the first row whose `t` does not
+    follow the last.
     """
     with open(path, "rb") as handle:
-        if handle.read(len(_HEADER_BYTES)) != _HEADER_BYTES:
-            return None
-        size = os.fstat(handle.fileno()).st_size - len(_HEADER_BYTES)
-        values = np.empty((size // _MIN_LINE_BYTES, len(TELEMETRY_HEADER)))
-        parser = _ChunkParser(values)
-        rows = 0  # rows of the chunks read so far
-        while (chunk := parser.read(handle)) is not None:
-            parsed = parser.parse(*chunk, rows)
-            if parsed is None:
-                return None
-            rows += parsed
-    return values[:rows]
-
-
-class _ChunkParser(_Scratch):
-    """Reads chunks of a file in the layout of _parse_fixed into its buffer
-    and parses them into `values`."""
-
-    def __init__(self, values: np.ndarray):
-        super().__init__()
-        self.values = values
-        # buf as little-endian words, and one word more
-        words = (_PAD + _READ_CHUNK_BYTES + _MAX_LINE_BYTES) // 8 + 2
-        self.aligned = np.empty(words, "<u8")
-        self.buf = self.aligned.view(np.uint8)
-
-    def read(self, handle) -> tuple[int, int] | None:
-        """Read the next chunk into buf; its (start, stop) there, or None at
-        the end of the file.
-
-        The chunk is _READ_CHUNK_BYTES bytes, completed to the end of the
-        line it stops in. A line that does not end within _MAX_LINE_BYTES
-        leaves the chunk without a final "\n", which parse rejects.
-        """
-        stop = _PAD + handle.readinto(self.buf[_PAD : _PAD + _READ_CHUNK_BYTES])
-        if stop == _PAD:
-            return None
-        if self.buf[stop - 1] != ord("\n"):
-            tail = handle.readline(_MAX_LINE_BYTES)
-            self.buf[stop : stop + len(tail)] = np.frombuffer(tail, np.uint8)
-            stop += len(tail)
-        return _PAD, stop
-
-    def _words_at(self, offsets: np.ndarray, low: np.ndarray) -> np.ndarray:
-        """Write the eight bytes of buf from each offset p in `offsets` (at
-        least 8; overwritten) into `low`, and return the eight before each, as
-        little-endian integers (A[i] >> s) | (A[i + 1] << (64 - s)) of the
-        aligned words A, i = p // 8, s = 8 (p % 8); a shift by 64 gives 0.
-        Unlike indexing buf at each offset, this allocates nothing."""
-        # the buffers "flags" and "spare" are free by now
-        shift, word, high = (self._scratch(name, len(offsets), np.uint64)
-                             for name in ("flags", "spare", "high"))
-        np.bitwise_and(offsets.view(np.uint64), np.uint64(7), out=shift)
-        shift <<= np.uint64(3)
-        offsets >>= 3
-        np.take(self.aligned, offsets, out=word, mode="clip")
-        np.right_shift(word, shift, out=low)
-        np.subtract(np.uint64(64), shift, out=shift)
-        np.left_shift(word, shift, out=high)
-        offsets += 1
-        np.take(self.aligned, offsets, out=word, mode="clip")
-        word <<= shift
-        low |= word
-        np.subtract(np.uint64(64), shift, out=shift)
-        offsets -= 2
-        np.take(self.aligned, offsets, out=word, mode="clip")
-        word >>= shift
-        high |= word
-        return high
-
-    def parse(self, start: int, stop: int, row: int) -> int | None:
-        """Parse the lines in buf[start:stop] into values[row:]; the number of
-        lines, or None if any byte breaks the layout or the lines do not fit."""
-        text = self.buf[start:stop]
-        # "," and "\n" (and any other byte below "-")
-        flags = np.less(text, ord("-"), out=self._scratch("flags", len(text), bool))
-        ends = np.flatnonzero(flags)
-        cells = len(ends)
-        if (
-            text[-1] != ord("\n")
-            or cells % len(_SEPARATORS)
-            or row + cells // len(_SEPARATORS) > len(self.values)
-            or not (text[ends].reshape(-1, len(_SEPARATORS)) == _SEPARATORS).all()
-        ):
-            return None
-        # each cell's first byte, then its number of integer digits
-        digits = self._scratch("digits", cells, ends.dtype)
-        digits[0] = 0
-        np.add(ends[:-1], 1, out=digits[1:])
-        negative = text[digits] == ord("-")
-        np.subtract(ends, digits, out=digits)
-        digits -= negative
-        digits -= 7
-        ends -= 7
-        if digits.min() < 1 or digits.max() > 9 or not (text[ends] == ord(".")).all():
-            return None
-        # With one "." in each cell and "-" only as a first byte, every other
-        # byte must be a digit
-        if (
-            np.count_nonzero(np.equal(text, ord("."), out=flags)) != cells
-            or np.count_nonzero(np.equal(text, ord("-"), out=flags))
-            != np.count_nonzero(negative)
-            or np.equal(text, ord("/"), out=flags).any()
-            or np.greater(text, ord("9"), out=flags).any()
-        ):
-            return None
-
-        lines = cells // len(_SEPARATORS)
-        out = self.values[row : row + lines].reshape(-1)
-        # each cell's last eight bytes "I.DDDDDD" (in its value's memory), and
-        # the eight before them
-        ends += start - 1
-        low = out.view(np.uint64)
-        high = self._words_at(ends, low)
-        spare = self._scratch("spare", cells, np.uint64)
-        # "I.DDDDDD" becomes "0IDDDDDD": I * 1e6 plus the decimals
-        np.bitwise_and(low, np.uint64(0xFF), out=spare)
-        spare <<= np.uint64(8)
-        low &= np.uint64(0xFFFFFFFFFFFF0000)
-        low |= spare
-        low |= np.uint64(ord("0"))
-        # the integer digits before I end the eight bytes before "I."; the
-        # bytes in front of them (sign, earlier cells, the _PAD bytes before
-        # the chunk) become "0"
-        keep = _HIGH_BYTES.take(digits, out=spare, mode="clip")
-        high &= keep
-        np.invert(keep, out=keep)
-        keep &= _ZEROS
-        high |= keep
-        q = _eight_digits(high, spare)
-        q *= np.uint64(10_000_000)
-        q += _eight_digits(low, spare)
-        np.divide(q, 1e6, out=out)
-        np.negative(out, out=out, where=negative)
-        return lines
+        fast = (handle.read(len(_HEADER_BYTES)) == _HEADER_BYTES
+                # with no row, np.loadtxt warns that the file is empty
+                and handle.peek(1)[:1] not in (b"", b"\n", b"\r")
+                and not any(space in chunk
+                            for chunk in iter(lambda: handle.read(1 << 18), b"")
+                            for space in _LOADTXT_SPACES))
+    if fast:
+        try:
+            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                skiprows=1, encoding="utf-8")
+        except ValueError:  # UnicodeDecodeError included
+            pass
+        else:
+            if (values.shape[1] == len(TELEMETRY_HEADER) and np.isfinite(values).all()
+                    and (values[1:, 0] > values[:-1, 0]).all()):
+                return Telemetry(values)
+    values, lines = _read_rows(path)
+    late = np.flatnonzero(values[1:, 0] <= values[:-1, 0])
+    if late.size:
+        raise DataError(f"{lines[late[0] + 1]}: non-increasing timestamp")
+    return Telemetry(values)
 
 
 def _read_rows(path: str | Path) -> tuple[np.ndarray, list[str]]:
