@@ -97,12 +97,12 @@ def _cot_row(mode: str, slope_deg: float, report: metrics.CotReport) -> list:
             report.cost_of_transport]
 
 
-def _defined_mean(values: np.ndarray) -> float:
-    """The mean of the non-NaN `values`, summed left to right; NaN if none."""
+def _defined_mean(values: np.ndarray) -> str:
+    """The mean of the non-NaN `values`, summed left to right, as "%.3f"; "" if none."""
     import numpy as np
 
     valid = values[~np.isnan(values)].tolist()
-    return sum(valid) / len(valid) if valid else float("nan")
+    return f"{sum(valid) / len(valid):.3f}" if valid else ""
 
 
 def _efficiency(telemetry: Telemetry, window_s: float) -> tuple[np.ndarray, ...]:
@@ -226,7 +226,7 @@ def cmd_analyze(args) -> int:
         elif args.metric == "efficiency":
             series = _efficiency(telemetry, args.window)
             write, data = _write_series, (_EFFICIENCY_HEADER, *series)
-            line = f"mean_ratio={_defined_mean(series[1]):.3f}"
+            line = f"mean_ratio={_defined_mean(series[1])}"
         else:  # slip
             times = telemetry.column("t")
             if len(times) < 2:  # the ground-truth speed is a finite difference
@@ -235,7 +235,7 @@ def cmd_analyze(args) -> int:
             gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
             slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
             write, data = _write_series, (["slip_t_s", "slip_ratio"], times, slip)
-            line = f"mean_slip={_defined_mean(slip):.3f}"
+            line = f"mean_slip={_defined_mean(slip)}"
         write(out / _ANALYZE_OUTPUTS[args.metric], *data)
     print(line)
     return EXIT_OK

@@ -111,9 +111,9 @@ class Telemetry:
 _CHUNK_ROWS = 1024
 
 
-def _words(cells: list[str]) -> np.ndarray:
-    """The four-character `cells` as four-byte words, in memory order."""
-    return np.frombuffer("".join(cells).encode(), np.uint32)
+def _words(table: np.ndarray) -> np.ndarray:
+    """The rows of a (n, 4) table of byte values as four-byte words, in memory order."""
+    return table.astype(np.uint8).view(np.uint32).ravel()
 
 
 # Each cell is laid out in four-byte words: a sign slot and three integer
@@ -121,12 +121,12 @@ def _words(cells: list[str]) -> np.ndarray:
 # byte "%.6f" does not write is NUL. Entry k < 1000 of a group table is the
 # leading group k, with its leading zeros NUL; entry 1000 + k is a later
 # group. A leading 0 is all NUL but in the last group, where it writes "0".
-_LEAD = [str(k).rjust(4, "\0") for k in range(1000)]
-_LATER = [f"\0{k:03}" for k in range(1000)]
-_GROUP_WORDS = _words(["\0" * 4] + _LEAD[1:] + _LATER)
-_LAST_GROUP_WORDS = _words(_LEAD + _LATER)
-_POINT_WORDS = _words([f".{k:03}" for k in range(1000)])
-_TAIL_WORDS = _words([f"{k:03}," for k in range(1000)])
+_K = np.arange(1000)[:, None]
+_LATER = np.hstack([0 * _K, ord("0") + _K // [100, 10, 1] % 10])  # "\0ddd"
+_GROUP_WORDS = _words(np.vstack([_LATER * (_K >= [0, 100, 10, 1]), _LATER]))
+_LAST_GROUP_WORDS = _words(np.vstack([_LATER * (_K >= [0, 100, 10, 0]), _LATER]))
+_POINT_WORDS = _words(_LATER + [ord("."), 0, 0, 0])
+_TAIL_WORDS = _words(np.roll(_LATER, -1, axis=1) + [0, 0, 0, ord(",")])
 
 # |x| * 1e6 below this is an exact float64 integer plus fraction
 _FAST_LIMIT = 2.0**52
@@ -144,132 +144,116 @@ def write_fixed_csv(
     the header line. Cells where the boolean array `blank` is true are
     written as empty cells. DataError names the column of the first other
     cell outside OUTPUT_RANGE, before the file or its directory is made.
+    _write_chunk formats _CHUNK_ROWS rows at a time into working arrays
+    allocated once per file, with as many digit groups as the file's
+    largest cell needs.
     """
     values = np.asarray(values, dtype=np.float64)
+    blank = np.broadcast_to(False, values.shape) if blank is None else blank
     chunks = [slice(start, start + _CHUNK_ROWS)
               for start in range(0, len(values), _CHUNK_ROWS)]
+    largest = 0.0
     for chunk in chunks:  # a chunk at a time, so as not to hold a mask of all cells
-        bad = ~(np.abs(values[chunk]) <= OUTPUT_LIMIT)  # nan included
-        if blank is not None:
-            bad &= ~blank[chunk]
+        cells = np.abs(values[chunk])
+        cells[blank[chunk]] = 0.0
+        bad = ~(cells <= OUTPUT_LIMIT)  # nan included
         if bad.any():
             row, col = np.argwhere(bad)[0]
             raise output_error(header[col], values[chunk][row, col].item())
-    formatter = _ChunkFormatter()
+        largest = max(largest, cells.max(initial=0.0))
+    # Rounding may carry into one more integer digit; a group that a cell
+    # does not need writes only NUL words.
+    groups = -(-len(str(int(largest) + 1)) // 3)
+    # Allocated afresh for each chunk, the working arrays got new pages from
+    # malloc, whose page faults made the first pass in a process about half
+    # again as slow.
+    shape = values[:_CHUNK_ROWS].shape
+    work = (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, bool),
+            np.empty(shape, bool), np.empty((*shape, groups + 2), np.uint32),
+            np.empty(shape, np.uint32))
     with open_output(path) as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
         for chunk in chunks:
-            formatter.write(handle, values[chunk], None if blank is None else blank[chunk])
+            _write_chunk(handle, values[chunk], blank[chunk], work)
 
 
-class _ChunkFormatter:
-    """Formats chunks of rows for write_fixed_csv in named buffers it keeps
-    from chunk to chunk, grown when a chunk needs more.
+def _write_chunk(handle, values: np.ndarray, blank: np.ndarray, work) -> None:
+    """Write the CSV text of the rows `values`, byte for byte as "%.6f" % x
+    writes each cell; every cell that is not blank is finite.
 
-    Allocated afresh, each chunk-sized temporary got new pages from malloc,
-    whose page faults made the first pass in a process about half again as
-    slow. A buffer holds bytes, so an array whose values are no longer
-    needed can lend its memory to one of another dtype.
+    Each cell is rounded to q = round(|x| * 1e6) and written in a fixed
+    layout of four-byte words, whose unwritten bytes are NUL and are
+    dropped by one bytes.translate. A row with a cell this rounding may
+    get wrong is formatted by Python instead. The first len(values) rows of
+    each of write_fixed_csv's `work` arrays hold: |x| * 1e6, its whole part
+    and its fraction; two masks; each cell's words; one word per cell.
     """
+    rows, cols = values.shape
+    scaled, whole, frac, fast, flags, words, word = (array[:rows] for array in work)
+    groups = words.shape[2] - 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.abs(values, out=scaled)
+        scaled *= 1e6
+    np.less(scaled, _FAST_LIMIT, out=fast)  # false for nan and inf
+    scaled[np.logical_not(fast, out=flags)] = 0.0
+    np.floor(scaled, out=whole)
+    np.subtract(scaled, whole, out=frac)
+    # The product is within half a unit in the last place of the exact
+    # |x| * 1e6, so rounding half up is exact unless frac lies within a
+    # spacing of .5: exact ties (odd multiples of 1/128, which "%.6f"
+    # rounds to even) and near-ties go to Python.
+    whole += np.greater(frac, 0.5, out=flags)
+    frac -= 0.5
+    np.abs(frac, out=frac)
+    fast &= np.greater(frac, np.spacing(scaled, out=scaled), out=flags)
+    fast |= blank
+    # once the rounding is known, the float64 arrays' memory holds q, its
+    # decimals and its integer part
+    q, decimals, int_part = scaled.view(np.int64), whole.view(np.int64), frac.view(np.int64)
+    np.copyto(q, whole, casting="unsafe")
+    np.floor_divide(q, 1_000_000, out=int_part)
+    np.subtract(q, np.multiply(int_part, 1_000_000, out=decimals), out=decimals)
 
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
+    # each word is looked up into a contiguous array first: take() copies
+    # a strided `out` to a temporary
+    np.floor_divide(decimals, 1000, out=q)
+    words[..., groups] = np.take(_POINT_WORDS, q, out=word, mode="clip")
+    q *= 1000
+    decimals -= q
+    words[..., groups + 1] = np.take(_TAIL_WORDS, decimals, out=word, mode="clip")
+    for g in range(groups):
+        # groups 0 to g as one number, looked up as itself while below
+        # 1000 (the leading group), else as 1000 + its last three digits
+        last = g == groups - 1
+        index = prefix = (int_part if last else
+                          np.floor_divide(int_part, 1000 ** (groups - 1 - g), out=q))
+        if g:
+            index = np.remainder(prefix, 1000, out=decimals)
+            index += 1000
+            np.minimum(prefix, index, out=index)
+        table = _LAST_GROUP_WORDS if last else _GROUP_WORDS
+        words[..., g] = np.take(table, index, out=word, mode="clip")
+    text = words.view(np.uint8).reshape(rows, cols, -1)
+    text[:, -1, -1] = ord("\n")
+    # through a contiguous array: numpy 2.4's signbit writes wrong values
+    # into a strided `out`
+    np.copyto(text[..., 0], ord("-"), where=np.signbit(values, out=flags))
+    text[blank, :-1] = 0
+    out = text.tobytes().translate(None, b"\0")
 
-    def _scratch(self, name: str, shape, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        size = int(np.prod(shape)) * dtype.itemsize
-        buffer = self._buffers.get(name)
-        if buffer is None or len(buffer) < size:
-            # room for the next chunk, which may be a little larger
-            buffer = self._buffers[name] = np.empty(size * 9 // 8, np.uint8)
-        return buffer[:size].view(dtype).reshape(shape)
-
-    def write(self, handle, values: np.ndarray, blank: np.ndarray | None) -> None:
-        """Write the CSV text of `values`, byte for byte as "%.6f" % x
-        writes each cell; every cell that is not blank is finite.
-
-        Each cell is rounded to q = round(|x| * 1e6) and written in a fixed
-        layout of four-byte words, whose unwritten bytes are NUL and are
-        dropped by one bytes.translate. A row with a cell this rounding may
-        get wrong is formatted by Python instead.
-        """
-        rows, cols = shape = values.shape
-        # three float64 buffers; once the rounding is known, their memory
-        # holds q, its integer part and its decimals
-        scaled = self._scratch("scaled", shape, np.float64)
-        whole = self._scratch("whole", shape, np.float64)
-        frac = self._scratch("frac", shape, np.float64)
-        fast = self._scratch("fast", shape, bool)
-        flags = self._scratch("flags", shape, bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.abs(values, out=scaled)
-            scaled *= 1e6
-        np.less(scaled, _FAST_LIMIT, out=fast)  # false for nan and inf
-        scaled[np.logical_not(fast, out=flags)] = 0.0
-        np.floor(scaled, out=whole)
-        np.subtract(scaled, whole, out=frac)
-        # The product is within half a unit in the last place of the exact
-        # |x| * 1e6, so rounding half up is exact unless frac lies within a
-        # spacing of .5: exact ties (odd multiples of 1/128, which "%.6f"
-        # rounds to even) and near-ties go to Python.
-        whole += np.greater(frac, 0.5, out=flags)
-        frac -= 0.5
-        np.abs(frac, out=frac)
-        fast &= np.greater(frac, np.spacing(scaled, out=scaled), out=flags)
-        if blank is not None:
-            fast |= blank
-        q = self._scratch("scaled", shape, np.int64)
-        np.copyto(q, whole, casting="unsafe")
-        int_part = self._scratch("frac", shape, np.int64)
-        decimals = self._scratch("whole", shape, np.int64)
-        np.floor_divide(q, 1_000_000, out=int_part)
-        np.subtract(q, np.multiply(int_part, 1_000_000, out=decimals), out=decimals)
-
-        groups = -(-len(str(int_part.max(initial=0))) // 3)
-        words = self._scratch("words", (rows, cols, groups + 2), np.uint32)
-        # each word is looked up into a contiguous array first: take() copies
-        # a strided `out` to a temporary
-        word = self._scratch("word", shape, np.uint32)
-        np.floor_divide(decimals, 1000, out=q)
-        words[..., groups] = np.take(_POINT_WORDS, q, out=word, mode="clip")
-        q *= 1000
-        decimals -= q
-        words[..., groups + 1] = np.take(_TAIL_WORDS, decimals, out=word, mode="clip")
-        for g in range(groups):
-            # groups 0 to g as one number, looked up as itself while below
-            # 1000 (the leading group), else as 1000 + its last three digits
-            last = g == groups - 1
-            index = prefix = (int_part if last else
-                              np.floor_divide(int_part, 1000 ** (groups - 1 - g), out=q))
-            if g:
-                index = np.remainder(prefix, 1000, out=decimals)
-                index += 1000
-                np.minimum(prefix, index, out=index)
-            table = _LAST_GROUP_WORDS if last else _GROUP_WORDS
-            words[..., g] = np.take(table, index, out=word, mode="clip")
-        text = words.view(np.uint8).reshape(rows, cols, -1)
-        text[:, -1, -1] = ord("\n")
-        # through a contiguous array: numpy 2.4's signbit writes wrong values
-        # into a strided `out`
-        np.copyto(text[..., 0], ord("-"), where=np.signbit(values, out=flags))
-        if blank is not None:
-            text[blank, :-1] = 0
-        out = text.tobytes().translate(None, b"\0")
-
-        slow = np.flatnonzero(~fast.all(axis=1))
-        if slow.size == 0:
-            handle.write(out)
-            return
-        ends = np.cumsum(np.count_nonzero(text.reshape(rows, -1), axis=1)).tolist()
-        done = 0
-        for i in slow.tolist():
-            handle.write(out[done : ends[i - 1] if i else 0])
-            empty = [False] * cols if blank is None else blank[i]
-            cells = zip(values[i].tolist(), empty)
-            row = ",".join("" if b else FLOAT_FORMAT % x for x, b in cells) + "\n"
-            handle.write(row.encode())
-            done = ends[i]
-        handle.write(out[done:])
+    slow = np.flatnonzero(~fast.all(axis=1))
+    if slow.size == 0:
+        handle.write(out)
+        return
+    ends = np.cumsum(np.count_nonzero(text.reshape(rows, -1), axis=1)).tolist()
+    done = 0
+    for i in slow.tolist():
+        handle.write(out[done : ends[i - 1] if i else 0])
+        cells = zip(values[i].tolist(), blank[i].tolist())
+        row = ",".join("" if b else FLOAT_FORMAT % x for x, b in cells) + "\n"
+        handle.write(row.encode())
+        done = ends[i]
+    handle.write(out[done:])
 
 
 def write_telemetry_csv(path: str | Path, telemetry: Telemetry) -> None:

@@ -215,6 +215,25 @@ class TestAnalyze:
         printed = capsys.readouterr().out
         assert "mean_slip=0.050" in printed
 
+    @pytest.mark.parametrize("metric, twist, printed", [
+        ("efficiency", "0.06,0,0", "mean_ratio=\n"),  # a straight run turns at no rate
+        ("slip", "0,0,0.2", "mean_slip=\n"),  # a turn on the spot moves at no speed
+    ])
+    def test_an_undefined_mean_prints_empty(self, tmp_path, capsys, metric, twist,
+                                            printed):
+        scenario = tmp_path / "run.scn"
+        scenario.write_text("name = cli_demo\n[profile]\nduration_s,vx,vy,wz,mode\n"
+                            f"5,{twist},skid_steer\n")
+        sim, out = tmp_path / "sim", tmp_path / metric
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(sim)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["analyze", metric, "--telemetry", str(sim / "telemetry.csv")]
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == printed
+        # every sample is a gap, as in the series file
+        rows = (out / f"{metric}.csv").read_text().splitlines()[1:]
+        assert rows and all(row.split(",", 1)[1].strip(",") == "" for row in rows)
+
     def test_yaw_energy(self, telemetry, tmp_path):
         code = run(
             ["analyze", "yaw-energy", "--telemetry", str(telemetry),
@@ -817,13 +836,13 @@ class TestInputAndOutputPaths:
         argv = ["simulate", "--scenario", str(scenario), "--out", str(out)]
         assert run(argv) == EXIT_OK
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        write = telemetry._ChunkFormatter.write
+        write_chunk = telemetry._write_chunk
 
-        def write_then_fail(self, handle, values, blank):
-            write(self, handle, values, blank)
+        def write_then_fail(handle, values, blank, work):
+            write_chunk(handle, values, blank, work)
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(telemetry._ChunkFormatter, "write", write_then_fail)
+        monkeypatch.setattr(telemetry, "_write_chunk", write_then_fail)
         assert run(argv) == EXIT_DATA
         assert capsys.readouterr().err == (
             f"error: cannot write {out / 'telemetry.csv'}: No space left on device\n")

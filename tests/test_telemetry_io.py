@@ -263,6 +263,41 @@ class TestFixedPointWriter:
         assert text == savetxt_bytes(values)
         assert text.splitlines()[row + 1].split(b",")[17] == b"0.007812"
 
+    @pytest.mark.parametrize("python_cells", [False, True])
+    def test_chunks_that_need_different_widths(self, tmp_path, python_cells):
+        # the digit groups are counted once per file: chunk 0 needs one,
+        # chunk 1 two, as 999.9999996 carries into 1000.000000, chunk 2 five
+        # when it holds 1e12; the short last chunk needs one
+        rows = 3 * _CHUNK_ROWS + 5
+        values = np.random.default_rng(3).uniform(-1.0, 1.0, (rows, len(TELEMETRY_HEADER)))
+        values[7, 4], values[rows - 1, 5] = -0.0, 1 / 128
+        values[_CHUNK_ROWS + 9, 2] = 999.9999996
+        if python_cells:  # |x| * 1e6 at or past 2**52, formatted by Python
+            values[2 * _CHUNK_ROWS + 3, 1:4] = [2.0**52 / 1e6, -7e9, 1e12]
+        write_telemetry_csv(tmp_path / "t.csv", Telemetry(values))
+        assert (tmp_path / "t.csv").read_bytes() == savetxt_bytes(values)
+        # a column of gaps, as the analyze series write it: empty where
+        # np.savetxt writes nan
+        values[:, -1] = math.nan
+        write_fixed_csv(tmp_path / "b.csv", TELEMETRY_HEADER, values, np.isnan(values))
+        assert (tmp_path / "b.csv").read_bytes() == (
+            savetxt_bytes(values).replace(b"nan", b""))
+
+    def test_digit_tables_match_their_strings(self):
+        def words(cells):
+            return np.frombuffer("".join(cells).encode(), np.uint32)
+
+        lead = [str(k).rjust(4, "\0") for k in range(1000)]
+        later = [f"\0{k:03}" for k in range(1000)]
+        tables = [
+            (telemetry_module._GROUP_WORDS, words(["\0" * 4] + lead[1:] + later)),
+            (telemetry_module._LAST_GROUP_WORDS, words(lead + later)),
+            (telemetry_module._POINT_WORDS, words([f".{k:03}" for k in range(1000)])),
+            (telemetry_module._TAIL_WORDS, words([f"{k:03}," for k in range(1000)])),
+        ]
+        for got, want in tables:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 def bits(values):
     """The bit patterns of a float64 array, so that -0.0 and NaNs compare exactly."""
