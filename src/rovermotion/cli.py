@@ -14,7 +14,7 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-    from rovermotion import deflection, metrics
+    from rovermotion import metrics
     from rovermotion.config import RoverConfig
     from rovermotion.telemetry import Telemetry
 
@@ -57,9 +57,19 @@ def _number_arg(text: str, positive: bool = False) -> float:
     return value
 
 
-def _check_outputs(path: str, *names: str) -> Path:
-    """The output directory `path`, after DataError names the first of `names`
-    in it, or the `NAME.tmp` open_output writes it through, that is itself a
+def _check_exists(*paths: str | Path) -> None:
+    """Raise DataError naming the first of `paths` that is not a file."""
+    from pathlib import Path
+
+    for path in paths:
+        if not Path(path).is_file():
+            problem = "not a file" if Path(path).exists() else "no such file"
+            raise DataError(f"{problem}: {path}")
+
+
+def _check_outputs(path: str, names: list[str]) -> None:
+    """DataError names the first of `names` in the output directory `path`,
+    or the `NAME.tmp` open_output writes it through, that is itself a
     directory, before the command does work whose result it could not write.
     Makes nothing: open_output makes `path` with the first file written into
     it, so a command refused before that leaves no `path` behind."""
@@ -70,26 +80,22 @@ def _check_outputs(path: str, *names: str) -> Path:
         for target in (out / name, out / f"{name}.tmp"):
             if target.is_dir():
                 raise DataError(f"is a directory: {target}")
-    return out
 
 
 _COT_HEADER = ["table2_mode", "table2_slope_deg", "table2_velocity_m_s",
               "table2_power_w", "table2_cot"]
 _YAW_ENERGY_HEADER = ["fig3_yaw_deg", "fig3_energy_j"]
-_EFFICIENCY_HEADER = ["fig4_t_s", "fig4_ratio", "fig4_ratio_clamped"]
 
 
-def _write_series(path: Path, header: list[str], *columns: np.ndarray) -> None:
-    """Write a time column, then value columns; the value cells of the samples
-    where the first value column is NaN are written empty."""
+def _series(header: list[str], *columns: np.ndarray) -> tuple:
+    """A fixed-CSV output of a time column, then value columns; the value
+    cells of the samples where the first value column is NaN are blank."""
     import numpy as np
-
-    from rovermotion.telemetry import write_fixed_csv
 
     values = np.column_stack(columns)
     blank = np.zeros(values.shape, dtype=bool)
     blank[:, 1:] = np.isnan(columns[1])[:, None]
-    write_fixed_csv(path, header, values, blank)
+    return header, values, blank
 
 
 def _cot_row(mode: str, slope_deg: float, report: metrics.CotReport) -> list:
@@ -105,8 +111,8 @@ def _defined_mean(values: np.ndarray) -> str:
     return f"{sum(valid) / len(valid):.3f}" if valid else ""
 
 
-def _efficiency(telemetry: Telemetry, window_s: float) -> tuple[np.ndarray, ...]:
-    """The angular-speed efficiency series: (times, ratio, clamped ratio)."""
+def _efficiency(telemetry: Telemetry, window_s: float) -> tuple:
+    """The fig4 output: angular-speed efficiency, raw and clamped, over time."""
     from rovermotion import metrics
 
     times = telemetry.column("t")
@@ -114,119 +120,109 @@ def _efficiency(telemetry: Telemetry, window_s: float) -> tuple[np.ndarray, ...]
         times, telemetry.column("heading"), telemetry.column("odo_wz"),
         smoothing_window_s=window_s,
     )
-    return times, ratios, metrics.clamp_ratio(ratios)
-
-
-def _data_dir(name: str) -> Path:
-    """The directory `name` among the package's bundled data."""
-    from importlib import resources
-    from pathlib import Path
-
-    return Path(str(resources.files("rovermotion").joinpath("data", name)))
+    return _series(["fig4_t_s", "fig4_ratio", "fig4_ratio_clamped"],
+                   times, ratios, metrics.clamp_ratio(ratios))
 
 
 def preset_path(name: str) -> Path:
-    path = _data_dir("presets") / f"{name}.scn"
-    if not path.exists():
-        raise DataError(f"unknown preset {name!r}")
-    return path
+    from pathlib import Path
+
+    return Path(__file__).parent / "data" / "presets" / f"{name}.scn"
 
 
-# perfbench/trace_child.py wraps these two where the commands look them up,
-# as attributes of this module. Each imports the telemetry module, and with
-# it numpy, on its first call.
+# perfbench/trace_child.py wraps these two where the CLI looks them up, as
+# attributes of this module. Each imports the telemetry module, and with it
+# numpy, on its first call.
 def read_telemetry_csv(path: str) -> Telemetry:
     from rovermotion import telemetry
 
     return telemetry.read_telemetry_csv(path)
 
 
-def write_telemetry_csv(path: Path, series: Telemetry) -> None:
+def write_telemetry_csv(path: Path, series: Telemetry, groups: int) -> None:
     from rovermotion import telemetry
 
-    telemetry.write_telemetry_csv(path, series)
+    telemetry.write_telemetry_csv(path, series, groups)
 
 
-def _check_exists(*paths: str | Path) -> None:
-    """Raise DataError naming the first of `paths` that is not a file."""
+def _write_outputs(out: str, names: list[str], outputs: list, where: object) -> None:
+    """Write each of `outputs` to its name in `names` under the directory
+    `out`: text as it is, a Telemetry through write_telemetry_csv and a
+    (header, values[, blank]) through write_fixed_csv; fixed_csv_groups checks
+    all of the last two first, so a value it refuses leaves no `out`."""
     from pathlib import Path
 
-    for path in paths:
-        if not Path(path).is_file():
-            problem = "not a file" if Path(path).exists() else "no such file"
-            raise DataError(f"{problem}: {path}")
+    from rovermotion import telemetry
+    from rovermotion.config import write_output
+
+    with naming(where):
+        groups = [None if isinstance(output, str) else telemetry.fixed_csv_groups(
+            *(output if isinstance(output, tuple)
+              else (telemetry.TELEMETRY_HEADER, output.values)))
+            for output in outputs]
+    for name, output, width in zip(names, outputs, groups, strict=True):
+        path = Path(out) / name
+        if width is None:
+            write_output(path, output)
+        elif isinstance(output, tuple):
+            telemetry.write_fixed_csv(path, *output, groups=width)
+        else:
+            write_telemetry_csv(path, output, width)
 
 
-def cmd_simulate(args) -> int:
-    _check_exists(args.scenario)
-    out = _check_outputs(args.out, "telemetry.csv", "summary.txt")
+def cmd_simulate(args) -> tuple[list, None]:
     from rovermotion import terrain
-    from rovermotion.config import key_value_text, write_output
+    from rovermotion.config import key_value_text
 
     scenario = terrain.load_scenario(args.scenario)
     telemetry = terrain.simulate_traverse(scenario)  # a refusal names its profile row
-    # the summary is rendered, and so refused, before the telemetry is written
+    # the summary is rendered, and so refused, before the telemetry is checked
     with naming(args.scenario):
-        final = (telemetry[-1] if len(telemetry)
-                 else dict.fromkeys(["t", "x", "y", "heading"], 0.0))
         summary = key_value_text([
             ("scenario", scenario.name),
             ("records", len(telemetry)),
-            ("duration_s", final["t"]),
-            ("final_x_m", final["x"]),
-            ("final_y_m", final["y"]),
-            ("final_heading_rad", final["heading"]),
+            *((key, telemetry.column(name)[-1] if len(telemetry) else 0.0)
+              for key, name in [("duration_s", "t"), ("final_x_m", "x"),
+                                ("final_y_m", "y"), ("final_heading_rad", "heading")]),
             ("energy_j", telemetry.cumulative_energy()[-1]),
         ])
-        write_telemetry_csv(out / "telemetry.csv", telemetry)
-    write_output(out / "summary.txt", summary)
-    return EXIT_OK
+    return [telemetry, summary], None
 
 
 def _config_from_args(args) -> RoverConfig:
     from rovermotion.config import RoverConfig, load_config
 
-    if getattr(args, "config", None):
+    if args.config:
         _check_exists(args.config)
         return load_config(args.config)
     return RoverConfig()
 
 
-_ANALYZE_OUTPUTS = {"cot": "cot.csv", "yaw-energy": "yaw_energy.csv",
-                    "efficiency": "efficiency.csv", "slip": "slip.csv"}
-
-
-def cmd_analyze(args) -> int:
-    _check_exists(args.telemetry)
-    out = _check_outputs(args.out, _ANALYZE_OUTPUTS[args.metric])
+def cmd_analyze(args) -> tuple[list, str]:
     telemetry = read_telemetry_csv(args.telemetry)
-    # only cot reads the rover; loaded before the output directory is made
+    # only cot reads the rover, after the telemetry
     config = _config_from_args(args) if args.metric == "cot" else None
     import numpy as np
 
     from rovermotion import metrics
-    from rovermotion.config import csv_text, write_output
-    from rovermotion.telemetry import write_fixed_csv
+    from rovermotion.config import csv_text
 
-    # each metric gives its writer, the writer's arguments after the path
-    # and the line to print; the output directory is made only then;
-    # a refusal names the telemetry file, and a value that overflows is inf
-    # or nan, unwarned, for the writer to refuse
+    # each metric gives its output and the line to print; a refusal names
+    # the telemetry file, and a value that overflows is inf or nan,
+    # unwarned, for the writer to refuse
     with naming(args.telemetry), np.errstate(all="ignore"):
         if args.metric == "cot":
             report = metrics.mean_cot(telemetry, config)
-            row = _cot_row(args.label, args.slope, report)
-            write, data = write_output, (csv_text(_COT_HEADER, [row]),)
+            output = csv_text(_COT_HEADER, [_cot_row(args.label, args.slope, report)])
             line = f"cot={report.cost_of_transport:.3f}"
         elif args.metric == "yaw-energy":
             curve = metrics.energy_vs_yaw(telemetry)
             total = curve[-1] if len(curve) else (0.0, 0.0)
-            write, data = write_fixed_csv, (_YAW_ENERGY_HEADER, curve)
+            output = (_YAW_ENERGY_HEADER, curve)
             line = f"yaw_deg={total[0]:.3f} energy_j={total[1]:.3f}"
         elif args.metric == "efficiency":
-            series = _efficiency(telemetry, args.window)
-            write, data = _write_series, (_EFFICIENCY_HEADER, *series)
-            line = f"mean_ratio={_defined_mean(series[1])}"
+            output = _efficiency(telemetry, args.window)
+            line = f"mean_ratio={_defined_mean(output[1][:, 1])}"  # the ratio column
         else:  # slip
             times = telemetry.column("t")
             if len(times) < 2:  # the ground-truth speed is a finite difference
@@ -234,16 +230,12 @@ def cmd_analyze(args) -> int:
             xy = np.column_stack((telemetry.column("x"), telemetry.column("y")))
             gt_speed = np.linalg.norm(np.gradient(xy, times, axis=0), axis=1)
             slip = metrics.longitudinal_slip(metrics.encoder_speed(telemetry), gt_speed)
-            write, data = _write_series, (["slip_t_s", "slip_ratio"], times, slip)
+            output = _series(["slip_t_s", "slip_ratio"], times, slip)
             line = f"mean_slip={_defined_mean(slip)}"
-        write(out / _ANALYZE_OUTPUTS[args.metric], *data)
-    print(line)
-    return EXIT_OK
+    return [output], line
 
 
-def _estimate_deflection(
-    annotations: str, model: str, camera: str
-) -> list[deflection.DeflectionEstimate]:
+def _estimate_deflection(annotations: str, model: str, camera: str) -> list:
     """Load the model, camera and annotation files and estimate each frame."""
     from rovermotion import deflection
 
@@ -254,47 +246,33 @@ def _estimate_deflection(
         return deflection.process_annotations(frames, wheel, cam)
 
 
-def _deflection_text(estimates: list[deflection.DeflectionEstimate]) -> str:
-    from rovermotion.config import csv_text
-
-    return csv_text(["frame", "volume_m3", "fraction"],
-                    [[e.frame, f"{e.volume:.9f}", e.fraction] for e in estimates])
-
-
-def cmd_deflect(args) -> int:
+def cmd_deflect(args) -> tuple[list, str]:
     # deflection.smooth_deflection_series checks this too, but only after the
     # fit of every frame; a bad window fails here, before any frame is read.
     if args.window < 1 or args.window % 2 == 0:
         raise DataError("window must be odd and >= 1")
-    _check_exists(args.model, args.camera, args.annotations)
-    out = _check_outputs(args.out, "deflection.csv",
-                         *(["deflection_smoothed.csv"] if args.window != 1 else []))
     from rovermotion import deflection
-    from rovermotion.config import write_output
+    from rovermotion.config import csv_text
 
     estimates = _estimate_deflection(args.annotations, args.model, args.camera)
-    texts = {"deflection.csv": _deflection_text(estimates)}
+    series = [estimates]
     if args.window != 1:
-        texts["deflection_smoothed.csv"] = _deflection_text(
-            deflection.smooth_deflection_series(estimates, args.window))
-    for name, text in texts.items():
-        write_output(out / name, text)
+        series.append(deflection.smooth_deflection_series(estimates, args.window))
     peak = max((e.fraction for e in estimates), default=0.0)
-    print(f"frames={len(estimates)} max_fraction={peak:.4f}")
-    return EXIT_OK
+    return ([csv_text(["frame", "volume_m3", "fraction"],
+                      [[e.frame, f"{e.volume:.9f}", e.fraction] for e in part])
+             for part in series], f"frames={len(estimates)} max_fraction={peak:.4f}")
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> tuple[list, str]:
     import io
     from pathlib import Path
 
-    path = Path(args.table)
-    _check_exists(path)
-    out = _check_outputs(args.out, "power_params.txt", "calibration_residuals.csv")
     from rovermotion import terrain
     from rovermotion.config import (
-        csv_rows, csv_text, from_pairs, key_value_text, read_text, write_output)
+        csv_rows, csv_text, from_pairs, key_value_text, read_text)
 
+    path = Path(args.table)
     rows = []
     header = ["mode", "slope_deg", "velocity", "cot"]
     for where, row in csv_rows(io.StringIO(read_text(path)), header, path):
@@ -310,48 +288,56 @@ def cmd_calibrate(args) -> int:
         residuals_text = csv_text(
             ["slope_deg", "velocity_m_s", "cot_measured", "cot_residual"],
             [[*row, res] for row, res in zip(rows, residuals)])
-    write_output(out / "power_params.txt", params_text)
-    write_output(out / "calibration_residuals.csv", residuals_text)
-    print(f"rows={len(rows)} max_abs_residual={max(abs(r) for r in residuals):.4f}")
-    return EXIT_OK
+    line = f"rows={len(rows)} max_abs_residual={max(abs(r) for r in residuals):.4f}"
+    return [params_text, residuals_text], line
 
 
-def cmd_report(args) -> int:
-    out = _check_outputs(
-        args.out, "table2.csv", "fig6.csv",
-        *(f"telemetry_{name}.csv" for name in PRESET_NAMES + ROTATION_PRESETS),
-        *(f"fig{n}_{name}.csv" for name in ROTATION_PRESETS for n in (3, 4)),
-    )
+def cmd_report(args) -> tuple[list, str]:
+    # the ten telemetries are held in memory until the fixture's fit has
+    # succeeded, so a failed fit leaves no --out
+    from pathlib import Path
+
     from rovermotion import metrics, terrain
-    from rovermotion.config import csv_text, write_output
-    from rovermotion.telemetry import write_fixed_csv
+    from rovermotion.config import csv_text
 
-    table_rows = []
-    for name in PRESET_NAMES + ROTATION_PRESETS:
-        scenario = terrain.load_scenario(preset_path(name))
-        telemetry = terrain.simulate_traverse(scenario)
-        write_telemetry_csv(out / f"telemetry_{name}.csv", telemetry)
-        if name in ROTATION_PRESETS:
-            write_fixed_csv(out / f"fig3_{name}.csv", _YAW_ENERGY_HEADER,
-                            metrics.energy_vs_yaw(telemetry))
-            _write_series(out / f"fig4_{name}.csv", _EFFICIENCY_HEADER,
-                          *_efficiency(telemetry, 0.5))
-        else:
-            report = metrics.mean_cot(telemetry, scenario.config)
-            table_rows.append(
-                _cot_row(name.split("_")[0], scenario.terrain.slope_deg, report))
-    write_output(out / "table2.csv", csv_text(_COT_HEADER, table_rows))
+    scenarios = [terrain.load_scenario(preset_path(name))
+                 for name in PRESET_NAMES + ROTATION_PRESETS]
+    runs = [terrain.simulate_traverse(scenario) for scenario in scenarios]
+    table_rows = [
+        _cot_row(name.split("_")[0], scenario.terrain.slope_deg,
+                 metrics.mean_cot(telemetry, scenario.config))
+        for name, scenario, telemetry in zip(PRESET_NAMES, scenarios, runs)]
+    figures = [output for telemetry in runs[len(PRESET_NAMES):] for output in (
+        (_YAW_ENERGY_HEADER, metrics.energy_vs_yaw(telemetry)),
+        _efficiency(telemetry, 0.5))]
+    fixture = Path(__file__).parent / "data" / "deflection"
+    estimates = _estimate_deflection(*(
+        str(fixture / name) for name in ("annotations.csv", "model.txt", "camera.txt")))
+    fig6 = [[e.frame, e.fraction] for e in estimates]
+    return [csv_text(_COT_HEADER, table_rows),
+            csv_text(["fig6_frame", "fig6_fraction"], fig6),
+            *runs, *figures], f"report written to {Path(args.out)}"
 
-    fixture = _data_dir("deflection")
-    estimates = _estimate_deflection(
-        str(fixture / "annotations.csv"),
-        str(fixture / "model.txt"),
-        str(fixture / "camera.txt"),
-    )
-    write_output(out / "fig6.csv", csv_text(["fig6_frame", "fig6_fraction"],
-                                            [[e.frame, e.fraction] for e in estimates]))
-    print(f"report written to {out}")
-    return EXIT_OK
+
+# Each command: the function that computes its outputs and the line it prints;
+# the arguments naming its input files, the first of which names an output
+# value the writer refuses; and its output files' names under --out, in the
+# order the function returns them. main checks all these paths first.
+COMMANDS = {
+    "simulate": (cmd_simulate, ["scenario"],
+                 lambda args: ["telemetry.csv", "summary.txt"]),
+    "analyze": (cmd_analyze, ["telemetry"],
+                lambda args: [f"{args.metric.replace('-', '_')}.csv"]),
+    "deflect": (cmd_deflect, ["model", "camera", "annotations"],
+                lambda args: ["deflection.csv"]
+                + ["deflection_smoothed.csv"] * (args.window != 1)),
+    "calibrate": (cmd_calibrate, ["table"],
+                  lambda args: ["power_params.txt", "calibration_residuals.csv"]),
+    "report": (cmd_report, [], lambda args: [
+        "table2.csv", "fig6.csv",
+        *(f"telemetry_{name}.csv" for name in PRESET_NAMES + ROTATION_PRESETS),
+        *(f"fig{n}_{name}.csv" for name in ROTATION_PRESETS for n in (3, 4))]),
+}
 
 
 def build_parser() -> _Parser:
@@ -361,7 +347,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="simulate a scenario file to telemetry")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="compute metrics from a telemetry CSV")
     p.add_argument("metric", choices=["cot", "yaw-energy", "efficiency", "slip"])
@@ -372,7 +357,6 @@ def build_parser() -> _Parser:
     p.add_argument("--slope", type=_number_arg, default=0.0)
     p.add_argument("--window", type=lambda text: _number_arg(text, positive=True),
                    default=0.5, help="smoothing window (s) for efficiency")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("deflect", help="run the wheel-deflection pipeline")
     p.add_argument("--annotations", required=True)
@@ -380,7 +364,6 @@ def build_parser() -> _Parser:
     p.add_argument("--camera", required=True)
     p.add_argument("--out", default=".")
     p.add_argument("--window", type=int, default=1, help="odd smoothing window")
-    p.set_defaults(func=cmd_deflect)
 
     p = sub.add_parser("calibrate", help="fit power-model parameters to CoT rows")
     p.add_argument("--table", required=True)
@@ -388,11 +371,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=".")
     p.add_argument("--flat-only", action="store_true",
                    help="fit only nominal flat-ground rows")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("report", help="bundle all preset analyses into one directory")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -404,16 +385,23 @@ def main(argv: list[str] | None = None) -> int:
     # so it acts only on a process that has not loaded numpy yet; a value the
     # caller sets wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    compute, inputs, names = COMMANDS[args.command]
+    inputs, names = [getattr(args, name) for name in inputs], names(args)
     try:
-        return args.func(args)
+        _check_exists(*inputs)
+        _check_outputs(args.out, names)
+        outputs, line = compute(args)
+        _write_outputs(args.out, names, outputs, inputs[0] if inputs else None)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PoseFitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if line is not None:
+        print(line)
+    return EXIT_OK
 
 
 def run() -> None:

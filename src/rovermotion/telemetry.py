@@ -132,38 +132,46 @@ _TAIL_WORDS = _words(np.roll(_LATER, -1, axis=1) + [0, 0, 0, ord(",")])
 _FAST_LIMIT = 2.0**52
 
 
+def fixed_csv_groups(header: list[str], values: np.ndarray,
+                     blank: np.ndarray | None = None) -> int:
+    """The digit groups of three that write_fixed_csv needs for the integer
+    part of the largest cell of `values` where `blank` is not true, after
+    DataError names the column of the first such cell outside OUTPUT_RANGE;
+    _CHUNK_ROWS rows at a time, so as not to hold a mask of all cells."""
+    blank = np.broadcast_to(False, values.shape) if blank is None else blank
+    largest = 0.0
+    for start in range(0, len(values), _CHUNK_ROWS):
+        cells = np.abs(values[start : start + _CHUNK_ROWS])
+        cells[blank[start : start + _CHUNK_ROWS]] = 0.0
+        bad = ~(cells <= OUTPUT_LIMIT)  # nan included
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise output_error(header[col], values[start + row, col].item())
+        largest = max(largest, cells.max(initial=0.0))
+    # Rounding may carry into one more integer digit; a group that a cell
+    # does not need writes only NUL words.
+    return -(-len(str(int(largest) + 1)) // 3)
+
+
 def write_fixed_csv(
     path: str | Path,
     header: list[str],
     values: np.ndarray,
     blank: np.ndarray | None = None,
+    groups: int | None = None,
 ) -> None:
     """Write `header` and the rows of `values` as CSV, each cell as "%.6f" % x.
 
     The bytes are those of np.savetxt(fmt="%.6f", delimiter=",") under
     the header line. Cells where the boolean array `blank` is true are
-    written as empty cells. DataError names the column of the first other
-    cell outside OUTPUT_RANGE, before the file or its directory is made.
-    _write_chunk formats _CHUNK_ROWS rows at a time into working arrays
-    allocated once per file, with as many digit groups as the file's
-    largest cell needs.
+    written as empty cells. `groups` is fixed_csv_groups' result for these
+    arguments, which checks them before the file or its directory is made;
+    it is called here if `groups` is None. _write_chunk formats _CHUNK_ROWS
+    rows at a time into working arrays allocated once per file.
     """
     values = np.asarray(values, dtype=np.float64)
     blank = np.broadcast_to(False, values.shape) if blank is None else blank
-    chunks = [slice(start, start + _CHUNK_ROWS)
-              for start in range(0, len(values), _CHUNK_ROWS)]
-    largest = 0.0
-    for chunk in chunks:  # a chunk at a time, so as not to hold a mask of all cells
-        cells = np.abs(values[chunk])
-        cells[blank[chunk]] = 0.0
-        bad = ~(cells <= OUTPUT_LIMIT)  # nan included
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise output_error(header[col], values[chunk][row, col].item())
-        largest = max(largest, cells.max(initial=0.0))
-    # Rounding may carry into one more integer digit; a group that a cell
-    # does not need writes only NUL words.
-    groups = -(-len(str(int(largest) + 1)) // 3)
+    groups = fixed_csv_groups(header, values, blank) if groups is None else groups
     # Allocated afresh for each chunk, the working arrays got new pages from
     # malloc, whose page faults made the first pass in a process about half
     # again as slow.
@@ -173,8 +181,9 @@ def write_fixed_csv(
             np.empty(shape, np.uint32))
     with open_output(path) as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
-        for chunk in chunks:
-            _write_chunk(handle, values[chunk], blank[chunk], work)
+        for start in range(0, len(values), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            _write_chunk(handle, values[rows], blank[rows], work)
 
 
 def _write_chunk(handle, values: np.ndarray, blank: np.ndarray, work) -> None:
@@ -256,8 +265,9 @@ def _write_chunk(handle, values: np.ndarray, blank: np.ndarray, work) -> None:
     handle.write(out[done:])
 
 
-def write_telemetry_csv(path: str | Path, telemetry: Telemetry) -> None:
-    write_fixed_csv(path, TELEMETRY_HEADER, telemetry.values)
+def write_telemetry_csv(path: str | Path, telemetry: Telemetry,
+                        groups: int | None = None) -> None:
+    write_fixed_csv(path, TELEMETRY_HEADER, telemetry.values, groups=groups)
 
 
 _HEADER_BYTES = (",".join(TELEMETRY_HEADER) + "\n").encode()

@@ -118,10 +118,8 @@ def _rotation_efficiency(mode: LocomotionMode) -> float:
     records = simulate_traverse(
         Scenario(profile=[ProfileSegment(duration, BodyTwist(0, 0, 0.05), mode)])
     )
-    t = np.array([r.t for r in records])
-    heading = np.array([r.heading for r in records])
-    odo_wz = np.array([r.odo_wz for r in records])
-    series = angular_speed_efficiency(t, heading, odo_wz)
+    series = angular_speed_efficiency(records.column("t"), records.column("heading"),
+                                      records.column("odo_wz"))
     ratios = series[~np.isnan(series)]
     return float(np.mean(ratios))
 

@@ -659,6 +659,39 @@ class TestDeflect:
         assert not (tmp_path / "deflection.csv").exists()
 
 
+def test_report_with_a_failed_fit_leaves_no_out(tmp_path, capsys, monkeypatch):
+    # report fits the fixture after it has simulated and analysed every
+    # preset; a fit that fails there still leaves none of its 16 files
+    def failing_fit(loops, model, cam, guess):
+        raise deflection.PoseFitError(guess, 8.8, 1200, "max_nfev reached")
+
+    monkeypatch.setattr(deflection, "fit_wheel_pose", failing_fit)
+    out = tmp_path / "report"
+    assert run(["report", "--out", str(out)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"numerical failure: {FIXTURE_DIR / 'annotations.csv'}: "
+        "frame 0: pose fit did not converge")
+    assert not out.exists()
+
+
+def test_report_with_a_refused_value_leaves_no_out(tmp_path, capsys, monkeypatch):
+    # every telemetry and figure series is checked before the first file is
+    # opened, so a fig3 value refused after ten clean telemetries leaves none
+    import numpy as np
+
+    from rovermotion import metrics
+
+    monkeypatch.setattr(metrics, "energy_vs_yaw", lambda telemetry: np.full((2, 2), np.nan))
+    out = tmp_path / "report"
+    assert run(["report", "--out", str(out)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: output fig3_yaw_deg = nan outside [-1e12, 1e12]\n"
+    assert not out.exists()
+
+
 class TestCalibrate:
     def test_flat_only(self, tmp_path, capsys):
         table = (

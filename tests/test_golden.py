@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from rovermotion import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
     "record_golden", ROOT / "scripts" / "record_golden.py")
@@ -35,3 +37,21 @@ def test_every_invocation_matches_the_manifest(tmp_path):
     assert not problems, "\n".join(
         problems + [f"recorded with numpy {manifest['versions']['numpy']}, "
                     f"running numpy {record_golden.versions()['numpy']}"])
+
+
+def test_every_command_declares_the_files_it_wrote():
+    # each invocation that exits 0 wrote exactly the files that COMMANDS
+    # names for its argv, under its --out; nothing is run
+    manifest = json.loads(record_golden.MANIFEST.read_text())
+    problems = []
+    for invocation in manifest["invocations"]:
+        if invocation["exit"] != 0:
+            continue
+        args = cli.build_parser().parse_args(invocation["argv"])
+        _, _, names = cli.COMMANDS[args.command]
+        out = Path(args.out).relative_to("{dir}")
+        declared = sorted((out / name).as_posix() for name in names(args))
+        if declared != sorted(invocation["outputs"]):
+            problems.append(f"{invocation['name']}: declared {declared}, "
+                            f"recorded {sorted(invocation['outputs'])}")
+    assert not problems, "\n".join(problems)

@@ -36,9 +36,8 @@ class TestTelemetryCsv:
         write_telemetry_csv(path, records)
         loaded = read_telemetry_csv(path)
         assert len(loaded) == len(records)
-        for a, b in zip(records, loaded):
-            assert b.t == pytest.approx(a.t, abs=1e-6)
-            assert (b.x, b.y, b.heading) == pytest.approx((a.x, a.y, a.heading), abs=1e-6)
+        for name in ("t", "x", "y", "heading"):
+            assert loaded.column(name) == pytest.approx(records.column(name), abs=1e-6)
         assert loaded.total_power == pytest.approx(records.total_power, abs=1e-4)
 
     def test_values_written_six_decimal(self, tmp_path):

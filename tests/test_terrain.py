@@ -207,12 +207,12 @@ class TestSimulateTraverse:
         )
         records = simulate_traverse(scenario)
         assert len(records) == 3001
-        assert records[0].t == 0.0
-        assert records[-1].t == pytest.approx(30.0)
+        assert records.column("t")[0] == 0.0
+        assert records.column("t")[-1] == pytest.approx(30.0)
         # ground truth integrates the slip-reduced speed
-        assert records[-1].x == pytest.approx(30.0 * 0.06 * 0.95)
+        assert records.column("x")[-1] == pytest.approx(30.0 * 0.06 * 0.95)
         # odometry reports the commanded twist
-        assert records[-1].odo_vx == pytest.approx(0.06)
+        assert records.column("odo_vx")[-1] == pytest.approx(0.06)
         assert records.total_power[10] == pytest.approx(54.14, abs=0.01)
 
     def test_skid_rotation_yaw_deficit(self):
@@ -224,7 +224,7 @@ class TestSimulateTraverse:
             ]
         )
         records = simulate_traverse(scenario)
-        gt_yaw = math.degrees(records[-1].heading)
+        gt_yaw = math.degrees(records.column("heading")[-1])
         assert gt_yaw == pytest.approx(135.0, abs=0.01)
 
     def test_point_turn_inserts_reposition(self):
@@ -235,18 +235,21 @@ class TestSimulateTraverse:
             marker_offset=(0.4, 0.0),
         )
         records = simulate_traverse(scenario)
+        t, odo_wz = records.column("t"), records.column("odo_wz")
         # reposition phase first: body static, steering drawing move power
-        assert (records[0].x, records[0].y, records[0].heading) == (0.0, 0.0, 0.0)
-        assert records[0].i_steer_fl * 24 == pytest.approx(
+        assert (records.column("x")[0], records.column("y")[0],
+                records.column("heading")[0]) == (0.0, 0.0, 0.0)
+        assert records.column("i_steer_fl")[0] * 24 == pytest.approx(
             PowerModelParams().steering_move_power
         )
-        assert records[0].odo_wz == 0.0
-        slew_steps = sum(1 for r in records if r.odo_wz == 0.0 and r.t < 6)
+        assert odo_wz[0] == 0.0
+        slew_steps = sum(1 for wz, t_s in zip(odo_wz, t) if wz == 0.0 and t_s < 6)
         assert slew_steps == pytest.approx(498, abs=1)
         # marker stays on its circle during rotation
-        moving = [r for r in records if r.odo_wz != 0.0]
-        for r in moving:
-            assert math.hypot(r.marker_x, r.marker_y) == pytest.approx(0.4, abs=1e-9)
+        moving = odo_wz != 0.0
+        for x, y in zip(records.column("marker_x")[moving],
+                        records.column("marker_y")[moving]):
+            assert math.hypot(x, y) == pytest.approx(0.4, abs=1e-9)
 
     def test_noise_is_bit_reproducible(self):
         scenario = Scenario(
@@ -257,7 +260,8 @@ class TestSimulateTraverse:
         )
         a = simulate_traverse(scenario)
         b = simulate_traverse(scenario)
-        assert [(r.x, r.y, r.heading) for r in a] == [(r.x, r.y, r.heading) for r in b]
+        pose = ("x", "y", "heading")
+        assert [a.column(n).tolist() for n in pose] == [b.column(n).tolist() for n in pose]
 
     @pytest.mark.parametrize("preset", ["rotation_skid", "rotation_point_turn"])
     def test_working_memory_is_the_result_and_a_few_columns(self, preset):
@@ -323,7 +327,8 @@ class TestSimulateTraverse:
         b = simulate_traverse(
             Scenario(**base, terrain=TerrainParams(noise_std=0.05, rng_seed=4))
         )
-        assert (a[-1].x, a[-1].y, a[-1].heading) != (b[-1].x, b[-1].y, b[-1].heading)
+        pose = ("x", "y", "heading")
+        assert [a.column(n)[-1] for n in pose] != [b.column(n)[-1] for n in pose]
 
 
 class TestCalibration:
