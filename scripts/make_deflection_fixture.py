@@ -6,12 +6,13 @@ The fraction series mimics an obstacle-clearing run: a stable window, a
 dip, an airborne window with no chord, an impact peak, and a return to the
 stable band.
 """
-import csv
 from pathlib import Path
 
 import numpy as np
 
+from rovermotion.config import csv_text, write_output
 from rovermotion.deflection import (
+    ANNOTATION_HEADER,
     AnnotationFrame,
     CameraIntrinsics,
     WheelModel3D,
@@ -19,7 +20,6 @@ from rovermotion.deflection import (
     depth_for_fraction,
     make_chord_annotation,
     project_wheel,
-    write_annotations_csv,
 )
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "rovermotion" / "data" / "deflection"
@@ -38,6 +38,23 @@ TARGETS = (
 )
 
 
+CAM_ID = "wheel_a"  # the annotation file's cam_id column, which no command reads
+
+
+def _serialize_loop(loop: np.ndarray) -> str:
+    return ";".join(f"{u:.6f}:{v:.6f}" for u, v in loop)
+
+
+def write_annotations_csv(path: str | Path, frames: list[AnnotationFrame]) -> None:
+    """`frames` as an annotation file that read_annotations_csv reads back."""
+    rows = []
+    for item in frames:
+        chord = ([""] * 4 if item.chord is None
+                 else [f"{c:.6f}" for c in (*item.chord.p1, *item.chord.p2)])
+        rows.append([item.frame, CAM_ID, *map(_serialize_loop, item.loops), *chord])
+    write_output(path, csv_text(ANNOTATION_HEADER, rows))
+
+
 def frame_pose(index: int) -> WheelPose:
     rotvec = np.array(
         [
@@ -53,13 +70,14 @@ def frame_pose(index: int) -> WheelPose:
 
 
 def main(out: Path = OUT):
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "model.txt").write_text(
-        f"radius = {MODEL.radius}\nwidth = {MODEL.width}\nhub_radius = {MODEL.hub_radius}\n"
+    write_output(
+        out / "model.txt",
+        f"radius = {MODEL.radius}\nwidth = {MODEL.width}\nhub_radius = {MODEL.hub_radius}\n",
     )
-    (out / "camera.txt").write_text(
+    write_output(
+        out / "camera.txt",
         f"fx = {CAM.fx}\nfy = {CAM.fy}\ncx = {CAM.cx}\ncy = {CAM.cy}\n"
-        f"width = {CAM.width}\nheight = {CAM.height}\n"
+        f"width = {CAM.width}\nheight = {CAM.height}\n",
     )
     frames = []
     oracle_rows = []
@@ -74,13 +92,9 @@ def main(out: Path = OUT):
                 MODEL, pose, CAM, depth_for_fraction(target)
             )
             oracle_rows.append([index, target])
-        frames.append(AnnotationFrame(index, "wheel_a", loops, chord))
+        frames.append(AnnotationFrame(index, loops, chord))
     write_annotations_csv(out / "annotations.csv", frames)
-    with open(out / "oracle.csv", "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["frame", "fraction"])
-        for frame, fraction in oracle_rows:
-            writer.writerow([frame, f"{fraction:.6f}"])
+    write_output(out / "oracle.csv", csv_text(["frame", "fraction"], oracle_rows))
     print(f"wrote fixture ({len(frames)} frames) to {out}")
 
 

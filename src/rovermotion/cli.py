@@ -235,15 +235,18 @@ def cmd_analyze(args) -> tuple[list, str]:
     return [output], line
 
 
-def _estimate_deflection(annotations: str, model: str, camera: str) -> list:
-    """Load the model, camera and annotation files and estimate each frame."""
+def _estimate_deflection(annotations: str, model: str, camera: str
+                         ) -> tuple[list[int], list[float], float]:
+    """Load the model, camera and annotation files: each frame's number and
+    deflected volume fraction, in file order, and the wheel's volume."""
     from rovermotion import deflection
 
     wheel = deflection.load_wheel_model(model)
     cam = deflection.load_camera(camera)
     frames = deflection.read_annotations_csv(annotations)
     with naming(annotations):
-        return deflection.process_annotations(frames, wheel, cam)
+        fractions = deflection.process_annotations(frames, wheel, cam)
+    return [item.frame for item in frames], fractions, wheel.volume
 
 
 def cmd_deflect(args) -> tuple[list, str]:
@@ -254,14 +257,17 @@ def cmd_deflect(args) -> tuple[list, str]:
     from rovermotion import deflection
     from rovermotion.config import csv_text
 
-    estimates = _estimate_deflection(args.annotations, args.model, args.camera)
-    series = [estimates]
+    frames, fractions, volume = _estimate_deflection(
+        args.annotations, args.model, args.camera)
+    # each series is smoothed on its own, which keeps the volumes' bytes
+    series = [([f * volume for f in fractions], fractions)]
     if args.window != 1:
-        series.append(deflection.smooth_deflection_series(estimates, args.window))
-    peak = max((e.fraction for e in estimates), default=0.0)
+        series.append([deflection.smooth_deflection_series(values, args.window)
+                       for values in series[0]])
+    peak = max(fractions, default=0.0)
     return ([csv_text(["frame", "volume_m3", "fraction"],
-                      [[e.frame, f"{e.volume:.9f}", e.fraction] for e in part])
-             for part in series], f"frames={len(estimates)} max_fraction={peak:.4f}")
+                      [[n, f"{v:.9f}", f] for n, v, f in zip(frames, *part)])
+             for part in series], f"frames={len(frames)} max_fraction={peak:.4f}")
 
 
 def cmd_calibrate(args) -> tuple[list, str]:
@@ -311,11 +317,10 @@ def cmd_report(args) -> tuple[list, str]:
         (_YAW_ENERGY_HEADER, metrics.energy_vs_yaw(telemetry)),
         _efficiency(telemetry, 0.5))]
     fixture = Path(__file__).parent / "data" / "deflection"
-    estimates = _estimate_deflection(*(
+    frames, fractions, _ = _estimate_deflection(*(
         str(fixture / name) for name in ("annotations.csv", "model.txt", "camera.txt")))
-    fig6 = [[e.frame, e.fraction] for e in estimates]
     return [csv_text(_COT_HEADER, table_rows),
-            csv_text(["fig6_frame", "fig6_fraction"], fig6),
+            csv_text(["fig6_frame", "fig6_fraction"], zip(frames, fractions)),
             *runs, *figures], f"report written to {Path(args.out)}"
 
 

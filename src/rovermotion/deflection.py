@@ -11,14 +11,12 @@ import numpy as np
 from rovermotion.config import (
     check_fields,
     csv_rows,
-    csv_text,
     from_pairs,
     parse_finite,
     parse_integer,
     parse_key_value_file,
     read_text,
     within,
-    write_output,
 )
 from rovermotion.errors import DataError, PoseFitError, naming
 
@@ -106,16 +104,6 @@ class ChordAnnotation:
     def __post_init__(self):
         if self.p1 == self.p2:
             raise DataError("degenerate chord: identical endpoints")
-
-
-@dataclass(frozen=True)
-class DeflectionEstimate:
-    """One frame's deflected volume and its fraction of the undeformed
-    cylinder; deflected_volume_fraction gives fractions in [0, 0.5]."""
-
-    frame: int
-    volume: float  # m^3
-    fraction: float  # of the undeformed cylinder volume
 
 
 def _circle_points_3d(radius: float, z_offset: float, phi: np.ndarray) -> np.ndarray:
@@ -245,26 +233,33 @@ def _signed_curve_distances(
     return np.where(np.linalg.norm(hit, axis=1) > radius, dist, -dist)
 
 
-def _tilt_rotvec(axis: np.ndarray) -> np.ndarray:
-    """x, y of the rotation vector of the smallest tilt carrying e_z onto axis.
-
-    The tilt turns about e_z x axis, which lies in the xy plane, so the
-    rotation vector's z component is 0 and the rotation has no spin.
+def _initial_pose_guess(
+    loops: list[np.ndarray], model: WheelModel3D, cam: CameraIntrinsics
+) -> np.ndarray:
+    """The fit's start [0, 0, x, y, depth]: no tilt, so the wheel faces the
+    camera, at the depth where the model radius looks as large as the
+    inboard loop's mean distance from its centroid (similar triangles), and
+    at that centroid's back-projection to that depth.
     """
-    axis = np.asarray(axis, dtype=float)
-    cross = np.array([-axis[1], axis[0]])  # e_z x axis
-    sin = math.hypot(cross[0], cross[1])
-    angle = math.atan2(sin, float(axis[2]))
-    if sin == 0.0:  # axis along +-e_z: any horizontal tilt axis will do
-        return np.array([angle, 0.0])
-    return angle * cross / sin
+    inboard = np.asarray(loops[0], dtype=float)
+    # a radius that overflows is inf, refused as one of 0 is
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroid = inboard.mean(axis=0)
+        apparent = float(np.mean(np.linalg.norm(inboard - centroid, axis=1)))
+    if not 0.0 < apparent < math.inf:
+        raise DataError("degenerate loop")
+    # Python floats: a position that overflows is inf, for the fit to refuse
+    u, v = centroid.tolist()
+    depth = cam.fx * model.radius / apparent
+    x = (u - cam.cx) / cam.fx * depth
+    y = (v - cam.cy) / cam.fy * depth
+    return np.array([0.0, 0.0, x, y, depth])
 
 
 def fit_wheel_pose(
     loops: list[np.ndarray],
     model: WheelModel3D,
     cam: CameraIntrinsics,
-    initial_guess: WheelPose,
     max_iterations: int = 200,
 ) -> tuple[WheelPose, float]:
     """Nonlinear least-squares wheel pose from observed circle loops.
@@ -276,24 +271,26 @@ def fit_wheel_pose(
     symmetric about the wheel axis, so spin about that axis changes no
     residual and cannot be observed. The fit therefore solves for 5
     unknowns: the axis tilt, as a rotation vector with its z component
-    pinned to 0, and the translation. It is seeded with the tilt that
-    carries e_z onto the guess's axis, so spin in the guess is ignored.
+    pinned to 0, and the translation. It starts facing the camera, where
+    _initial_pose_guess puts the inboard loop.
 
     The returned rotation is the zero-spin representative: only its
     `axis` and the `translation` carry meaning, and rotation[:, :2] is
-    one in-plane basis among many. The initial guess must lie within
-    roughly +-20% of depth; from initial_pose_guess, with 0.5 px of noise,
-    the fit is correct up to about 60 degrees of axis tilt and silently
-    wrong from about 70. Returns the pose and the RMS reprojection distance
-    in pixels. Raises PoseFitError (carrying the best pose so far and the
-    solver's diagnostics) on non-convergence.
+    one in-plane basis among many. With 0.5 px of noise the fit is correct
+    up to about 60 degrees of axis tilt and silently wrong from about 70.
+    Returns the pose and the RMS reprojection distance in pixels. Raises
+    DataError, in this order, for a degenerate inboard loop, a loop count
+    other than the model's circles, a loop of fewer than 8 points and a
+    start at or behind the camera; and PoseFitError (carrying the best pose
+    so far and the solver's diagnostics) on non-convergence.
     """
+    x0 = _initial_pose_guess(loops, model, cam)
     if len(loops) != len(model.circles):
         raise DataError("expected one observed loop per model circle")
     for loop in loops:
         if len(loop) < 8:
             raise DataError("need at least 8 points per loop")
-    if initial_guess.translation[2] <= 0:
+    if x0[4] <= 0:
         raise DataError("wheel behind camera")
 
     observed = np.concatenate([np.asarray(loop, dtype=float) for loop in loops])
@@ -311,7 +308,6 @@ def fit_wheel_pose(
         except DataError:
             return np.full(len(observed), 1e6)
 
-    x0 = np.concatenate([_tilt_rotvec(initial_guess.axis), initial_guess.translation])
     # a residual that overflows is inf or nan, which the solver refuses by name
     with np.errstate(over="ignore", invalid="ignore"):
         x, fun, nfev, failure = _levenberg_marquardt(
@@ -400,8 +396,7 @@ def deflected_volume_fraction(
     pose: WheelPose,
     cam: CameraIntrinsics,
     chord: ChordAnnotation,
-    frame: int = 0,
-) -> DeflectionEstimate:
+) -> float:
     """Deflected volume fraction from an annotated chord line.
 
     The chord is back-projected onto the inboard perimeter plane and taken
@@ -414,27 +409,21 @@ def deflected_volume_fraction(
     """
     line = _chord_plane_line(chord, pose, cam, -model.width / 2.0)
     if line is None:
-        return DeflectionEstimate(frame, 0.0, 0.0)
+        return 0.0
     a, b, c = line
     depth_ratio = abs(c) / math.hypot(a, b) / model.radius
     if depth_ratio >= 1.0 - _TANGENT_REL_TOL:
-        return DeflectionEstimate(frame, 0.0, 0.0)
-    fraction = segment_fraction(depth_ratio)
-    return DeflectionEstimate(frame, fraction * model.volume, fraction)
+        return 0.0
+    return segment_fraction(depth_ratio)
 
 
-def smooth_deflection_series(
-    raw: list[DeflectionEstimate], window: int
-) -> list[DeflectionEstimate]:
-    """Centered moving average of fractions; edges use truncated windows."""
+def smooth_deflection_series(values: list[float], window: int) -> list[float]:
+    """Centered moving average; edges use truncated windows."""
     if window < 1 or window % 2 == 0:
         raise DataError("window must be odd and >= 1")
-    half, out = window // 2, []
-    for i, est in enumerate(raw):
-        near = raw[max(0, i - half):i + half + 1]
-        out.append(DeflectionEstimate(est.frame, sum(r.volume for r in near) / len(near),
-                                      sum(r.fraction for r in near) / len(near)))
-    return out
+    half = window // 2
+    near = [values[max(0, i - half):i + half + 1] for i in range(len(values))]
+    return [sum(part) / len(part) for part in near]
 
 
 def segment_fraction(depth_ratio: float) -> float:
@@ -493,13 +482,8 @@ def make_chord_annotation(
 @dataclass(frozen=True)
 class AnnotationFrame:
     frame: int
-    cam_id: str
     loops: list[np.ndarray]  # inboard, outboard, hub image loops
     chord: ChordAnnotation | None  # None while the wheel is airborne
-
-
-def _serialize_loop(loop: np.ndarray) -> str:
-    return ";".join(f"{u:.6f}:{v:.6f}" for u, v in loop)
 
 
 def _parse_loop(text: str, name: str, where: str) -> np.ndarray:
@@ -525,16 +509,8 @@ ANNOTATION_HEADER = [
 ]
 
 
-def write_annotations_csv(path: str | Path, frames: list[AnnotationFrame]) -> None:
-    rows = []
-    for item in frames:
-        chord = ([""] * 4 if item.chord is None
-                 else [f"{c:.6f}" for c in (*item.chord.p1, *item.chord.p2)])
-        rows.append([item.frame, item.cam_id, *map(_serialize_loop, item.loops), *chord])
-    write_output(path, csv_text(ANNOTATION_HEADER, rows))
-
-
 def read_annotations_csv(path: str | Path) -> list[AnnotationFrame]:
+    """The frames of an annotation file; its cam_id column is read by no one."""
     frames = []
     for where, row in csv_rows(io.StringIO(read_text(path)), ANNOTATION_HEADER, path):
         cells = list(zip(ANNOTATION_HEADER, row))
@@ -546,57 +522,29 @@ def read_annotations_csv(path: str | Path) -> list[AnnotationFrame]:
             with naming(where):
                 chord = ChordAnnotation((x1, y1), (x2, y2))
         frame = parse_integer(row[0], "frame", where)
-        frames.append(AnnotationFrame(frame, row[1], loops, chord))
+        frames.append(AnnotationFrame(frame, loops, chord))
     return frames
-
-
-def initial_pose_guess(
-    loops: list[np.ndarray], model: WheelModel3D, cam: CameraIntrinsics
-) -> WheelPose:
-    """Fronto-parallel pose guess from the apparent inboard circle.
-
-    Depth from the apparent radius via similar triangles; lateral position
-    from the back-projected loop centroid. Adequate as a fit seed for
-    wheels viewed within the documented convergence basin.
-    """
-    inboard = np.asarray(loops[0], dtype=float)
-    # a radius that overflows is inf, refused as one of 0 is
-    with np.errstate(over="ignore", invalid="ignore"):
-        centroid = inboard.mean(axis=0)
-        apparent = float(np.mean(np.linalg.norm(inboard - centroid, axis=1)))
-    if not 0.0 < apparent < math.inf:
-        raise DataError("degenerate loop")
-    # Python floats: a position that overflows is inf, for the fit to refuse
-    u, v = centroid.tolist()
-    depth = cam.fx * model.radius / apparent
-    x = (u - cam.cx) / cam.fx * depth
-    y = (v - cam.cy) / cam.fy * depth
-    return WheelPose(np.eye(3), np.array([x, y, depth]))
 
 
 def process_annotations(
     frames: list[AnnotationFrame],
     model: WheelModel3D,
     cam: CameraIntrinsics,
-) -> list[DeflectionEstimate]:
-    """Full per-frame pipeline: pose fit, then the closed-form deflected
-    volume fraction of the frame's chord (0 for a frame without one).
+) -> list[float]:
+    """Each frame's deflected volume fraction, in file order: the pose fit,
+    then the closed-form fraction of the frame's chord (0 for a frame
+    without one).
 
     Stops at the first frame that fails, raising its PoseFitError or
     DataError with `frame N: ` in front of the message.
     """
-    estimates = []
+    fractions = []
     for item in frames:
         with naming(f"frame {item.frame}"):
-            guess = initial_pose_guess(item.loops, model, cam)
-            pose, _ = fit_wheel_pose(item.loops, model, cam, guess)
-            if item.chord is None:
-                estimates.append(DeflectionEstimate(item.frame, 0.0, 0.0))
-            else:
-                estimates.append(
-                    deflected_volume_fraction(model, pose, cam, item.chord, item.frame)
-                )
-    return estimates
+            pose, _ = fit_wheel_pose(item.loops, model, cam)
+            fractions.append(0.0 if item.chord is None
+                             else deflected_volume_fraction(model, pose, cam, item.chord))
+    return fractions
 
 
 def load_wheel_model(path: str | Path) -> WheelModel3D:

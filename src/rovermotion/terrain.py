@@ -216,8 +216,10 @@ def simulate_traverse(scenario: Scenario) -> Telemetry:
     Before any segment whose steering pose differs from the current one, a
     reposition phase is inserted: the body holds still while the steering
     units slew at the configured rate, each drawing move power until it
-    arrives and hold power after, while each drive draws its idle power (the
-    energy `reposition_between` gives).
+    arrives and hold power after, while each drive draws its idle power. The
+    phase lasts a whole number of steps, rounded up, so its energy is
+    `reposition_between`'s to within one step of every unit's move power and
+    every drive's idle power.
     During motion, odometry reflects the commanded (pre-slip) wheel speeds
     while the ground-truth pose integrates the slip-reduced twist, so the
     odometry / ground-truth efficiency gap appears by construction. Noise

@@ -19,7 +19,6 @@ from rovermotion.deflection import (
     WheelPose,
     deflected_volume_fraction,
     fit_wheel_pose,
-    initial_pose_guess,
     load_camera,
     load_wheel_model,
     make_chord_annotation,
@@ -202,13 +201,13 @@ def test_criterion_6_deflection_oracle_equivalence():
     previous = -1.0
     for h in (0.99, 0.95, 0.9, 0.8, 0.6):
         chord = make_chord_annotation(model, pose, cam, h)
-        est = deflected_volume_fraction(model, pose, cam, chord)
+        fraction = deflected_volume_fraction(model, pose, cam, chord)
         analytic = segment_fraction(h)
-        ok = ok and abs(est.fraction - analytic) <= 0.01 * analytic
-        ok = ok and est.fraction > previous  # deeper chord, larger fraction
-        previous = est.fraction
+        ok = ok and abs(fraction - analytic) <= 0.01 * analytic
+        ok = ok and fraction > previous  # deeper chord, larger fraction
+        previous = fraction
     tangent = make_chord_annotation(model, pose, cam, 1.0)
-    ok = ok and deflected_volume_fraction(model, pose, cam, tangent).fraction == 0.0
+    ok = ok and deflected_volume_fraction(model, pose, cam, tangent) == 0.0
     _report(6, "chord volume vs analytic segment volume", ok)
 
 
@@ -217,18 +216,20 @@ def test_criterion_7_fixture_reproduction():
     model = load_wheel_model(fixture / "model.txt")
     cam = load_camera(fixture / "camera.txt")
     frames = read_annotations_csv(fixture / "annotations.csv")
-    estimates = process_annotations(frames, model, cam)
+    # (frame, fraction) pairs, in file order
+    estimates = list(zip([item.frame for item in frames],
+                         process_annotations(frames, model, cam)))
     with open(fixture / "oracle.csv") as handle:
         oracle = {int(r["frame"]): float(r["fraction"]) for r in csv.DictReader(handle)}
     ok = len(estimates) == len(oracle)
-    for est in estimates:
-        ok = ok and abs(est.fraction - oracle[est.frame]) <= 0.002
-    airborne = [est.fraction for est in estimates if oracle[est.frame] == 0.0]
+    for frame, fraction in estimates:
+        ok = ok and abs(fraction - oracle[frame]) <= 0.002
+    airborne = [fraction for frame, fraction in estimates if oracle[frame] == 0.0]
     # stable windows sit in the 3.8-4.7% band; the dip and impact frames don't
-    stable = [est.fraction for est in estimates if 0.037 < oracle[est.frame] < 0.05]
+    stable = [fraction for frame, fraction in estimates if 0.037 < oracle[frame] < 0.05]
     ok = ok and all(f == 0.0 for f in airborne)
     ok = ok and all(0.035 <= f <= 0.05 for f in stable)
-    ok = ok and max(est.fraction for est in estimates) < 0.065
+    ok = ok and max(fraction for _, fraction in estimates) < 0.065
     _report(7, "bundled deflection fixture", ok)
 
 
@@ -244,7 +245,7 @@ def test_criterion_8_pose_fit_round_trip():
         )
         true = WheelPose.from_rotvec(rotvec, translation)
         loops = project_wheel(model, true, cam, samples_per_circle=24)
-        fitted, _ = fit_wheel_pose(loops, model, cam, initial_pose_guess(loops, model, cam))
+        fitted, _ = fit_wheel_pose(loops, model, cam)
         trans_err = float(np.linalg.norm(fitted.translation - true.translation))
         # spin about the wheel axis is unobservable; compare axis directions
         cosine = min(1.0, abs(float(fitted.axis @ true.axis)))

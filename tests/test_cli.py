@@ -638,8 +638,8 @@ class TestDeflect:
         assert not (tmp_path / "deflection.csv").exists()
 
     def test_failed_fit_names_frame(self, tmp_path, capsys, monkeypatch):
-        def failing_fit(loops, model, cam, guess):
-            raise deflection.PoseFitError(guess, 8.8, 1200, "max_nfev reached")
+        def failing_fit(loops, model, cam):
+            raise deflection.PoseFitError(None, 8.8, 1200, "max_nfev reached")
 
         monkeypatch.setattr(deflection, "fit_wheel_pose", failing_fit)
         code = run(
@@ -662,8 +662,8 @@ class TestDeflect:
 def test_report_with_a_failed_fit_leaves_no_out(tmp_path, capsys, monkeypatch):
     # report fits the fixture after it has simulated and analysed every
     # preset; a fit that fails there still leaves none of its 16 files
-    def failing_fit(loops, model, cam, guess):
-        raise deflection.PoseFitError(guess, 8.8, 1200, "max_nfev reached")
+    def failing_fit(loops, model, cam):
+        raise deflection.PoseFitError(None, 8.8, 1200, "max_nfev reached")
 
     monkeypatch.setattr(deflection, "fit_wheel_pose", failing_fit)
     out = tmp_path / "report"

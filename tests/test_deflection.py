@@ -12,14 +12,12 @@ from rovermotion.deflection import (
     AnnotationFrame,
     CameraIntrinsics,
     ChordAnnotation,
-    DeflectionEstimate,
     PoseFitError,
     WheelModel3D,
     WheelPose,
     deflected_volume_fraction,
     depth_for_fraction,
     fit_wheel_pose,
-    initial_pose_guess,
     load_camera,
     load_wheel_model,
     make_chord_annotation,
@@ -27,7 +25,6 @@ from rovermotion.deflection import (
     read_annotations_csv,
     segment_fraction,
     smooth_deflection_series,
-    write_annotations_csv,
 )
 from rovermotion import deflection
 from rovermotion.errors import DataError
@@ -40,6 +37,15 @@ FIXTURE_DIR = ROOT / "src" / "rovermotion" / "data" / "deflection"
 
 def frontal_pose(depth=1.0):
     return WheelPose(np.eye(3), np.array([0.0, 0.0, depth]))
+
+
+def fixture_script():
+    spec = importlib.util.spec_from_file_location(
+        "make_deflection_fixture", ROOT / "scripts" / "make_deflection_fixture.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 class TestModel:
@@ -98,28 +104,25 @@ class TestVolumeFraction:
     def test_matches_analytic_segment(self, h):
         pose = WheelPose.from_rotvec([0.1, -0.15, 0.05], [0.05, 0.02, 0.9])
         chord = make_chord_annotation(MODEL, pose, CAM, h)
-        est = deflected_volume_fraction(MODEL, pose, CAM, chord)
-        assert est.fraction == pytest.approx(segment_fraction(h), rel=0, abs=1e-12)
-        assert est.volume == est.fraction * MODEL.volume
+        fraction = deflected_volume_fraction(MODEL, pose, CAM, chord)
+        assert fraction == pytest.approx(segment_fraction(h), rel=0, abs=1e-12)
 
     def test_tangent_is_zero(self):
         pose = frontal_pose(0.9)
         chord = make_chord_annotation(MODEL, pose, CAM, 1.0)
-        est = deflected_volume_fraction(MODEL, pose, CAM, chord)
-        assert est.fraction == 0.0 and est.volume == 0.0
+        assert deflected_volume_fraction(MODEL, pose, CAM, chord) == 0.0
 
     def test_miss_is_zero(self):
         pose = WheelPose.from_rotvec([0.1, -0.15, 0.05], [0.05, 0.02, 0.9])
         chord = make_chord_annotation(MODEL, pose, CAM, 1.5)
-        est = deflected_volume_fraction(MODEL, pose, CAM, chord, frame=7)
-        assert est == DeflectionEstimate(7, 0.0, 0.0)
+        assert deflected_volume_fraction(MODEL, pose, CAM, chord) == 0.0
 
     def test_monotone_in_depth(self):
         pose = WheelPose.from_rotvec([0.12, -0.18, 0.08], [0.06, 0.03, 0.85])
         fractions = []
         for h in np.linspace(0.98, 0.2, 12):
             chord = make_chord_annotation(MODEL, pose, CAM, h)
-            fractions.append(deflected_volume_fraction(MODEL, pose, CAM, chord).fraction)
+            fractions.append(deflected_volume_fraction(MODEL, pose, CAM, chord))
         assert all(b > a for a, b in zip(fractions, fractions[1:]))
 
     def test_deep_cut_stays_under_half(self):
@@ -127,23 +130,17 @@ class TestVolumeFraction:
         # from the centre: still less than half of the wheel
         pose = frontal_pose(0.9)
         chord = make_chord_annotation(MODEL, pose, CAM, 0.05, direction=(0.0, 1.0))
-        est = deflected_volume_fraction(MODEL, pose, CAM, chord)
-        assert est.fraction < 0.5
+        assert deflected_volume_fraction(MODEL, pose, CAM, chord) < 0.5
 
 
 class TestSmoothing:
     def test_impulse(self):
-        raw = [
-            DeflectionEstimate(i, f * MODEL.volume, f)
-            for i, f in enumerate([0.0, 0.0, 6.0, 0.0, 0.0])
-        ]
-        smoothed = smooth_deflection_series(raw, 3)
-        assert [round(e.fraction, 9) for e in smoothed] == [0.0, 2.0, 2.0, 2.0, 0.0]
+        smoothed = smooth_deflection_series([0.0, 0.0, 6.0, 0.0, 0.0], 3)
+        assert [round(f, 9) for f in smoothed] == [0.0, 2.0, 2.0, 2.0, 0.0]
 
     def test_edges_truncated(self):
-        raw = [DeflectionEstimate(i, 0.0, 1.0) for i in range(4)]
-        smoothed = smooth_deflection_series(raw, 5)
-        assert all(e.fraction == pytest.approx(1.0) for e in smoothed)
+        smoothed = smooth_deflection_series([1.0] * 4, 5)
+        assert all(f == pytest.approx(1.0) for f in smoothed)
 
     def test_even_window_rejected(self):
         with pytest.raises(DataError, match="odd"):
@@ -154,8 +151,7 @@ class TestPoseFit:
     def test_noiseless_round_trip(self):
         true = WheelPose.from_rotvec([0.12, -0.2, 0.07], [0.05, -0.02, 0.9])
         loops = project_wheel(MODEL, true, CAM, samples_per_circle=24)
-        guess = initial_pose_guess(loops, MODEL, CAM)
-        pose, rms = fit_wheel_pose(loops, MODEL, CAM, guess)
+        pose, rms = fit_wheel_pose(loops, MODEL, CAM)
         assert rms < 1e-5
         assert np.linalg.norm(pose.translation - true.translation) < 1e-6
         axis_err = math.degrees(
@@ -170,44 +166,15 @@ class TestPoseFit:
             loop + rng.normal(0.0, 0.3, loop.shape)
             for loop in project_wheel(MODEL, true, CAM, samples_per_circle=24)
         ]
-        pose, rms = fit_wheel_pose(loops, MODEL, CAM, initial_pose_guess(loops, MODEL, CAM))
+        pose, rms = fit_wheel_pose(loops, MODEL, CAM)
         assert rms < 1.0  # pixel noise floor
         assert np.linalg.norm(pose.translation - true.translation) < 0.005
-
-    def test_spin_in_guess_is_ignored(self):
-        # spin about the wheel axis is unobservable; a guess spun about its
-        # own axis seeds the same tilt and must land on the same pose
-        true = WheelPose.from_rotvec([0.12, -0.2, 0.07], [0.05, -0.02, 0.9])
-        loops = project_wheel(MODEL, true, CAM, samples_per_circle=24)
-        unspun = WheelPose.from_rotvec([0.05, -0.1, 0.0], [0.04, -0.01, 0.8])
-        spin = WheelPose.from_rotvec([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]).rotation
-        spun = WheelPose(unspun.rotation @ spin, unspun.translation)
-        np.testing.assert_allclose(spun.axis, unspun.axis, atol=1e-15)
-        # spun differs from unspun by a 1-rad turn about the wheel axis
-        turn = unspun.rotation.T @ spun.rotation
-        assert math.atan2(turn[1, 0], turn[0, 0]) == pytest.approx(1.0, abs=1e-12)
-        pose_a, _ = fit_wheel_pose(loops, MODEL, CAM, unspun)
-        pose_b, _ = fit_wheel_pose(loops, MODEL, CAM, spun)
-        np.testing.assert_allclose(pose_b.axis, pose_a.axis, atol=1e-8)
-        np.testing.assert_allclose(pose_b.translation, pose_a.translation, atol=1e-8)
-        assert np.linalg.norm(pose_a.translation - true.translation) < 1e-6
-
-    @pytest.mark.parametrize(
-        "rotvec",
-        [[0.0, 0.0, 0.0], [0.1, -0.2, 0.9], [-0.3, 0.05, -2.0], [math.pi, 0.0, 0.0]],
-    )
-    def test_tilt_seed_keeps_guess_axis(self, rotvec):
-        guess = WheelPose.from_rotvec(rotvec, [0.0, 0.0, 1.0])
-        tilt = deflection._tilt_rotvec(guess.axis)
-        seeded = WheelPose.from_rotvec([tilt[0], tilt[1], 0.0], [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(seeded.axis, guess.axis, atol=1e-12)
 
     def test_failure_carries_diagnostics(self):
         true = WheelPose.from_rotvec([0.12, -0.2, 0.07], [0.05, -0.02, 0.9])
         loops = project_wheel(MODEL, true, CAM, samples_per_circle=24)
-        guess = initial_pose_guess(loops, MODEL, CAM)
         with pytest.raises(PoseFitError) as info:
-            fit_wheel_pose(loops, MODEL, CAM, guess, max_iterations=1)
+            fit_wheel_pose(loops, MODEL, CAM, max_iterations=1)
         exc = info.value
         assert exc.nfev > 0 and exc.rms > 0 and exc.reason
         message = str(exc)
@@ -224,16 +191,20 @@ class TestPoseFit:
         monkeypatch.setattr(deflection, "_signed_curve_distances",
                             lambda *args: calls.append(1) or distances(*args))
         with pytest.raises(PoseFitError) as info:
-            fit_wheel_pose(loops, MODEL, CAM, initial_pose_guess(loops, MODEL, CAM),
-                           max_iterations=3)
+            fit_wheel_pose(loops, MODEL, CAM, max_iterations=3)
         assert info.value.nfev == len(calls) == 13
 
     def test_guess_where_no_parameter_moves_a_residual_fails(self):
-        # 1 cm from the camera the wheel is behind it for every nearby pose,
-        # so every residual is the same penalty
+        # loops 100 times the size put the start 9.4 mm from the camera,
+        # where the wheel is behind it for every nearby pose, so every
+        # residual is the same penalty
         loops = project_wheel(MODEL, frontal_pose(), CAM, samples_per_circle=16)
+        centroid = loops[0].mean(axis=0)
+        loops = [centroid + 100.0 * (loop - centroid) for loop in loops]
+        assert deflection._initial_pose_guess(loops, MODEL, CAM)[4] == pytest.approx(
+            0.0094, abs=1e-4)
         with pytest.raises(PoseFitError, match="moves no residual") as info:
-            fit_wheel_pose(loops, MODEL, CAM, frontal_pose(depth=0.01))
+            fit_wheel_pose(loops, MODEL, CAM)
         assert info.value.nfev == 6
 
     @pytest.mark.parametrize("value", [1e308, math.inf, math.nan])
@@ -257,15 +228,25 @@ class TestPoseFit:
         assert (info.value.nfev, info.value.reason) == (1, "residual not finite")
 
     def test_behind_camera_guess_rejected(self):
-        loops = project_wheel(MODEL, frontal_pose(), CAM, samples_per_circle=16)
-        bad = WheelPose(np.eye(3), np.array([0.0, 0.0, -1.0]))
-        with pytest.raises(DataError, match="behind camera"):
-            fit_wheel_pose(loops, MODEL, CAM, bad)
+        # with fx = 5e-324 the start's depth, fx r / apparent radius, underflows to 0
+        frames = read_annotations_csv(FIXTURE_DIR / "annotations.csv")[:1]
+        cam = CameraIntrinsics(fx=5e-324, fy=800.0, cx=640.0, cy=360.0,
+                               width=1280, height=720)
+        with pytest.raises(DataError, match="^frame 0: wheel behind camera$"):
+            deflection.process_annotations(frames, MODEL, cam)
 
     def test_too_few_points_rejected(self):
         loops = project_wheel(MODEL, frontal_pose(), CAM, samples_per_circle=4)
         with pytest.raises(DataError, match="at least 8 points"):
-            fit_wheel_pose(loops, MODEL, CAM, frontal_pose())
+            fit_wheel_pose(loops, MODEL, CAM)
+
+    def test_degenerate_loop_is_refused_before_its_length(self):
+        # the start is read off the inboard loop before any loop is counted:
+        # four points in one place fail as degenerate, not as too few
+        frames = read_annotations_csv(FIXTURE_DIR / "annotations.csv")[:1]
+        frames[0].loops[0] = np.full((4, 2), 300.0)
+        with pytest.raises(DataError, match="^frame 0: degenerate loop$"):
+            deflection.process_annotations(frames, MODEL, CAM)
 
 
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -357,7 +338,8 @@ class TestCurveDistances:
         off = WheelPose(
             tilt @ true.rotation, translation * [1.0, 1.0, rng.uniform(0.8, 1.2)]
         )
-        start = initial_pose_guess(loops, MODEL, CAM)
+        x0 = deflection._initial_pose_guess(loops, MODEL, CAM)
+        start = WheelPose.from_rotvec([x0[0], x0[1], 0.0], x0[2:])
         for pose in (true, start, off):
             want = golden_signed_curve_distances(observed, radius, z_offset, pose, CAM)
             got = deflection._signed_curve_distances(
@@ -416,11 +398,11 @@ class TestAnnotationsCsv:
         loops = project_wheel(MODEL, pose, CAM, samples_per_circle=12)
         chord = make_chord_annotation(MODEL, pose, CAM, 0.9)
         frames = [
-            AnnotationFrame(0, "wheel_a", loops, chord),
-            AnnotationFrame(1, "wheel_a", loops, None),  # airborne
+            AnnotationFrame(0, loops, chord),
+            AnnotationFrame(1, loops, None),  # airborne
         ]
         path = tmp_path / "annotations.csv"
-        write_annotations_csv(path, frames)
+        fixture_script().write_annotations_csv(path, frames)
         loaded = read_annotations_csv(path)
         assert len(loaded) == 2
         assert loaded[0].chord.p1 == pytest.approx(chord.p1, abs=1e-5)
@@ -443,12 +425,7 @@ class TestBundledFixture:
         assert cam == CAM
 
     def test_fixture_script_rebuilds_the_files(self, tmp_path):
-        spec = importlib.util.spec_from_file_location(
-            "make_deflection_fixture", ROOT / "scripts" / "make_deflection_fixture.py"
-        )
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        script.main(tmp_path)
+        fixture_script().main(tmp_path)
         names = ["annotations.csv", "camera.txt", "model.txt", "oracle.csv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == names
         for name in names:

@@ -36,7 +36,6 @@ _TRACK_PY = ("the step-by-step track integrator, a test oracle for "
 _SYNTHETIC = ("generates synthetic annotated frames for the tests, "
               "scripts/make_deflection_fixture.py and perfbench/workloads.py; it "
               "leaves the package when the benchmark imports it from elsewhere")
-_FIXTURE = "writes the bundled annotations.csv in scripts/make_deflection_fixture.py"
 # What no command reaches, each with the reason it stays: the modules that no
 # command imports, and the top-level functions and classes, `module.name`,
 # that no command calls.
@@ -48,8 +47,6 @@ UNREACHED = {
     "deflection._circle_points_3d": _SYNTHETIC,
     "deflection.make_chord_annotation": _SYNTHETIC,
     "deflection.depth_for_fraction": _SYNTHETIC,
-    "deflection.write_annotations_csv": _FIXTURE,
-    "deflection._serialize_loop": _FIXTURE,
     "terrain.reposition_between": (
         "the closed form of the reposition phase's energy and duration, which "
         "the tests hold simulate_traverse to; a summary.txt energy balance would "

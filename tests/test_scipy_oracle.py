@@ -21,7 +21,6 @@ from rovermotion.deflection import (
     WheelPose,
     depth_for_fraction,
     fit_wheel_pose,
-    initial_pose_guess,
     project_wheel,
     read_annotations_csv,
     segment_fraction,
@@ -111,11 +110,10 @@ def _scipy_lm(fun, x, max_nfev):
 
 def _both_fits(loops, monkeypatch):
     """fit_wheel_pose's (pose, rms) from the package's solver, then scipy's."""
-    guess = initial_pose_guess(loops, MODEL, CAM)
-    own = fit_wheel_pose(loops, MODEL, CAM, guess)
+    own = fit_wheel_pose(loops, MODEL, CAM)
     with monkeypatch.context() as patch:
         patch.setattr(deflection, "_levenberg_marquardt", _scipy_lm)
-        return own, fit_wheel_pose(loops, MODEL, CAM, guess)
+        return own, fit_wheel_pose(loops, MODEL, CAM)
 
 
 def test_pose_fit_matches_minpack_on_criterion_8_poses(monkeypatch):
