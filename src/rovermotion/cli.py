@@ -250,8 +250,7 @@ def _estimate_deflection(annotations: str, model: str, camera: str
 
 
 def cmd_deflect(args) -> tuple[list, str]:
-    # deflection.smooth_deflection_series checks this too, but only after the
-    # fit of every frame; a bad window fails here, before any frame is read.
+    # the one check of the smoothing window, before any frame is read
     if args.window < 1 or args.window % 2 == 0:
         raise DataError("window must be odd and >= 1")
     from rovermotion import deflection

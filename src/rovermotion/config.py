@@ -220,7 +220,7 @@ def parse_key_value_lines(lines: list[str], path: str | Path) -> dict[str, str]:
 def parse_finite(text: str, name: str, where: str | Path) -> float:
     """The value `text` of `name` at `where`, a file or its `path:line`, as a
     finite float; DataError names all three. The package's one parser of a
-    number read from an input file, but for the cells of a telemetry file."""
+    number read from an input file."""
     try:
         value = float(text)
     except ValueError:

@@ -279,14 +279,14 @@ def fit_wheel_pose(
     one in-plane basis among many. With 0.5 px of noise the fit is correct
     up to about 60 degrees of axis tilt and silently wrong from about 70.
     Returns the pose and the RMS reprojection distance in pixels. Raises
-    DataError, in this order, for a degenerate inboard loop, a loop count
-    other than the model's circles, a loop of fewer than 8 points and a
+    DataError, in this order, for a loop count other than the model's
+    circles, a degenerate inboard loop, a loop of fewer than 8 points and a
     start at or behind the camera; and PoseFitError (carrying the best pose
     so far and the solver's diagnostics) on non-convergence.
     """
-    x0 = _initial_pose_guess(loops, model, cam)
     if len(loops) != len(model.circles):
         raise DataError("expected one observed loop per model circle")
+    x0 = _initial_pose_guess(loops, model, cam)
     for loop in loops:
         if len(loop) < 8:
             raise DataError("need at least 8 points per loop")
@@ -418,9 +418,8 @@ def deflected_volume_fraction(
 
 
 def smooth_deflection_series(values: list[float], window: int) -> list[float]:
-    """Centered moving average; edges use truncated windows."""
-    if window < 1 or window % 2 == 0:
-        raise DataError("window must be odd and >= 1")
+    """Centered moving average; edges use truncated windows. The window is
+    odd and >= 1, the rule the caller checks where it reads the window."""
     half = window // 2
     near = [values[max(0, i - half):i + half + 1] for i in range(len(values))]
     return [sum(part) / len(part) for part in near]

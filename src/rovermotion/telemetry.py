@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import io
-import math
 import operator
 from pathlib import Path
 
@@ -312,17 +311,11 @@ def read_telemetry_csv(path: str | Path) -> Telemetry:
 
 
 def _read_rows(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    """The rows of a telemetry CSV as config.csv_rows reads a CSV, each cell
-    a number config.parse_finite accepts, and each row's `path:line`."""
+    """The rows of a telemetry CSV as config.csv_rows reads a CSV, and each
+    row's `path:line`; every cell is parsed by config.parse_finite, so the
+    first cell it refuses, in column order, is named."""
     rows, lines = [], []
     for where, row in csv_rows(io.StringIO(read_text(path)), TELEMETRY_HEADER, path):
-        try:
-            values = list(map(float, row))
-            finite = math.isfinite(sum(values))
-        except ValueError:
-            finite = False
-        if not finite:  # a cell to refuse by name, or a sum that overflowed
-            values = [parse_finite(c, n, where) for n, c in zip(TELEMETRY_HEADER, row)]
-        rows.append(values)
+        rows.append([parse_finite(c, n, where) for n, c in zip(TELEMETRY_HEADER, row)])
         lines.append(where)
     return np.array(rows).reshape(-1, len(TELEMETRY_HEADER)), lines

@@ -142,10 +142,6 @@ class TestSmoothing:
         smoothed = smooth_deflection_series([1.0] * 4, 5)
         assert all(f == pytest.approx(1.0) for f in smoothed)
 
-    def test_even_window_rejected(self):
-        with pytest.raises(DataError, match="odd"):
-            smooth_deflection_series([], 2)
-
 
 class TestPoseFit:
     def test_noiseless_round_trip(self):
@@ -240,9 +236,16 @@ class TestPoseFit:
         with pytest.raises(DataError, match="at least 8 points"):
             fit_wheel_pose(loops, MODEL, CAM)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_loop_count_is_refused_before_the_start_reads_a_loop(self, count):
+        loops = project_wheel(MODEL, frontal_pose(), CAM)[:count]
+        with pytest.raises(DataError, match="^expected one observed loop per model circle$"):
+            fit_wheel_pose(loops, MODEL, CAM)
+
     def test_degenerate_loop_is_refused_before_its_length(self):
-        # the start is read off the inboard loop before any loop is counted:
-        # four points in one place fail as degenerate, not as too few
+        # the start is read off the inboard loop before any loop's points
+        # are counted: four points in one place fail as degenerate, not as
+        # too few
         frames = read_annotations_csv(FIXTURE_DIR / "annotations.csv")[:1]
         frames[0].loops[0] = np.full((4, 2), 300.0)
         with pytest.raises(DataError, match="^frame 0: degenerate loop$"):

@@ -100,7 +100,8 @@ class TestTelemetryCsv:
         assert str(excinfo.value) == f"{path}:4: non-finite {column} {cell!r}"
 
     def test_huge_finite_cells_read(self, tmp_path):
-        # a row whose sum overflows is read cell by cell, and kept
+        # huge finite cells are kept, though their sum overflows, by both
+        # readers: CRLF line ends send the file to the row reader
         path = tmp_path / "telemetry.csv"
         write_rows(path, np.ones((4, 36)))
         lines = path.read_text().splitlines(keepends=True)
@@ -109,6 +110,8 @@ class TestTelemetryCsv:
         values = read_telemetry_csv(path).values
         assert values[2, 1:].tolist() == [1e308] * 35
         assert np.array_equal(np.delete(values, 2, axis=0)[:, 1:], np.ones((3, 35)))
+        path.write_text("".join(lines), newline="\r\n")
+        assert np.array_equal(read_telemetry_csv(path).values, values)
 
     def test_blank_rows_skipped_and_lines_kept(self, tmp_path):
         path = tmp_path / "telemetry.csv"
